@@ -33,11 +33,8 @@ from .logpower import (
 from .multilinear import MultiLinearMap
 from .numerics import (
     DecayFit,
-    DuhamelCheck,
     SmallnessCertificate,
-    convolution_integral,
     decay_envelope_constant,
-    duhamel_check,
     fit_decay,
     fit_kernel_constants,
     integrate,
@@ -67,7 +64,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DecayFit",
-    "DuhamelCheck",
     "Expansion",
     "ExpansionOrder",
     "ExpPolySum",
@@ -87,10 +83,8 @@ __all__ = [
     "build_ladder",
     "check_conjugation_symmetry",
     "complexify_map",
-    "convolution_integral",
     "decay_envelope_constant",
     "descent_op",
-    "duhamel_check",
     "eval_partial_sum",
     "exp_zero",
     "expand",

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ __all__ = [
     "ExpPolySum",
     "snap_scalar",
     "snap_float",
+    "snap_array",
     "canonicalize_exp",
     "eval_exp",
     "derivative_exp",
@@ -47,21 +49,21 @@ def snap_scalar(z: complex) -> complex:
     return complex(snap_float(z.real), snap_float(z.imag))
 
 
+def snap_array(x: np.ndarray) -> np.ndarray:
+    """snap_float elementwise: np.round rounds half to even, as round does."""
+    return np.round(np.asarray(x, dtype=float) / EXPONENT_GRID) * EXPONENT_GRID + 0.0
+
+
 def _sort_key(nu: complex) -> tuple[float, float]:
     return (nu.real, nu.imag)
 
 
-def _trim_poly(coeffs: np.ndarray) -> np.ndarray | None:
-    """Drop negligible rows; None when the whole polynomial is negligible."""
-    norms = np.sqrt((abs(coeffs) ** 2).sum(axis=1))
-    top = norms.max() if norms.size else 0.0
-    if top == 0.0:
-        return None
-    keep = norms >= TRIM_REL * top
-    coeffs = coeffs.copy()
-    coeffs[~keep] = 0.0
-    nz = np.nonzero(keep)[0]
-    return coeffs[: nz[-1] + 1]
+def _stack_rows(polys: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """Coefficient row blocks stacked into (K, D, dim), zero-padded to D >= 1 rows."""
+    out = np.zeros((len(polys), max([1] + [p.shape[0] for p in polys]), dim), dtype=complex)
+    for i, p in enumerate(polys):
+        out[i, : p.shape[0]] = p
+    return out
 
 
 @dataclass(frozen=True)
@@ -73,27 +75,53 @@ class ExpPolySum:
 
     @classmethod
     def build(cls, dim: int, raw: Iterable[tuple[complex, np.ndarray]]) -> "ExpPolySum":
-        """Canonicalize an iterable of (exponent, coeff-rows) pairs."""
-        acc: dict[complex, np.ndarray] = {}
+        """Canonicalize an iterable of (exponent, coeff-rows) pairs; see from_arrays."""
+        nus, polys = [], []
         for nu, coeffs in raw:
-            key = snap_scalar(complex(nu))
             arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
             if arr.shape[1] != dim:
                 raise ValueError(f"coefficient width {arr.shape[1]} != dim {dim}")
-            if key in acc:
-                old = acc[key]
-                d = max(old.shape[0], arr.shape[0])
-                merged = np.zeros((d, dim), dtype=complex)
-                merged[: old.shape[0]] += old
-                merged[: arr.shape[0]] += arr
-                acc[key] = merged
-            else:
-                acc[key] = arr.astype(complex, copy=True)
+            nus.append(complex(nu))
+            polys.append(arr)
+        return cls.from_arrays(dim, np.array(nus, dtype=complex), _stack_rows(polys, dim))
+
+    @classmethod
+    def from_arrays(cls, dim: int, nus: np.ndarray, rows: np.ndarray) -> "ExpPolySum":
+        """Canonicalize raw terms: nus (R,) and zero-padded rows (R, D, dim), complex.
+
+        Exponents are snapped onto the grid.  A term whose snapped exponent
+        occurs once keeps its rows; rows of a repeated exponent are summed
+        onto zeros in raw order.  Terms are sorted by (Re, Im).  Within each
+        term, rows whose norm is below TRIM_REL times the term's largest are
+        zeroed, trailing zero rows are cut, and an all-zero term is dropped.
+        """
+        nus = np.ascontiguousarray(nus, dtype=complex).reshape(-1)
+        rows = np.asarray(rows, dtype=complex)
+        count = nus.shape[0]
+        if count == 0:
+            return cls(dim=dim, terms={})
+        keys = snap_array(nus.view(float).reshape(count, 2))
+        order = np.lexsort((keys[:, 1], keys[:, 0]))
+        sorted_keys = keys[order]
+        starts = np.ones(count, dtype=bool)
+        starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+        group = np.empty(count, dtype=np.intp)
+        group[order] = np.cumsum(starts) - 1
+        acc = np.zeros((int(starts.sum()),) + rows.shape[1:], dtype=complex)
+        np.add.at(acc, group, rows)
+        # Adding onto zeros turns -0.0 into 0.0; a lone term keeps its rows as given.
+        lone = np.bincount(group) == 1
+        acc[lone] = rows[order[starts][lone]]
+        norms = np.sqrt((abs(acc) ** 2).sum(axis=2))
+        top = norms.max(axis=1)
+        keep = norms >= TRIM_REL * top[:, None]
+        acc[~keep] = 0.0
+        lengths = keep.shape[1] - np.argmax(keep[:, ::-1], axis=1)
+        uniq = sorted_keys[starts].view(complex).reshape(-1)
         out: dict[complex, np.ndarray] = {}
-        for key in sorted(acc, key=_sort_key):
-            trimmed = _trim_poly(acc[key])
-            if trimmed is not None:
-                out[key] = trimmed
+        for nu, coeffs, n_rows, live in zip(uniq.tolist(), acc, lengths, top != 0.0):
+            if live:
+                out[nu] = coeffs[:n_rows]
         return cls(dim=dim, terms=out)
 
     @classmethod
@@ -105,6 +133,13 @@ class ExpPolySum:
         return cls.build(dim, [(nu, coeffs)])
 
     # -- queries ---------------------------------------------------------
+
+    @cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents (K,) and zero-padded rows (K, degree+1, dim) in items() order."""
+        items = self.items()
+        nus = np.array([nu for nu, _ in items], dtype=complex)
+        return nus, _stack_rows([c for _, c in items], self.dim)
 
     def items(self) -> list[tuple[complex, np.ndarray]]:
         """Terms in deterministic (Re, Im) order."""
@@ -226,23 +261,42 @@ def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
 
     Exponents add across the chosen terms; polynomial parts combine by
     m-dimensional coefficient convolution through G.
+
+    One ``G.batch`` call evaluates every (term, row) choice at once:
+    argument s lays its terms along axis 2s and its zero-padded rows along
+    axis 2s+1.  The sum then reduces in two stages, as the term-by-term
+    loop does: per term combination by degree, adding row tuples in
+    lexicographic order, then per snapped exponent in combination order.
+    Padding rows contribute exact zeros, which leave every sum unchanged,
+    so the result is bit-identical to that loop through ``build``.
     """
     if len(args) != G.arity:
         raise ValueError(f"map arity {G.arity} != argument count {len(args)}")
     for a in args:
         if a.dim != G.dim:
             raise ValueError("dimension mismatch between map and arguments")
-    raw: list[tuple[complex, np.ndarray]] = []
-    for combo in itertools.product(*(a.items() for a in args)):
-        nu = sum(nu_l for nu_l, _ in combo)
-        polys = [c for _, c in combo]
-        degs = [c.shape[0] - 1 for c in polys]
-        out = np.zeros((sum(degs) + 1, G.dim), dtype=complex)
-        for idx in itertools.product(*(range(d + 1) for d in degs)):
-            vecs = [polys[slot][j] for slot, j in enumerate(idx)]
-            out[sum(idx)] += G(*vecs)
-        raw.append((nu, out))
-    return ExpPolySum.build(G.dim, raw)
+    m = len(args)
+    nu, vecs, sizes = None, [], []
+    for s, a in enumerate(args):
+        nus, rows = a.packed
+        shape = [1] * (2 * m)
+        shape[2 * s : 2 * s + 2] = rows.shape[:2]
+        vecs.append(rows.reshape(shape + [G.dim]))
+        sizes.append(rows.shape[1])
+        lead = [1] * m
+        lead[s] = nus.shape[0]
+        nu = nus.reshape(lead) if nu is None else nu + nus.reshape(lead)
+    # (K_0, D_0, K_1, D_1, ..., dim) -> (K_0, ..., K_m-1, D_0, ..., D_m-1, dim)
+    g = G.batch(*vecs).transpose(
+        list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)) + [2 * m]
+    )
+    combos = g.shape[:m]
+    out = np.zeros(combos + (sum(sizes) - m + 1, G.dim), dtype=complex)
+    for idx in itertools.product(*(range(d) for d in sizes)):
+        out[..., sum(idx), :] += g[(Ellipsis,) + idx + (slice(None),)]
+    return ExpPolySum.from_arrays(
+        G.dim, nu.reshape(-1), out.reshape((-1,) + out.shape[m:])
+    )
 
 
 def trim_small_exp(s: ExpPolySum, scale: float, rel: float = TRIM_REL) -> ExpPolySum:

@@ -20,15 +20,14 @@ Three linear operators drive the power/log recursions:
 from __future__ import annotations
 
 import cmath
-import itertools
-import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 import scipy.linalg
 
-from .expsum import snap_scalar
+from .expsum import snap_array, snap_scalar
 from .ladder import exp_zero, ladder_eval
 from .multilinear import MultiLinearMap
 
@@ -48,10 +47,6 @@ __all__ = [
 ]
 
 TRIM_REL = 1e-13
-
-
-def _snap_alpha(alpha: Sequence[complex]) -> tuple[complex, ...]:
-    return tuple(snap_scalar(complex(a)) for a in alpha)
 
 
 def _alpha_sort_key(alpha: tuple[complex, ...]):
@@ -82,30 +77,67 @@ class LogPowerSum:
     def build(
         cls, dim: int, depth: int, raw: Iterable[tuple[Sequence[complex], np.ndarray]]
     ) -> "LogPowerSum":
+        """Canonical sum of (exponent vector, coefficient) pairs; see from_arrays."""
         if depth < -1:
             raise ValueError("depth must be >= -1")
-        acc: dict[tuple[complex, ...], np.ndarray] = {}
+        alphas, xis = [], []
         for alpha, xi in raw:
-            key = _snap_alpha(alpha)
-            if len(key) != depth + 2:
+            alpha = tuple(alpha)
+            if len(alpha) != depth + 2:
                 raise ValueError(
-                    f"exponent vector length {len(key)} != depth+2 = {depth + 2}"
+                    f"exponent vector length {len(alpha)} != depth+2 = {depth + 2}"
                 )
             vec = np.asarray(xi, dtype=complex).reshape(-1)
             if vec.shape[0] != dim:
                 raise ValueError(f"coefficient length {vec.shape[0]} != dim {dim}")
-            if key in acc:
-                acc[key] = acc[key] + vec
-            else:
-                acc[key] = vec.copy()
-        norms = {k: float(np.linalg.norm(v)) for k, v in acc.items()}
-        top = max(norms.values(), default=0.0)
-        out = {
-            k: acc[k]
-            for k in sorted(acc, key=_alpha_sort_key)
-            if norms[k] > 0.0 and norms[k] >= TRIM_REL * top
-        }
-        return cls(dim=dim, depth=depth, terms=out)
+            alphas.append(alpha)
+            xis.append(vec)
+        return cls.from_arrays(
+            dim,
+            depth,
+            np.array(alphas, dtype=complex).reshape(len(alphas), depth + 2),
+            np.array(xis, dtype=complex).reshape(len(xis), dim),
+        )
+
+    @classmethod
+    def from_arrays(
+        cls, dim: int, depth: int, alphas: np.ndarray, xis: np.ndarray
+    ) -> "LogPowerSum":
+        """Canonicalize raw terms: alphas (R, depth+2) and xis (R, dim), complex.
+
+        Exponents are snapped onto the grid; rows whose snapped exponents
+        agree are summed in raw order (the first row, then each later row
+        added to it); terms are sorted by (Re a(-1), Im a(-1), Re a(0), ...);
+        terms with zero norm or a norm below TRIM_REL times the largest are
+        dropped.  The norms are taken row-wise and may differ from a
+        per-vector ``np.linalg.norm`` in the last bit, which only matters
+        for a term within an ulp of the trim line.
+        """
+        alphas = np.ascontiguousarray(alphas, dtype=complex)
+        xis = np.asarray(xis, dtype=complex)
+        count = alphas.shape[0]
+        if count == 0:
+            return cls(dim=dim, depth=depth, terms={})
+        # Interleaved (re, im) columns: their lexicographic order is the
+        # canonical term order.
+        keys = snap_array(alphas.view(float))
+        order = np.lexsort(keys.T[::-1])
+        sorted_keys = keys[order]
+        starts = np.ones(count, dtype=bool)
+        starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+        # lexsort is stable, so each group's first sorted row is its first raw row.
+        first = order[starts]
+        group = np.empty(count, dtype=np.intp)
+        group[order] = np.cumsum(starts) - 1
+        later = np.ones(count, dtype=bool)
+        later[first] = False
+        acc = xis[first]
+        np.add.at(acc, group[later], xis[later])
+        norms = np.linalg.norm(acc, axis=1)
+        keep = (norms > 0.0) & (norms >= TRIM_REL * norms.max())
+        uniq = sorted_keys[starts][keep].view(complex)
+        terms = dict(zip(map(tuple, uniq.tolist()), acc[keep]))
+        return cls(dim=dim, depth=depth, terms=terms)
 
     @classmethod
     def zero(cls, dim: int, depth: int) -> "LogPowerSum":
@@ -119,6 +151,14 @@ class LogPowerSum:
 
     def items(self) -> list[tuple[tuple[complex, ...], np.ndarray]]:
         return [(a, self.terms[a]) for a in sorted(self.terms, key=_alpha_sort_key)]
+
+    @cached_property
+    def packed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exponents (K, depth+2) and coefficients (K, dim) in items() order."""
+        items = self.items()
+        alphas = np.array([a for a, _ in items], dtype=complex)
+        xis = np.array([v for _, v in items], dtype=complex)
+        return alphas.reshape(len(items), self.depth + 2), xis.reshape(len(items), self.dim)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -256,8 +296,8 @@ def descent_op(p: LogPowerSum) -> LogPowerSum:
 class ShiftedInverseCache:
     """LU factors of A + i*omega*I memoized per distinct imaginary shift.
 
-    Thread-safe; a single cache is shared across one expansion run so
-    repeated shifts cost one factorization each.
+    A single cache is shared across one expansion run so repeated shifts
+    cost one factorization each.
     """
 
     def __init__(self, A: np.ndarray):
@@ -267,23 +307,21 @@ class ShiftedInverseCache:
             raise ValueError("A must be square")
         self._n = n
         self._cache: dict[complex, tuple] = {}
-        self._lock = threading.Lock()
 
     def _factor(self, shift: complex):
-        with self._lock:
-            hit = self._cache.get(shift)
-            if hit is not None:
-                return hit
-            B = self.A + shift * np.eye(self._n)
-            sv = np.linalg.svd(B, compute_uv=False)
-            if sv[-1] <= 1e-12 * max(sv[0], 1.0):
-                raise ValueError(
-                    f"A + ({shift})I is numerically singular; "
-                    "the dissipativity assumption excludes this"
-                )
-            lu = scipy.linalg.lu_factor(B)
-            self._cache[shift] = lu
-            return lu
+        hit = self._cache.get(shift)
+        if hit is not None:
+            return hit
+        B = self.A + shift * np.eye(self._n)
+        sv = np.linalg.svd(B, compute_uv=False)
+        if sv[-1] <= 1e-12 * max(sv[0], 1.0):
+            raise ValueError(
+                f"A + ({shift})I is numerically singular; "
+                "the dissipativity assumption excludes this"
+            )
+        lu = scipy.linalg.lu_factor(B)
+        self._cache[shift] = lu
+        return lu
 
     def solve(self, alpha_m1: complex, xi: np.ndarray) -> np.ndarray:
         if abs(alpha_m1.real) > 1e-12:
@@ -320,20 +358,34 @@ def eval_logpower(p: LogPowerSum, t: float) -> np.ndarray:
 
 
 def mul_apply_logpower(G: MultiLinearMap, args: Sequence[LogPowerSum]) -> LogPowerSum:
-    """Push m LogPowerSums through an m-linear map (exponent vectors add)."""
+    """Push m LogPowerSums through an m-linear map (exponent vectors add).
+
+    Every combination of one term per argument is formed at once: argument
+    s is laid along axis s, exponent vectors add by broadcasting from left
+    to right, and one ``G.batch`` call gives every coefficient.  The raw
+    terms come out in ``itertools.product`` order over the arguments'
+    items(), and ``G.batch`` matches ``G(...)`` bit for bit, so the result
+    is bit-identical to the term-by-term loop through ``build``.
+    """
     if len(args) != G.arity:
         raise ValueError(f"map arity {G.arity} != argument count {len(args)}")
     for a in args:
         if a.dim != G.dim:
             raise ValueError("dimension mismatch between map and arguments")
     depth = max(a.depth for a in args)
-    args = [a.embed(depth) for a in args]
-    raw: list[tuple[tuple[complex, ...], np.ndarray]] = []
-    for combo in itertools.product(*(a.items() for a in args)):
-        alpha = tuple(sum(parts) for parts in zip(*(c[0] for c in combo)))
-        xi = G(*(c[1] for c in combo))
-        raw.append((alpha, xi))
-    return LogPowerSum.build(G.dim, depth, raw)
+    m = len(args)
+    alpha, xis = None, []
+    for s, a in enumerate(args):
+        keys, coeffs = a.embed(depth).packed
+        shape = [1] * m
+        shape[s] = keys.shape[0]
+        keys = keys.reshape(shape + [depth + 2])
+        alpha = keys if alpha is None else alpha + keys
+        xis.append(coeffs.reshape(shape + [G.dim]))
+    xi = G.batch(*xis)
+    return LogPowerSum.from_arrays(
+        G.dim, depth, alpha.reshape(-1, depth + 2), xi.reshape(-1, G.dim)
+    )
 
 
 def trim_small_logpower(p: LogPowerSum, scale: float, rel: float = TRIM_REL) -> LogPowerSum:

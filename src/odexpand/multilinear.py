@@ -4,6 +4,18 @@ A degree-m term of the nonlinearity is an m-linear map given by a sparse
 entry table: ``value * x1[j1] * ... * xm[jm]`` accumulated into output row
 ``i``.  No symmetry is assumed; the expansion engine sums over ordered
 argument tuples, so asymmetric maps are handled as written.
+
+Two evaluators share the entry table.  ``__call__`` applies the map to
+single vectors; the ODE right-hand side calls it on every evaluation,
+where per-call numpy overhead would cost more than the loop.  ``batch``
+broadcasts over leading axes, so one call covers every term combination
+of a symbolic product: pass ``(K0, 1, dim)`` and ``(1, K1, dim)`` for the
+outer product, or equal shapes for row-wise products.  ``batch`` is
+bit-identical to ``__call__`` row by row: it multiplies in explicit
+float64 real/imaginary parts, in the order of Python's complex product,
+and accumulates entries in entry order.  numpy's vectorised complex
+multiply rounds differently in the last bit, and the exponential-mode
+resonant recursion amplifies such bits far past the output tolerance.
 """
 
 from __future__ import annotations
@@ -61,6 +73,34 @@ class MultiLinearMap:
             for slot, j in enumerate(ins):
                 prod = prod * args[slot][j]
             out[i] += prod
+        return out
+
+    def batch(self, *args: np.ndarray) -> np.ndarray:
+        """Apply to ``arity`` stacks of vectors, broadcasting leading axes.
+
+        Each argument has shape ``(..., dim)``; the result has the broadcast
+        leading shape followed by ``dim``, and every row equals ``__call__``
+        on the matching argument rows bit for bit.
+        """
+        if len(args) != self.arity:
+            raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
+        args = [np.asarray(a, dtype=complex) for a in args]
+        for a in args:
+            if a.ndim < 1 or a.shape[-1] != self.dim:
+                raise ValueError(f"argument trailing axis must have length {self.dim}")
+        lead = np.broadcast_shapes(*(a.shape[:-1] for a in args))
+        parts = [(a.real, a.imag) for a in args]
+        out = np.zeros(lead + (self.dim,), dtype=complex)
+        out_re, out_im = out.real, out.imag
+        for i, ins, val in self.entries:
+            # (pr + i*pi) * (xr + i*xi), written out as Python's complex
+            # product computes it.
+            pr, pi = val.real, val.imag
+            for (re, im), j in zip(parts, ins):
+                xr, xi = re[..., j], im[..., j]
+                pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+            out_re[..., i] += pr
+            out_im[..., i] += pi
         return out
 
     def is_real(self, tol: float = 0.0) -> bool:

@@ -6,9 +6,14 @@ and failures replay deterministically.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap
+from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
+from odexpand.expsum import snap_scalar
+from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
 
 
 def cvec(rng, n: int) -> np.ndarray:
@@ -118,3 +123,99 @@ def sym_logpower(rng, dim: int, depth: int, n_terms: int = 2) -> LogPowerSum:
     """Conjugation-symmetric sum: q + conj(q) for a random q."""
     q = random_logpower(rng, dim, depth, n_terms)
     return q + q.conjugate()
+
+
+# ---------------------------------------------------------------------------
+# Term-by-term oracles for the batched interaction kernel: one G call per
+# term combination and dict-based canonicalization, as the package did
+# before it batched both.  The array code must reproduce them bit for bit.
+
+
+def build_logpower_oracle(dim: int, depth: int, raw) -> LogPowerSum:
+    acc: dict[tuple[complex, ...], np.ndarray] = {}
+    for alpha, xi in raw:
+        key = tuple(snap_scalar(complex(a)) for a in alpha)
+        assert len(key) == depth + 2
+        vec = np.asarray(xi, dtype=complex).reshape(-1)
+        if key in acc:
+            acc[key] = acc[key] + vec
+        else:
+            acc[key] = vec.copy()
+    norms = {k: float(np.linalg.norm(v)) for k, v in acc.items()}
+    top = max(norms.values(), default=0.0)
+    out = {
+        k: acc[k]
+        for k in sorted(acc, key=lambda a: tuple((z.real, z.imag) for z in a))
+        if norms[k] > 0.0 and norms[k] >= LOGPOWER_TRIM_REL * top
+    }
+    return LogPowerSum(dim=dim, depth=depth, terms=out)
+
+
+def mul_apply_logpower_oracle(G: MultiLinearMap, args) -> LogPowerSum:
+    depth = max(a.depth for a in args)
+    args = [a.embed(depth) for a in args]
+    raw = []
+    for combo in itertools.product(*(a.items() for a in args)):
+        alpha = tuple(sum(parts) for parts in zip(*(c[0] for c in combo)))
+        raw.append((alpha, G(*(c[1] for c in combo))))
+    return build_logpower_oracle(G.dim, depth, raw)
+
+
+def _trim_poly_oracle(coeffs: np.ndarray):
+    norms = np.sqrt((abs(coeffs) ** 2).sum(axis=1))
+    top = norms.max() if norms.size else 0.0
+    if top == 0.0:
+        return None
+    keep = norms >= EXP_TRIM_REL * top
+    coeffs = coeffs.copy()
+    coeffs[~keep] = 0.0
+    return coeffs[: np.nonzero(keep)[0][-1] + 1]
+
+
+def build_exp_oracle(dim: int, raw) -> ExpPolySum:
+    acc: dict[complex, np.ndarray] = {}
+    for nu, coeffs in raw:
+        key = snap_scalar(complex(nu))
+        arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
+        if key in acc:
+            old = acc[key]
+            merged = np.zeros((max(old.shape[0], arr.shape[0]), dim), dtype=complex)
+            merged[: old.shape[0]] += old
+            merged[: arr.shape[0]] += arr
+            acc[key] = merged
+        else:
+            acc[key] = arr.astype(complex, copy=True)
+    out = {}
+    for key in sorted(acc, key=lambda z: (z.real, z.imag)):
+        trimmed = _trim_poly_oracle(acc[key])
+        if trimmed is not None:
+            out[key] = trimmed
+    return ExpPolySum(dim=dim, terms=out)
+
+
+def mul_apply_exp_oracle(G: MultiLinearMap, args) -> ExpPolySum:
+    raw = []
+    for combo in itertools.product(*(a.items() for a in args)):
+        nu = sum(nu_l for nu_l, _ in combo)
+        polys = [c for _, c in combo]
+        degs = [c.shape[0] - 1 for c in polys]
+        out = np.zeros((sum(degs) + 1, G.dim), dtype=complex)
+        for idx in itertools.product(*(range(d + 1) for d in degs)):
+            out[sum(idx)] += G(*(polys[slot][j] for slot, j in enumerate(idx)))
+        raw.append((nu, out))
+    return build_exp_oracle(G.dim, raw)
+
+
+def assert_bitwise_equal(p, q) -> None:
+    """Same term keys in the same order, and bit-identical coefficients.
+
+    Works for LogPowerSum and ExpPolySum; the sign of every zero counts.
+    """
+    assert type(p) is type(q) and p.dim == q.dim
+    assert list(p.terms) == list(q.terms)
+    for key in p.terms:
+        a, b = p.terms[key], q.terms[key]
+        assert a.shape == b.shape, key
+        assert np.array_equal(a, b), key
+        assert np.array_equal(np.signbit(a.real), np.signbit(b.real)), key
+        assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag)), key

@@ -16,7 +16,14 @@ from odexpand.expsum import (
     trim_small_exp,
 )
 
-from helpers import cvec, random_expsum
+from helpers import (
+    assert_bitwise_equal,
+    build_exp_oracle,
+    cvec,
+    mul_apply_exp_oracle,
+    random_expsum,
+    random_multilinear,
+)
 
 
 def test_opposite_terms_cancel_to_the_zero_element():
@@ -246,3 +253,59 @@ def test_perturbed_exponent_does_not_merge():
     bumped = ExpPolySum.build(1, [(-1.0 + 1e-6, [[1.0]])])
     s = base + bumped
     assert s.term_count() == 2
+
+
+def _lattice_expsum(rng, dim: int, n_terms: int, max_degree: int) -> ExpPolySum:
+    """Exponents on a coarse lattice, so products share many exponent sums."""
+    raw = []
+    for _ in range(n_terms):
+        nu = complex(-int(rng.integers(1, 3)), 0.5 * int(rng.integers(-2, 3)))
+        deg = int(rng.integers(0, max_degree + 1))
+        rows = cvec(rng, (deg + 1) * dim).reshape(deg + 1, dim)
+        raw.append((nu, rows * 10.0 ** rng.integers(-3, 4)))
+    return ExpPolySum.build(dim, raw)
+
+
+def test_mul_apply_matches_term_by_term_oracle_bitwise():
+    rng = np.random.default_rng(81)
+    for _ in range(40):
+        arity = int(rng.integers(1, 4))
+        dim = int(rng.integers(1, 5))
+        G = random_multilinear(rng, arity, dim, n_entries=int(rng.integers(0, 8)))
+        args = []
+        for _ in range(arity):
+            n_terms, deg = int(rng.integers(0, 5)), int(rng.integers(0, 3))
+            if rng.random() < 0.6:
+                args.append(_lattice_expsum(rng, dim, n_terms, deg))
+            else:
+                args.append(random_expsum(rng, dim, n_terms, deg))
+        assert_bitwise_equal(mul_apply_exp(G, args), mul_apply_exp_oracle(G, args))
+
+
+def test_mul_apply_trims_near_cancellation_like_the_oracle():
+    # (e^-t + c t e^-2t) * (t e^-2t + d e^-t): the two t e^-3t cross terms
+    # cancel down to eps of the unit product, next to rows of size c*d.
+    G = MultiLinearMap.scalar_power(2)
+    for c in (0.3, 1.7, -2.2):
+        for eps in (0.0, 1e-16, 3e-14, 9e-14, 1.1e-13, 5e-13, 1e-11):
+            p = ExpPolySum.build(1, [(-1.0, [[1.0]]), (-2.0, [[0.0], [c]])])
+            q = ExpPolySum.build(1, [(-2.0, [[0.0], [1.0]]), (-1.0, [[-(1.0 - eps) / c]])])
+            got = mul_apply_exp(G, [p, q])
+            assert_bitwise_equal(got, mul_apply_exp_oracle(G, [p, q]))
+
+
+def test_build_matches_dict_oracle_bitwise():
+    rng = np.random.default_rng(82)
+    for _ in range(60):
+        dim = int(rng.integers(1, 4))
+        raw = []
+        for _ in range(int(rng.integers(0, 10))):
+            nu = complex(-int(rng.integers(1, 3)) + rng.uniform(-4e-13, 4e-13),
+                         int(rng.integers(-1, 2)))
+            rows = cvec(rng, dim * int(rng.integers(1, 4))).reshape(-1, dim)
+            rows *= 10.0 ** rng.integers(-15, 2, size=(rows.shape[0], 1))
+            rows[rng.random(rows.shape) < 0.3] = complex(-0.0, -0.0)
+            raw.append((nu, rows))
+            if rng.random() < 0.3:
+                raw.append((nu, -rows[:1] * (1.0 + rng.uniform(-1e-12, 1e-12))))
+        assert_bitwise_equal(ExpPolySum.build(dim, raw), build_exp_oracle(dim, raw))

@@ -23,7 +23,15 @@ from odexpand.logpower import (
     trim_small_logpower,
 )
 
-from helpers import cvec, random_logpower, random_matrix
+from helpers import (
+    assert_bitwise_equal,
+    build_logpower_oracle,
+    cvec,
+    mul_apply_logpower_oracle,
+    random_logpower,
+    random_matrix,
+    random_multilinear,
+)
 
 
 def test_eval_power_only():
@@ -317,3 +325,67 @@ def test_decay_ordering_against_coarser_scale():
         tail = vals[-10:]
         assert np.all(np.diff(tail) < 0)
         assert tail[-1] < drop * tail[0]
+
+
+def _lattice_logpower(rng, dim: int, depth: int, n_terms: int) -> LogPowerSum:
+    """Exponents on a coarse lattice, so products share many exponent sums."""
+    raw = []
+    for _ in range(n_terms):
+        alpha = [complex(int(rng.integers(-2, 1)), 0.5 * int(rng.integers(-2, 3)))]
+        alpha += [complex(0.5 * int(rng.integers(-3, 1)), 0.0) for _ in range(depth + 1)]
+        raw.append((alpha, cvec(rng, dim) * 10.0 ** rng.integers(-3, 4)))
+    return LogPowerSum.build(dim, depth, raw)
+
+
+def test_mul_apply_matches_term_by_term_oracle_bitwise():
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        arity = int(rng.integers(1, 4))
+        dim = int(rng.integers(1, 5))
+        G = random_multilinear(rng, arity, dim, n_entries=int(rng.integers(0, 8)))
+        make = _lattice_logpower if rng.random() < 0.6 else random_logpower
+        args = [
+            make(rng, dim, int(rng.integers(0, 3)), int(rng.integers(0, 6)))
+            for _ in range(arity)
+        ]
+        assert_bitwise_equal(mul_apply_logpower(G, args), mul_apply_logpower_oracle(G, args))
+
+
+def test_mul_apply_trims_near_cancellation_like_the_oracle():
+    # x*y over p = e^a + c e^b and q = e^b + d e^a: the two cross terms land
+    # on a+b and cancel down to eps of the unit product.
+    G = MultiLinearMap.scalar_power(2)
+    a, b = (0.0, -1.0), (0.0, -1.5)
+    for c in (0.3, 1.7, -2.2):
+        for eps in (0.0, 1e-16, 3e-14, 9e-14, 1.1e-13, 5e-13, 1e-11):
+            p = LogPowerSum.build(1, 0, [(a, [1.0]), (b, [c])])
+            q = LogPowerSum.build(1, 0, [(b, [1.0]), (a, [-(1.0 - eps) / c])])
+            got = mul_apply_logpower(G, [p, q])
+            assert_bitwise_equal(got, mul_apply_logpower_oracle(G, [p, q]))
+            top = max(abs(c), 1.0 / abs(c))
+            assert ((0j, -2.5 + 0j) in got.terms) == (eps > 1e-13 * top)
+
+
+def test_build_matches_dict_oracle_bitwise():
+    rng = np.random.default_rng(72)
+    for _ in range(60):
+        dim = int(rng.integers(1, 4))
+        depth = int(rng.integers(-1, 3))
+        raw = []
+        for _ in range(int(rng.integers(0, 12))):
+            alpha = [complex(int(rng.integers(-1, 2)), int(rng.integers(-1, 2)))
+                     for _ in range(depth + 2)]
+            # Sub-grid offsets snap onto the same key; -0.0 entries keep their sign.
+            alpha[0] += complex(rng.uniform(-4e-13, 4e-13), 0.0)
+            xi = cvec(rng, dim) * 10.0 ** rng.integers(-15, 2)
+            xi[rng.random(dim) < 0.3] = complex(-0.0, -0.0)
+            raw.append((tuple(alpha), xi))
+            if rng.random() < 0.3:
+                raw.append((tuple(alpha), -xi * (1.0 + rng.uniform(-1e-12, 1e-12))))
+        got = LogPowerSum.build(dim, depth, raw)
+        assert_bitwise_equal(got, build_logpower_oracle(dim, depth, raw))
+
+
+def test_from_arrays_of_nothing_is_zero():
+    p = LogPowerSum.from_arrays(2, 1, np.zeros((0, 3), dtype=complex), np.zeros((0, 2)))
+    assert p.is_zero() and p.depth == 1 and p.dim == 2
