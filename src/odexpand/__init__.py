@@ -13,7 +13,6 @@ from .engine import (
     ExponentLadder,
     ProblemSpec,
     ValidationError,
-    build_ladder,
     eval_partial_sum,
     expand,
     extend,
@@ -44,9 +43,7 @@ from .numerics import (
 )
 from .realify import (
     TrigLadderSum,
-    TrigPolySum,
     check_conjugation_symmetry,
-    complexify_map,
     from_trig_ladder,
     imag_residue,
     to_trig_ladder,
@@ -77,12 +74,9 @@ __all__ = [
     "StepUnderflow",
     "Trajectory",
     "TrigLadderSum",
-    "TrigPolySum",
     "ValidationError",
     "ZERO_FREE_CONSTANTS",
-    "build_ladder",
     "check_conjugation_symmetry",
-    "complexify_map",
     "decay_envelope_constant",
     "descent_op",
     "eval_partial_sum",

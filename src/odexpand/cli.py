@@ -23,7 +23,6 @@ from .engine import (
     Expansion,
     ProblemSpec,
     ValidationError,
-    eval_partial_sum,
     expand,
     with_kernel_fit,
 )
@@ -32,7 +31,6 @@ from .ladder import exp_zero
 from .logpower import LogPowerSum
 from .multilinear import MultiLinearMap
 from .numerics import (
-    default_fit_window,
     fit_decay,
     fit_kernel_constants,
     integrate,
@@ -194,7 +192,7 @@ _PROBLEM_KEYS = {
     "scale_index",
     "resonance_policy",
 }
-_EXPANSION_KEYS = {"order", "ladder_base", "ladder_cutoff"}
+_EXPANSION_KEYS = {"order", "ladder_base"}
 _VERIFICATION_KEYS = {
     "y0",
     "t_span",
@@ -346,7 +344,9 @@ def term_string_exp(term: ExpPolySum) -> str:
 def _power_factor(j: int, a: complex) -> str | None:
     if a == 0:
         return None
-    name = "e^t" if j < 0 else _slot_name(j)
+    if j < 0:
+        return f"e^({_fmt_complex(a)}t)"
+    name = _slot_name(j)
     if j >= 1:
         name = f"({name})"
     if a == 1:
@@ -636,41 +636,19 @@ def cmd_realify(cfg: dict, args) -> int:
         if term.is_zero():
             lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   0")
             continue
-        witness = asymmetry_witness(term)
-        if witness is not None:
-            raise ValidationError(
-                f"order {k} is not conjugation-symmetric: term {witness}"
-            )
         worst = max(worst, imag_residue(term, grid))
-        if isinstance(term, ExpPolySum):
-            real_term = to_trig_poly(term)
-            s = _trig_poly_string(real_term)
-        else:
-            real_term = to_trig_ladder(term)
-            s = term_string_trig(real_term)
-        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
+        convert = to_trig_poly if isinstance(term, ExpPolySum) else to_trig_ladder
+        try:
+            real_term = convert(term)
+        except ValueError as e:  # the term has no real form
+            raise ValidationError(f"order {k}: {e}") from e
+        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {term_string_trig(real_term)}")
     table = "\n".join(lines)
     print(table)
     print(f"max imaginary residue on the sample grid: {worst:.3e}")
     out = _out_dir(cfg, args)
     _write(out, "real_terms.txt", table + f"\nmax_imag_residue,{_fmt(worst)}\n")
     return 0
-
-
-def _trig_poly_string(term) -> str:
-    if term.is_zero():
-        return "0"
-    parts = []
-    for (power, omega, phase), vec in term.items():
-        bits = [_vec_str(vec)]
-        if power == 1:
-            bits.append("t")
-        elif power > 1:
-            bits.append(f"t^{power}")
-        if omega != 0:
-            bits.append(f"{phase}({_num(omega)}·t)")
-        parts.append("·".join(bits))
-    return " + ".join(parts)
 
 
 def cmd_certificate(cfg: dict, args) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .expsum import ExpPolySum, mul_apply_exp, snap_scalar, trim_small_exp
+from .expsum import ExpPolySum, mul_apply_exp, snap_scalar
 from .logpower import (
     LogPowerSum,
     ShiftedInverseCache,
@@ -41,12 +41,12 @@ from .resolvent import (
     RESIDUAL_REL,
     ZERO_FREE_CONSTANTS,
     homogeneous_modes,
+    resolvent_defect,
     resolvent_solve_exp,
 )
 
 __all__ = [
     "ExponentLadder",
-    "build_ladder",
     "ProblemSpec",
     "Expansion",
     "ExpansionOrder",
@@ -137,34 +137,6 @@ class ExponentLadder:
             else:
                 break
         return tuple(v for v in self._realized if v <= bound)
-
-    def index_of(self, mu: float) -> int | None:
-        """Position of mu among realized rates, or None."""
-        self.realize_upto(mu)
-        for i, v in enumerate(self._realized):
-            if abs(v - mu) < _match_tol(mu):
-                return i
-        return None
-
-    def decompose(self, mu: float, max_arity: int) -> tuple[tuple[float, ...], ...]:
-        """Multisets (non-decreasing tuples) of realized rates summing to mu.
-
-        Sizes range over [2, max_arity]; parts are realized rates < mu.
-        """
-        return _decompose_values(self.realize_upto(mu), mu, max_arity)
-
-
-def build_ladder(
-    base,
-    additive: bool = True,
-    unit_increment: bool = False,
-    cutoff: float | None = None,
-) -> ExponentLadder:
-    """Construct a rate ladder; with a cutoff, realize it eagerly up front."""
-    ladder = ExponentLadder(base, additive=additive, unit_increment=unit_increment)
-    if cutoff is not None:
-        ladder.realize_upto(cutoff)
-    return ladder
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +414,31 @@ def _arity_cap_warning(spec: ProblemSpec, mus) -> None:
         )
 
 
+def _rate_rhs(spec: ProblemSpec, mus, terms, k: int, depth: int):
+    """Right-hand side of the linear problem for the term at rate mus[k].
+
+    The interactions landing on the rate, then the forcing there, then (power
+    mode) minus the descent of the term one unit below.  Exponential mode
+    sums ExpPolySums and ignores depth; power/log modes sum at depth at
+    least ``depth``.
+    """
+    if spec.mode == "exponential":
+        rhs = ExpPolySum.zero(spec.dim)
+        for c in _interaction_sum(spec, mus, terms, k, mul_apply_exp):
+            rhs = rhs + c
+        f_k = _forcing_at(spec, mus[k])
+        return rhs if f_k is None else rhs + f_k
+    pieces = _interaction_sum(spec, mus, terms, k, mul_apply_logpower)
+    p_k = _forcing_at(spec, mus[k])
+    if p_k is not None:
+        pieces.append(p_k)
+    if spec.mode == "power":
+        lam = _chi_source(mus, k)
+        if lam is not None and not terms[lam].is_zero():
+            pieces.append(descent_op(terms[lam]).scale(-1.0))
+    return _sum_logpower(pieces, spec.dim, depth)
+
+
 def _expand_core(spec: ProblemSpec, upto: int, reuse: tuple[ExpansionOrder, ...]):
     ladder = spec.make_ladder()
     mus = ladder.take(upto)
@@ -450,22 +447,15 @@ def _expand_core(spec: ProblemSpec, upto: int, reuse: tuple[ExpansionOrder, ...]
         if abs(o.mu - mus[i]) >= _match_tol(mus[i]):
             raise RuntimeError("reused orders disagree with the ladder prefix")
     orders = list(reuse)
-    n = spec.dim
     A = spec.matrix
 
     if spec.mode == "exponential":
         terms = [o.term for o in orders]
         for k in range(len(orders), upto):
             mu_k = mus[k]
-            pieces = _interaction_sum(spec, mus, terms, k, mul_apply_exp)
-            f_k = _forcing_at(spec, mu_k)
-            rhs = ExpPolySum.zero(n)
-            for c in pieces:
-                rhs = rhs + c
-            if f_k is not None:
-                rhs = rhs + f_k
+            rhs = _rate_rhs(spec, mus, terms, k, 0)
             if rhs.is_zero():
-                y_k, modes = ExpPolySum.zero(n), []
+                y_k, modes = rhs, []
             else:
                 y_k, modes = resolvent_solve_exp(A, rhs, spec.resonance_policy)
             modes = _augment_modes(spec, mu_k, modes)
@@ -482,16 +472,7 @@ def _expand_core(spec: ProblemSpec, upto: int, reuse: tuple[ExpansionOrder, ...]
     cur_depth = max([0] + [t.depth for t in terms])
     for k in range(len(orders), upto):
         mu_k = mus[k]
-        pieces = _interaction_sum(spec, mus, terms, k, mul_apply_logpower)
-        p_k = _forcing_at(spec, mu_k)
-        if p_k is not None:
-            cur_depth = max(cur_depth, p_k.depth)
-            pieces = pieces + [p_k]
-        if spec.mode == "power":
-            lam = _chi_source(mus, k)
-            if lam is not None and not terms[lam].is_zero():
-                pieces = pieces + [descent_op(terms[lam]).scale(-1.0)]
-        rhs = _sum_logpower(pieces, n, cur_depth)
+        rhs = _rate_rhs(spec, mus, terms, k, cur_depth)
         q_k = shifted_inverse(A, rhs, cache) if not rhs.is_zero() else rhs
         if not q_k.is_zero() and not q_k.in_class(spec.scale_index, -mu_k):
             raise RuntimeError(
@@ -553,29 +534,10 @@ def symbolic_defect(expansion: Expansion, k: int):
     i = k - 1
     if not 0 <= i < len(terms):
         raise IndexError("order out of range")
-    n = spec.dim
-    if spec.mode == "exponential":
-        pieces = _interaction_sum(spec, mus, terms, i, mul_apply_exp)
-        rhs = ExpPolySum.zero(n)
-        for c in pieces:
-            rhs = rhs + c
-        f_k = _forcing_at(spec, mus[i])
-        if f_k is not None:
-            rhs = rhs + f_k
-        y = terms[i]
-        raw = y.derivative() + y.apply_matrix(spec.matrix) - rhs
-        scale = max(y.sup_norm(), rhs.sup_norm())
-        return raw if scale == 0.0 else trim_small_exp(raw, scale, RESIDUAL_REL)
-    pieces = _interaction_sum(spec, mus, terms, i, mul_apply_logpower)
-    p_k = _forcing_at(spec, mus[i])
-    if p_k is not None:
-        pieces = pieces + [p_k]
-    if spec.mode == "power":
-        lam = _chi_source(mus, i)
-        if lam is not None and not terms[lam].is_zero():
-            pieces = pieces + [descent_op(terms[lam]).scale(-1.0)]
     q = terms[i]
-    rhs = _sum_logpower(pieces, n, q.depth)
+    if spec.mode == "exponential":
+        return resolvent_defect(spec.matrix, _rate_rhs(spec, mus, terms, i, 0), q)
+    rhs = _rate_rhs(spec, mus, terms, i, q.depth)
     lhs = q.apply_matrix(spec.matrix) + weight_op(-1, q)
     raw = lhs.embed(rhs.depth) - rhs
     scale = max(q.sup_norm(), rhs.sup_norm())

@@ -24,9 +24,6 @@ __all__ = [
     "snap_scalar",
     "snap_float",
     "snap_array",
-    "canonicalize_exp",
-    "eval_exp",
-    "derivative_exp",
     "mul_apply_exp",
     "trim_small_exp",
     "coeff_distance_exp",
@@ -209,13 +206,19 @@ class ExpPolySum:
         return ExpPolySum.build(self.dim, raw)
 
     def eval(self, t: float) -> np.ndarray:
-        """Pointwise value in C^dim."""
+        """Pointwise value in C^dim.
+
+        Horner's rule runs on all terms at once over the zero-padded rows
+        (padding keeps a term's partial value at exactly zero), and the terms
+        are summed in items() order, one after another.
+        """
+        nus, rows = self.packed
+        p = np.zeros((nus.shape[0], self.dim), dtype=complex)
+        for j in range(rows.shape[1] - 1, -1, -1):
+            p = p * t + rows[:, j]
         out = np.zeros(self.dim, dtype=complex)
-        for nu, c in self.terms.items():
-            p = np.zeros(self.dim, dtype=complex)
-            for row in c[::-1]:
-                p = p * t + row
-            out += p * np.exp(nu * t)
+        for term in p * np.exp(nus * t)[:, None]:
+            out += term
         return out
 
     # -- serialization ---------------------------------------------------
@@ -241,19 +244,6 @@ class ExpPolySum:
             )
             raw.append((nu, rows))
         return cls.build(dim, raw)
-
-
-def canonicalize_exp(dim: int, raw: Iterable[tuple[complex, np.ndarray]]) -> ExpPolySum:
-    """Canonical form of a raw term list (merge, snap, trim, sort)."""
-    return ExpPolySum.build(dim, raw)
-
-
-def eval_exp(s: ExpPolySum, t: float) -> np.ndarray:
-    return s.eval(t)
-
-
-def derivative_exp(s: ExpPolySum) -> ExpPolySum:
-    return s.derivative()
 
 
 def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:

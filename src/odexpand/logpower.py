@@ -40,8 +40,6 @@ __all__ = [
     "shifted_inverse",
     "ShiftedInverseCache",
     "mul_apply_logpower",
-    "eval_logpower",
-    "embed_depth",
     "trim_small_logpower",
     "coeff_distance_logpower",
 ]
@@ -344,17 +342,9 @@ def shifted_inverse(
     )
 
 
-def embed_depth(p: LogPowerSum, depth: int) -> LogPowerSum:
-    return p.embed(depth)
-
-
 def time_derivative(p: LogPowerSum) -> LogPowerSum:
     """Symbolic d/dt of t -> p(ladder(t)): weight_op(-1, p) + descent_op(p)."""
     return weight_op(-1, p) + descent_op(p)
-
-
-def eval_logpower(p: LogPowerSum, t: float) -> np.ndarray:
-    return p.eval(t)
 
 
 def mul_apply_logpower(G: MultiLinearMap, args: Sequence[LogPowerSum]) -> LogPowerSum:

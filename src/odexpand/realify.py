@@ -4,8 +4,7 @@ A complex sum whose term map is closed under conjugation (exponents
 conjugated, coefficients conjugated) is real-valued; these converters
 rewrite such sums over a real basis.
 
-For exponential sums the basis is t^m cos(w t) Z and t^m sin(w t) Z.  For
-ladder-power sums an imaginary exponent on component j folds into a
+For ladder-power sums an imaginary exponent on component j folds into a
 cosine/sine of the next ladder component:
 
     L_j^(i w) xi + L_j^(-i w) conj(xi)
@@ -13,6 +12,11 @@ cosine/sine of the next ladder component:
 
 so the real form may need depth k+1; it stays at depth k exactly when no
 term oscillates in the deepest component.
+
+An exponential sum is the depth-0 ladder sum
+p(t) e^(nu t) = sum_j exp(t)^nu t^j p_j with exponent vectors (nu, j), so
+it goes through the same converter: Im nu becomes a cos/sin factor on t,
+and the decay e^(Re nu t) stays a real power of exp(t).
 """
 
 from __future__ import annotations
@@ -20,20 +24,17 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .expsum import ExpPolySum, snap_float, snap_scalar
 from .ladder import exp_zero, ladder_eval
 from .logpower import LogPowerSum
-from .multilinear import MultiLinearMap
 
 __all__ = [
-    "TrigPolySum",
     "TrigLadderSum",
     "asymmetry_witness",
-    "complexify_map",
     "check_conjugation_symmetry",
     "to_trig_poly",
     "to_trig_ladder",
@@ -45,146 +46,43 @@ TRIM_REL = 1e-13
 COS, SIN = "cos", "sin"
 
 
-def complexify_map(G: MultiLinearMap) -> MultiLinearMap:
-    """Extend a real multilinear map to complex arguments.
-
-    On the coordinate basis the extension keeps the same sparse entry table;
-    the input must be real entrywise.
-    """
-    if not G.is_real(tol=0.0):
-        raise ValueError("complexify_map needs a real-entried map")
-    return MultiLinearMap(arity=G.arity, dim=G.dim, entries=G.entries)
+def _ladder_view(s: ExpPolySum) -> LogPowerSum:
+    """s as a depth-0 ladder sum: one term per nonzero row, alpha = (nu, j)."""
+    raw = [
+        ((nu, j), row)
+        for nu, rows in s.items()
+        for j, row in enumerate(rows)
+        if np.any(row)
+    ]
+    return LogPowerSum.build(s.dim, 0, raw)
 
 
 def asymmetry_witness(p, tol: float = 1e-12):
     """First term breaking conjugation symmetry, or None if symmetric.
 
-    Works for both ExpPolySum (exponent -> conjugate exponent) and
-    LogPowerSum (componentwise conjugate exponent vector).  The witness is
-    the offending term's exponent key.
+    The partner of a term is the one at the componentwise conjugate
+    exponent vector; the witness is the offending term's exponent key.
+    An ExpPolySum is checked through its depth-0 ladder view, so its
+    witness is a (nu, j) key.
     """
-    if not isinstance(p, (ExpPolySum, LogPowerSum)):
+    if isinstance(p, ExpPolySum):
+        p = _ladder_view(p)
+    if not isinstance(p, LogPowerSum):
         raise TypeError(f"unsupported operand type {type(p).__name__}")
     scale = max(p.sup_norm(), 1.0)
-    if isinstance(p, ExpPolySum):
-        for nu, c in p.items():
-            key = snap_scalar(nu.conjugate())
-            partner = p.terms.get(key)
-            if partner is None or partner.shape != c.shape:
-                return nu
-            if float(abs(partner - c.conjugate()).max()) > tol * scale:
-                return nu
-        return None
-    if isinstance(p, LogPowerSum):
-        for alpha, xi in p.items():
-            key = tuple(snap_scalar(a.conjugate()) for a in alpha)
-            partner = p.terms.get(key)
-            if partner is None:
-                return alpha
-            if float(abs(partner - xi.conjugate()).max()) > tol * scale:
-                return alpha
+    for alpha, xi in p.items():
+        key = tuple(snap_scalar(a.conjugate()) for a in alpha)
+        partner = p.terms.get(key)
+        if partner is None:
+            return alpha
+        if float(abs(partner - xi.conjugate()).max()) > tol * scale:
+            return alpha
     return None
 
 
 def check_conjugation_symmetry(p, tol: float = 1e-12) -> bool:
     """True when the term map is closed under conjugation (within tol)."""
     return asymmetry_witness(p, tol) is None
-
-
-# ---------------------------------------------------------------------------
-# real exponential-trig polynomials
-
-
-@dataclass(frozen=True)
-class TrigPolySum:
-    """Real sums of t^m cos(w t) Z and t^m sin(w t) Z (w >= 0, sin needs w > 0)."""
-
-    dim: int
-    terms: dict[tuple[int, float, str], np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def build(
-        cls, dim: int, raw: Iterable[tuple[int, float, str, np.ndarray]]
-    ) -> "TrigPolySum":
-        acc: dict[tuple[int, float, str], np.ndarray] = {}
-        for power, omega, phase, vec in raw:
-            if phase not in (COS, SIN):
-                raise ValueError(f"phase must be cos or sin, got {phase!r}")
-            if power < 0:
-                raise ValueError("polynomial powers must be >= 0")
-            v = np.asarray(vec, dtype=float).reshape(-1)
-            if v.shape[0] != dim:
-                raise ValueError("coefficient length mismatch")
-            w = snap_float(omega)
-            if w < 0.0:
-                w = -w
-                if phase == SIN:
-                    v = -v
-            if w == 0.0 and phase == SIN:
-                continue
-            key = (int(power), w, phase)
-            acc[key] = acc.get(key, np.zeros(dim)) + v
-        norms = {k: float(np.linalg.norm(v)) for k, v in acc.items()}
-        top = max(norms.values(), default=0.0)
-        out = {
-            k: acc[k]
-            for k in sorted(acc)
-            if norms[k] > 0.0 and norms[k] >= TRIM_REL * top
-        }
-        return cls(dim=dim, terms=out)
-
-    def items(self):
-        return [(k, self.terms[k]) for k in sorted(self.terms)]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eval(self, t: float) -> np.ndarray:
-        out = np.zeros(self.dim)
-        for (power, omega, phase), vec in self.terms.items():
-            osc = math.cos(omega * t) if phase == COS else math.sin(omega * t)
-            out = out + (t**power) * osc * vec
-        return out
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"power": p, "omega": w, "phase": ph, "vector": list(map(float, v))}
-            for (p, w, ph), v in self.items()
-        ]
-
-    @classmethod
-    def from_records(cls, dim: int, recs: Sequence[dict]) -> "TrigPolySum":
-        return cls.build(
-            dim,
-            [(r["power"], r["omega"], r["phase"], np.asarray(r["vector"])) for r in recs],
-        )
-
-
-def to_trig_poly(s: ExpPolySum, tol: float = 1e-12) -> TrigPolySum:
-    """Rewrite a conjugation-symmetric sum with imaginary exponents over the
-    real trig basis.  Exponent real parts must vanish (factor decay out
-    first with shift_exponents)."""
-    scale = max(s.sup_norm(), 1.0)
-    for nu in s.terms:
-        if abs(nu.real) > 1e-9:
-            raise ValueError(f"exponent {nu} has a nonzero real part")
-    if not check_conjugation_symmetry(s, tol):
-        raise ValueError("sum is not conjugation-symmetric; no real form exists")
-    raw: list[tuple[int, float, str, np.ndarray]] = []
-    for nu, c in s.items():
-        omega = nu.imag
-        if omega < 0.0:
-            continue  # covered by the conjugate partner
-        dup = 1.0 if omega == 0.0 else 2.0
-        for power in range(c.shape[0]):
-            x = c[power].real
-            y = c[power].imag
-            raw.append((power, omega, COS, dup * x))
-            if omega > 0.0:
-                raw.append((power, omega, SIN, -dup * y))
-            elif float(abs(y).max()) > tol * scale:
-                raise ValueError("zero-frequency term has an imaginary coefficient")
-    return TrigPolySum.build(s.dim, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +219,11 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
     component (its imaginary exponent becomes a trig factor one level
     down), else exactly p.depth.
     """
-    if not check_conjugation_symmetry(p, tol):
-        raise ValueError("sum is not conjugation-symmetric; no real form exists")
+    witness = asymmetry_witness(p, tol)
+    if witness is not None:
+        raise ValueError(
+            f"sum is not conjugation-symmetric at term {witness}; no real form exists"
+        )
     deepest = p.depth + 1  # tuple index of the deepest component
     needs_lift = any(a[deepest].imag != 0.0 for a in p.terms)
     out_depth = p.depth + 1 if needs_lift else p.depth
@@ -362,6 +263,15 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
                 factors.append((i, b, ph))
             raw.append((a_real, factors, vec))
     return TrigLadderSum.build(p.dim, out_depth, raw)
+
+
+def to_trig_poly(s: ExpPolySum, tol: float = 1e-12) -> TrigLadderSum:
+    """Real form of a conjugation-symmetric exponential sum, at depth 0.
+
+    Each term reads e^(Re nu t) t^j cos/sin(Im nu t); decaying exponents
+    are taken as they are.
+    """
+    return to_trig_ladder(_ladder_view(s), tol)
 
 
 def from_trig_ladder(q: TrigLadderSum) -> LogPowerSum:

@@ -205,12 +205,3 @@ def resolvent_defect(A: np.ndarray, f: ExpPolySum, z: ExpPolySum) -> ExpPolySum:
         return raw
     return trim_small_exp(raw, scale, RESIDUAL_REL)
 
-
-def assert_solves(A: np.ndarray, f: ExpPolySum, z: ExpPolySum, tol_rel: float = 1e-10) -> None:
-    """Raise if the symbolic defect is not negligible relative to f."""
-    defect = resolvent_defect(A, f, z)
-    bound = tol_rel * max(1.0, f.sup_norm())
-    if defect.sup_norm() > bound:
-        raise AssertionError(
-            f"defect {defect.sup_norm():.3e} above bound {bound:.3e}"
-        )

@@ -119,6 +119,17 @@ def eval_expsum_oracle(s: ExpPolySum, t: float) -> np.ndarray:
     return out
 
 
+def eval_exp_horner_oracle(s: ExpPolySum, t: float) -> np.ndarray:
+    """Term-by-term Horner evaluation, summed in items() order."""
+    out = np.zeros(s.dim, dtype=complex)
+    for nu, rows in s.items():
+        p = np.zeros(s.dim, dtype=complex)
+        for row in rows[::-1]:
+            p = p * t + row
+        out += p * np.exp(nu * t)
+    return out
+
+
 def sym_logpower(rng, dim: int, depth: int, n_terms: int = 2) -> LogPowerSum:
     """Conjugation-symmetric sum: q + conj(q) for a random q."""
     q = random_logpower(rng, dim, depth, n_terms)

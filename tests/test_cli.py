@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from odexpand import cli
 from odexpand.cli import main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -75,20 +76,38 @@ def test_golden_comparison_rejects_a_perturbed_coefficient():
         _assert_matches_golden(got, want)
 
 
-# Exponential configs exit 3: cmd_realify hands e^{-mu t} terms to
-# to_trig_poly, which only takes purely oscillatory exponents.
-EXP_REALIFY = pytest.mark.xfail(strict=True, reason="exponential realify exits 3")
-
-
-@pytest.mark.parametrize(
-    "name",
-    [
-        "riccati",
-        "oscillatory_log",
-        pytest.param("resonant", marks=EXP_REALIFY),
-        pytest.param("certificate", marks=EXP_REALIFY),
-    ],
-)
+@pytest.mark.parametrize("name", ["riccati", "oscillatory_log", "resonant", "certificate"])
 def test_realify_exits_zero(name, tmp_path):
     config = str(CONFIGS / f"{name}.json")
     assert main(["realify", "--config", config, "--out", str(tmp_path)]) == 0
+    residue = (tmp_path / "real_terms.txt").read_text().splitlines()[-1]
+    assert float(residue.split(",")[1]) <= 1e-12
+
+
+def test_exponential_realify_keeps_the_decay(tmp_path, capsys):
+    # y' = -y + y^2 + e^{-t} is resonant at rate 1: its first term t e^{-t}
+    # keeps its decay factor in the real form.
+    config = str(CONFIGS / "certificate.json")
+    assert main(["realify", "--config", config, "--out", str(tmp_path)]) == 0
+    assert "rate        1   1·e^(-1t)·t\n" in capsys.readouterr().out
+
+
+def test_realify_without_a_real_form_exits_two(tmp_path, monkeypatch, capsys):
+    # A real problem always expands to conjugation-symmetric terms, so the
+    # converter's refusal is forced here.
+    def refuse(term):
+        raise ValueError("sum is not conjugation-symmetric at term (1j, -1)")
+
+    monkeypatch.setattr(cli, "to_trig_ladder", refuse)
+    config = str(CONFIGS / "riccati.json")
+    assert main(["realify", "--config", config, "--out", str(tmp_path)]) == 2
+    assert "order 1: sum is not conjugation-symmetric" in capsys.readouterr().err
+
+
+def test_unknown_expansion_key_exits_two(tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg.setdefault("expansion", {})["ladder_cutoff"] = 4.0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["expand", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "expansion.ladder_cutoff: unknown field" in capsys.readouterr().err

@@ -8,17 +8,18 @@ import pytest
 
 from odexpand import (
     ExpPolySum,
+    ExponentLadder,
     LogPowerSum,
     MultiLinearMap,
     ProblemSpec,
     ValidationError,
-    build_ladder,
     eval_partial_sum,
     expand,
     extend,
     symbolic_defect,
     with_kernel_fit,
 )
+from odexpand.engine import _decompose_values
 from odexpand.expsum import coeff_distance_exp
 from odexpand.logpower import coeff_distance_logpower
 
@@ -43,12 +44,12 @@ def riccati_spec(order: int = 2) -> ProblemSpec:
 
 
 def test_unit_base_realizes_integers():
-    lad = build_ladder((1.0,))
+    lad = ExponentLadder((1.0,))
     assert lad.take(6) == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 def test_base_order_does_not_matter():
-    lad = build_ladder((2.0, 1.0))
+    lad = ExponentLadder((2.0, 1.0))
     assert lad.take(1) == (1.0,)
     assert lad.take(4) == (1.0, 2.0, 3.0, 4.0)
 
@@ -73,58 +74,60 @@ def brute_force_closure(base, cutoff, unit=False):
 
 def test_two_generator_ladder_matches_bruteforce():
     base = (1.0, math.sqrt(2.0))
-    lad = build_ladder(base, cutoff=4.0)
-    got = lad.realize_upto(4.0)
+    got = ExponentLadder(base).realize_upto(4.0)
     expected = brute_force_closure(base, 4.0)
     assert len(got) == len(expected)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_unit_increment_closure():
-    lad = build_ladder((0.5,), unit_increment=True)
-    got = lad.realize_upto(3.0)
+    got = ExponentLadder((0.5,), unit_increment=True).realize_upto(3.0)
     expected = brute_force_closure((0.5,), 3.0, unit=True)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
     assert 1.5 in got
 
 
 def test_realized_rates_strictly_increase():
-    lad = build_ladder((0.7, 1.3))
+    lad = ExponentLadder((0.7, 1.3))
     vals = lad.take(25)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_ladder_base_validation():
     with pytest.raises(ValidationError, match="ladder base must be nonempty"):
-        build_ladder(())
+        ExponentLadder(())
     with pytest.raises(ValidationError, match="ladder base rates must be positive"):
-        build_ladder((1.0, -0.5))
+        ExponentLadder((1.0, -0.5))
 
 
 def test_index_of_realized_rates():
-    lad = build_ladder((1.0,))
-    lad.take(5)
-    assert lad.index_of(3.0) == 2
-    assert lad.index_of(2.5) is None
+    lad = ExponentLadder((1.0,))
+    assert lad.take(5).index(3.0) == 2
+    assert 2.5 not in lad.realize_upto(5.0)
+
+
+def decompose(lad, mu, max_arity):
+    # the engine's path: multisets from the realized prefix up to mu
+    return _decompose_values(lad.realize_upto(mu), mu, max_arity)
 
 
 def test_decompose_worked_cases():
-    lad = build_ladder((1.0,))
-    assert lad.decompose(2.0, 4) == ((1.0, 1.0),)
-    assert lad.decompose(4.0, 4) == (
+    lad = ExponentLadder((1.0,))
+    assert decompose(lad, 2.0, 4) == ((1.0, 1.0),)
+    assert decompose(lad, 4.0, 4) == (
         (1.0, 1.0, 1.0, 1.0),
         (1.0, 1.0, 2.0),
         (1.0, 3.0),
         (2.0, 2.0),
     )
-    assert lad.decompose(4.0, 2) == ((1.0, 3.0), (2.0, 2.0))
-    assert lad.decompose(1.0, 4) == ()
+    assert decompose(lad, 4.0, 2) == ((1.0, 3.0), (2.0, 2.0))
+    assert decompose(lad, 1.0, 4) == ()
 
 
 def test_decompose_matches_bruteforce_enumeration():
-    lad = build_ladder((0.5, 0.8))
+    lad = ExponentLadder((0.5, 0.8))
     mu = 2.1
-    got = set(lad.decompose(mu, 3))
+    got = set(decompose(lad, mu, 3))
     smaller = [v for v in lad.realize_upto(mu) if v < mu - 1e-9]
     expected = set()
     for m in (2, 3):

@@ -20,6 +20,7 @@ from helpers import (
     assert_bitwise_equal,
     build_exp_oracle,
     cvec,
+    eval_exp_horner_oracle,
     mul_apply_exp_oracle,
     random_expsum,
     random_multilinear,
@@ -292,6 +293,16 @@ def test_mul_apply_trims_near_cancellation_like_the_oracle():
             q = ExpPolySum.build(1, [(-2.0, [[0.0], [1.0]]), (-1.0, [[-(1.0 - eps) / c]])])
             got = mul_apply_exp(G, [p, q])
             assert_bitwise_equal(got, mul_apply_exp_oracle(G, [p, q]))
+
+
+def test_eval_matches_term_by_term_horner_bitwise():
+    # eval runs Horner on every term at once over zero-padded rows; mixed
+    # degrees exercise the padding, t = 0 and t < 0 the signed zeros.
+    rng = np.random.default_rng(83)
+    for _ in range(80):
+        s = random_expsum(rng, int(rng.integers(1, 4)), int(rng.integers(0, 12)), 4)
+        for t in [0.0, 1.0, -0.7] + list(rng.uniform(0.0, 30.0, 4)):
+            assert s.eval(t).tobytes() == eval_exp_horner_oracle(s, t).tobytes()
 
 
 def test_build_matches_dict_oracle_bitwise():

@@ -66,6 +66,21 @@ def test_is_real_detects_imaginary_entries():
     assert H.is_real(tol=1e-3)
 
 
+def test_real_map_commutes_with_conjugation():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        dim = int(rng.integers(1, 4))
+        G = random_multilinear(rng, 2, dim, real=True)
+        assert G.is_real()
+        xs = [cvec(rng, dim), cvec(rng, dim)]
+        np.testing.assert_allclose(G(*xs), dense_apply(G, xs), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(
+            G(*[x.conj() for x in xs]), G(*xs).conj(), rtol=1e-13, atol=1e-13
+        )
+        reals = [rng.standard_normal(dim).astype(complex) for _ in range(2)]
+        assert np.max(np.abs(G(*reals).imag)) < 1e-14
+
+
 def test_call_arity_mismatch():
     G = MultiLinearMap.scalar_power(2)
     v = np.array([1.0 + 0j])

@@ -8,12 +8,9 @@ import pytest
 from odexpand import (
     ExpPolySum,
     LogPowerSum,
-    MultiLinearMap,
     ProblemSpec,
     TrigLadderSum,
-    TrigPolySum,
     check_conjugation_symmetry,
-    complexify_map,
     expand,
     from_trig_ladder,
     imag_residue,
@@ -24,33 +21,34 @@ from odexpand.realify import asymmetry_witness
 from odexpand.ladder import exp_zero
 from odexpand.logpower import descent_op, shifted_inverse, weight_op
 
-from helpers import cvec, dense_apply, random_multilinear, sym_logpower
+from helpers import cvec, random_multilinear, sym_logpower
 
 
 def sym_expsum(rng, dim, n_pairs=2, max_degree=2):
     raw = []
     for _ in range(n_pairs):
-        omega = rng.uniform(0.3, 3.0)
+        nu = complex(-rng.uniform(0.0, 1.5), rng.uniform(0.3, 3.0))
         rows = cvec(rng, dim * (max_degree + 1)).reshape(max_degree + 1, dim)
-        raw.append((1j * omega, rows))
-        raw.append((-1j * omega, rows.conj()))
+        raw.append((nu, rows))
+        raw.append((nu.conjugate(), rows.conj()))
     return ExpPolySum.build(dim, raw)
 
 
 # ---------------------------------------------------------------------------
-# exp sums over the trig basis
+# exp sums, through their depth-0 ladder view
 
 
 def test_cosine_pair():
     s = ExpPolySum.build(1, [(1j, [[0.5]]), (-1j, [[0.5]])])
     trig = to_trig_poly(s)
-    assert trig.items() == [((0, 1.0, "cos"), pytest.approx([1.0]))]
+    assert trig.depth == 0
+    assert trig.items() == [(((0.0, 0.0), ((0, 1.0, "cos"),)), pytest.approx([1.0]))]
 
 
 def test_sine_pair():
     s = ExpPolySum.build(1, [(1j, [[-0.5j]]), (-1j, [[0.5j]])])
     trig = to_trig_poly(s)
-    assert trig.items() == [((0, 1.0, "sin"), pytest.approx([1.0]))]
+    assert trig.items() == [(((0.0, 0.0), ((0, 1.0, "sin"),)), pytest.approx([1.0]))]
 
 
 def test_degree_one_pair():
@@ -59,8 +57,8 @@ def test_degree_one_pair():
     s = ExpPolySum.build(1, [(2j, [[0.0], [xi]]), (-2j, [[0.0], [xi.conjugate()]])])
     trig = to_trig_poly(s)
     assert trig.items() == [
-        ((1, 2.0, "cos"), pytest.approx([1.0])),
-        ((1, 2.0, "sin"), pytest.approx([1.0])),
+        (((0.0, 1.0), ((0, 2.0, "cos"),)), pytest.approx([1.0])),
+        (((0.0, 1.0), ((0, 2.0, "sin"),)), pytest.approx([1.0])),
     ]
     t = 1.7
     np.testing.assert_allclose(trig.eval(t), [t * (math.cos(2 * t) + math.sin(2 * t))])
@@ -71,37 +69,31 @@ def test_trig_poly_matches_complex_eval():
     for _ in range(15):
         s = sym_expsum(rng, int(rng.integers(1, 4)))
         trig = to_trig_poly(s)
-        ts = rng.uniform(0.0, 8.0, size=20)
-        assert imag_residue(s, ts) < 1e-10 * max(s.sup_norm(), 1.0)
-        for t in ts:
-            np.testing.assert_allclose(
-                trig.eval(t), s.eval(t).real, atol=1e-10 * max(s.sup_norm(), 1.0)
-            )
+        assert trig.depth == 0
+        scale = max(s.sup_norm(), 1.0)
+        assert imag_residue(s, rng.uniform(0.0, 8.0, size=20)) < 1e-10 * scale
+        # the real form lives on the depth-0 ladder, which starts above t = 1
+        for t in rng.uniform(1.01, 8.0, size=20):
+            np.testing.assert_allclose(trig.eval(t), s.eval(t).real, atol=1e-10 * scale)
 
 
-def test_trig_poly_rejects_decaying_and_asymmetric_input():
-    with pytest.raises(ValueError, match="nonzero real part"):
-        to_trig_poly(ExpPolySum.build(1, [(-1.0 + 1j, [[1.0]]), (-1.0 - 1j, [[1.0]])]))
+def test_trig_poly_converts_decaying_pairs_and_rejects_asymmetric_input():
+    s = ExpPolySum.build(1, [(-1.0 + 1j, [[1.0], [0.5j]]), (-1.0 - 1j, [[1.0], [-0.5j]])])
+    trig = to_trig_poly(s)
+    assert trig.items() == [
+        (((-1.0, 0.0), ((0, 1.0, "cos"),)), pytest.approx([2.0])),
+        (((-1.0, 1.0), ((0, 1.0, "sin"),)), pytest.approx([-1.0])),
+    ]
+    for t in (1.5, 4.0, 12.0):
+        np.testing.assert_allclose(trig.eval(t), s.eval(t).real, rtol=1e-13)
     with pytest.raises(ValueError, match="not conjugation-symmetric"):
         to_trig_poly(ExpPolySum.build(1, [(1j, [[1.0]])]))
-
-
-def test_trig_poly_build_canonicalizes():
-    # negative frequency folds onto the positive axis, sin soaking the sign
-    p = TrigPolySum.build(1, [(0, -2.0, "sin", [1.0]), (0, 2.0, "sin", [3.0])])
-    assert p.items() == [((0, 2.0, "sin"), pytest.approx([2.0]))]
-    # sin(0) vanishes
-    assert TrigPolySum.build(1, [(0, 0.0, "sin", [1.0])]).is_zero()
-    with pytest.raises(ValueError, match="phase must be cos or sin"):
-        TrigPolySum.build(1, [(0, 1.0, "tan", [1.0])])
-    with pytest.raises(ValueError, match="powers must be >= 0"):
-        TrigPolySum.build(1, [(-1, 1.0, "cos", [1.0])])
 
 
 def test_trig_poly_records_round_trip():
     rng = np.random.default_rng(3)
     p = to_trig_poly(sym_expsum(rng, 2))
-    again = TrigPolySum.from_records(2, p.to_records())
+    again = TrigLadderSum.from_records(2, 0, p.to_records())
     assert again.items() == [
         (k, pytest.approx(v)) for k, v in p.items()
     ]
@@ -236,6 +228,16 @@ def test_trig_ladder_build_canonicalizes_factors():
     assert p.items() == [(((0.0, -1.0), ()), pytest.approx([1.0]))]
     q = TrigLadderSum.build(1, 0, [((0.0, -1.0), ((0, -2.0, "sin"),), [1.0])])
     assert q.items() == [(((0.0, -1.0), ((0, 2.0, "sin"),)), pytest.approx([-1.0]))]
+    # the folded term merges with its positive-frequency twin
+    r = TrigLadderSum.build(
+        1,
+        0,
+        [
+            ((0.0, -1.0), ((0, -2.0, "sin"),), [1.0]),
+            ((0.0, -1.0), ((0, 2.0, "sin"),), [3.0]),
+        ],
+    )
+    assert r.items() == [(((0.0, -1.0), ((0, 2.0, "sin"),)), pytest.approx([2.0]))]
 
 
 def test_from_trig_ladder_worked_cases():
@@ -302,7 +304,10 @@ def test_asymmetry_witness_flags_the_broken_term():
     s = ExpPolySum.build(1, [(1j, [[1.0]]), (-1j, [[1.0]])])
     assert asymmetry_witness(s) is None
     broken = ExpPolySum.build(1, [(1j, [[1.0]]), (-1j, [[1.0 + 0.5j]])])
-    assert asymmetry_witness(broken) in (1j, -1j)
+    assert asymmetry_witness(broken) in ((1j, 0.0), (-1j, 0.0))
+    # exponential witnesses are (nu, j) keys of the depth-0 ladder view
+    longer = ExpPolySum.build(1, [(1j, [[1.0], [2.0]]), (-1j, [[1.0]])])
+    assert asymmetry_witness(longer) == (1j, 1.0)
 
     p = LogPowerSum.build(1, 0, [((1j, -1.0), [1.0]), ((-1j, -1.0), [1.0])])
     assert asymmetry_witness(p) is None
@@ -311,25 +316,6 @@ def test_asymmetry_witness_flags_the_broken_term():
 
     with pytest.raises(TypeError, match="unsupported operand type int"):
         asymmetry_witness(3)
-
-
-def test_complexify_map_round_trip_and_conjugation():
-    rng = np.random.default_rng(17)
-    for _ in range(20):
-        dim = int(rng.integers(1, 4))
-        G = random_multilinear(rng, 2, dim, real=True)
-        Gc = complexify_map(G)
-        xs = [cvec(rng, dim), cvec(rng, dim)]
-        np.testing.assert_allclose(Gc(*xs), dense_apply(G, xs), rtol=1e-13, atol=1e-13)
-        # conjugation equivariance: real coefficients commute with conj
-        np.testing.assert_allclose(
-            Gc(*[x.conj() for x in xs]), Gc(*xs).conj(), rtol=1e-13, atol=1e-13
-        )
-        reals = [rng.standard_normal(dim).astype(complex) for _ in range(2)]
-        assert np.max(np.abs(Gc(*reals).imag)) < 1e-14
-
-    with pytest.raises(ValueError, match="real-entried map"):
-        complexify_map(MultiLinearMap(2, 1, ((0, (0, 0), 1.0 + 1j),)))
 
 
 def test_symbolic_operators_preserve_symmetry():

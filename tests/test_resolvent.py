@@ -11,7 +11,6 @@ from odexpand import (
     resolvent_solve_exp,
 )
 from odexpand.expsum import coeff_distance_exp
-from odexpand.resolvent import assert_solves
 
 from helpers import cvec, random_expsum, random_matrix
 
@@ -75,7 +74,6 @@ def test_defect_vanishes_on_random_nonresonant_problems():
         z, modes = resolvent_solve_exp(A, f)
         assert modes == []
         assert resolvent_defect(A, f, z).is_zero()
-        assert_solves(A, f, z)
 
 
 def test_nonresonant_matches_inverse_power_series():
@@ -176,8 +174,6 @@ def test_corrupted_solution_has_visible_defect():
     d = resolvent_defect(A, f, bad)
     assert not d.is_zero()
     assert 1e-5 < d.sup_norm() < 1.0
-    with pytest.raises(AssertionError, match="defect"):
-        assert_solves(A, f, bad)
 
 
 def test_dimension_checks():
