@@ -90,6 +90,27 @@ def test_trig_poly_converts_decaying_pairs_and_rejects_asymmetric_input():
         to_trig_poly(ExpPolySum.build(1, [(1j, [[1.0]])]))
 
 
+def test_trig_poly_build_canonicalizes():
+    # the depth-0 trig form: negative frequency folds onto the positive axis,
+    # sin soaking the sign, and merges with its positive-frequency twin
+    p = TrigLadderSum.build(
+        1,
+        0,
+        [
+            ((0.0, 0.0), ((0, -2.0, "sin"),), [1.0]),
+            ((0.0, 0.0), ((0, 2.0, "sin"),), [3.0]),
+        ],
+    )
+    assert p.items() == [(((0.0, 0.0), ((0, 2.0, "sin"),)), pytest.approx([2.0]))]
+    # sin(0) vanishes
+    assert TrigLadderSum.build(1, 0, [((0.0, 0.0), ((0, 0.0, "sin"),), [1.0])]).is_zero()
+    with pytest.raises(ValueError, match="phase must be cos or sin"):
+        TrigLadderSum.build(1, 0, [((0.0, 0.0), ((0, 1.0, "tan"),), [1.0])])
+    # a depth-0 sum has one oscillating component, the one in t itself
+    with pytest.raises(ValueError, match="trig factor index exceeds depth"):
+        TrigLadderSum.build(1, 0, [((0.0, 0.0), ((1, 1.0, "cos"),), [1.0])])
+
+
 def test_trig_poly_records_round_trip():
     rng = np.random.default_rng(3)
     p = to_trig_poly(sym_expsum(rng, 2))
