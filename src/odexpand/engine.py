@@ -125,19 +125,6 @@ class ExponentLadder:
                 raise RuntimeError("ladder exhausted below requested count")
         return tuple(self._realized[:count])
 
-    def realize_upto(self, cutoff: float) -> tuple[float, ...]:
-        """All realized rates <= cutoff (inclusive up to the match tolerance)."""
-        bound = cutoff + _match_tol(cutoff)
-        while True:
-            if self._heap and self._heap[0] <= bound:
-                self._grow()
-            elif not self._heap and (not self._realized or self._realized[-1] <= bound):
-                if not self._grow():
-                    break
-            else:
-                break
-        return tuple(v for v in self._realized if v <= bound)
-
 
 # ---------------------------------------------------------------------------
 

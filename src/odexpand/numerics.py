@@ -41,16 +41,16 @@ __all__ = [
 
 def make_rhs(spec: ProblemSpec):
     """Callable t, y -> -A y + sum of multilinear terms + forcing(t)."""
-    A = spec.matrix
+    neg_A = -spec.matrix  # (-A) @ y is -(A @ y) bit for bit
     maps = spec.maps
     forcing = spec.forcing
 
     def rhs(t, y):
-        out = -(A @ y)
+        out = neg_A @ y
         for g in maps:
-            out = out + g(*([y] * g.arity))
+            out += g(*([y] * g.arity))
         for _, term in forcing:
-            out = out + term.eval(t)
+            out += term.eval(t)
         return out
 
     return rhs

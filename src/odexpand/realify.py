@@ -30,7 +30,7 @@ import numpy as np
 
 from .expsum import ExpPolySum, snap_float, snap_scalar
 from .ladder import exp_zero, ladder_eval
-from .logpower import LogPowerSum
+from .logpower import LogPowerSum, max_row_norm
 
 __all__ = [
     "TrigLadderSum",
@@ -167,7 +167,8 @@ class TrigLadderSum:
         return not self.terms
 
     def sup_norm(self) -> float:
-        return max((float(np.linalg.norm(v)) for v in self.terms.values()), default=0.0)
+        """Largest coefficient row norm over all terms."""
+        return max_row_norm(np.array(list(self.terms.values())).reshape(-1, self.dim))
 
     def eval(self, t: float) -> np.ndarray:
         t = float(t)

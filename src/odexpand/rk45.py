@@ -2,8 +2,10 @@
 
 The pair advances with the 5th-order solution and controls the step from
 the embedded 4th-order error estimate; the last stage doubles as the first
-stage of the next step.  Complex systems are integrated as stacked
-real/imaginary parts.  Dense output between accepted points is cubic
+stage of the next step.  The state stays a complex vector and the seven
+stages share one (7, n) complex array; the controller reads both through
+their float views, so its norms run over the 2n stacked real and
+imaginary components.  Dense output between accepted points is cubic
 Hermite interpolation from the stored endpoint derivatives.
 """
 
@@ -17,19 +19,22 @@ import numpy as np
 
 __all__ = ["Trajectory", "StepUnderflow", "integrate_rhs"]
 
-# Dormand-Prince 5(4) tableau.
+# Dormand-Prince 5(4) tableau; row 6 of A is the 5th-order weights (FSAL).
 _C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
 )
-_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
+_E = np.append(_A[6], 0.0) - _B4  # 5th minus 4th order weights: the error estimate
 
 _SAFETY = 0.9
 _ALPHA = 0.7 / 5  # proportional exponent of the PI controller
@@ -37,6 +42,7 @@ _BETA = 0.4 / 5  # integral exponent
 _FAC_MIN = 0.2
 _FAC_MAX = 5.0
 _MAX_STEPS = 2_000_000
+_TINY = 16 * np.finfo(float).eps  # smallest step, relative to max(|t|, 1)
 
 
 class StepUnderflow(RuntimeError):
@@ -79,20 +85,17 @@ class Trajectory:
         h11 = s * s * (s - 1)
         return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
 
-    def sample_many(self, ts) -> np.ndarray:
-        return np.array([self.sample(t) for t in ts])
-
 
 def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
-    """Hairer-style starting step guess."""
-    sc = abs_tol + rel_tol * np.abs(y0)
-    d0 = float(np.sqrt(np.mean((np.abs(y0) / sc) ** 2)))
-    d1 = float(np.sqrt(np.mean((np.abs(f0) / sc) ** 2)))
+    """Hairer-style starting step guess on the stacked real components."""
+    u0, g0 = y0.view(float), f0.view(float)
+    sc = abs_tol + rel_tol * np.abs(u0)
+    d0 = float(np.sqrt(np.mean((np.abs(u0) / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((np.abs(g0) / sc) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_max - t0)
-    y1 = y0 + h0 * f0
-    f1 = rhs(t0 + h0, y1)
-    d2 = float(np.sqrt(np.mean((np.abs(f1 - f0) / sc) ** 2))) / h0
+    f1 = np.asarray(rhs(t0 + h0, (u0 + h0 * g0).view(complex)), dtype=complex)
+    d2 = float(np.sqrt(np.mean((np.abs(f1.view(float) - g0) / sc) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -110,29 +113,25 @@ def integrate_rhs(
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) over t_span with adaptive steps.
 
-    rhs may return complex vectors; the controller works on the stacked
-    real system.  Raises StepUnderflow when error control cannot proceed.
+    rhs receives complex state vectors and may return real or complex
+    ones.  Raises StepUnderflow when error control cannot proceed.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
-    y0 = np.asarray(y0, dtype=complex).reshape(-1)
-    n = y0.shape[0]
-
-    def real_rhs(t, u):
-        dy = np.asarray(rhs(t, u[:n] + 1j * u[n:]), dtype=complex)
-        return np.concatenate([dy.real, dy.imag])
-
-    u = np.concatenate([y0.real, y0.imag])
-    f = real_rhs(t0, u)
-    if not np.all(np.isfinite(f)):
+    y = np.array(y0, dtype=complex).reshape(-1)
+    K = np.empty((7, y.shape[0]), dtype=complex)  # the stages, one per row
+    Kf = K.view(float)
+    K[0] = rhs(t0, y)
+    if not np.all(np.isfinite(K[0])):
         raise ValueError("right-hand side not finite at the initial point")
     hmax = (t1 - t0) if max_step is None else float(max_step)
-    h = min(_initial_step(real_rhs, t0, u, f, rel_tol, abs_tol, t1), hmax)
+    h = min(_initial_step(rhs, t0, y, K[0], rel_tol, abs_tol, t1), hmax)
     t = t0
     ts = [t0]
-    states = [u.copy()]
-    derivs = [f.copy()]
+    states = [y]
+    derivs = [K[0].copy()]
+    u, au = y.view(float), np.abs(y.view(float))
     err_prev = 1.0
     n_steps = n_rejects = 0
     n_evals = 2
@@ -141,34 +140,29 @@ def integrate_rhs(
         if n_steps > _MAX_STEPS:
             raise RuntimeError("step budget exhausted")
         h = min(h, t1 - t, hmax)
-        if h <= 16 * np.finfo(float).eps * max(abs(t), 1.0):
+        if h <= _TINY * max(abs(t), 1.0):
             raise StepUnderflow(f"step size underflow at t = {t}")
-        k = [f]
-        bad = False
         for i in range(1, 7):
-            ui = u + h * sum(a * ki for a, ki in zip(_A[i], k))
-            ki = real_rhs(t + _C[i] * h, ui)
-            n_evals += 1
-            if not np.all(np.isfinite(ki)):
-                bad = True
-                break
-            k.append(ki)
-        if bad:
+            u_new = u + h * (_A[i] @ Kf[:i])
+            K[i] = rhs(t + _C[i] * h, u_new.view(complex))
+        n_evals += 6
+        if not np.isfinite(Kf).all():
             h *= 0.25
             n_rejects += 1
             max_factor = 1.0
             continue
-        u_new = u + h * sum(b * ki for b, ki in zip(_B5, k))
-        u_low = u + h * sum(b * ki for b, ki in zip(_B4, k))
-        sc = abs_tol + rel_tol * np.maximum(np.abs(u), np.abs(u_new))
-        err = float(np.sqrt(np.mean(((u_new - u_low) / sc) ** 2)))
+        # u_new is the last stage input, the 5th-order solution
+        au_new = np.abs(u_new)
+        sc = abs_tol + rel_tol * np.maximum(au, au_new)
+        w = h * (_E @ Kf) / sc
+        err = math.sqrt(w @ w / w.size)  # RMS over the 2n real components
         if err <= 1.0:
             t += h
-            u = u_new
-            f = k[6]  # FSAL: stage 7 is rhs at the accepted point
+            u, au = u_new, au_new
+            K[0] = K[6]  # FSAL: the last stage is rhs at the accepted point
             ts.append(t)
-            states.append(u.copy())
-            derivs.append(f.copy())
+            states.append(u.view(complex))
+            derivs.append(K[6].copy())
             n_steps += 1
             err_c = max(err, 1e-10)
             factor = _SAFETY * err_c**-_ALPHA * err_prev**_BETA
@@ -181,13 +175,10 @@ def integrate_rhs(
             h *= min(1.0, max(_FAC_MIN, factor))
             max_factor = 1.0
 
-    ts_arr = np.array(ts)
-    states_arr = np.array([s[:n] + 1j * s[n:] for s in states])
-    derivs_arr = np.array([d[:n] + 1j * d[n:] for d in derivs])
     return Trajectory(
-        ts=ts_arr,
-        states=states_arr,
-        derivs=derivs_arr,
+        ts=np.array(ts),
+        states=np.array(states),
+        derivs=np.array(derivs),
         meta={
             "steps": n_steps,
             "rejected": n_rejects,

@@ -11,6 +11,7 @@ import itertools
 import numpy as np
 
 from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap
+from odexpand.engine import _match_tol
 from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
@@ -230,3 +231,16 @@ def assert_bitwise_equal(p, q) -> None:
         assert np.array_equal(a, b), key
         assert np.array_equal(np.signbit(a.real), np.signbit(b.real)), key
         assert np.array_equal(np.signbit(a.imag), np.signbit(b.imag)), key
+
+
+def rates_upto(ladder, cutoff: float) -> tuple[float, ...]:
+    """Realized rates of ``ladder`` up to ``cutoff`` (within the match tolerance).
+
+    The rates come out increasing, so ``take`` doubles its count until the
+    last rate passes the cutoff.
+    """
+    bound = cutoff + _match_tol(cutoff)
+    count = 1
+    while ladder.take(count)[-1] <= bound:
+        count *= 2
+    return tuple(v for v in ladder.take(count) if v <= bound)

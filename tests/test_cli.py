@@ -2,10 +2,17 @@
 
 ``expand`` output is compared with ``golden/<config>.expansion.json``.
 Record structure and term keys must match exactly; coefficients must
-agree within 1e-13 of the largest coefficient of their order.
+agree within 1e-13 of the largest coefficient of their order.  ``verify``
+stdout is compared with ``golden/<config>.verify.txt`` (exit code and
+verdicts exactly, fitted numbers within tolerance) and ``certificate``
+output with ``golden/certificate.certificate.csv``.
 """
 
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -111,3 +118,91 @@ def test_unknown_expansion_key_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     assert main(["expand", "--config", str(path), "--out", str(tmp_path)]) == 2
     assert "expansion.ladder_cutoff: unknown field" in capsys.readouterr().err
+
+
+VERIFY_LINE = re.compile(r"^N=(\d+): exponent=(\S+) .* (PASS|FAIL)$", re.MULTILINE)
+KERNEL_LINE = re.compile(r"^fitted \d+ kernel constant\(s\) at order \d+: (.*)$", re.MULTILINE)
+
+
+def _verify_results(text: str) -> tuple[list, list, list]:
+    """Verdict per N, fitted exponent per N, and fitted kernel constants."""
+    lines = VERIFY_LINE.findall(text)
+    kernels = [
+        complex(c.strip("()").replace("i", "j"))
+        for m in KERNEL_LINE.findall(text)
+        for c in m.split(", ")
+    ]
+    return [(int(n), v) for n, _, v in lines], [float(e) for _, e, _ in lines], kernels
+
+
+def _riccati_t1000(tmp_path: Path) -> Path:
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg["verification"]["t_span"] = [10.0, 1000.0]
+    path = tmp_path / "riccati_t1000.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+# Fitted exponents must match within 1e-4 except where the fit sits at the
+# integrator's noise floor.  resonant's N=2 remainder falls to about 1e-11
+# inside its fit window, close to the integration error: scaling rel_tol
+# by 1 - 1e-7 alone moves that exponent by 5.4e-4 and the order-2 kernel
+# constant by 1e-5.
+VERIFY_CASES = {
+    "resonant": (lambda tmp_path: CONFIGS / "resonant.json", {1: 1e-4, 2: 1e-3}, 5e-5),
+    "riccati_t1000": (_riccati_t1000, {1: 1e-4, 2: 1e-4}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERIFY_CASES))
+def test_verify_matches_golden(name, tmp_path, capsys):
+    make_config, exp_tol, kernel_tol = VERIFY_CASES[name]
+    out = tmp_path / "out"
+    code = main(["verify", "--config", str(make_config(tmp_path)), "--out", str(out)])
+    stdout = capsys.readouterr().out
+    verdicts, exponents, kernels = _verify_results(stdout)
+    want_verdicts, want_exponents, want_kernels = _verify_results(
+        (GOLDEN / f"{name}.verify.txt").read_text()
+    )
+    assert code == (0 if all(v == "PASS" for _, v in want_verdicts) else 1)
+    assert verdicts == want_verdicts
+    for (n, _), got, want in zip(verdicts, exponents, want_exponents):
+        assert abs(got - want) <= exp_tol[n], (n, got, want)
+    assert len(kernels) == len(want_kernels)
+    for got, want in zip(kernels, want_kernels):
+        assert abs(got - want) <= kernel_tol
+    report = [line for line in stdout.splitlines() if line.startswith("N=")]
+    assert (out / "verify.txt").read_text().splitlines() == report
+
+
+def test_certificate_matches_golden(tmp_path):
+    config = str(CONFIGS / "certificate.json")
+    assert main(["certificate", "--config", config, "--out", str(tmp_path)]) == 0
+
+    def rows(text):
+        return [line.split(",") for line in text.splitlines()[1:]]
+
+    got = rows((tmp_path / "certificate.csv").read_text())
+    want = rows((GOLDEN / "certificate.certificate.csv").read_text())
+    assert [name for name, _ in got] == [name for name, _ in want]
+    for (name, g), (_, w) in zip(got, want):
+        assert float(g) == pytest.approx(float(w), rel=1e-9, abs=0.0), name
+
+
+def test_verify_does_not_import_scipy_integrate(tmp_path):
+    # scipy.integrate would add about 19 MB to peak RSS; the integrator is
+    # rk45.py, so neither the import nor a verify run may pull it in
+    script = (
+        "import sys\n"
+        "from odexpand.cli import main\n"
+        f"code = main(['verify', '--config', {str(CONFIGS / 'resonant.json')!r}, "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "assert code == 0, code\n"
+        "assert 'scipy.integrate' not in sys.modules\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr

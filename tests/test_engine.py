@@ -23,6 +23,8 @@ from odexpand.engine import _decompose_values
 from odexpand.expsum import coeff_distance_exp
 from odexpand.logpower import coeff_distance_logpower
 
+from helpers import rates_upto
+
 SQ = MultiLinearMap.scalar_power(2)
 
 
@@ -74,14 +76,14 @@ def brute_force_closure(base, cutoff, unit=False):
 
 def test_two_generator_ladder_matches_bruteforce():
     base = (1.0, math.sqrt(2.0))
-    got = ExponentLadder(base).realize_upto(4.0)
+    got = rates_upto(ExponentLadder(base), 4.0)
     expected = brute_force_closure(base, 4.0)
     assert len(got) == len(expected)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
 def test_unit_increment_closure():
-    got = ExponentLadder((0.5,), unit_increment=True).realize_upto(3.0)
+    got = rates_upto(ExponentLadder((0.5,), unit_increment=True), 3.0)
     expected = brute_force_closure((0.5,), 3.0, unit=True)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
     assert 1.5 in got
@@ -103,12 +105,12 @@ def test_ladder_base_validation():
 def test_index_of_realized_rates():
     lad = ExponentLadder((1.0,))
     assert lad.take(5).index(3.0) == 2
-    assert 2.5 not in lad.realize_upto(5.0)
+    assert 2.5 not in rates_upto(lad, 5.0)
 
 
 def decompose(lad, mu, max_arity):
     # the engine's path: multisets from the realized prefix up to mu
-    return _decompose_values(lad.realize_upto(mu), mu, max_arity)
+    return _decompose_values(rates_upto(lad, mu), mu, max_arity)
 
 
 def test_decompose_worked_cases():
@@ -128,7 +130,7 @@ def test_decompose_matches_bruteforce_enumeration():
     lad = ExponentLadder((0.5, 0.8))
     mu = 2.1
     got = set(decompose(lad, mu, 3))
-    smaller = [v for v in lad.realize_upto(mu) if v < mu - 1e-9]
+    smaller = [v for v in rates_upto(lad, mu) if v < mu - 1e-9]
     expected = set()
     for m in (2, 3):
         for combo in itertools.combinations_with_replacement(smaller, m):

@@ -388,3 +388,20 @@ def test_real_problem_produces_symmetric_expansion():
         trig = to_trig_ladder(term, tol=1e-10)
         assert trig.depth == 0
         assert imag_residue(term, ts) < 1e-10 * max(term.sup_norm(), 1.0)
+
+
+def test_sup_norm_is_the_largest_per_term_norm_bitwise():
+    # the batched row norms feed TRIM_REL and tolerance scales, so they
+    # must equal np.linalg.norm of each coefficient vector exactly
+    rng = np.random.default_rng(43)
+    for _ in range(60):
+        dim = int(rng.integers(1, 6))
+        p = sym_logpower(rng, dim, int(rng.integers(0, 3)), n_terms=int(rng.integers(1, 5)))
+        p = p.scale(float(np.exp(rng.uniform(-30.0, 30.0))))
+        want = max(float(np.linalg.norm(v)) for v in p.terms.values())
+        assert p.sup_norm() == want
+        trig = to_trig_ladder(p)
+        want = max(float(np.linalg.norm(v)) for v in trig.terms.values())
+        assert trig.sup_norm() == want
+    assert LogPowerSum.zero(2, 1).sup_norm() == 0.0
+    assert to_trig_ladder(LogPowerSum.zero(2, 0)).sup_norm() == 0.0
