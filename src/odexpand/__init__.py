@@ -43,18 +43,12 @@ from .numerics import (
 )
 from .realify import (
     TrigLadderSum,
-    check_conjugation_symmetry,
     from_trig_ladder,
     imag_residue,
     to_trig_ladder,
     to_trig_poly,
 )
-from .resolvent import (
-    ZERO_FREE_CONSTANTS,
-    homogeneous_modes,
-    resolvent_defect,
-    resolvent_solve_exp,
-)
+from .resolvent import homogeneous_modes, resolvent_defect, resolvent_solve_exp
 from .rk45 import StepUnderflow, Trajectory, integrate_rhs
 
 __version__ = "0.1.0"
@@ -75,8 +69,6 @@ __all__ = [
     "Trajectory",
     "TrigLadderSum",
     "ValidationError",
-    "ZERO_FREE_CONSTANTS",
-    "check_conjugation_symmetry",
     "decay_envelope_constant",
     "descent_op",
     "eval_partial_sum",

@@ -46,7 +46,7 @@ from .realify import (
     to_trig_poly,
 )
 
-__all__ = ["main", "load_config", "build_problem", "load_expansion_terms"]
+__all__ = ["main", "load_config", "build_problem"]
 
 
 class ConfigError(ValueError):
@@ -81,6 +81,22 @@ def _real(value, path: str) -> float:
     if isinstance(value, (int, float)):
         return float(value)
     raise ConfigError(f"{path}: expected a real number")
+
+
+def _int(value, path: str, lo: int, hi: int | None = None) -> int:
+    if isinstance(value, int) and not isinstance(value, bool):
+        if lo <= value and (hi is None or value <= hi):
+            return value
+    bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+    raise ConfigError(f"{path}: expected an integer {bound}")
+
+
+def _span(value, path: str) -> tuple[float, float]:
+    if isinstance(value, list) and len(value) == 2:
+        lo, hi = (_real(v, f"{path}[{i}]") for i, v in enumerate(value))
+        if lo < hi:
+            return lo, hi
+    raise ConfigError(f"{path}: expected [lo, hi] with lo < hi")
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -184,14 +200,7 @@ def _forcing_record(rec, dim: int, path: str):
 
 
 _TOP_KEYS = {"problem", "expansion", "verification", "certificate", "output"}
-_PROBLEM_KEYS = {
-    "matrix",
-    "nonlinearity",
-    "forcing",
-    "mode",
-    "scale_index",
-    "resonance_policy",
-}
+_PROBLEM_KEYS = {"matrix", "nonlinearity", "forcing", "mode", "scale_index"}
 _EXPANSION_KEYS = {"order", "ladder_base"}
 _VERIFICATION_KEYS = {
     "y0",
@@ -264,9 +273,6 @@ def build_problem(cfg: dict, order_override: int | None = None) -> ProblemSpec:
         ladder_base = tuple(
             _real(b, f"expansion.ladder_base[{i}]") for i, b in enumerate(ladder_base)
         )
-    kwargs = {}
-    if "resonance_policy" in prob:
-        kwargs["resonance_policy"] = prob["resonance_policy"]
     spec = ProblemSpec(
         matrix=matrix,
         maps=maps,
@@ -275,7 +281,6 @@ def build_problem(cfg: dict, order_override: int | None = None) -> ProblemSpec:
         scale_index=prob.get("scale_index", 0),
         order=max(order, 1),
         ladder_base=ladder_base,
-        **kwargs,
     )
     spec.validate()
     return spec
@@ -418,26 +423,6 @@ def expansion_records(expansion: Expansion) -> dict:
     }
 
 
-def load_expansion_terms(source) -> list[tuple[float, object]]:
-    """Reload serialized terms as (rate, symbolic sum) pairs.
-
-    source: a path to expansion.json or an already-parsed dict.
-    """
-    data = source
-    if not isinstance(data, dict):
-        with open(source, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    dim = data["dim"]
-    out = []
-    for rec in data["orders"]:
-        if rec["type"] == "exp_poly":
-            term = ExpPolySum.from_records(dim, rec["terms"])
-        else:
-            term = LogPowerSum.from_records(dim, rec["depth"], rec["terms"])
-        out.append((rec["rate"], term))
-    return out
-
-
 def _terms_csv(expansion: Expansion) -> str:
     lines = [
         "order,rate,kind,exponent_re,exponent_im,alpha,component,degree,value_re,value_im"
@@ -522,7 +507,8 @@ def _verification_cfg(cfg: dict) -> dict:
 
 def _sample_grid(spec: ProblemSpec, t_span, ver: dict) -> np.ndarray:
     grid_cfg = ver.get("grid", {})
-    count = grid_cfg.get("count", 200)
+    # the decay fit needs at least three samples
+    count = _int(grid_cfg.get("count", 200), "verification.grid.count", 3)
     kind = grid_cfg.get("kind", "linear" if spec.mode == "exponential" else "geometric")
     if kind == "geometric":
         if t_span[0] <= 0:
@@ -536,31 +522,32 @@ def _sample_grid(spec: ProblemSpec, t_span, ver: dict) -> np.ndarray:
 def cmd_verify(cfg: dict, args) -> int:
     spec = build_problem(cfg, args.order)
     ver = _verification_cfg(cfg)
-    expansion = expand(spec)
+    if not isinstance(ver["y0"], list) or len(ver["y0"]) != spec.dim:
+        raise ConfigError(f"verification.y0: expected a list of {spec.dim} numbers")
     y0 = [_complex(x, f"verification.y0[{i}]") for i, x in enumerate(ver["y0"])]
-    t_span = (float(ver["t_span"][0]), float(ver["t_span"][1]))
-    traj = integrate(
-        spec,
-        y0,
-        t_span,
-        rel_tol=float(ver.get("rel_tol", 1e-10)),
-        abs_tol=float(ver.get("abs_tol", 1e-12)),
-    )
+    t_span = _span(ver["t_span"], "verification.t_span")
+    rel_tol = _real(ver.get("rel_tol", 1e-10), "verification.rel_tol")
+    abs_tol = _real(ver.get("abs_tol", 1e-12), "verification.abs_tol")
+    margin = _real(ver.get("margin", 0.1), "verification.margin")
+    window = ver.get("fit_window")
+    if window is not None:
+        window = _span(window, "verification.fit_window")
     fit_res = ver.get("fit_resonant")
     if fit_res is not None:
-        k = fit_res.get("order")
-        window = tuple(fit_res.get("window", (t_span[0], t_span[1])))
-        coeffs = fit_kernel_constants(traj, expansion, k, window)
+        k = _int(fit_res.get("order"), "verification.fit_resonant.order", 1, spec.order)
+        k_window = _span(fit_res.get("window", list(t_span)), "verification.fit_resonant.window")
+        if k_window[0] < t_span[0] or k_window[1] > t_span[1]:
+            raise ConfigError("verification.fit_resonant.window: must lie inside t_span")
+    grid = _sample_grid(spec, t_span, ver)
+    expansion = expand(spec)
+    traj = integrate(spec, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
+    if fit_res is not None:
+        coeffs = fit_kernel_constants(traj, expansion, k, k_window)
         expansion = with_kernel_fit(expansion, k, coeffs)
         print(
             f"fitted {len(coeffs)} kernel constant(s) at order {k}: "
             + ", ".join(_fmt_complex(c) for c in coeffs)
         )
-    margin = float(ver.get("margin", 0.1))
-    window = ver.get("fit_window")
-    if window is not None:
-        window = (float(window[0]), float(window[1]))
-    grid = _sample_grid(spec, t_span, ver)
     rates = expansion.rates
     all_pass = True
     columns = [("t", grid)]
@@ -656,11 +643,11 @@ def cmd_certificate(cfg: dict, args) -> int:
     cert_cfg = cfg.get("certificate")
     if cert_cfg is None or "probe_radius" not in cert_cfg:
         raise ConfigError("certificate.probe_radius: required for this subcommand")
-    cert = smallness_certificate(
-        spec,
-        _real(cert_cfg["probe_radius"], "certificate.probe_radius"),
-        samples=int(cert_cfg.get("samples", 1024)),
-    )
+    radius = _real(cert_cfg["probe_radius"], "certificate.probe_radius")
+    if not radius > 0:
+        raise ConfigError("certificate.probe_radius: expected a positive number")
+    samples = _int(cert_cfg.get("samples", 1024), "certificate.samples", 1)
+    cert = smallness_certificate(spec, radius, samples=samples)
     rows = [
         ("slowest_decay_rate", cert.lambda1),
         ("envelope_constant", cert.envelope_constant),

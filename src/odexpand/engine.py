@@ -2,15 +2,20 @@
 
 Given y' = -A y + G(y) + f(t) with a dissipative A and forcing built from
 finitely many decay rates, the engine realizes the semigroup of reachable
-rates (the exponent ladder), matches each rate against products of earlier
-terms, and solves one linear problem per rate:
+rates (the exponent ladder) and builds one term per rate, in increasing
+order.  Every mode runs the same loop: the right-hand side at rate mu is the
+interactions of earlier terms that land on mu, plus the forcing there, and
+the term solves one linear problem at that rate.  Only the term type and
+that solve depend on the mode:
 
-    exponential mode: terms are ExpPolySums, solved through the resolvent;
-    power mode:       terms are LogPowerSums on the plain power scale, with
-                      a descent correction fed back one rate up;
-    log mode:         terms are LogPowerSums on an iterated-log scale, where
-                      the descent terms decay faster than every ladder rate
-                      and drop out entirely.
+    exponential mode: ExpPolySums, solved through the resolvent, which also
+                      returns the resonant kernel modes;
+    power mode:       LogPowerSums on the plain power scale, solved by the
+                      shifted inverse; the right-hand side also carries minus
+                      the descent of the term one unit below;
+    log mode:         LogPowerSums on an iterated-log scale, solved as in
+                      power mode; the descent terms decay faster than every
+                      ladder rate and drop out entirely.
 
 Construction is strictly order by order: extending a truncation never
 revisits earlier terms.
@@ -39,7 +44,6 @@ from .logpower import (
 from .multilinear import MultiLinearMap
 from .resolvent import (
     RESIDUAL_REL,
-    ZERO_FREE_CONSTANTS,
     homogeneous_modes,
     resolvent_defect,
     resolvent_solve_exp,
@@ -75,12 +79,12 @@ def _match_tol(mu: float) -> float:
 class ExponentLadder:
     """Lazily enumerated closure of positive base rates.
 
-    With ``additive`` the closure contains all finite sums of base elements;
-    ``unit_increment`` additionally closes under +1.  Values are produced in
-    increasing order and deduplicated under a relative tolerance.
+    The closure contains all finite sums of base elements; ``unit_increment``
+    additionally closes under +1.  Values are produced in increasing order
+    and deduplicated under a relative tolerance.
     """
 
-    def __init__(self, base, additive: bool = True, unit_increment: bool = False):
+    def __init__(self, base, unit_increment: bool = False):
         vals = sorted(float(b) for b in base)
         if not vals:
             raise ValidationError("ladder base must be nonempty")
@@ -91,16 +95,14 @@ class ExponentLadder:
             if not dedup or v - dedup[-1] >= _match_tol(v):
                 dedup.append(v)
         self.base = tuple(dedup)
-        self.additive = bool(additive)
         self.unit_increment = bool(unit_increment)
         self._realized: list[float] = []
         self._heap: list[float] = list(self.base)
         heapq.heapify(self._heap)
 
     def _neighbors(self, x: float):
-        if self.additive:
-            for b in self.base:
-                yield x + b
+        for b in self.base:
+            yield x + b
         if self.unit_increment:
             yield x + 1.0
 
@@ -145,7 +147,6 @@ class ProblemSpec:
     scale_index: int = 0
     order: int = 4
     ladder_base: tuple[float, ...] | None = None
-    resonance_policy: str = ZERO_FREE_CONSTANTS
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
@@ -201,26 +202,21 @@ class ProblemSpec:
             for b in mus[i + 1 :]:
                 if abs(a - b) < _match_tol(a):
                     raise ValidationError(f"duplicate forcing rate {a}")
+        exp_mode = self.mode == "exponential"
         for mu, term in self.forcing:
-            if self.mode == "exponential":
-                if not isinstance(term, ExpPolySum):
-                    raise ValidationError("exponential mode takes ExpPolySum forcing")
-                if term.dim != n:
-                    raise ValidationError("forcing dimension mismatch")
-                if not term.is_zero() and not term.in_class(-mu):
-                    raise ValidationError(
-                        f"forcing at rate {mu} has exponents off the -{mu} line"
-                    )
-            else:
-                if not isinstance(term, LogPowerSum):
-                    raise ValidationError("power/log modes take LogPowerSum forcing")
-                if term.dim != n:
-                    raise ValidationError("forcing dimension mismatch")
-                if not term.is_zero() and not term.in_class(self.scale_index, -mu):
-                    raise ValidationError(
-                        f"forcing at rate {mu} is outside the "
-                        f"({self.scale_index}, -{mu}) class"
-                    )
+            if exp_mode and not isinstance(term, ExpPolySum):
+                raise ValidationError("exponential mode takes ExpPolySum forcing")
+            if not exp_mode and not isinstance(term, LogPowerSum):
+                raise ValidationError("power/log modes take LogPowerSum forcing")
+            if term.dim != n:
+                raise ValidationError("forcing dimension mismatch")
+            if not _in_rate_class(self, term, mu):
+                where = (
+                    f"has exponents off the -{mu} line"
+                    if exp_mode
+                    else f"is outside the ({self.scale_index}, -{mu}) class"
+                )
+                raise ValidationError(f"forcing at rate {mu} {where}")
         if self.mode == "exponential":
             base = self._ladder_base_or_default()
             for lam in eigs:
@@ -230,10 +226,6 @@ class ProblemSpec:
                         "exponential ladder base must contain every eigenvalue "
                         f"real part; {re} is missing (ladder closure assumption)"
                     )
-        if self.resonance_policy != ZERO_FREE_CONSTANTS:
-            raise ValidationError(
-                f"unsupported resonance policy {self.resonance_policy!r}"
-            )
 
     def _ladder_base_or_default(self) -> tuple[float, ...]:
         if self.ladder_base is not None:
@@ -252,9 +244,7 @@ class ProblemSpec:
 
     def make_ladder(self) -> ExponentLadder:
         return ExponentLadder(
-            self._ladder_base_or_default(),
-            additive=True,
-            unit_increment=(self.mode == "power"),
+            self._ladder_base_or_default(), unit_increment=(self.mode == "power")
         )
 
 
@@ -294,10 +284,22 @@ def _forcing_at(spec: ProblemSpec, mu: float):
     return None
 
 
-def _zero_term(spec: ProblemSpec, depth: int):
+def _in_rate_class(spec: ProblemSpec, term, mu: float) -> bool:
+    """Whether every exponent of term decays at exactly rate mu.
+
+    Exponential mode: Re nu = -mu; power/log modes: the (scale_index, -mu)
+    class.  The zero term is in every class.
+    """
+    if spec.mode == "exponential":
+        return term.in_class(-mu)
+    return term.in_class(spec.scale_index, -mu)
+
+
+def _zero_term(spec: ProblemSpec, earlier):
+    """The mode's zero term, at the deepest depth among the earlier terms."""
     if spec.mode == "exponential":
         return ExpPolySum.zero(spec.dim)
-    return LogPowerSum.zero(spec.dim, depth)
+    return LogPowerSum.zero(spec.dim, max([0] + [t.depth for t in earlier]))
 
 
 def _ordered_tuples(parts: tuple[float, ...]):
@@ -370,14 +372,6 @@ def _chi_source(mus, k: int) -> int | None:
     return hits[0] if hits else None
 
 
-def _sum_logpower(parts: list[LogPowerSum], dim: int, depth: int) -> LogPowerSum:
-    depth = max([depth] + [p.depth for p in parts])
-    total = LogPowerSum.zero(dim, depth)
-    for p in parts:
-        total = total + p.embed(depth)
-    return total
-
-
 def _arity_cap_warning(spec: ProblemSpec, mus) -> None:
     """Warn once when the supplied nonlinearity degrees cap the interactions.
 
@@ -401,73 +395,57 @@ def _arity_cap_warning(spec: ProblemSpec, mus) -> None:
         )
 
 
-def _rate_rhs(spec: ProblemSpec, mus, terms, k: int, depth: int):
+def _rate_rhs(spec: ProblemSpec, mus, terms, k: int):
     """Right-hand side of the linear problem for the term at rate mus[k].
 
     The interactions landing on the rate, then the forcing there, then (power
-    mode) minus the descent of the term one unit below.  Exponential mode
-    sums ExpPolySums and ignores depth; power/log modes sum at depth at
-    least ``depth``.
+    mode) minus the descent of the term one unit below, summed in that order
+    onto the zero at the deepest depth of the terms before k.
     """
-    if spec.mode == "exponential":
-        rhs = ExpPolySum.zero(spec.dim)
-        for c in _interaction_sum(spec, mus, terms, k, mul_apply_exp):
-            rhs = rhs + c
-        f_k = _forcing_at(spec, mus[k])
-        return rhs if f_k is None else rhs + f_k
-    pieces = _interaction_sum(spec, mus, terms, k, mul_apply_logpower)
-    p_k = _forcing_at(spec, mus[k])
-    if p_k is not None:
-        pieces.append(p_k)
+    mul_apply = mul_apply_exp if spec.mode == "exponential" else mul_apply_logpower
+    pieces = _interaction_sum(spec, mus, terms, k, mul_apply)
+    f_k = _forcing_at(spec, mus[k])
+    if f_k is not None:
+        pieces.append(f_k)
     if spec.mode == "power":
         lam = _chi_source(mus, k)
         if lam is not None and not terms[lam].is_zero():
             pieces.append(descent_op(terms[lam]).scale(-1.0))
-    return _sum_logpower(pieces, spec.dim, depth)
+    total = _zero_term(spec, terms[:k])
+    for piece in pieces:
+        total = total + piece
+    return total
+
+
+def _solve_rate(spec: ProblemSpec, mu: float, rhs, cache):
+    """The term at rate mu and its kernel modes: the one mode-dependent step.
+
+    Exponential mode solves z' + A z = rhs through the resolvent and adds the
+    unforced eigenmodes at mu; power/log modes apply the shifted inverse of
+    A + weight_op(-1) and have no kernel.
+    """
+    if spec.mode != "exponential":
+        return (rhs if rhs.is_zero() else shifted_inverse(spec.matrix, rhs, cache)), ()
+    term, modes = (rhs, []) if rhs.is_zero() else resolvent_solve_exp(spec.matrix, rhs)
+    return term, tuple(_augment_modes(spec, mu, modes))
 
 
 def _expand_core(spec: ProblemSpec, upto: int, reuse: tuple[ExpansionOrder, ...]):
-    ladder = spec.make_ladder()
-    mus = ladder.take(upto)
+    mus = spec.make_ladder().take(upto)
     _arity_cap_warning(spec, mus)
     for i, o in enumerate(reuse):
         if abs(o.mu - mus[i]) >= _match_tol(mus[i]):
             raise RuntimeError("reused orders disagree with the ladder prefix")
     orders = list(reuse)
-    A = spec.matrix
-
-    if spec.mode == "exponential":
-        terms = [o.term for o in orders]
-        for k in range(len(orders), upto):
-            mu_k = mus[k]
-            rhs = _rate_rhs(spec, mus, terms, k, 0)
-            if rhs.is_zero():
-                y_k, modes = rhs, []
-            else:
-                y_k, modes = resolvent_solve_exp(A, rhs, spec.resonance_policy)
-            modes = _augment_modes(spec, mu_k, modes)
-            if not y_k.is_zero() and not y_k.in_class(-mu_k):
-                raise RuntimeError(f"constructed term escaped the -{mu_k} class")
-            orders.append(
-                ExpansionOrder(mu=mu_k, term=y_k, kernel=tuple(modes))
-            )
-            terms.append(y_k)
-        return Expansion(mode=spec.mode, orders=tuple(orders), spec=spec)
-
-    cache = ShiftedInverseCache(A)
     terms = [o.term for o in orders]
-    cur_depth = max([0] + [t.depth for t in terms])
+    cache = ShiftedInverseCache(spec.matrix) if spec.mode != "exponential" else None
     for k in range(len(orders), upto):
-        mu_k = mus[k]
-        rhs = _rate_rhs(spec, mus, terms, k, cur_depth)
-        q_k = shifted_inverse(A, rhs, cache) if not rhs.is_zero() else rhs
-        if not q_k.is_zero() and not q_k.in_class(spec.scale_index, -mu_k):
-            raise RuntimeError(
-                f"constructed term escaped the ({spec.scale_index}, -{mu_k}) class"
-            )
-        orders.append(ExpansionOrder(mu=mu_k, term=q_k))
-        terms.append(q_k)
-        cur_depth = max(cur_depth, q_k.depth)
+        rhs = _rate_rhs(spec, mus, terms, k)
+        term, kernel = _solve_rate(spec, mus[k], rhs, cache)
+        if not _in_rate_class(spec, term, mus[k]):
+            raise RuntimeError(f"constructed term escaped the class of rate {mus[k]}")
+        orders.append(ExpansionOrder(mu=mus[k], term=term, kernel=kernel))
+        terms.append(term)
     return Expansion(mode=spec.mode, orders=tuple(orders), spec=spec)
 
 
@@ -522,11 +500,10 @@ def symbolic_defect(expansion: Expansion, k: int):
     if not 0 <= i < len(terms):
         raise IndexError("order out of range")
     q = terms[i]
+    rhs = _rate_rhs(spec, mus, terms, i)
     if spec.mode == "exponential":
-        return resolvent_defect(spec.matrix, _rate_rhs(spec, mus, terms, i, 0), q)
-    rhs = _rate_rhs(spec, mus, terms, i, q.depth)
-    lhs = q.apply_matrix(spec.matrix) + weight_op(-1, q)
-    raw = lhs.embed(rhs.depth) - rhs
+        return resolvent_defect(spec.matrix, rhs, q)
+    raw = q.apply_matrix(spec.matrix) + weight_op(-1, q) - rhs
     scale = max(q.sup_norm(), rhs.sup_norm())
     return raw if scale == 0.0 else trim_small_logpower(raw, scale, RESIDUAL_REL)
 

@@ -26,7 +26,6 @@ __all__ = [
     "snap_array",
     "mul_apply_exp",
     "trim_small_exp",
-    "coeff_distance_exp",
 ]
 
 # Exponent keys live on this grid; equality of snapped keys is exact.
@@ -125,10 +124,6 @@ class ExpPolySum:
     def zero(cls, dim: int) -> "ExpPolySum":
         return cls(dim=dim, terms={})
 
-    @classmethod
-    def single(cls, dim: int, nu: complex, coeffs) -> "ExpPolySum":
-        return cls.build(dim, [(nu, coeffs)])
-
     # -- queries ---------------------------------------------------------
 
     @cached_property
@@ -144,10 +139,6 @@ class ExpPolySum:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self) -> int:
-        """Largest polynomial degree over all terms (-1 for the zero sum)."""
-        return max((c.shape[0] - 1 for c in self.terms.values()), default=-1)
 
     def term_count(self) -> int:
         return len(self.terms)
@@ -184,10 +175,6 @@ class ExpPolySum:
         """Left-multiply every coefficient row by A (rows are vectors)."""
         A = np.asarray(A, dtype=complex)
         return ExpPolySum.build(self.dim, [(nu, c @ A.T) for nu, c in self.terms.items()])
-
-    def shift_exponents(self, mu: complex) -> "ExpPolySum":
-        """Multiply by exp(mu*t), i.e. add mu to every exponent."""
-        return ExpPolySum.build(self.dim, [(nu + mu, c) for nu, c in self.terms.items()])
 
     def conjugate(self) -> "ExpPolySum":
         return ExpPolySum.build(
@@ -233,17 +220,6 @@ class ExpPolySum:
                 }
             )
         return recs
-
-    @classmethod
-    def from_records(cls, dim: int, recs: Sequence[dict]) -> "ExpPolySum":
-        raw = []
-        for rec in recs:
-            nu = complex(rec["exponent"][0], rec["exponent"][1])
-            rows = np.array(
-                [[complex(p[0], p[1]) for p in row] for row in rec["coeffs"]], dtype=complex
-            )
-            raw.append((nu, rows))
-        return cls.build(dim, raw)
 
 
 def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
@@ -307,25 +283,3 @@ def trim_small_exp(s: ExpPolySum, scale: float, rel: float = TRIM_REL) -> ExpPol
             raw.append((nu, kept))
     return ExpPolySum.build(s.dim, raw)
 
-
-def coeff_distance_exp(a: ExpPolySum, b: ExpPolySum) -> float:
-    """Max entrywise coefficient deviation between two canonical sums."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    keys = set(a.terms) | set(b.terms)
-    worst = 0.0
-    for nu in keys:
-        ca = a.terms.get(nu)
-        cb = b.terms.get(nu)
-        da = ca.shape[0] if ca is not None else 0
-        db = cb.shape[0] if cb is not None else 0
-        d = max(da, db)
-        pa = np.zeros((d, a.dim), dtype=complex)
-        pb = np.zeros((d, a.dim), dtype=complex)
-        if ca is not None:
-            pa[:da] = ca
-        if cb is not None:
-            pb[:db] = cb
-        if d:
-            worst = max(worst, float(abs(pa - pb).max()))
-    return worst

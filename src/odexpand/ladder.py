@@ -84,9 +84,6 @@ class LadderPoint:
         """log(iter_log(j, t)) for -1 <= j <= depth; index -1 gives t."""
         return self.log_values[j + 1]
 
-    def all_positive(self) -> bool:
-        return all(v > 0.0 for v in self.values)
-
 
 def ladder_eval(depth: int, t: float) -> LadderPoint:
     """Evaluate the ladder components down to ``depth`` at time t.

@@ -41,7 +41,6 @@ __all__ = [
     "ShiftedInverseCache",
     "mul_apply_logpower",
     "trim_small_logpower",
-    "coeff_distance_logpower",
 ]
 
 TRIM_REL = 1e-13
@@ -155,10 +154,6 @@ class LogPowerSum:
     def zero(cls, dim: int, depth: int) -> "LogPowerSum":
         return cls.build(dim, depth, [])
 
-    @classmethod
-    def single(cls, dim: int, depth: int, alpha: Sequence[complex], xi) -> "LogPowerSum":
-        return cls.build(dim, depth, [(alpha, xi)])
-
     # -- queries ---------------------------------------------------------
 
     def items(self) -> list[tuple[tuple[complex, ...], np.ndarray]]:
@@ -186,19 +181,15 @@ class LogPowerSum:
         """Every exponent vector sits in the (m, mu) class."""
         return all(exponent_in_class(a, m, mu, tol) for a in self.terms)
 
-    def exponent(self, alpha: Sequence[complex], j: int) -> complex:
-        return tuple(alpha)[j + 1]
-
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "LogPowerSum") -> "LogPowerSum":
+        """Sum at the larger depth of the two; the shallower one is embedded."""
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        if other.depth != self.depth:
-            raise ValueError("depth mismatch; embed first")
-        return LogPowerSum.build(
-            self.dim, self.depth, list(self.terms.items()) + list(other.terms.items())
-        )
+        depth = max(self.depth, other.depth)
+        raw = list(self.embed(depth).terms.items()) + list(other.embed(depth).terms.items())
+        return LogPowerSum.build(self.dim, depth, raw)
 
     def __sub__(self, other: "LogPowerSum") -> "LogPowerSum":
         return self + other.scale(-1.0)
@@ -266,15 +257,6 @@ class LogPowerSum:
                 }
             )
         return recs
-
-    @classmethod
-    def from_records(cls, dim: int, depth: int, recs: Sequence[dict]) -> "LogPowerSum":
-        raw = []
-        for rec in recs:
-            alpha = [complex(p[0], p[1]) for p in rec["alpha"]]
-            xi = np.array([complex(p[0], p[1]) for p in rec["xi"]], dtype=complex)
-            raw.append((alpha, xi))
-        return cls.build(dim, depth, raw)
 
 
 def weight_op(j: int, p: LogPowerSum) -> LogPowerSum:
@@ -404,21 +386,3 @@ def trim_small_logpower(p: LogPowerSum, scale: float, rel: float = TRIM_REL) -> 
     raw = [(a, v) for a, v in p.items() if float(np.linalg.norm(v)) >= bound]
     return LogPowerSum.build(p.dim, p.depth, raw)
 
-
-def coeff_distance_logpower(a: LogPowerSum, b: LogPowerSum) -> float:
-    """Max coefficient deviation between two canonical sums (same depth)."""
-    if a.dim != b.dim:
-        raise ValueError("dimension mismatch")
-    depth = max(a.depth, b.depth)
-    a = a.embed(depth)
-    b = b.embed(depth)
-    worst = 0.0
-    for key in set(a.terms) | set(b.terms):
-        va = a.terms.get(key)
-        vb = b.terms.get(key)
-        if va is None:
-            va = np.zeros(a.dim, dtype=complex)
-        if vb is None:
-            vb = np.zeros(b.dim, dtype=complex)
-        worst = max(worst, float(abs(va - vb).max()))
-    return worst

@@ -71,7 +71,6 @@ def integrate(
     t_span,
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
-    max_step: float | None = None,
 ) -> Trajectory:
     """Integrate the problem's ODE over t_span."""
     lo = _forcing_domain_start(spec)
@@ -79,7 +78,7 @@ def integrate(
         raise ValueError(
             f"t_span starts at {t_span[0]} but the forcing is only defined for t > {lo}"
         )
-    return integrate_rhs(make_rhs(spec), y0, t_span, rel_tol, abs_tol, max_step)
+    return integrate_rhs(make_rhs(spec), y0, t_span, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,11 @@ import numpy as np
 
 from .expsum import ExpPolySum, snap_float, snap_scalar
 from .ladder import exp_zero, ladder_eval
-from .logpower import LogPowerSum, max_row_norm
+from .logpower import LogPowerSum
 
 __all__ = [
     "TrigLadderSum",
     "asymmetry_witness",
-    "check_conjugation_symmetry",
     "to_trig_poly",
     "to_trig_ladder",
     "from_trig_ladder",
@@ -78,11 +77,6 @@ def asymmetry_witness(p, tol: float = 1e-12):
         if float(abs(partner - xi.conjugate()).max()) > tol * scale:
             return alpha
     return None
-
-
-def check_conjugation_symmetry(p, tol: float = 1e-12) -> bool:
-    """True when the term map is closed under conjugation (within tol)."""
-    return asymmetry_witness(p, tol) is None
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +160,6 @@ class TrigLadderSum:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def sup_norm(self) -> float:
-        """Largest coefficient row norm over all terms."""
-        return max_row_norm(np.array(list(self.terms.values())).reshape(-1, self.dim))
-
     def eval(self, t: float) -> np.ndarray:
         t = float(t)
         gate = exp_zero(self.depth + 1)
@@ -189,28 +179,6 @@ class TrigLadderSum:
                 val *= math.cos(x) if phase == COS else math.sin(x)
             out = out + val * vec
         return out
-
-    def to_records(self) -> list[dict]:
-        recs = []
-        for (alpha, factors), vec in self.items():
-            recs.append(
-                {
-                    "alpha": list(map(float, alpha)),
-                    "factors": [
-                        {"index": j, "omega": w, "phase": ph} for j, w, ph in factors
-                    ],
-                    "vector": list(map(float, vec)),
-                }
-            )
-        return recs
-
-    @classmethod
-    def from_records(cls, dim: int, depth: int, recs: Sequence[dict]) -> "TrigLadderSum":
-        raw = []
-        for r in recs:
-            factors = [(f["index"], f["omega"], f["phase"]) for f in r["factors"]]
-            raw.append((r["alpha"], factors, np.asarray(r["vector"], dtype=float)))
-        return cls.build(dim, depth, raw)
 
 
 def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:

@@ -26,10 +26,7 @@ __all__ = [
     "resolvent_solve_exp",
     "resolvent_defect",
     "homogeneous_modes",
-    "ZERO_FREE_CONSTANTS",
 ]
-
-ZERO_FREE_CONSTANTS = "zero_free_constants"
 
 # B counts as resonant when its smallest singular value is below this
 # fraction of the largest; resonant eigenvalue clusters use the same cut.
@@ -144,19 +141,14 @@ def _kernel_modes(B: np.ndarray, nu: complex, dim: int) -> list[ExpPolySum]:
     return modes
 
 
-def resolvent_solve_exp(
-    A: np.ndarray,
-    f: ExpPolySum,
-    resonance_policy: str = ZERO_FREE_CONSTANTS,
-) -> tuple[ExpPolySum, list[ExpPolySum]]:
+def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[ExpPolySum]]:
     """Particular solution of z' + A z = f, plus resonant kernel modes.
 
     Returns (z, modes).  z solves the ODE exactly term by term; modes lists
     a basis of decaying homogeneous solutions attached to the resonant
-    exponents of f (empty when no exponent hits the spectrum of -A).
+    exponents of f (empty when no exponent hits the spectrum of -A).  The
+    particular solution carries zero free constants along those modes.
     """
-    if resonance_policy != ZERO_FREE_CONSTANTS:
-        raise ValueError(f"unsupported resonance policy: {resonance_policy!r}")
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
     if A.shape != (n, n):

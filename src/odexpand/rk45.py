@@ -104,12 +104,7 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
 
 
 def integrate_rhs(
-    rhs,
-    y0,
-    t_span,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-    max_step: float | None = None,
+    rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12
 ) -> Trajectory:
     """Integrate y' = rhs(t, y) over t_span with adaptive steps.
 
@@ -125,8 +120,7 @@ def integrate_rhs(
     K[0] = rhs(t0, y)
     if not np.all(np.isfinite(K[0])):
         raise ValueError("right-hand side not finite at the initial point")
-    hmax = (t1 - t0) if max_step is None else float(max_step)
-    h = min(_initial_step(rhs, t0, y, K[0], rel_tol, abs_tol, t1), hmax)
+    h = _initial_step(rhs, t0, y, K[0], rel_tol, abs_tol, t1)
     t = t0
     ts = [t0]
     states = [y]
@@ -139,7 +133,7 @@ def integrate_rhs(
     while t < t1:
         if n_steps > _MAX_STEPS:
             raise RuntimeError("step budget exhausted")
-        h = min(h, t1 - t, hmax)
+        h = min(h, t1 - t)
         if h <= _TINY * max(abs(t), 1.0):
             raise StepUnderflow(f"step size underflow at t = {t}")
         for i in range(1, 7):

@@ -244,3 +244,31 @@ def rates_upto(ladder, cutoff: float) -> tuple[float, ...]:
     while ladder.take(count)[-1] <= bound:
         count *= 2
     return tuple(v for v in ladder.take(count) if v <= bound)
+
+
+def coeff_distance_exp(a: ExpPolySum, b: ExpPolySum) -> float:
+    """Max entrywise coefficient deviation between two canonical sums."""
+    assert a.dim == b.dim
+    worst = 0.0
+    for nu in set(a.terms) | set(b.terms):
+        ca = a.terms.get(nu, np.zeros((0, a.dim)))
+        cb = b.terms.get(nu, np.zeros((0, a.dim)))
+        d = max(ca.shape[0], cb.shape[0])
+        pa = np.zeros((d, a.dim), dtype=complex)
+        pb = np.zeros((d, a.dim), dtype=complex)
+        pa[: ca.shape[0]] = ca
+        pb[: cb.shape[0]] = cb
+        worst = max(worst, float(abs(pa - pb).max(initial=0.0)))
+    return worst
+
+
+def coeff_distance_logpower(a: LogPowerSum, b: LogPowerSum) -> float:
+    """Max coefficient deviation between two canonical sums, at the larger depth."""
+    assert a.dim == b.dim
+    depth = max(a.depth, b.depth)
+    a, b = a.embed(depth), b.embed(depth)
+    zero = np.zeros(a.dim, dtype=complex)
+    worst = 0.0
+    for key in set(a.terms) | set(b.terms):
+        worst = max(worst, float(abs(a.terms.get(key, zero) - b.terms.get(key, zero)).max()))
+    return worst

@@ -112,12 +112,62 @@ def test_realify_without_a_real_form_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_unknown_expansion_key_exits_two(tmp_path, capsys):
-    cfg = json.loads((CONFIGS / "riccati.json").read_text())
-    cfg.setdefault("expansion", {})["ladder_cutoff"] = 4.0
+    # keys that were once accepted and never had an effect are rejected too
+    for section, key, value in (
+        ("expansion", "ladder_cutoff", 4.0),
+        ("problem", "resonance_policy", "zero_free_constants"),
+    ):
+        cfg = json.loads((CONFIGS / "riccati.json").read_text())
+        cfg.setdefault(section, {})[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["expand", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+
+
+def _set(path: str, value):
+    """Config edit: set the field at a dotted path (value None deletes it)."""
+    def edit(cfg):
+        *parents, last = path.split(".")
+        node = cfg
+        for name in parents:
+            node = node.setdefault(name, {})
+        if value is None:
+            del node[last]
+        else:
+            node[last] = value
+
+    return edit
+
+
+MALFORMED_FIELDS = [
+    ("verify", "verification.grid.count", "x"),
+    ("verify", "verification.grid.count", 1),
+    ("verify", "verification.rel_tol", "tight"),
+    ("verify", "verification.t_span", [0.0]),
+    ("verify", "verification.t_span", [14.0, 0.0]),
+    ("verify", "verification.y0", [0.01, 0.0]),
+    ("verify", "verification.fit_resonant.order", None),
+    ("verify", "verification.fit_resonant.order", 3),
+    ("verify", "verification.fit_resonant.window", [10.0]),
+    ("verify", "verification.fit_resonant.window", [10.0, 20.0]),
+    ("verify", "verification.margin", "a"),
+    ("verify", "verification.fit_window", [1]),
+    ("certificate", "certificate.samples", "many"),
+    ("certificate", "certificate.samples", 0),
+    ("certificate", "certificate.probe_radius", -1),
+]
+
+
+@pytest.mark.parametrize("command,field,value", MALFORMED_FIELDS)
+def test_malformed_field_exits_two_and_names_its_path(command, field, value, tmp_path, capsys):
+    cfg = json.loads((CONFIGS / "resonant.json").read_text())
+    cfg["certificate"] = {"probe_radius": 1.0, "samples": 64}
+    _set(field, value)(cfg)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    assert main(["expand", "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert "expansion.ladder_cutoff: unknown field" in capsys.readouterr().err
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"validation error: {field}" in capsys.readouterr().err
 
 
 VERIFY_LINE = re.compile(r"^N=(\d+): exponent=(\S+) .* (PASS|FAIL)$", re.MULTILINE)

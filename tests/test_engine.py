@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,11 +20,17 @@ from odexpand import (
     symbolic_defect,
     with_kernel_fit,
 )
+from odexpand.cli import build_problem, load_config
 from odexpand.engine import _decompose_values
-from odexpand.expsum import coeff_distance_exp
-from odexpand.logpower import coeff_distance_logpower
 
-from helpers import rates_upto
+from helpers import (
+    assert_bitwise_equal,
+    coeff_distance_exp,
+    coeff_distance_logpower,
+    rates_upto,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 SQ = MultiLinearMap.scalar_power(2)
 
@@ -165,8 +172,6 @@ def test_validation_messages():
         ProblemSpec(**{**base, "forcing": (exp_forcing(-1.0, [[1.0]]),)}).validate()
     with pytest.raises(ValidationError, match="duplicate forcing rate"):
         ProblemSpec(**{**base, "forcing": (f_ok, exp_forcing(1.0 + 1e-14, [[2.0]]))}).validate()
-    with pytest.raises(ValidationError, match="unsupported resonance policy"):
-        ProblemSpec(**base, resonance_policy="free").validate()
 
 
 def test_validation_forcing_shape_and_class():
@@ -285,6 +290,22 @@ def test_extend_reuses_existing_orders_bitwise():
     for k in (1, 2):
         assert longer.orders[k - 1].term.to_records() == first.orders[k - 1].term.to_records()
     assert extend(longer, 3) is longer
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+@pytest.mark.parametrize("name", ["riccati", "resonant", "oscillatory_log"])
+def test_extend_matches_a_direct_expansion_bitwise(name):
+    # one order loop serves every mode, so resuming it after order 2 must
+    # rebuild exactly what one uninterrupted run builds, kernels included
+    spec = build_problem(load_config(CONFIGS / f"{name}.json"))
+    resumed = extend(expand(spec, 2), 5)
+    direct = expand(spec, 5)
+    assert resumed.rates == direct.rates
+    for got, want in zip(resumed.orders, direct.orders):
+        assert_bitwise_equal(got.term, want.term)
+        assert len(got.kernel) == len(want.kernel)
+        for g, w in zip(got.kernel, want.kernel):
+            assert_bitwise_equal(g, w)
 
 
 def test_with_kernel_fit_attaches_coefficients():

@@ -1,5 +1,6 @@
 """Iterated-log power sums: evaluation, ladder calculus, shifted inverses."""
 
+import json
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from odexpand import (
     weight_op,
 )
 from odexpand.logpower import (
-    coeff_distance_logpower,
     exponent_in_class,
     mul_apply_logpower,
     trim_small_logpower,
@@ -26,6 +26,7 @@ from odexpand.logpower import (
 from helpers import (
     assert_bitwise_equal,
     build_logpower_oracle,
+    coeff_distance_logpower,
     cvec,
     mul_apply_logpower_oracle,
     random_logpower,
@@ -216,11 +217,25 @@ def test_embed_preserves_evaluation():
         np.testing.assert_allclose(up.eval(t), p.eval(t), rtol=1e-12)
 
 
-def test_add_requires_matching_depth():
-    a = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
-    b = LogPowerSum.build(1, 1, [((0.0, -1.0, 0.0), [1.0])])
-    with pytest.raises(ValueError, match="depth mismatch; embed first"):
-        a + b
+def test_add_across_depths_is_embed_then_add_bitwise():
+    rng = np.random.default_rng(53)
+    for _ in range(40):
+        dim = int(rng.integers(1, 4))
+        da, db = (int(d) for d in rng.integers(0, 3, size=2))
+        a = random_logpower(rng, dim, da, n_terms=int(rng.integers(0, 4)))
+        b = random_logpower(rng, dim, db, n_terms=int(rng.integers(0, 4)))
+        if da <= db and rng.uniform() < 0.5:  # shared keys merge across the depths
+            b = b + a.embed(db).scale(-0.5)
+        depth = max(da, db)
+        want = LogPowerSum.build(
+            dim, depth, list(a.embed(depth).terms.items()) + list(b.embed(depth).terms.items())
+        )
+        for got in (a + b, a.embed(depth) + b, a + b.embed(depth)):
+            assert got.depth == depth
+            assert_bitwise_equal(got, want)
+        diff = a - b
+        assert diff.depth == depth
+        assert_bitwise_equal(diff, a.embed(depth) - b.embed(depth))
 
 
 def test_mul_apply_square_of_inverse_power():
@@ -301,10 +316,13 @@ def test_trim_small_logpower_uses_external_scale():
 
 
 def test_records_round_trip_exactly():
+    # expansion.json holds every exponent and coefficient to the last bit
     rng = np.random.default_rng(47)
     p = random_logpower(rng, 3, 2, n_terms=4)
-    back = LogPowerSum.from_records(3, 2, p.to_records())
-    assert coeff_distance_logpower(p, back) == 0.0
+    recs = json.loads(json.dumps(p.to_records()))
+    assert [tuple(complex(*a) for a in r["alpha"]) for r in recs] == [a for a, _ in p.items()]
+    for rec, (_, xi) in zip(recs, p.items()):
+        assert np.array_equal(np.array(rec["xi"]).view(complex)[:, 0], xi)
 
 
 def test_conjugate_commutes_with_eval():

@@ -10,7 +10,6 @@ from odexpand import (
     LogPowerSum,
     ProblemSpec,
     TrigLadderSum,
-    check_conjugation_symmetry,
     expand,
     from_trig_ladder,
     imag_residue,
@@ -109,15 +108,6 @@ def test_trig_poly_build_canonicalizes():
     # a depth-0 sum has one oscillating component, the one in t itself
     with pytest.raises(ValueError, match="trig factor index exceeds depth"):
         TrigLadderSum.build(1, 0, [((0.0, 0.0), ((1, 1.0, "cos"),), [1.0])])
-
-
-def test_trig_poly_records_round_trip():
-    rng = np.random.default_rng(3)
-    p = to_trig_poly(sym_expsum(rng, 2))
-    again = TrigLadderSum.from_records(2, 0, p.to_records())
-    assert again.items() == [
-        (k, pytest.approx(v)) for k, v in p.items()
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +287,7 @@ def test_trig_ladder_round_trip():
         depth = int(rng.integers(0, 3))
         q = random_trig_ladder(rng, int(rng.integers(1, 3)), depth)
         p = from_trig_ladder(q)
-        assert check_conjugation_symmetry(p)
+        assert asymmetry_witness(p) is None
         back = to_trig_ladder(p)
         # trig factors sit on components <= depth, so no lift can occur
         assert back.depth == depth
@@ -306,15 +296,6 @@ def test_trig_ladder_round_trip():
             a = q.eval(t)
             b = back.eval(t)
             assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(a)))
-
-
-def test_trig_ladder_records_round_trip():
-    rng = np.random.default_rng(5)
-    q = random_trig_ladder(rng, 2, 1)
-    again = TrigLadderSum.from_records(2, 1, q.to_records())
-    assert sorted(again.terms) == sorted(q.terms)
-    for k in q.terms:
-        np.testing.assert_allclose(again.terms[k], q.terms[k])
 
 
 # ---------------------------------------------------------------------------
@@ -345,13 +326,13 @@ def test_symbolic_operators_preserve_symmetry():
         dim = int(rng.integers(1, 4))
         depth = int(rng.integers(0, 3))
         q = sym_logpower(rng, dim, depth)
-        assert check_conjugation_symmetry(weight_op(-1, q))
-        assert check_conjugation_symmetry(descent_op(q))
+        assert asymmetry_witness(weight_op(-1, q)) is None
+        assert asymmetry_witness(descent_op(q)) is None
 
     A = np.array([[2.0, 0.7], [-0.3, 1.5]])
     for _ in range(20):
         q = random_symmetric_im_shift(rng, 2, 0)
-        assert check_conjugation_symmetry(shifted_inverse(A, q))
+        assert asymmetry_witness(shifted_inverse(A, q)) is None
 
 
 def random_symmetric_im_shift(rng, dim, depth):
@@ -382,7 +363,7 @@ def test_real_problem_produces_symmetric_expansion():
     ts = np.geomspace(1.5 * gate, 60.0 * gate, 15)
     for k in range(1, exp_.order_count() + 1):
         term = exp_.term(k)
-        assert check_conjugation_symmetry(term, tol=1e-10)
+        assert asymmetry_witness(term, tol=1e-10) is None
         if term.is_zero():
             continue
         trig = to_trig_ladder(term, tol=1e-10)
@@ -400,8 +381,4 @@ def test_sup_norm_is_the_largest_per_term_norm_bitwise():
         p = p.scale(float(np.exp(rng.uniform(-30.0, 30.0))))
         want = max(float(np.linalg.norm(v)) for v in p.terms.values())
         assert p.sup_norm() == want
-        trig = to_trig_ladder(p)
-        want = max(float(np.linalg.norm(v)) for v in trig.terms.values())
-        assert trig.sup_norm() == want
     assert LogPowerSum.zero(2, 1).sup_norm() == 0.0
-    assert to_trig_ladder(LogPowerSum.zero(2, 0)).sup_norm() == 0.0

@@ -92,11 +92,6 @@ def test_complex_state_integration():
         assert abs(traj.sample(t)[0] - np.exp(lam * t)) < 1e-8
 
 
-def test_max_step_is_respected():
-    traj = integrate_rhs(lambda t, y: -y, np.array([1.0]), (0.0, 2.0), max_step=0.05)
-    assert np.max(np.diff(traj.ts)) <= 0.05 + 1e-12
-
-
 class CountingRhs:
     """Wraps a right-hand side and records the time and finiteness of each call."""
 
