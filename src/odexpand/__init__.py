@@ -20,7 +20,7 @@ from .engine import (
     with_kernel_fit,
 )
 from .expsum import ExpPolySum
-from .ladder import LadderPoint, exp_zero, iter_exp, iter_log, ladder_eval
+from .ladder import exp_zero, iter_exp, iter_log, ladder_eval
 from .logpower import (
     LogPowerSum,
     ShiftedInverseCache,
@@ -59,7 +59,6 @@ __all__ = [
     "ExpansionOrder",
     "ExpPolySum",
     "ExponentLadder",
-    "LadderPoint",
     "LogPowerSum",
     "MultiLinearMap",
     "ProblemSpec",

@@ -539,6 +539,9 @@ def cmd_verify(cfg: dict, args) -> int:
         if k_window[0] < t_span[0] or k_window[1] > t_span[1]:
             raise ConfigError("verification.fit_resonant.window: must lie inside t_span")
     grid = _sample_grid(spec, t_span, ver)
+    # the decay fit needs three samples in its window; check before integrating
+    if window is not None and np.count_nonzero((grid >= window[0]) & (grid <= window[1])) < 3:
+        raise ConfigError("verification.fit_window: holds fewer than 3 points of the sample grid")
     expansion = expand(spec)
     traj = integrate(spec, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
     if fit_res is not None:

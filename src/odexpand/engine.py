@@ -228,19 +228,14 @@ class ProblemSpec:
                     )
 
     def _ladder_base_or_default(self) -> tuple[float, ...]:
+        """The given base, or the forcing rates (and in exponential mode the
+        eigenvalue real parts), sorted; ExponentLadder merges near-equal rates."""
         if self.ladder_base is not None:
             return self.ladder_base
-        mus = [mu for mu, _ in self.forcing]
+        rates = {mu for mu, _ in self.forcing}
         if self.mode == "exponential":
-            res = {float(lam.real) for lam in self.eigenvalues()}
-            merged = sorted(res | set(mus))
-        else:
-            merged = sorted(set(mus))
-        dedup: list[float] = []
-        for v in merged:
-            if not dedup or v - dedup[-1] >= _match_tol(v):
-                dedup.append(v)
-        return tuple(dedup)
+            rates |= {float(lam.real) for lam in self.eigenvalues()}
+        return tuple(sorted(rates))
 
     def make_ladder(self) -> ExponentLadder:
         return ExponentLadder(

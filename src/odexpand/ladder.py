@@ -7,18 +7,21 @@ The time scales used throughout the package form a two-sided ladder:
     iter_log(m+1, t) = log(iter_log(m, t))
 
 ``iter_log(m, .)`` takes positive values only for t > iter_exp(m, 0), and
-equals 1 exactly at t = iter_exp(m+1, 0).  A ``LadderPoint`` bundles the
-ladder components at one time together with the domain bookkeeping that
-symbolic evaluation needs.
+equals 1 exactly at t = iter_exp(m+1, 0).  ``ladder_eval(depth, t)`` is the
+one evaluator of the ladder at a time: the array of logs of the components
+iter_log(-1, t), ..., iter_log(depth, t), that is
+(t, log t, ..., iter_log(depth+1, t)).  Complex powers of the components
+are exponentials of linear forms in it, and exp(t) is never formed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
-__all__ = ["iter_exp", "iter_log", "exp_zero", "LadderPoint", "ladder_eval"]
+import numpy as np
+
+__all__ = ["iter_exp", "iter_log", "exp_zero", "ladder_eval"]
 
 
 def iter_exp(m: int, t: float) -> float:
@@ -61,35 +64,13 @@ def iter_log(m: int, t: float) -> float:
     return x
 
 
-@dataclass(frozen=True)
-class LadderPoint:
-    """Ladder components (iter_log(-1, t), ..., iter_log(depth, t)) at one t.
+def ladder_eval(depth: int, t: float) -> np.ndarray:
+    """Logs of the ladder components down to ``depth`` at time t.
 
-    ``values[j]`` holds iter_log(j - 1, t), so values[0] is exp(t) (inf once
-    t overflows exp; symbolic evaluation never uses the materialized value).
-    ``log_values[j]`` holds log(values[j]) = iter_log(j, t) computed without
-    forming exp(t), which is what complex powers are evaluated through.
-    """
-
-    t: float
-    depth: int
-    values: tuple[float, ...]
-    log_values: tuple[float, ...]
-
-    def component(self, j: int) -> float:
-        """iter_log(j, t) for -1 <= j <= depth."""
-        return self.values[j + 1]
-
-    def log_component(self, j: int) -> float:
-        """log(iter_log(j, t)) for -1 <= j <= depth; index -1 gives t."""
-        return self.log_values[j + 1]
-
-
-def ladder_eval(depth: int, t: float) -> LadderPoint:
-    """Evaluate the ladder components down to ``depth`` at time t.
-
-    Requires t > exp_zero(depth) so the deepest component is strictly
-    positive (it vanishes exactly at the threshold).
+    Entry j is log(iter_log(j - 1, t)) = iter_log(j, t), for j = 0..depth+1,
+    so entry 0 is t itself.  Requires a finite t > exp_zero(depth), so the
+    deepest component is strictly positive (it vanishes exactly at the
+    threshold).
     """
     if depth < -1:
         raise ValueError("ladder depth must be >= -1")
@@ -101,16 +82,7 @@ def ladder_eval(depth: int, t: float) -> LadderPoint:
             f"t = {t!r} is outside the depth-{depth} ladder domain "
             f"(need t > {exp_zero(depth)!r})"
         )
-    vals = [iter_log(-1, t)]
     logs = [t]
-    x = t
-    for m in range(depth + 1):
-        vals.append(x)
-        if m < depth:
-            x = math.log(x)
-            logs.append(x)
-        else:
-            # log of the deepest component, used by complex powers; safe
-            # because the guard above keeps it positive.
-            logs.append(math.log(x))
-    return LadderPoint(t=t, depth=depth, values=tuple(vals), log_values=tuple(logs))
+    for _ in range(depth + 1):
+        logs.append(math.log(logs[-1]))
+    return np.array(logs)

@@ -5,9 +5,15 @@ A ``LogPowerSum`` of depth k stores
     p(t) = sum_alpha  exp(t)^a(-1) * t^a(0) * (log t)^a(1) * ... * L_k(t)^a(k) * xi_alpha
 
 with complex exponent vectors alpha = (a(-1), ..., a(k)) and coefficient
-vectors xi in C^n.  Complex powers are taken through the principal branch,
-x^a = exp(a*log x), which is why evaluation requires every ladder component
-to be strictly positive.
+vectors xi in C^n.  The sum is two arrays in canonical term order: the
+exponents ``alphas`` (K, k+2) and the coefficients ``xis`` (K, n).  Every
+operator below maps them to new raw arrays and canonicalizes once through
+``from_arrays``.
+
+Complex powers are taken through the principal branch, x^a = exp(a*log x).
+With logs = ladder_eval(k, t) = (t, log t, ..., log L_k(t)) the value is
+the one product exp(alphas @ logs) @ xis, which is why evaluation requires
+every ladder component to be strictly positive.
 
 Three linear operators drive the power/log recursions:
 
@@ -19,10 +25,10 @@ Three linear operators drive the power/log recursions:
 
 from __future__ import annotations
 
-import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import scipy.linalg
@@ -46,22 +52,18 @@ __all__ = [
 TRIM_REL = 1e-13
 
 
-def max_row_norm(rows: np.ndarray) -> float:
-    """Largest Euclidean row norm of a (K, n) array; 0.0 when K = 0.
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (K, n) array.
 
     Each row is summed as ``np.linalg.norm`` sums one vector (a dot product
-    of the real parts plus one of the imaginary parts), so the result is
-    bit for bit the largest per-row norm, from one batched product per part.
+    of the real parts plus one of the imaginary parts), so every entry is
+    bit for bit that row's norm, from one batched product per part.
     """
     parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
     sq = np.zeros(rows.shape[0])
     for x in parts:
         sq += (x[:, None, :] @ x[:, :, None])[:, 0, 0]
-    return float(np.sqrt(sq.max(initial=0.0)))
-
-
-def _alpha_sort_key(alpha: tuple[complex, ...]):
-    return tuple((a.real, a.imag) for a in alpha)
+    return np.sqrt(sq)
 
 
 def exponent_in_class(alpha: Sequence[complex], m: int, mu: float, tol: float = 1e-9) -> bool:
@@ -78,11 +80,17 @@ def exponent_in_class(alpha: Sequence[complex], m: int, mu: float, tol: float = 
 
 @dataclass(frozen=True)
 class LogPowerSum:
-    """Canonical ladder-power sum; treat instances as immutable."""
+    """Canonical ladder-power sum; treat instances as immutable.
+
+    ``alphas`` (K, depth+2) holds the exponent vectors and ``xis`` (K, dim)
+    the coefficients, both complex and in canonical order; every instance
+    comes out of from_arrays.
+    """
 
     dim: int
     depth: int
-    terms: dict[tuple[complex, ...], np.ndarray] = field(default_factory=dict)
+    alphas: np.ndarray
+    xis: np.ndarray
 
     @classmethod
     def build(
@@ -128,7 +136,7 @@ class LogPowerSum:
         xis = np.asarray(xis, dtype=complex)
         count = alphas.shape[0]
         if count == 0:
-            return cls(dim=dim, depth=depth, terms={})
+            return cls(dim, depth, np.zeros((0, depth + 2), complex), np.zeros((0, dim), complex))
         # Interleaved (re, im) columns: their lexicographic order is the
         # canonical term order.
         keys = snap_array(alphas.view(float))
@@ -146,40 +154,40 @@ class LogPowerSum:
         np.add.at(acc, group[later], xis[later])
         norms = np.linalg.norm(acc, axis=1)
         keep = (norms > 0.0) & (norms >= TRIM_REL * norms.max())
-        uniq = sorted_keys[starts][keep].view(complex)
-        terms = dict(zip(map(tuple, uniq.tolist()), acc[keep]))
-        return cls(dim=dim, depth=depth, terms=terms)
+        return cls(dim, depth, sorted_keys[starts][keep].view(complex), acc[keep])
 
     @classmethod
     def zero(cls, dim: int, depth: int) -> "LogPowerSum":
         return cls.build(dim, depth, [])
 
+    def _canon(self, alphas: np.ndarray, xis: np.ndarray) -> "LogPowerSum":
+        """Canonical sum of raw terms at this sum's dim and depth."""
+        return LogPowerSum.from_arrays(self.dim, self.depth, alphas, xis)
+
     # -- queries ---------------------------------------------------------
 
     def items(self) -> list[tuple[tuple[complex, ...], np.ndarray]]:
-        return [(a, self.terms[a]) for a in sorted(self.terms, key=_alpha_sort_key)]
+        """(exponent tuple, coefficient row) pairs in canonical order."""
+        return list(zip(map(tuple, self.alphas.tolist()), self.xis))
 
     @cached_property
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponents (K, depth+2) and coefficients (K, dim) in items() order."""
-        items = self.items()
-        alphas = np.array([a for a, _ in items], dtype=complex)
-        xis = np.array([v for _, v in items], dtype=complex)
-        return alphas.reshape(len(items), self.depth + 2), xis.reshape(len(items), self.dim)
+    def terms(self) -> Mapping[tuple[complex, ...], np.ndarray]:
+        """Read-only {exponent tuple: coefficient row} view, for key lookups."""
+        return MappingProxyType(dict(self.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.alphas.shape[0] == 0
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return self.alphas.shape[0]
 
     def sup_norm(self) -> float:
         """Largest coefficient row norm over all terms."""
-        return max_row_norm(self.packed[1])
+        return float(row_norms(self.xis).max(initial=0.0))
 
     def in_class(self, m: int, mu: float, tol: float = 1e-9) -> bool:
         """Every exponent vector sits in the (m, mu) class."""
-        return all(exponent_in_class(a, m, mu, tol) for a in self.terms)
+        return all(exponent_in_class(a, m, mu, tol) for a in self.alphas.tolist())
 
     # -- algebra ---------------------------------------------------------
 
@@ -188,29 +196,24 @@ class LogPowerSum:
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
         depth = max(self.depth, other.depth)
-        raw = list(self.embed(depth).terms.items()) + list(other.embed(depth).terms.items())
-        return LogPowerSum.build(self.dim, depth, raw)
+        a, b = self.embed(depth), other.embed(depth)
+        alphas = np.concatenate([a.alphas, b.alphas])
+        return LogPowerSum.from_arrays(self.dim, depth, alphas, np.concatenate([a.xis, b.xis]))
 
     def __sub__(self, other: "LogPowerSum") -> "LogPowerSum":
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "LogPowerSum":
-        return LogPowerSum.build(
-            self.dim, self.depth, [(k, a * v) for k, v in self.terms.items()]
-        )
+        return self._canon(self.alphas, a * self.xis)
 
     def apply_matrix(self, A: np.ndarray) -> "LogPowerSum":
+        # One matrix-vector product per row, which matches A @ xi bit for
+        # bit; a single xis @ A.T does not.
         A = np.asarray(A, dtype=complex)
-        return LogPowerSum.build(
-            self.dim, self.depth, [(k, A @ v) for k, v in self.terms.items()]
-        )
+        return self._canon(self.alphas, (A @ self.xis[:, :, None])[:, :, 0])
 
     def conjugate(self) -> "LogPowerSum":
-        return LogPowerSum.build(
-            self.dim,
-            self.depth,
-            [(tuple(a.conjugate() for a in k), v.conjugate()) for k, v in self.terms.items()],
-        )
+        return self._canon(self.alphas.conj(), self.xis.conj())
 
     def embed(self, depth: int) -> "LogPowerSum":
         """Zero-pad exponent vectors up to a larger depth."""
@@ -218,10 +221,8 @@ class LogPowerSum:
             raise ValueError("cannot reduce depth by embedding")
         if depth == self.depth:
             return self
-        pad = (0j,) * (depth - self.depth)
-        return LogPowerSum.build(
-            self.dim, depth, [(k + pad, v) for k, v in self.terms.items()]
-        )
+        alphas = np.pad(self.alphas, ((0, 0), (0, depth - self.depth)))
+        return LogPowerSum.from_arrays(self.dim, depth, alphas, self.xis)
 
     def eval(self, t: float) -> np.ndarray:
         """Pointwise value; requires t above the depth+1 ladder threshold.
@@ -236,56 +237,41 @@ class LogPowerSum:
             raise ValueError(
                 f"t = {t!r} below the depth-{self.depth} evaluation threshold {gate!r}"
             )
-        point = ladder_eval(self.depth, t) if self.depth >= 0 else None
-        out = np.zeros(self.dim, dtype=complex)
-        for alpha, xi in self.terms.items():
-            w = alpha[0] * t
-            for j in range(0, self.depth + 1):
-                w = w + alpha[j + 1] * point.log_component(j)
-            out = out + cmath.exp(w) * xi
-        return out
+        return np.exp(self.alphas @ ladder_eval(self.depth, t)) @ self.xis
 
     # -- serialization ---------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        recs = []
-        for alpha, xi in self.items():
-            recs.append(
-                {
-                    "alpha": [[a.real, a.imag] for a in alpha],
-                    "xi": [[z.real, z.imag] for z in xi],
-                }
-            )
-        return recs
+        return [
+            {"alpha": [[a.real, a.imag] for a in alpha], "xi": [[z.real, z.imag] for z in xi]}
+            for alpha, xi in self.items()
+        ]
 
 
 def weight_op(j: int, p: LogPowerSum) -> LogPowerSum:
     """Multiply each term by its exponent a(j); kills terms with a(j) = 0."""
     if not -1 <= j <= p.depth:
         raise ValueError(f"component index {j} outside depth {p.depth}")
-    return LogPowerSum.build(
-        p.dim, p.depth, [(a, a[j + 1] * v) for a, v in p.terms.items()]
-    )
+    return p._canon(p.alphas, p.alphas[:, j + 1, None] * p.xis)
 
 
 def descent_op(p: LogPowerSum) -> LogPowerSum:
     """sum_{j=0}^{depth} z_0^-1 ... z_j^-1 * weight_op(j, p).
 
-    Sends the decay class (m, mu) with m = 0 into (0, mu - 1).
+    Sends the decay class (m, mu) with m = 0 into (0, mu - 1).  Raw terms
+    run term by term and, within a term, over j, skipping a(j) = 0.
     """
     if p.depth < 0:
         raise ValueError("descent needs at least the power scale (depth >= 0)")
-    raw: list[tuple[tuple[complex, ...], np.ndarray]] = []
-    for alpha, xi in p.terms.items():
-        for j in range(0, p.depth + 1):
-            aj = alpha[j + 1]
-            if aj == 0:
-                continue
-            shifted = list(alpha)
-            for i in range(0, j + 1):
-                shifted[i + 1] = shifted[i + 1] - 1
-            raw.append((tuple(shifted), aj * xi))
-    return LogPowerSum.build(p.dim, p.depth, raw)
+    k = p.depth + 1
+    # Row j lowers the exponents of components 0..j by one.
+    lower = np.zeros((k, k + 1))
+    lower[:, 1:] = np.tril(np.ones((k, k)))
+    weights = p.alphas[:, 1:]
+    live = weights != 0
+    alphas = p.alphas[:, None, :] - lower
+    xis = weights[:, :, None] * p.xis[:, None, :]
+    return p._canon(alphas[live], xis[live])
 
 
 class ShiftedInverseCache:
@@ -334,9 +320,8 @@ def shifted_inverse(
         cache = ShiftedInverseCache(A)
     if cache.A.shape[0] != p.dim:
         raise ValueError("matrix/operand dimension mismatch")
-    return LogPowerSum.build(
-        p.dim, p.depth, [(a, cache.solve(a[0], v)) for a, v in p.terms.items()]
-    )
+    solved = [cache.solve(a, v) for a, v in zip(p.alphas[:, 0].tolist(), p.xis)]
+    return p._canon(p.alphas, np.array(solved, dtype=complex).reshape(-1, p.dim))
 
 
 def time_derivative(p: LogPowerSum) -> LogPowerSum:
@@ -351,7 +336,7 @@ def mul_apply_logpower(G: MultiLinearMap, args: Sequence[LogPowerSum]) -> LogPow
     s is laid along axis s, exponent vectors add by broadcasting from left
     to right, and one ``G.batch`` call gives every coefficient.  The raw
     terms come out in ``itertools.product`` order over the arguments'
-    items(), and ``G.batch`` matches ``G(...)`` bit for bit, so the result
+    terms, and ``G.batch`` matches ``G(...)`` bit for bit, so the result
     is bit-identical to the term-by-term loop through ``build``.
     """
     if len(args) != G.arity:
@@ -363,12 +348,12 @@ def mul_apply_logpower(G: MultiLinearMap, args: Sequence[LogPowerSum]) -> LogPow
     m = len(args)
     alpha, xis = None, []
     for s, a in enumerate(args):
-        keys, coeffs = a.embed(depth).packed
+        a = a.embed(depth)
         shape = [1] * m
-        shape[s] = keys.shape[0]
-        keys = keys.reshape(shape + [depth + 2])
+        shape[s] = a.term_count()
+        keys = a.alphas.reshape(shape + [depth + 2])
         alpha = keys if alpha is None else alpha + keys
-        xis.append(coeffs.reshape(shape + [G.dim]))
+        xis.append(a.xis.reshape(shape + [G.dim]))
     xi = G.batch(*xis)
     return LogPowerSum.from_arrays(
         G.dim, depth, alpha.reshape(-1, depth + 2), xi.reshape(-1, G.dim)
@@ -382,7 +367,6 @@ def trim_small_logpower(p: LogPowerSum, scale: float, rel: float = TRIM_REL) -> 
     nothing when the whole sum is rounding dust; residual checks supply
     the scale of the data that produced the residual.
     """
-    bound = rel * scale
-    raw = [(a, v) for a, v in p.items() if float(np.linalg.norm(v)) >= bound]
-    return LogPowerSum.build(p.dim, p.depth, raw)
+    keep = row_norms(p.xis) >= rel * scale
+    return p._canon(p.alphas[keep], p.xis[keep])
 

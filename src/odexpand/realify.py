@@ -167,15 +167,16 @@ class TrigLadderSum:
             raise ValueError(
                 f"t = {t!r} below the depth-{self.depth} evaluation threshold {gate!r}"
             )
-        point = ladder_eval(self.depth, t) if self.depth >= 0 else None
+        # logs[j] = iter_log(j, t): component j's value and component j-1's log
+        logs = ladder_eval(self.depth, t).tolist()
         out = np.zeros(self.dim)
         for (alpha, factors), vec in self.terms.items():
             w = alpha[0] * t
             for j in range(0, self.depth + 1):
-                w += alpha[j + 1] * point.log_component(j)
+                w += alpha[j + 1] * logs[j + 1]
             val = math.exp(w)
             for j, omega, phase in factors:
-                x = omega * point.component(j)
+                x = omega * logs[j]
                 val *= math.cos(x) if phase == COS else math.sin(x)
             out = out + val * vec
         return out
@@ -194,7 +195,7 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
             f"sum is not conjugation-symmetric at term {witness}; no real form exists"
         )
     deepest = p.depth + 1  # tuple index of the deepest component
-    needs_lift = any(a[deepest].imag != 0.0 for a in p.terms)
+    needs_lift = bool((p.alphas[:, deepest].imag != 0.0).any())
     out_depth = p.depth + 1 if needs_lift else p.depth
     raw = []
     scale = max(p.sup_norm(), 1.0)

@@ -15,6 +15,7 @@ from odexpand.engine import _match_tol
 from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
+from odexpand.logpower import ShiftedInverseCache
 
 
 def cvec(rng, n: int) -> np.ndarray:
@@ -155,22 +156,75 @@ def build_logpower_oracle(dim: int, depth: int, raw) -> LogPowerSum:
             acc[key] = vec.copy()
     norms = {k: float(np.linalg.norm(v)) for k, v in acc.items()}
     top = max(norms.values(), default=0.0)
-    out = {
-        k: acc[k]
+    keys = [
+        k
         for k in sorted(acc, key=lambda a: tuple((z.real, z.imag) for z in a))
         if norms[k] > 0.0 and norms[k] >= LOGPOWER_TRIM_REL * top
-    }
-    return LogPowerSum(dim=dim, depth=depth, terms=out)
+    ]
+    return LogPowerSum(
+        dim,
+        depth,
+        np.array(keys, dtype=complex).reshape(len(keys), depth + 2),
+        np.array([acc[k] for k in keys], dtype=complex).reshape(len(keys), dim),
+    )
 
 
 def mul_apply_logpower_oracle(G: MultiLinearMap, args) -> LogPowerSum:
     depth = max(a.depth for a in args)
-    args = [a.embed(depth) for a in args]
+    args = [embed_oracle(a, depth) for a in args]
     raw = []
     for combo in itertools.product(*(a.items() for a in args)):
         alpha = tuple(sum(parts) for parts in zip(*(c[0] for c in combo)))
         raw.append((alpha, G(*(c[1] for c in combo))))
     return build_logpower_oracle(G.dim, depth, raw)
+
+
+# Term-by-term oracles for the array operators of LogPowerSum: the loops
+# over (exponent tuple, coefficient) pairs the package ran before its sums
+# became two arrays.  Each operator must reproduce its loop bit for bit.
+
+
+def scale_oracle(p: LogPowerSum, a: complex) -> LogPowerSum:
+    return build_logpower_oracle(p.dim, p.depth, [(k, a * v) for k, v in p.items()])
+
+
+def apply_matrix_oracle(p: LogPowerSum, A: np.ndarray) -> LogPowerSum:
+    A = np.asarray(A, dtype=complex)
+    return build_logpower_oracle(p.dim, p.depth, [(k, A @ v) for k, v in p.items()])
+
+
+def conjugate_oracle(p: LogPowerSum) -> LogPowerSum:
+    raw = [(tuple(a.conjugate() for a in k), v.conjugate()) for k, v in p.items()]
+    return build_logpower_oracle(p.dim, p.depth, raw)
+
+
+def embed_oracle(p: LogPowerSum, depth: int) -> LogPowerSum:
+    pad = (0j,) * (depth - p.depth)
+    return build_logpower_oracle(p.dim, depth, [(k + pad, v) for k, v in p.items()])
+
+
+def weight_op_oracle(j: int, p: LogPowerSum) -> LogPowerSum:
+    return build_logpower_oracle(p.dim, p.depth, [(a, a[j + 1] * v) for a, v in p.items()])
+
+
+def descent_op_oracle(p: LogPowerSum) -> LogPowerSum:
+    raw = []
+    for alpha, xi in p.items():
+        for j in range(0, p.depth + 1):
+            aj = alpha[j + 1]
+            if aj == 0:
+                continue
+            shifted = list(alpha)
+            for i in range(0, j + 1):
+                shifted[i + 1] = shifted[i + 1] - 1
+            raw.append((tuple(shifted), aj * xi))
+    return build_logpower_oracle(p.dim, p.depth, raw)
+
+
+def shifted_inverse_oracle(A: np.ndarray, p: LogPowerSum) -> LogPowerSum:
+    cache = ShiftedInverseCache(A)
+    raw = [(a, cache.solve(a[0], v)) for a, v in p.items()]
+    return build_logpower_oracle(p.dim, p.depth, raw)
 
 
 def _trim_poly_oracle(coeffs: np.ndarray):

@@ -156,6 +156,8 @@ MALFORMED_FIELDS = [
     ("certificate", "certificate.samples", "many"),
     ("certificate", "certificate.samples", 0),
     ("certificate", "certificate.probe_radius", -1),
+    # t_span is [0, 14], so no grid point falls in the window
+    ("verify", "verification.fit_window", [100, 200]),
 ]
 
 

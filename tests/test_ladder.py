@@ -1,4 +1,4 @@
-"""Iterated exponentials and logarithms, ladder points, domain gates."""
+"""Iterated exponentials and logarithms, the log-ladder evaluator, domain gates."""
 
 import math
 
@@ -57,16 +57,19 @@ def test_iter_log_inverts_iter_exp(m, t):
 
 
 def test_ladder_point_depth_one_at_e():
-    pt = ladder_eval(1, E)
-    assert pt.values == pytest.approx((E**E, E, 1.0))
-    assert pt.component(-1) == pytest.approx(E**E)
-    assert pt.component(0) == E
-    assert pt.component(1) == pytest.approx(1.0)
+    # entries are the logs of exp(t), t, ln t: t, ln t, ln ln t
+    logs = ladder_eval(1, E)
+    assert logs.shape == (3,)
+    assert logs[0] == E
+    assert logs[1] == pytest.approx(1.0)
+    assert logs[2] == pytest.approx(0.0, abs=1e-15)
+    assert np.exp(logs) == pytest.approx((E**E, E, 1.0))
 
 
 def test_ladder_point_depth_zero():
-    pt = ladder_eval(0, 3.0)
-    assert pt.values == pytest.approx((math.exp(3.0), 3.0))
+    logs = ladder_eval(0, 3.0)
+    assert logs.tolist() == [3.0, math.log(3.0)]
+    assert np.exp(logs) == pytest.approx((math.exp(3.0), 3.0))
 
 
 def test_ladder_eval_needs_positive_components():
@@ -75,25 +78,28 @@ def test_ladder_eval_needs_positive_components():
         ladder_eval(2, E)
     with pytest.raises(ValueError):
         ladder_eval(1, 1.0)
+    with pytest.raises(ValueError, match="needs a finite t"):
+        ladder_eval(0, math.inf)
+    with pytest.raises(ValueError, match="ladder depth must be >= -1"):
+        ladder_eval(-2, 1.0)
 
 
 def test_log_components_match_iter_log():
     t = 40.0
-    pt = ladder_eval(2, t)
-    for j in range(-1, 3):
-        assert pt.component(j) == pytest.approx(iter_log(j, t))
-        assert pt.log_component(j) == pytest.approx(iter_log(j + 1, t))
-    assert all(v > 0.0 for v in pt.values)
+    logs = ladder_eval(2, t)
+    assert logs.tolist() == [iter_log(j, t) for j in range(0, 4)]
+    assert all(v > 0.0 for v in logs)
 
 
 @given(st.integers(0, 2), st.floats(20.0, 5000.0))
 @settings(max_examples=60, deadline=None)
 def test_ladder_components_positive_past_gate(depth, t):
-    if not t > exp_zero(depth):
+    # past the evaluation gate exp_zero(depth + 1) even the log of the
+    # deepest component is positive
+    if not t > exp_zero(depth + 1):
         return
-    pt = ladder_eval(depth, t)
-    assert all(v > 0.0 for v in pt.values)
-    assert len(pt.values) == depth + 2
-    # components strictly decrease along the ladder once t is large
-    vals = np.array(pt.values)
-    assert np.all(np.diff(vals) < 0)
+    logs = ladder_eval(depth, t)
+    assert all(v > 0.0 for v in logs)
+    assert len(logs) == depth + 2
+    # entries strictly decrease along the ladder
+    assert np.all(np.diff(logs) < 0)

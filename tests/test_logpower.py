@@ -24,14 +24,22 @@ from odexpand.logpower import (
 )
 
 from helpers import (
+    apply_matrix_oracle,
     assert_bitwise_equal,
     build_logpower_oracle,
     coeff_distance_logpower,
+    conjugate_oracle,
     cvec,
+    descent_op_oracle,
+    embed_oracle,
     mul_apply_logpower_oracle,
+    random_alpha,
     random_logpower,
     random_matrix,
     random_multilinear,
+    scale_oracle,
+    shifted_inverse_oracle,
+    weight_op_oracle,
 )
 
 
@@ -407,3 +415,59 @@ def test_build_matches_dict_oracle_bitwise():
 def test_from_arrays_of_nothing_is_zero():
     p = LogPowerSum.from_arrays(2, 1, np.zeros((0, 3), dtype=complex), np.zeros((0, 2)))
     assert p.is_zero() and p.depth == 1 and p.dim == 2
+
+
+def _descent_chain(rng, dim: int, depth: int) -> LogPowerSum:
+    """Terms y + (0, 1, .., 1, 0, ..) with j+1 ones: each one's j-th descent lands on y."""
+    y = random_alpha(rng, depth)
+    raw = [
+        ([a + (1 <= i <= j + 1) for i, a in enumerate(y)], cvec(rng, dim))
+        for j in range(depth + 1)
+    ]
+    return LogPowerSum.build(dim, depth, raw)
+
+
+def _oracle_cases(rng, count: int):
+    """Random sums at depths 0-2.
+
+    Lattice sums share keys and zero exponents; descent chains make
+    descent_op sum three rows into one key, where the order of the sum shows.
+    """
+    for _ in range(count):
+        dim = int(rng.integers(1, 5))
+        depth = int(rng.integers(0, 3))
+        n_terms = int(rng.integers(0, 7))
+        kind = rng.random()
+        if kind < 0.4:
+            yield _lattice_logpower(rng, dim, depth, n_terms)
+        elif kind < 0.7:
+            yield random_logpower(rng, dim, depth, n_terms)
+        else:
+            yield _descent_chain(rng, dim, depth) + random_logpower(rng, dim, depth, n_terms)
+
+
+def test_array_operators_match_their_term_loops_bitwise():
+    rng = np.random.default_rng(73)
+    for p in _oracle_cases(rng, 60):
+        for a in (-1.0, 0.37, complex(*rng.standard_normal(2))):
+            assert_bitwise_equal(p.scale(a), scale_oracle(p, a))
+        assert_bitwise_equal(p.conjugate(), conjugate_oracle(p))
+        A = cvec(rng, p.dim * p.dim).reshape(p.dim, p.dim)
+        assert_bitwise_equal(p.apply_matrix(A), apply_matrix_oracle(p, A))
+        up = p.depth + int(rng.integers(1, 3))
+        assert_bitwise_equal(p.embed(up), embed_oracle(p, up))
+        for j in range(-1, p.depth + 1):
+            assert_bitwise_equal(weight_op(j, p), weight_op_oracle(j, p))
+        assert_bitwise_equal(descent_op(p), descent_op_oracle(p))
+
+
+def test_shifted_inverse_matches_its_term_loop_bitwise():
+    rng = np.random.default_rng(79)
+    for _ in range(40):
+        dim = int(rng.integers(1, 5))
+        depth = int(rng.integers(0, 3))
+        # a(-1) purely imaginary, and repeated so shifts share factorizations
+        p = random_logpower(rng, dim, depth, n_terms=int(rng.integers(0, 6)), m=0, mu=-1.0)
+        p = p + p.scale(0.5).embed(depth + 1).conjugate()
+        A = random_matrix(rng, dim)
+        assert_bitwise_equal(shifted_inverse(A, p), shifted_inverse_oracle(A, p))
