@@ -555,9 +555,11 @@ def cmd_verify(cfg: dict, args) -> int:
     all_pass = True
     columns = [("t", grid)]
     # N = 0 measures the solution itself against the first rate; it is
-    # requested by an explicit order 0 (the expansion is still built to
-    # order 1 so the target rate exists).
-    if args.order == 0 or cfg.get("expansion", {}).get("order") == 0:
+    # requested by an explicit order 0, from --order when given and from
+    # the config otherwise (the expansion is still built to order 1 so the
+    # target rate exists).
+    requested = cfg.get("expansion", {}).get("order") if args.order is None else args.order
+    if requested == 0:
         n_values = [0]
     else:
         n_values = list(range(1, expansion.order_count() + 1))

@@ -31,7 +31,6 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .expsum import snap_array, snap_scalar
 from .ladder import exp_zero, ladder_eval
@@ -275,10 +274,12 @@ def descent_op(p: LogPowerSum) -> LogPowerSum:
 
 
 class ShiftedInverseCache:
-    """LU factors of A + i*omega*I memoized per distinct imaginary shift.
+    """Checked shifted matrices A + i*omega*I, memoized per imaginary shift.
 
-    A single cache is shared across one expansion run so repeated shifts
-    cost one factorization each.
+    A single cache is shared across one expansion run.  It caches one
+    singularity check per distinct shift, not a factorization: each solve
+    is one ``np.linalg.solve`` on the cached matrix, which for the small
+    systems here costs less than reusing LU factors would.
     """
 
     def __init__(self, A: np.ndarray):
@@ -287,9 +288,9 @@ class ShiftedInverseCache:
         if self.A.shape != (n, n):
             raise ValueError("A must be square")
         self._n = n
-        self._cache: dict[complex, tuple] = {}
+        self._cache: dict[complex, np.ndarray] = {}
 
-    def _factor(self, shift: complex):
+    def _shifted(self, shift: complex) -> np.ndarray:
         hit = self._cache.get(shift)
         if hit is not None:
             return hit
@@ -300,16 +301,15 @@ class ShiftedInverseCache:
                 f"A + ({shift})I is numerically singular; "
                 "the dissipativity assumption excludes this"
             )
-        lu = scipy.linalg.lu_factor(B)
-        self._cache[shift] = lu
-        return lu
+        self._cache[shift] = B
+        return B
 
     def solve(self, alpha_m1: complex, xi: np.ndarray) -> np.ndarray:
         if abs(alpha_m1.real) > 1e-12:
             raise ValueError(
                 f"exponent a(-1) = {alpha_m1} is not purely imaginary"
             )
-        return scipy.linalg.lu_solve(self._factor(snap_scalar(alpha_m1)), xi)
+        return np.linalg.solve(self._shifted(snap_scalar(alpha_m1)), xi)
 
 
 def shifted_inverse(

@@ -13,12 +13,21 @@ orthogonal to the coefficient vectors of the homogeneous polynomial
 solutions, so the returned particular solution carries no component along
 the resonant kernel modes; those modes are returned separately so callers
 can fit their free constants against data.
+
+The non-resonant solve is the only code in the package that uses scipy
+(LAPACK getrf/getrs through ``scipy.linalg.lu_factor``/``lu_solve``), and
+it imports ``scipy.linalg`` when it runs, so runs that never reach it load
+no scipy.  It stays on scipy because exponential-mode resonant expansions
+amplify rounding differences by about 1e6 on orders >= 3: with
+``np.linalg.solve`` here, an order-5 coefficient of the benchmark's
+exp-resonant problem 015 moves by 2.8e-13 of its order's largest, against
+a 5.2e-14 bound.  The factorization stays bit for bit the same until that
+check separates the rounding pattern from the maths.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .expsum import ExpPolySum, trim_small_exp
 
@@ -36,8 +45,11 @@ SINGULAR_REL = 1e-8
 RESIDUAL_REL = 1e-10
 
 
-def _solve_nonresonant(lu_piv, p: np.ndarray) -> np.ndarray:
+def _solve_nonresonant(B: np.ndarray, p: np.ndarray) -> np.ndarray:
     """Back-substitute q_j = B^{-1}(p_j - (j+1) q_{j+1}) from the top degree."""
+    import scipy.linalg
+
+    lu_piv = scipy.linalg.lu_factor(B)
     d = p.shape[0]
     q = np.zeros_like(p)
     for j in range(d - 1, -1, -1):
@@ -162,7 +174,7 @@ def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[
         B = A + nu * np.eye(n)
         sv = np.linalg.svd(B, compute_uv=False)
         if sv[-1] > SINGULAR_REL * max(sv[0], 1.0):
-            q = _solve_nonresonant(scipy.linalg.lu_factor(B), p)
+            q = _solve_nonresonant(B, p)
         else:
             q = _solve_resonant(B, p, scale)
             modes.extend(_kernel_modes(B, nu, n))

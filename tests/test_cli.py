@@ -241,16 +241,52 @@ def test_certificate_matches_golden(tmp_path):
         assert float(g) == pytest.approx(float(w), rel=1e-9, abs=0.0), name
 
 
-def test_verify_does_not_import_scipy_integrate(tmp_path):
-    # scipy.integrate would add about 19 MB to peak RSS; the integrator is
-    # rk45.py, so neither the import nor a verify run may pull it in
-    script = (
-        "import sys\n"
-        "from odexpand.cli import main\n"
-        f"code = main(['verify', '--config', {str(CONFIGS / 'resonant.json')!r}, "
-        f"'--out', {str(tmp_path)!r}])\n"
-        "assert code == 0, code\n"
-        "assert 'scipy.integrate' not in sys.modules\n"
+def test_verify_order_option_overrides_the_config(tmp_path, capsys):
+    # an explicit --order wins over the config's order in both directions,
+    # including a config that asks for order 0
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg["verification"]["t_span"] = [10.0, 200.0]
+    for config_order, option, want in ((0, "2", [1, 2]), (2, "0", [0]), (0, None, [0])):
+        cfg["expansion"]["order"] = config_order
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        extra = [] if option is None else ["--order", option]
+        code = main(["verify", "--config", str(path), "--out", str(tmp_path / "out")] + extra)
+        verdicts, _, _ = _verify_results(capsys.readouterr().out)
+        assert code == 0
+        assert [n for n, _ in verdicts] == want, (config_order, option)
+
+
+# Modules a fresh interpreter must not load, per run: the power/log path
+# and the certificate load no scipy at all; the exponential resolvent
+# imports scipy.linalg, but nothing may pull in scipy.integrate (about
+# 19 MB of peak RSS; the integrator is rk45.py).
+IMPORT_CASES = {
+    "import": (None, None, "scipy"),
+    "expand-riccati": ("expand", "riccati", "scipy"),
+    "expand-oscillatory_log": ("expand", "oscillatory_log", "scipy"),
+    "realify-riccati": ("realify", "riccati", "scipy"),
+    "realify-oscillatory_log": ("realify", "oscillatory_log", "scipy"),
+    "verify-riccati_t1000": ("verify", "riccati_t1000", "scipy"),
+    "certificate": ("certificate", "certificate", "scipy"),
+    "verify-resonant": ("verify", "resonant", "scipy.integrate"),
+}
+
+
+@pytest.mark.parametrize("name", list(IMPORT_CASES))
+def test_run_does_not_import(name, tmp_path):
+    command, config, forbidden = IMPORT_CASES[name]
+    script = "import sys\nimport odexpand\n"
+    if command is not None:
+        path = _riccati_t1000(tmp_path) if config == "riccati_t1000" else CONFIGS / f"{config}.json"
+        script += (
+            "from odexpand.cli import main\n"
+            f"code = main([{command!r}, '--config', {str(path)!r}, '--out', {str(tmp_path)!r}])\n"
+            "assert code == 0, code\n"
+        )
+    script += (
+        f"loaded = [m for m in sys.modules if m == {forbidden!r} or m.startswith({forbidden + '.'!r})]\n"
+        "assert not loaded, loaded\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from odexpand import (
     LogPowerSum,
@@ -17,6 +18,7 @@ from odexpand import (
     time_derivative,
     weight_op,
 )
+from odexpand.expsum import EXPONENT_GRID, snap_float, snap_scalar
 from odexpand.logpower import (
     exponent_in_class,
     mul_apply_logpower,
@@ -183,6 +185,10 @@ def test_shift_cache_singular_matrix():
     cache = ShiftedInverseCache(np.array([[0.0]]))
     with pytest.raises(ValueError, match="numerically singular"):
         cache.solve(0.0, np.array([1.0 + 0j]))
+    # a nonzero imaginary shift onto the spectrum of -A
+    cache = ShiftedInverseCache(np.diag([1.0, 2j]))
+    with pytest.raises(ValueError, match="numerically singular"):
+        cache.solve(-2j, np.array([1.0 + 0j, 1.0]))
 
 
 def test_shift_cache_reuses_factorizations():
@@ -194,6 +200,25 @@ def test_shift_cache_reuses_factorizations():
     second = cache.solve(2j, xi)
     np.testing.assert_array_equal(first, second)
     np.testing.assert_allclose((A + 2j * np.eye(3)) @ first, xi, rtol=1e-11)
+
+
+def test_shift_cache_solve_matches_lapack_lu():
+    # scipy's getrf/getrs as the reference; shifts a fraction of the exponent
+    # grid apart snap to one shift and must solve against the same matrix
+    rng = np.random.default_rng(83)
+    for _ in range(200):
+        n = int(rng.integers(1, 5))
+        A = random_matrix(rng, n)
+        cache = ShiftedInverseCache(A)
+        omega = snap_float(rng.uniform(-3.0, 3.0))
+        for shift in (1j * omega, 1j * rng.uniform(-3.0, 3.0)):
+            xi = cvec(rng, n)
+            B = A + snap_scalar(shift) * np.eye(n)
+            want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), xi)
+            got = cache.solve(shift, xi)
+            assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        near = 1j * (omega + 0.3 * EXPONENT_GRID)
+        np.testing.assert_array_equal(cache.solve(near, xi), cache.solve(1j * omega, xi))
 
 
 def test_embed_pads_with_zero_exponents():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 
-from odexpand.numerics import decay_envelope_constant, matrix_exp_norm
+from odexpand.numerics import _kronecker_directions, decay_envelope_constant, matrix_exp_norm
 
 MATRICES = {
     # Lower triangular with distinct eigenvalues, like a permuted resonant system.
@@ -39,3 +40,20 @@ def test_decay_envelope_constant_matches_scipy(name):
 def test_matrix_exp_norm_empty_grid_and_zero_matrix():
     assert matrix_exp_norm(np.eye(3), []).shape == (0,)
     np.testing.assert_array_equal(matrix_exp_norm(np.zeros((3, 3)), [0.0, 5.0]), [1.0, 1.0])
+
+
+@pytest.mark.parametrize("dim2", [2, 6])
+def test_kronecker_directions_match_the_ndtri_formula(dim2):
+    # the same Kronecker points pushed through scipy's normal quantile
+    phi = 1.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim2 + 1))
+    alphas = np.array([(1.0 / phi) ** (j + 1) % 1.0 for j in range(dim2)])
+    k = np.arange(1, 1025).reshape(-1, 1)
+    u = np.clip((0.5 + k * alphas) % 1.0, 1e-12, 1.0 - 1e-12)
+    g = scipy.special.ndtri(u)
+    want = g / np.linalg.norm(g, axis=1, keepdims=True)
+    got = _kronecker_directions(dim2, 1024)
+    # rows are unit vectors, so the absolute bound is relative to each row
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(np.linalg.norm(got, axis=1), 1.0, rtol=0, atol=4e-16)
