@@ -294,6 +294,10 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Printed term vectors drop parts below this fraction of the vector's norm.
+PRINT_DUST_REL = 1e-13
+
+
 def _fmt_complex(z: complex) -> str:
     z = complex(z)
     if z.imag == 0:
@@ -321,7 +325,14 @@ def _slot_name(j: int) -> str:
 
 
 def _vec_str(vec) -> str:
-    vals = [_fmt_complex(v) for v in np.atleast_1d(vec)]
+    # Real and imaginary parts below PRINT_DUST_REL of the vector's norm are
+    # rounding dust: printed, they would change with every last-bit change
+    # of a solve.  The output files keep every digit.
+    vec = np.atleast_1d(np.asarray(vec, dtype=complex))
+    tol = PRINT_DUST_REL * np.linalg.norm(vec)
+    re = np.where(abs(vec.real) < tol, 0.0, vec.real)
+    im = np.where(abs(vec.imag) < tol, 0.0, vec.imag)
+    vals = [_fmt_complex(complex(r, i)) for r, i in zip(re, im)]
     if len(vals) == 1:
         return vals[0]
     return "(" + ",".join(vals) + ")"

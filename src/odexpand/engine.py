@@ -5,8 +5,11 @@ finitely many decay rates, the engine realizes the semigroup of reachable
 rates (the exponent ladder) and builds one term per rate, in increasing
 order.  Every mode runs the same loop: the right-hand side at rate mu is the
 interactions of earlier terms that land on mu, plus the forcing there, and
-the term solves one linear problem at that rate.  Only the term type and
-that solve depend on the mode:
+the term solves one linear problem at that rate.  The interactions are a sum
+over multisets of earlier rates that add up to mu.  Power and log mode apply
+each map's symmetrization once per multiset; exponential mode still applies
+the map once per distinct ordering of the multiset.  Otherwise only the term
+type and the solve depend on the mode:
 
     exponential mode: ExpPolySums, solved through the resolvent, which also
                       returns the resonant kernel modes;
@@ -302,25 +305,35 @@ def _ordered_tuples(parts: tuple[float, ...]):
     return sorted(set(itertools.permutations(parts)))
 
 
-def _interaction_sum(spec: ProblemSpec, mus, terms, k: int, mul_apply):
-    """Sum of all nonlinear interactions that land on rate mus[k]."""
-    mu_k = mus[k]
-    arities = sorted({G.arity for G in spec.maps})
+def _interaction_sum(spec: ProblemSpec, mus, terms, k: int):
+    """Sum of all nonlinear interactions that land on rate mus[k].
+
+    One entry per multiset of earlier rates summing to mus[k] and map of
+    that arity.  G is multilinear, so the sum of G over the distinct
+    orderings of a multiset is G.symmetrized on any one ordering,
+    weighted by 1 / (product of the multiplicity factorials).
+    """
     contributions = []
-    if arities:
-        max_arity = max(arities)
-        decomps = _decompose_values(mus[:k], mu_k, max_arity)
-        for parts in decomps:
-            m = len(parts)
-            maps_m = [G for G in spec.maps if G.arity == m]
-            if not maps_m:
-                continue
-            for ordered in _ordered_tuples(parts):
-                args = [terms[_value_index(mus[:k], v)] for v in ordered]
-                if any(a.is_zero() for a in args):
-                    continue
-                for G in maps_m:
-                    contributions.append(mul_apply(G, args))
+    max_arity = max((G.arity for G in spec.maps), default=0)
+    for parts in _decompose_values(mus[:k], mus[k], max_arity):
+        maps_m = [G for G in spec.maps if G.arity == len(parts)]
+        args = {v: terms[_value_index(mus[:k], v)] for v in parts}
+        if not maps_m or any(a.is_zero() for a in args.values()):
+            continue
+        if spec.mode == "exponential":
+            # Per ordering: exponential mode amplifies ulp-level reorderings
+            # past the output tolerance (ROADMAP item 2).
+            contributions += [
+                mul_apply_exp(G, [args[v] for v in ordered])
+                for ordered in _ordered_tuples(parts)
+                for G in maps_m
+            ]
+            continue
+        weight = 1.0 / math.prod(math.factorial(parts.count(v)) for v in args)
+        contributions += [
+            mul_apply_logpower(G.symmetrized, [args[v] for v in parts], weight)
+            for G in maps_m
+        ]
     return contributions
 
 
@@ -397,8 +410,7 @@ def _rate_rhs(spec: ProblemSpec, mus, terms, k: int):
     mode) minus the descent of the term one unit below, summed in that order
     onto the zero at the deepest depth of the terms before k.
     """
-    mul_apply = mul_apply_exp if spec.mode == "exponential" else mul_apply_logpower
-    pieces = _interaction_sum(spec, mus, terms, k, mul_apply)
+    pieces = _interaction_sum(spec, mus, terms, k)
     f_k = _forcing_at(spec, mus[k])
     if f_k is not None:
         pieces.append(f_k)

@@ -329,15 +329,19 @@ def time_derivative(p: LogPowerSum) -> LogPowerSum:
     return weight_op(-1, p) + descent_op(p)
 
 
-def mul_apply_logpower(G: MultiLinearMap, args: Sequence[LogPowerSum]) -> LogPowerSum:
+def mul_apply_logpower(
+    G: MultiLinearMap, args: Sequence[LogPowerSum], weight: float = 1.0
+) -> LogPowerSum:
     """Push m LogPowerSums through an m-linear map (exponent vectors add).
 
     Every combination of one term per argument is formed at once: argument
     s is laid along axis s, exponent vectors add by broadcasting from left
     to right, and one ``G.batch`` call gives every coefficient.  The raw
     terms come out in ``itertools.product`` order over the arguments'
-    terms, and ``G.batch`` matches ``G(...)`` bit for bit, so the result
-    is bit-identical to the term-by-term loop through ``build``.
+    terms, and ``G.batch`` matches ``G(...)`` bit for bit, so with weight 1
+    the result is bit-identical to the term-by-term loop through ``build``.
+    Any other weight multiplies the raw coefficients before they are
+    canonicalized.
     """
     if len(args) != G.arity:
         raise ValueError(f"map arity {G.arity} != argument count {len(args)}")
@@ -355,6 +359,8 @@ def mul_apply_logpower(G: MultiLinearMap, args: Sequence[LogPowerSum]) -> LogPow
         alpha = keys if alpha is None else alpha + keys
         xis.append(a.xis.reshape(shape + [G.dim]))
     xi = G.batch(*xis)
+    if weight != 1.0:
+        xi *= weight
     return LogPowerSum.from_arrays(
         G.dim, depth, alpha.reshape(-1, depth + 2), xi.reshape(-1, G.dim)
     )

@@ -2,8 +2,12 @@
 
 A degree-m term of the nonlinearity is an m-linear map given by a sparse
 entry table: ``value * x1[j1] * ... * xm[jm]`` accumulated into output row
-``i``.  No symmetry is assumed; the expansion engine sums over ordered
-argument tuples, so asymmetric maps are handled as written.
+``i``.  No symmetry is assumed.  The ODE right-hand side applies a map as
+written.  In power and log mode the expansion engine sums interactions over
+multisets of earlier terms: it applies ``symmetrized``, the sum of the
+map over every slot permutation, once per multiset and weights it by the
+multiset's share of orderings, so asymmetric maps need no special case.
+Exponential mode still sums ``G`` over every distinct ordering.
 
 Two evaluators share the entry table.  ``__call__`` applies the map to
 single vectors; the ODE right-hand side calls it on every evaluation,
@@ -20,7 +24,9 @@ resonant recursion amplifies such bits far past the output tolerance.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +108,23 @@ class MultiLinearMap:
             out_re[..., i] += pr
             out_im[..., i] += pi
         return out
+
+    @cached_property
+    def symmetrized(self) -> "MultiLinearMap":
+        """G_s = sum over every slot permutation sigma of G composed with sigma.
+
+        G_s is symmetric, and for a multiset of arguments the sum of G over
+        its distinct orderings equals (orderings / arity!) * G_s.  Built once
+        per map: every entry under every permutation, with the permuted
+        slots that coincide merged by the constructor.
+        """
+        perms = list(itertools.permutations(range(self.arity)))
+        entries = tuple(
+            (out, tuple(ins[s] for s in perm), val)
+            for out, ins, val in self.entries
+            for perm in perms
+        )
+        return MultiLinearMap(self.arity, self.dim, entries)
 
     def is_real(self, tol: float = 0.0) -> bool:
         """True when every entry value has |imag| <= tol."""

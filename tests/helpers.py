@@ -6,16 +6,32 @@ and failures replay deterministically.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 
 from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap
-from odexpand.engine import _match_tol
+from odexpand.engine import _decompose_values, _match_tol, _ordered_tuples, _value_index
 from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
-from odexpand.expsum import snap_scalar
+from odexpand.expsum import mul_apply_exp, snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
-from odexpand.logpower import ShiftedInverseCache
+from odexpand.logpower import ShiftedInverseCache, mul_apply_logpower
+
+
+def bench_module(name: str):
+    """bench/<name>.py, loaded from its file once (bench/ is not a package)."""
+    key = f"bench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parent.parent / "bench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        module = importlib.util.module_from_spec(spec)
+        # dataclasses look their module up in sys.modules
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]
 
 
 def cvec(rng, n: int) -> np.ndarray:
@@ -270,6 +286,26 @@ def mul_apply_exp_oracle(G: MultiLinearMap, args) -> ExpPolySum:
             out[sum(idx)] += G(*(polys[slot][j] for slot, j in enumerate(idx)))
         raw.append((nu, out))
     return build_exp_oracle(G.dim, raw)
+
+
+def interaction_sum_oracle(spec, mus, terms, k: int):
+    """The interactions landing on mus[k], one map call per distinct ordering.
+
+    The engine's sum before it symmetrized power/log-mode maps: every
+    multiset of earlier rates that adds up to mus[k], every distinct ordering
+    of it, and every map of that arity, each applied as written.
+    """
+    mul_apply = mul_apply_exp if spec.mode == "exponential" else mul_apply_logpower
+    contributions = []
+    max_arity = max((G.arity for G in spec.maps), default=0)
+    for parts in _decompose_values(mus[:k], mus[k], max_arity):
+        maps_m = [G for G in spec.maps if G.arity == len(parts)]
+        for ordered in _ordered_tuples(parts):
+            args = [terms[_value_index(mus[:k], v)] for v in ordered]
+            if any(a.is_zero() for a in args):
+                continue
+            contributions += [mul_apply(G, args) for G in maps_m]
+    return contributions
 
 
 def assert_bitwise_equal(p, q) -> None:

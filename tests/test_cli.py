@@ -21,6 +21,8 @@ import pytest
 from odexpand import cli
 from odexpand.cli import main
 
+from helpers import bench_module
+
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COEFF_REL = 1e-13
@@ -72,6 +74,26 @@ def test_expand_matches_golden(name, tmp_path, capsys):
     got = json.loads((tmp_path / "expansion.json").read_text())
     want = json.loads((GOLDEN / f"{name}.expansion.json").read_text())
     _assert_matches_golden(got, want)
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_expand_prints_no_rounding_dust(tmp_path, capsys):
+    # power-expand-000's order-4 t^-4 term is real; its imaginary parts are
+    # rounding dust near 1e-18 and print as nothing
+    config = tmp_path / "power-expand-000.json"
+    config.write_text(bench_module("workloads").problem("power-expand", 0).config_text())
+    assert main(["expand", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    line = next(l for l in capsys.readouterr().out.splitlines() if l.startswith("    4  rate"))
+    assert " + (-0.0834422,-1.56875,-0.426768)·t^-4 + " in line
+
+
+def test_printed_vectors_drop_parts_below_the_dust_line():
+    assert cli._vec_str(np.array([-0.0834422 + 9.26952e-20j])) == "-0.0834422"
+    assert cli._vec_str(np.array([1.0, 3e-14j, 2e-13j])) == "(1,0,2e-13i)"
+    assert cli._vec_str(np.array([1.0 + 2e-13j, 1.5e-13])) == "((1+2e-13i),1.5e-13)"
+    assert cli._vec_str(np.zeros(2, dtype=complex)) == "(0,0)"
+    # exponents and fitted constants are printed in full
+    assert cli._fmt_complex(1.0 + 1e-20j) == "(1+1e-20i)"
 
 
 def test_golden_comparison_rejects_a_perturbed_coefficient():

@@ -20,13 +20,16 @@ from odexpand import (
     symbolic_defect,
     with_kernel_fit,
 )
+from odexpand import engine
 from odexpand.cli import build_problem, load_config
 from odexpand.engine import _decompose_values
 
 from helpers import (
     assert_bitwise_equal,
+    bench_module,
     coeff_distance_exp,
     coeff_distance_logpower,
+    interaction_sum_oracle,
     rates_upto,
 )
 
@@ -306,6 +309,82 @@ def test_extend_matches_a_direct_expansion_bitwise(name):
         assert len(got.kernel) == len(want.kernel)
         for g, w in zip(got.kernel, want.kernel):
             assert_bitwise_equal(g, w)
+
+
+# ---------------------------------------------------------------------------
+# the interaction sum: one symmetrized map call per multiset in power/log mode
+
+
+def _spec(case: str) -> ProblemSpec:
+    """A shipped config by name, or a benchmark pool problem as 'workload:index'."""
+    if ":" in case:
+        workload, index = case.split(":")
+        return build_problem(bench_module("workloads").problem(workload, int(index)).config)
+    return build_problem(load_config(CONFIGS / f"{case}.json"))
+
+
+def _expand_per_ordering(monkeypatch, spec, order):
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_interaction_sum", interaction_sum_oracle)
+        return expand(spec, order)
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+@pytest.mark.parametrize(
+    "case, order",
+    [("power-expand:0", 12), ("power-expand:3", 12), ("power-expand:15", 12), ("oscillatory_log", 7)],
+)
+def test_symmetrized_interactions_match_the_per_ordering_sum(case, order, monkeypatch):
+    spec = _spec(case)
+    assert spec.mode in ("power", "log")
+    got = expand(spec, order)
+    want = _expand_per_ordering(monkeypatch, spec, order)
+    assert got.rates == want.rates
+    for g, w in zip(got.orders, want.orders):
+        scale = float(abs(w.term.xis).max(initial=0.0))
+        assert coeff_distance_logpower(g.term, w.term) <= 1e-13 * scale
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_symmetrized_scalar_square_is_bit_identical(monkeypatch):
+    # riccati's y^2: the symmetrized map is 2 and the (a, a) weight 1/2, both
+    # exact, and with a unit coefficient the two orderings of (a, b) round
+    # alike, so the multiset sum reproduces the per-ordering sum bit for bit
+    spec = _spec("riccati")
+    got = expand(spec, 12)
+    want = _expand_per_ordering(monkeypatch, spec, 12)
+    for g, w in zip(got.orders, want.orders):
+        assert_bitwise_equal(g.term, w.term)
+
+
+def _count_mul_apply(monkeypatch) -> dict[str, int]:
+    counts = {"mul_apply_logpower": 0, "mul_apply_exp": 0}
+    for name in counts:
+        def counted(*args, _name=name, _inner=getattr(engine, name), **kwargs):
+            counts[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, counted)
+    return counts
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_power_mode_applies_each_map_once_per_multiset(monkeypatch):
+    counts = _count_mul_apply(monkeypatch)
+    expand(_spec("power-expand:0"), 10)
+    # one call per (multiset, map) pair with nonzero arguments; one call per
+    # ordering made 165
+    assert counts == {"mul_apply_logpower": 56, "mul_apply_exp": 0}
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_exponential_mode_applies_each_map_once_per_ordering(monkeypatch):
+    # rates 1..6 and one quadratic map: 9 multisets, 15 orderings.  The
+    # exponential-mode check pins one rounding pattern, so this mode keeps
+    # summing over orderings
+    counts = _count_mul_apply(monkeypatch)
+    expand(_spec("resonant"), 6)
+    assert counts == {"mul_apply_logpower": 0, "mul_apply_exp": 15}
 
 
 def test_with_kernel_fit_attaches_coefficients():

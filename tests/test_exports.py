@@ -1,13 +1,13 @@
 """Every exported name resolves, so deleting code cannot leave a stale export."""
 
 import importlib
-import importlib.util
 import pkgutil
-from pathlib import Path
 
 import pytest
 
 import odexpand
+
+from helpers import bench_module
 
 MODULES = sorted(
     m.name for m in pkgutil.iter_modules(odexpand.__path__, "odexpand.") if m.name != "odexpand.__main__"
@@ -23,19 +23,10 @@ def test_every_name_in_all_resolves(name):
     assert missing == []
 
 
-def _bench_spans():
-    """bench/spans.py, loaded from its file (bench/ is not a package)."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_traced_name_resolves():
     # The benchmark's --trace wraps package functions by (module, attribute
     # path); a rename would otherwise only surface in a traced run.
-    spans = _bench_spans()
+    spans = bench_module("spans")
     targets = [(module, path) for _, module, path, _ in spans.TARGETS] + [spans.RHS_FACTORY]
     missing = []
     for module, path in targets:

@@ -1,7 +1,12 @@
 """Sparse symmetric-use multilinear maps."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from odexpand import MultiLinearMap
 
@@ -166,3 +171,91 @@ def test_batch_validates_arguments():
         G.batch(np.ones((3, 1), dtype=complex))
     with pytest.raises(ValueError):
         G.batch(np.ones((3, 2), dtype=complex), np.ones((3, 2), dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# symmetrization
+
+# Zero or of moderate size, so that no product of up to three factors leaves
+# the normal range, where relative rounding bounds stop holding.
+_magnitude = st.floats(1e-3, 2.0)
+_part = st.one_of(st.just(0.0), _magnitude, _magnitude.map(lambda x: -x))
+_value = st.builds(complex, _part, _part)
+
+
+@st.composite
+def _map_and_vectors(draw):
+    """An m-linear map with an arbitrary (in general asymmetric) entry table,
+    and m argument vectors."""
+    arity, dim = draw(st.integers(2, 3)), draw(st.integers(1, 4))
+    index = st.integers(0, dim - 1)
+    entry = st.tuples(index, st.tuples(*[index] * arity), _value)
+    entries = draw(st.lists(entry, min_size=1, max_size=8))
+    vectors = [np.array(draw(st.lists(_value, min_size=dim, max_size=dim))) for _ in range(arity)]
+    return MultiLinearMap(arity, dim, tuple(entries)), vectors
+
+
+def _abs_apply(G: MultiLinearMap, args) -> float:
+    """Largest component of |G|(|x1|, ..., |xm|): the scale rounding errors of
+    G(x1, ..., xm) are relative to."""
+    absolute = MultiLinearMap(G.arity, G.dim, tuple((o, ins, abs(v)) for o, ins, v in G.entries))
+    return float(absolute(*(abs(x) for x in args)).real.max())
+
+
+@given(_map_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_symmetrized_map_ignores_argument_order(case):
+    G, xs = case
+    Gs = G.symmetrized
+    want = Gs(*xs)
+    perms = list(itertools.permutations(range(G.arity)))
+    scale = sum(_abs_apply(G, [xs[p] for p in perm]) for perm in perms)
+    for perm in perms:
+        assert abs(Gs(*(xs[p] for p in perm)) - want).max() <= 1e-14 * scale
+
+
+@given(_map_and_vectors(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ordering_sum_is_the_weighted_symmetrized_map(case, data):
+    # a multiset of the drawn vectors: (a, a), (a, b), (a, a, a), (a, a, b), ...
+    G, xs = case
+    m = G.arity
+    picks = tuple(sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))))
+    orderings = set(itertools.permutations(picks))
+    per_ordering = sum(G(*(xs[i] for i in ordered)) for ordered in orderings)
+    weighted = len(orderings) / math.factorial(m) * G.symmetrized(*(xs[i] for i in picks))
+    scale = sum(_abs_apply(G, [xs[i] for i in ordered]) for ordered in orderings)
+    assert abs(per_ordering - weighted).max() <= 1e-15 * scale
+
+
+@given(_map_and_vectors())
+@settings(max_examples=100, deadline=None)
+def test_symmetrizing_a_symmetric_map_multiplies_it_by_arity_factorial(case):
+    G, _ = case
+    # every entry under each of its distinct slot permutations, same value
+    S = MultiLinearMap(
+        G.arity,
+        G.dim,
+        tuple((o, p, v) for o, ins, v in G.entries for p in set(itertools.permutations(ins))),
+    )
+    factor = math.factorial(G.arity)
+    got = {(o, ins): v for o, ins, v in S.symmetrized.entries}
+    want = {(o, ins): factor * v for o, ins, v in S.entries}
+    assert got.keys() == want.keys()
+    for key, v in want.items():
+        assert abs(got[key] - v) <= 1e-15 * abs(v)
+
+
+@pytest.mark.parametrize("arity, dim", [(2, 1), (3, 4)])
+def test_symmetrized_empty_map_stays_empty(arity, dim):
+    assert MultiLinearMap(arity, dim).symmetrized.entries == ()
+
+
+def test_symmetrized_scalar_power_is_exact_and_computed_once():
+    for m in (2, 3):
+        G = MultiLinearMap.scalar_power(m)
+        assert G.symmetrized.entries == ((0, (0,) * m, complex(math.factorial(m))),)
+        assert G.symmetrized is G.symmetrized
+    # the worked quadratic case: x0*x1 gains its mirror image
+    G = MultiLinearMap(2, 2, ((0, (0, 1), 1.0), (1, (1, 1), 3.0)))
+    assert G.symmetrized.entries == ((0, (0, 1), 1.0), (0, (1, 0), 1.0), (1, (1, 1), 6.0))
