@@ -399,7 +399,7 @@ def _arity_cap_warning(spec: ProblemSpec, mus) -> None:
             f"nonlinearity degrees up to {need}; degrees above {max_arity} "
             "are taken to be absent from the system",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of expand / extend
         )
 
 

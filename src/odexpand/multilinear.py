@@ -14,23 +14,48 @@ single vectors; the ODE right-hand side calls it on every evaluation,
 where per-call numpy overhead would cost more than the loop.  ``batch``
 broadcasts over leading axes, so one call covers every term combination
 of a symbolic product: pass ``(K0, 1, dim)`` and ``(1, K1, dim)`` for the
-outer product, or equal shapes for row-wise products.  ``batch`` is
-bit-identical to ``__call__`` row by row: it multiplies in explicit
-float64 real/imaginary parts, in the order of Python's complex product,
-and accumulates entries in entry order.  numpy's vectorised complex
-multiply rounds differently in the last bit, and the exponential-mode
-resonant recursion amplifies such bits far past the output tolerance.
+outer product, or equal shapes for row-wise products.
+
+``batch`` works slot by slot over the entry table (``table``): for each
+slot it gathers the real and imaginary parts of every entry's input
+component at once, as ``(..., E)`` arrays, and advances every entry's
+running product by one factor.  It then adds each entry's product into
+its output row, one entry at a time in entry order, starting from zeros.
+So a call costs about 6 numpy operations per slot and chunk plus 2 per
+entry, where a loop over entries costs 6 per slot for every entry.  The
+entries go in chunks of about ``_BLOCK`` row x entry products, so the
+``(..., E)`` temporaries stay small.  On the largest stacks of
+exponential mode a chunk is one entry, the loop over entries again: there
+the arithmetic outweighs the per-call overhead, and one entry at a time
+keeps numpy's inner loops long.
+
+``batch`` is bit-identical to ``__call__`` row by row.  Every product is
+the float64 real/imaginary expansion of Python's complex product, in the
+same order, and every output sum adds the same terms in the same order:
+gathering and chunking only regroup independent operations.  Neither
+numpy's vectorised complex multiply nor ``np.add.reduce`` (pairwise
+summation) would keep that.  Both round differently in the last bit, and
+the exponential-mode resonant recursion amplifies such bits far past the
+output tolerance.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 __all__ = ["MultiLinearMap"]
+
+# Row x entry products per entry chunk of ``batch``: each float64
+# temporary of a chunk stays near 128 kB.  Exponential mode sends stacks of
+# up to ~17k rows through maps of 6 entries; unchunked, their
+# (rows, entries) temporaries would raise the process's peak memory by
+# megabytes.
+_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -87,6 +112,13 @@ class MultiLinearMap:
         Each argument has shape ``(..., dim)``; the result has the broadcast
         leading shape followed by ``dim``, and every row equals ``__call__``
         on the matching argument rows bit for bit.
+
+        The entry table is walked in chunks of about ``_BLOCK`` row x entry
+        products, or one entry where its rows alone hold more.  In a chunk,
+        slot s gathers ``x_s[..., ins[:, s]]`` once for all its entries, and
+        entry e's product is then added into ``out[..., outs[e]]``.  Chunks
+        and entries go in table order, so each output sum has the terms and
+        the order of ``__call__``.
         """
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
@@ -95,19 +127,34 @@ class MultiLinearMap:
             if a.ndim < 1 or a.shape[-1] != self.dim:
                 raise ValueError(f"argument trailing axis must have length {self.dim}")
         lead = np.broadcast_shapes(*(a.shape[:-1] for a in args))
-        parts = [(a.real, a.imag) for a in args]
         out = np.zeros(lead + (self.dim,), dtype=complex)
         out_re, out_im = out.real, out.imag
-        for i, ins, val in self.entries:
-            # (pr + i*pi) * (xr + i*xi), written out as Python's complex
-            # product computes it.
-            pr, pi = val.real, val.imag
-            for (re, im), j in zip(parts, ins):
-                xr, xi = re[..., j], im[..., j]
-                pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
-            out_re[..., i] += pr
-            out_im[..., i] += pi
+        outs, ins, vals = self.table
+        chunk = max(1, _BLOCK // max(1, math.prod(lead)))
+        for lo in range(0, len(outs), chunk):
+            sel = slice(lo, lo + chunk)
+            pr, pi = vals.real[sel], vals.imag[sel]
+            for a, j in zip(args, ins[sel].T):
+                xr, xi = a.real[..., j], a.imag[..., j]
+                re = pr * xr
+                re -= pi * xi
+                im = pr * xi
+                im += pi * xr
+                pr, pi = re, im
+            for e, i in enumerate(outs[sel]):
+                out_re[..., i] += pr[..., e]
+                out_im[..., i] += pi[..., e]
         return out
+
+    @cached_property
+    def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries as arrays, built once per map: output rows ``outs``
+        (E,) and input indices ``ins`` (E, arity) as intp, values ``vals``
+        (E,) complex."""
+        outs = np.array([i for i, _, _ in self.entries], dtype=np.intp)
+        ins = np.array([j for _, j, _ in self.entries], dtype=np.intp).reshape(-1, self.arity)
+        vals = np.array([v for _, _, v in self.entries], dtype=complex)
+        return outs, ins, vals
 
     @cached_property
     def symmetrized(self) -> "MultiLinearMap":

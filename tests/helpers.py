@@ -128,6 +128,30 @@ def dense_apply(G: MultiLinearMap, args) -> np.ndarray:
     return out
 
 
+def batch_oracle(G: MultiLinearMap, *args: np.ndarray) -> np.ndarray:
+    """``G.batch`` as a loop over the entry table, one entry at a time.
+
+    Each entry's product runs slot by slot in float64 real/imaginary parts,
+    in the order of Python's complex product, over the whole broadcast
+    stack, and is then added into its output row.  This is how ``batch``
+    worked before it gathered each slot over every entry at once; the two
+    must agree bit for bit.
+    """
+    args = [np.asarray(a, dtype=complex) for a in args]
+    lead = np.broadcast_shapes(*(a.shape[:-1] for a in args))
+    parts = [(a.real, a.imag) for a in args]
+    out = np.zeros(lead + (G.dim,), dtype=complex)
+    out_re, out_im = out.real, out.imag
+    for i, ins, val in G.entries:
+        pr, pi = val.real, val.imag
+        for (re, im), j in zip(parts, ins):
+            xr, xi = re[..., j], im[..., j]
+            pr, pi = pr * xr - pi * xi, pr * xi + pi * xr
+        out_re[..., i] += pr
+        out_im[..., i] += pi
+    return out
+
+
 def eval_expsum_oracle(s: ExpPolySum, t: float) -> np.ndarray:
     """Pointwise evaluation without Horner or any ExpPolySum code path."""
     out = np.zeros(s.dim, dtype=complex)

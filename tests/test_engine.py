@@ -26,6 +26,7 @@ from odexpand.engine import _decompose_values
 
 from helpers import (
     assert_bitwise_equal,
+    batch_oracle,
     bench_module,
     coeff_distance_exp,
     coeff_distance_logpower,
@@ -357,6 +358,33 @@ def test_symmetrized_scalar_square_is_bit_identical(monkeypatch):
         assert_bitwise_equal(g.term, w.term)
 
 
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+@pytest.mark.parametrize(
+    "case, order",
+    [
+        ("exp-resonant:0", 7),
+        ("exp-resonant:3", 7),
+        ("exp-resonant:15", 7),
+        ("resonant", None),
+        ("power-expand:0", 10),
+    ],
+)
+def test_expansion_is_bit_identical_under_the_per_entry_batch_oracle(case, order, monkeypatch):
+    # the exponential-mode resonant recursion amplifies last-bit changes, so
+    # the slot-wise kernel must not move a single bit of any order
+    spec = _spec(case)
+    got = expand(spec, order)
+    with monkeypatch.context() as m:
+        m.setattr(MultiLinearMap, "batch", batch_oracle)
+        want = expand(spec, order)
+    assert got.rates == want.rates
+    for g, w in zip(got.orders, want.orders):
+        assert_bitwise_equal(g.term, w.term)
+        assert len(g.kernel) == len(w.kernel)
+        for gk, wk in zip(g.kernel, w.kernel):
+            assert_bitwise_equal(gk, wk)
+
+
 def _count_mul_apply(monkeypatch) -> dict[str, int]:
     counts = {"mul_apply_logpower": 0, "mul_apply_exp": 0}
     for name in counts:
@@ -385,6 +413,16 @@ def test_exponential_mode_applies_each_map_once_per_ordering(monkeypatch):
     counts = _count_mul_apply(monkeypatch)
     expand(_spec("resonant"), 6)
     assert counts == {"mul_apply_logpower": 0, "mul_apply_exp": 15}
+
+
+def test_arity_warning_names_the_caller_of_expand_and_extend():
+    spec = _spec("resonant")
+    with pytest.warns(RuntimeWarning, match="the remainder analysis") as expand_record:
+        short = expand(spec, 2)
+    with pytest.warns(RuntimeWarning, match="the remainder analysis") as extend_record:
+        extend(short, 4)
+    for record in (expand_record, extend_record):
+        assert [Path(w.filename) for w in record] == [Path(__file__)]
 
 
 def test_with_kernel_fit_attaches_coefficients():

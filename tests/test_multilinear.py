@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from odexpand import MultiLinearMap
+from odexpand.multilinear import _BLOCK
 
-from helpers import cvec, dense_apply, random_multilinear
+from helpers import batch_oracle, cvec, dense_apply, random_multilinear
 
 
 def test_entries_merge_and_drop_zeros():
@@ -171,6 +173,105 @@ def test_batch_validates_arguments():
         G.batch(np.ones((3, 1), dtype=complex))
     with pytest.raises(ValueError):
         G.batch(np.ones((3, 2), dtype=complex), np.ones((3, 2), dtype=complex))
+
+
+def _signed_zeros(rng, x: np.ndarray) -> np.ndarray:
+    """x with about a fifth of its real and of its imaginary parts set to
+    +0.0 or -0.0."""
+    re, im = x.real.copy(), x.imag.copy()
+    for part in (re, im):
+        hit = rng.random(part.shape) < 0.2
+        part[hit] = np.copysign(0.0, rng.standard_normal(hit.sum()))
+    return _complex(re, im)
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    # re + 1j * im would turn -0.0 parts into +0.0
+    z = np.empty(re.shape, dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def _oracle_case_map(rng) -> MultiLinearMap:
+    arity, dim = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+    values = _signed_zeros(rng, _spread_cvecs(rng, int(rng.integers(0, 13))))
+    entries = tuple(
+        (int(rng.integers(0, dim)), tuple(int(j) for j in rng.integers(0, dim, arity)), v)
+        for v in values
+    )
+    G = MultiLinearMap(arity, dim, entries)
+    return G.symmetrized if rng.random() < 0.5 else G
+
+
+def _oracle_case_args(rng, G: MultiLinearMap, kind: str) -> list[np.ndarray]:
+    m, dim = G.arity, G.dim
+    if kind == "single":
+        shapes = [(dim,)] * m
+    elif kind == "outer":
+        counts = rng.integers(0, 4, m) if rng.random() < 0.2 else rng.integers(1, 5, m)
+        shapes = [
+            tuple(int(c) if s == t else 1 for t, c in enumerate(counts)) + (dim,)
+            for s in range(m)
+        ]
+    elif kind == "rowwise":
+        rows = int(rng.integers(0, 7))
+        shapes = [(rows, dim)] * m
+    else:  # mixed ranks: a stack against lone vectors and a broadcast axis
+        rows, cols = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        choices = [(dim,), (cols, dim), (rows, 1, dim), (rows, cols, dim)]
+        shapes = [choices[int(rng.integers(0, 4))] for _ in range(m)]
+    return [_signed_zeros(rng, _spread_cvecs(rng, shape)) for shape in shapes]
+
+
+def test_batch_matches_the_per_entry_oracle_bitwise():
+    rng = np.random.default_rng(35)
+    kinds = ("single", "outer", "rowwise", "mixed")
+    for trial in range(400):
+        G = _oracle_case_map(rng)
+        args = _oracle_case_args(rng, G, kinds[trial % 4])
+        got, want = G.batch(*args), batch_oracle(G, *args)
+        assert got.shape == want.shape
+        _assert_bitwise(got, want)
+
+
+@pytest.mark.parametrize("arity", [2, 3])
+def test_batch_over_several_entry_chunks_matches_the_oracle_bitwise(arity):
+    rng = np.random.default_rng(36)
+    G = random_multilinear(rng, arity, 3, n_entries=12).symmetrized
+    x = _signed_zeros(rng, _spread_cvecs(rng, (_BLOCK // 28, 1, 3)))
+    y = _signed_zeros(rng, _spread_cvecs(rng, (1, 7, 3)))
+    per_chunk = _BLOCK // (x.shape[0] * y.shape[1])
+    chunks, last = divmod(len(G.entries), per_chunk)
+    assert chunks >= 2 and last > 0  # several full chunks and a partial one
+    args = [x, y, x][:arity]
+    _assert_bitwise(G.batch(*args), batch_oracle(G, *args))
+    _assert_bitwise(G.batch(*args[::-1]), batch_oracle(G, *args[::-1]))
+
+
+def _peak_bytes(f) -> int:
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_peak_memory_stays_within_one_block_of_the_oracle():
+    # the shape of exp-resonant's largest order-7 stacks: three (terms, rows)
+    # axis pairs of a cubic map, 16,800 broadcast rows
+    rng = np.random.default_rng(37)
+    G = random_multilinear(rng, 3, 3, n_entries=6)
+    x0 = cvec(rng, 7 * 6 * 3).reshape(7, 6, 1, 1, 1, 1, 3)
+    x1 = cvec(rng, 5 * 4 * 3).reshape(1, 1, 5, 4, 1, 1, 3)
+    x2 = cvec(rng, 5 * 4 * 3).reshape(1, 1, 1, 1, 5, 4, 3)
+    G.table  # built once per map, not on the measured call
+    oracle = _peak_bytes(lambda: batch_oracle(G, x0, x1, x2))
+    got = _peak_bytes(lambda: G.batch(x0, x1, x2))
+    # one chunk's (rows, entries) products, of which about eight float64
+    # arrays are alive at once
+    block = max(1, _BLOCK // 16800) * 16800
+    assert got <= oracle + 8 * 8 * block
 
 
 # ---------------------------------------------------------------------------
