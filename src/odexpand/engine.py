@@ -530,10 +530,9 @@ def with_kernel_fit(expansion: Expansion, k: int, coeffs) -> Expansion:
     return replace(expansion, orders=orders)
 
 
-def eval_partial_sum(expansion: Expansion, upto: int, t: float) -> np.ndarray:
-    """Value of the first ``upto`` terms at time t."""
-    n = expansion.spec.dim
-    out = np.zeros(n, dtype=complex)
+def eval_partial_sum(expansion: Expansion, upto: int, t) -> np.ndarray:
+    """Value of the first ``upto`` terms at time t, or at each time of a 1-D array."""
+    out = np.zeros(np.shape(t) + (expansion.spec.dim,), dtype=complex)
     for o in expansion.orders[:upto]:
         if not o.term.is_zero():
             out = out + o.term.eval(t)

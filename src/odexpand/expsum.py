@@ -192,21 +192,26 @@ class ExpPolySum:
             raw.append((nu, out))
         return ExpPolySum.build(self.dim, raw)
 
-    def eval(self, t: float) -> np.ndarray:
-        """Pointwise value in C^dim.
+    def eval(self, t) -> np.ndarray:
+        """Value in C^dim at time t, or at each time of a 1-D array (one row per time).
 
-        Horner's rule runs on all terms at once over the zero-padded rows
-        (padding keeps a term's partial value at exactly zero), and the terms
-        are summed in items() order, one after another.
+        Horner's rule runs on all times and terms at once over the
+        zero-padded rows (padding keeps a term's partial value at exactly
+        zero), and the terms are summed in items() order, one after
+        another, so each row is bit-identical to the scalar value.
         """
+        ts = np.asarray(t, dtype=float)
+        tc = ts.reshape(-1, 1, 1)
         nus, rows = self.packed
-        p = np.zeros((nus.shape[0], self.dim), dtype=complex)
+        p = np.zeros((tc.shape[0], nus.shape[0], self.dim), dtype=complex)
         for j in range(rows.shape[1] - 1, -1, -1):
-            p = p * t + rows[:, j]
-        out = np.zeros(self.dim, dtype=complex)
-        for term in p * np.exp(nus * t)[:, None]:
-            out += term
-        return out
+            p = p * tc + rows[:, j]
+        # not in place: numpy's in-place complex product can round differently
+        p = p * np.exp(nus * tc[:, :, 0])[:, :, None]
+        out = np.zeros((tc.shape[0], self.dim), dtype=complex)
+        for k in range(nus.shape[0]):
+            out += p[:, k]
+        return out if ts.ndim else out[0]
 
     # -- serialization ---------------------------------------------------
 

@@ -8,7 +8,8 @@ The time scales used throughout the package form a two-sided ladder:
 
 ``iter_log(m, .)`` takes positive values only for t > iter_exp(m, 0), and
 equals 1 exactly at t = iter_exp(m+1, 0).  ``ladder_eval(depth, t)`` is the
-one evaluator of the ladder at a time: the array of logs of the components
+one evaluator of the ladder at a time, or at a 1-D array of times: the
+array of logs of the components
 iter_log(-1, t), ..., iter_log(depth, t), that is
 (t, log t, ..., iter_log(depth+1, t)).  Complex powers of the components
 are exponentials of linear forms in it, and exp(t) is never formed.
@@ -64,25 +65,32 @@ def iter_log(m: int, t: float) -> float:
     return x
 
 
-def ladder_eval(depth: int, t: float) -> np.ndarray:
+def ladder_eval(depth: int, t) -> np.ndarray:
     """Logs of the ladder components down to ``depth`` at time t.
 
     Entry j is log(iter_log(j - 1, t)) = iter_log(j, t), for j = 0..depth+1,
     so entry 0 is t itself.  Requires a finite t > exp_zero(depth), so the
     deepest component is strictly positive (it vanishes exactly at the
-    threshold).
+    threshold).  A 1-D array of times gives one such row per time, shape
+    (len(t), depth+2).  Every row is a chain of ``math.log`` calls, which
+    keeps a stacked row bit-identical to the scalar one; ``np.log`` can
+    differ from it in the last bit.
     """
     if depth < -1:
         raise ValueError("ladder depth must be >= -1")
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError("ladder_eval needs a finite t")
-    if depth >= 0 and t <= exp_zero(depth):
-        raise ValueError(
-            f"t = {t!r} is outside the depth-{depth} ladder domain "
-            f"(need t > {exp_zero(depth)!r})"
-        )
-    logs = [t]
-    for _ in range(depth + 1):
-        logs.append(math.log(logs[-1]))
-    return np.array(logs)
+    ts = np.asarray(t, dtype=float)
+    lo = exp_zero(depth) if depth >= 0 else -math.inf
+    rows = []
+    for x in ts.reshape(-1).tolist():
+        if not math.isfinite(x):
+            raise ValueError("ladder_eval needs a finite t")
+        if x <= lo:
+            raise ValueError(
+                f"t = {x!r} is outside the depth-{depth} ladder domain (need t > {lo!r})"
+            )
+        logs = [x]
+        for _ in range(depth + 1):
+            logs.append(math.log(logs[-1]))
+        rows.append(logs)
+    out = np.array(rows) if rows else np.empty((0, depth + 2))
+    return out if ts.ndim else out[0]

@@ -223,20 +223,29 @@ class LogPowerSum:
         alphas = np.pad(self.alphas, ((0, 0), (0, depth - self.depth)))
         return LogPowerSum.from_arrays(self.dim, depth, alphas, self.xis)
 
-    def eval(self, t: float) -> np.ndarray:
-        """Pointwise value; requires t above the depth+1 ladder threshold.
+    def eval(self, t) -> np.ndarray:
+        """Value at time t, or at each time of a 1-D array (one row per time).
 
-        The guard keeps every component comfortably inside the positive
-        range so principal-branch powers are safe; exp(t) itself is never
+        Every time must lie above the depth+1 ladder threshold.  The guard
+        keeps every component comfortably inside the positive range so
+        principal-branch powers are safe; exp(t) itself is never
         materialized (the a(-1) power contributes a(-1)*t to the log).
+        Both products are batched matrix-vector products, one per time,
+        so every row is bit-identical to the value at that time alone;
+        one (T, K) matrix product would round differently.
         """
-        t = float(t)
+        ts = np.asarray(t, dtype=float)
+        times = ts.reshape(-1)
         gate = exp_zero(self.depth + 1)
-        if not t > gate:
-            raise ValueError(
-                f"t = {t!r} below the depth-{self.depth} evaluation threshold {gate!r}"
-            )
-        return np.exp(self.alphas @ ladder_eval(self.depth, t)) @ self.xis
+        for x in times.tolist():
+            if not x > gate:
+                raise ValueError(
+                    f"t = {x!r} below the depth-{self.depth} evaluation threshold {gate!r}"
+                )
+        logs = ladder_eval(self.depth, times)
+        e = np.exp(np.matmul(self.alphas, logs[:, :, None]))  # (T, K, 1)
+        out = np.matmul(self.xis.T, e)[:, :, 0]
+        return out if ts.ndim else out[0]
 
     # -- serialization ---------------------------------------------------
 

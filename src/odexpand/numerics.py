@@ -40,20 +40,21 @@ __all__ = [
 
 
 def make_rhs(spec: ProblemSpec):
-    """Callable t, y -> -A y + sum of multilinear terms + forcing(t)."""
+    """Callable y -> -A y + sum of multilinear terms: the autonomous field.
+
+    The forcing is not part of it; ``integrate`` evaluates it once per step
+    at all stage times.
+    """
     neg_A = -spec.matrix  # (-A) @ y is -(A @ y) bit for bit
     maps = spec.maps
-    forcing = spec.forcing
 
-    def rhs(t, y):
+    def field(y):
         out = neg_A @ y
         for g in maps:
             out += g(*([y] * g.arity))
-        for _, term in forcing:
-            out += term.eval(t)
         return out
 
-    return rhs
+    return field
 
 
 def _forcing_domain_start(spec: ProblemSpec) -> float:
@@ -72,13 +73,22 @@ def integrate(
     rel_tol: float = 1e-10,
     abs_tol: float = 1e-12,
 ) -> Trajectory:
-    """Integrate the problem's ODE over t_span."""
+    """Integrate the problem's ODE over t_span.
+
+    The field comes from ``make_rhs``; the forcing records are the
+    problem's forcing terms, each evaluated at a whole stack of times.
+    """
     lo = _forcing_domain_start(spec)
     if t_span[0] <= lo:
         raise ValueError(
             f"t_span starts at {t_span[0]} but the forcing is only defined for t > {lo}"
         )
-    return integrate_rhs(make_rhs(spec), y0, t_span, rel_tol, abs_tol)
+    terms = [term for _, term in spec.forcing]
+
+    def forcing(ts):
+        return [term.eval(ts) for term in terms]
+
+    return integrate_rhs(make_rhs(spec), forcing, y0, t_span, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -265,12 +275,9 @@ def remainder_series(traj: Trajectory, expansion: Expansion, upto: int, ts=None)
     if ts is None:
         ts = traj.ts
     ts = np.asarray(ts, dtype=float)
-
+    partial = eval_partial_sum(expansion, upto, ts)
     vals = np.array(
-        [
-            float(np.linalg.norm(traj.sample(t) - eval_partial_sum(expansion, upto, float(t))))
-            for t in ts
-        ]
+        [float(np.linalg.norm(traj.sample(t) - p)) for t, p in zip(ts, partial)]
     )
     return ts, vals
 
@@ -384,13 +391,8 @@ def fit_kernel_constants(
     if not (traj.t0 <= lo < hi <= traj.t1):
         raise ValueError("window must lie inside the trajectory span")
     ts = np.linspace(lo, hi, n_samples)
-    n = expansion.spec.dim
-    rows = np.zeros((len(ts) * n, len(modes)), dtype=complex)
-    rhs = np.zeros(len(ts) * n, dtype=complex)
-    for i, t in enumerate(ts):
-        resid = traj.sample(t) - eval_partial_sum(expansion, k, float(t))
-        rhs[i * n : (i + 1) * n] = resid
-        for j, mode in enumerate(modes):
-            rows[i * n : (i + 1) * n, j] = mode.eval(float(t))
-    coeffs, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
+    # one row per (time, component), time-major
+    resid = np.array([traj.sample(t) for t in ts]) - eval_partial_sum(expansion, k, ts)
+    rows = np.stack([mode.eval(ts).reshape(-1) for mode in modes], axis=1)
+    coeffs, *_ = np.linalg.lstsq(rows, resid.reshape(-1), rcond=None)
     return coeffs

@@ -271,7 +271,5 @@ def from_trig_ladder(q: TrigLadderSum) -> LogPowerSum:
 
 def imag_residue(p, ts: Sequence[float]) -> float:
     """Largest |imaginary part| of p over a sample grid (realness check)."""
-    worst = 0.0
-    for t in ts:
-        worst = max(worst, float(abs(p.eval(t).imag).max()))
-    return worst
+    # max keeps its running value past a nan residue, so such a time is skipped
+    return max([0.0] + abs(p.eval(ts).imag).max(axis=1).tolist())

@@ -1,5 +1,13 @@
 """Adaptive Dormand-Prince 5(4) integrator with PI step control.
 
+The right-hand side comes in two parts, y' = field(y) + sum of forcing(t)
+records.  ``field`` is autonomous: it sees the state alone.  ``forcing``
+depends on t alone, so it is evaluated once per attempted step, at all six
+stage times t + c_i h at once, before the first stage runs.  Each stage adds
+the forcing records to its field value one after another, in record order,
+which is the sum a pointwise right-hand side field(y) + f_1(t) + f_2(t) + ...
+would form.
+
 The pair advances with the 5th-order solution and controls the step from
 the embedded 4th-order error estimate; the last stage doubles as the first
 stage of the next step.  The state stays a complex vector and the seven
@@ -33,6 +41,7 @@ _A = tuple(
         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
     )
 )
+_C_STAGES = np.array(_C[1:])  # stage times of stages 1..6, as fractions of h
 _B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
 _E = np.append(_A[6], 0.0) - _B4  # 5th minus 4th order weights: the error estimate
 
@@ -86,7 +95,15 @@ class Trajectory:
         return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
 
 
-def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
+def _derivative(field, forcing, ts, y) -> np.ndarray:
+    """field(y) plus every forcing record at the one time in ts, as a new array."""
+    out = np.array(field(y), dtype=complex)
+    for f in forcing(ts):
+        out += f[0]
+    return out
+
+
+def _initial_step(field, forcing, t0, y0, f0, rel_tol, abs_tol, t_max):
     """Hairer-style starting step guess on the stacked real components."""
     u0, g0 = y0.view(float), f0.view(float)
     sc = abs_tol + rel_tol * np.abs(u0)
@@ -94,7 +111,7 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
     d1 = float(np.sqrt(np.mean((np.abs(g0) / sc) ** 2)))
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_max - t0)
-    f1 = np.asarray(rhs(t0 + h0, (u0 + h0 * g0).view(complex)), dtype=complex)
+    f1 = _derivative(field, forcing, np.array([t0 + h0]), (u0 + h0 * g0).view(complex))
     d2 = float(np.sqrt(np.mean((np.abs(f1.view(float) - g0) / sc) ** 2))) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -104,12 +121,19 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
 
 
 def integrate_rhs(
-    rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12
+    field, forcing, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12
 ) -> Trajectory:
-    """Integrate y' = rhs(t, y) over t_span with adaptive steps.
+    """Integrate y' = field(y) + sum(forcing(t)) over t_span with adaptive steps.
 
-    rhs receives complex state vectors and may return real or complex
-    ones.  Raises StepUnderflow when error control cannot proceed.
+    ``field(y)`` receives a complex state vector and may return a real or
+    complex one.  ``forcing(ts)`` receives a 1-D float array of times and
+    returns a sequence of forcing records, each an array of shape
+    (len(ts), n) whose row i is that record at ts[i]; an unforced problem
+    returns an empty sequence.  Every attempted step makes one forcing call
+    for its six stage times and six field calls; the start makes one of
+    each for the initial point and for the starting step guess.  The step
+    that reaches t_span[1] lands on it exactly.  Raises StepUnderflow when
+    error control cannot proceed.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -117,10 +141,10 @@ def integrate_rhs(
     y = np.array(y0, dtype=complex).reshape(-1)
     K = np.empty((7, y.shape[0]), dtype=complex)  # the stages, one per row
     Kf = K.view(float)
-    K[0] = rhs(t0, y)
+    K[0] = _derivative(field, forcing, np.array([t0]), y)
     if not np.all(np.isfinite(K[0])):
         raise ValueError("right-hand side not finite at the initial point")
-    h = _initial_step(rhs, t0, y, K[0], rel_tol, abs_tol, t1)
+    h = _initial_step(field, forcing, t0, y, K[0], rel_tol, abs_tol, t1)
     t = t0
     ts = [t0]
     states = [y]
@@ -133,12 +157,18 @@ def integrate_rhs(
     while t < t1:
         if n_steps > _MAX_STEPS:
             raise RuntimeError("step budget exhausted")
-        h = min(h, t1 - t)
+        # t + (t1 - t) can round below t1, so the last step sets t = t1
+        last = h >= t1 - t
+        if last:
+            h = t1 - t
         if h <= _TINY * max(abs(t), 1.0):
             raise StepUnderflow(f"step size underflow at t = {t}")
+        records = forcing(t + _C_STAGES * h)
         for i in range(1, 7):
             u_new = u + h * (_A[i] @ Kf[:i])
-            K[i] = rhs(t + _C[i] * h, u_new.view(complex))
+            K[i] = field(u_new.view(complex))
+            for f in records:
+                K[i] += f[i - 1]
         n_evals += 6
         if not np.isfinite(Kf).all():
             h *= 0.25
@@ -151,9 +181,9 @@ def integrate_rhs(
         w = h * (_E @ Kf) / sc
         err = math.sqrt(w @ w / w.size)  # RMS over the 2n real components
         if err <= 1.0:
-            t += h
+            t = t1 if last else t + h
             u, au = u_new, au_new
-            K[0] = K[6]  # FSAL: the last stage is rhs at the accepted point
+            K[0] = K[6]  # FSAL: the last stage is the derivative at the accepted point
             ts.append(t)
             states.append(u.view(complex))
             derivs.append(K[6].copy())

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import importlib.util
 import itertools
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap
+from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, rk45
 from odexpand.engine import _decompose_values, _match_tol, _ordered_tuples, _value_index
 from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import mul_apply_exp, snap_scalar
@@ -386,3 +387,132 @@ def coeff_distance_logpower(a: LogPowerSum, b: LogPowerSum) -> float:
     for key in set(a.terms) | set(b.terms):
         worst = max(worst, float(abs(a.terms.get(key, zero) - b.terms.get(key, zero)).max()))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Pointwise right-hand side and per-stage integrator, as the package ran
+# before the forcing was evaluated once per step at all stage times.  The
+# stacked loop must reproduce their trajectories bit for bit.
+
+
+def eval_logpower_oracle(p: LogPowerSum, t: float) -> np.ndarray:
+    """One time: a math.log ladder, one matrix-vector product, one vector-matrix product."""
+    logs = [float(t)]
+    for _ in range(p.depth + 1):
+        logs.append(math.log(logs[-1]))
+    return np.exp(p.alphas @ np.array(logs)) @ p.xis
+
+
+def rhs_oracle(spec):
+    """Callable t, y -> -A y + multilinear terms + each forcing term at t, in order."""
+    neg_A = -spec.matrix
+
+    def rhs(t, y):
+        out = neg_A @ y
+        for g in spec.maps:
+            out += g(*([y] * g.arity))
+        for _, term in spec.forcing:
+            if isinstance(term, LogPowerSum):
+                out += eval_logpower_oracle(term, t)
+            else:
+                out += eval_exp_horner_oracle(term, t)
+        return out
+
+    return rhs
+
+
+def _initial_step_oracle(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
+    u0, g0 = y0.view(float), f0.view(float)
+    sc = abs_tol + rel_tol * np.abs(u0)
+    d0 = float(np.sqrt(np.mean((np.abs(u0) / sc) ** 2)))
+    d1 = float(np.sqrt(np.mean((np.abs(g0) / sc) ** 2)))
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_max - t0)
+    f1 = np.asarray(rhs(t0 + h0, (u0 + h0 * g0).view(complex)), dtype=complex)
+    d2 = float(np.sqrt(np.mean((np.abs(f1.view(float) - g0) / sc) ** 2))) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_max - t0)
+
+
+def integrate_rhs_oracle(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12):
+    """Dormand-Prince loop with one rhs(t, y) call per stage.
+
+    It advances with t += h on the last step too, which can land one ulp
+    short of t_span[1] and then stop with StepUnderflow.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if not t1 > t0:
+        raise ValueError("t_span must be increasing")
+    y = np.array(y0, dtype=complex).reshape(-1)
+    K = np.empty((7, y.shape[0]), dtype=complex)
+    Kf = K.view(float)
+    K[0] = rhs(t0, y)
+    if not np.all(np.isfinite(K[0])):
+        raise ValueError("right-hand side not finite at the initial point")
+    h = _initial_step_oracle(rhs, t0, y, K[0], rel_tol, abs_tol, t1)
+    t = t0
+    ts, states, derivs = [t0], [y], [K[0].copy()]
+    u, au = y.view(float), np.abs(y.view(float))
+    err_prev = 1.0
+    n_steps = n_rejects = 0
+    n_evals = 2
+    max_factor = rk45._FAC_MAX
+    while t < t1:
+        if n_steps > rk45._MAX_STEPS:
+            raise RuntimeError("step budget exhausted")
+        h = min(h, t1 - t)
+        if h <= rk45._TINY * max(abs(t), 1.0):
+            raise rk45.StepUnderflow(f"step size underflow at t = {t}")
+        for i in range(1, 7):
+            u_new = u + h * (rk45._A[i] @ Kf[:i])
+            K[i] = rhs(t + rk45._C[i] * h, u_new.view(complex))
+        n_evals += 6
+        if not np.isfinite(Kf).all():
+            h *= 0.25
+            n_rejects += 1
+            max_factor = 1.0
+            continue
+        au_new = np.abs(u_new)
+        sc = abs_tol + rel_tol * np.maximum(au, au_new)
+        w = h * (rk45._E @ Kf) / sc
+        err = math.sqrt(w @ w / w.size)
+        if err <= 1.0:
+            t += h
+            u, au = u_new, au_new
+            K[0] = K[6]
+            ts.append(t)
+            states.append(u.view(complex))
+            derivs.append(K[6].copy())
+            n_steps += 1
+            err_c = max(err, 1e-10)
+            factor = rk45._SAFETY * err_c**-rk45._ALPHA * err_prev**rk45._BETA
+            h *= min(max_factor, max(rk45._FAC_MIN, factor))
+            err_prev = err_c
+            max_factor = rk45._FAC_MAX
+        else:
+            n_rejects += 1
+            factor = rk45._SAFETY * err**-rk45._ALPHA
+            h *= min(1.0, max(rk45._FAC_MIN, factor))
+            max_factor = 1.0
+    return rk45.Trajectory(
+        ts=np.array(ts),
+        states=np.array(states),
+        derivs=np.array(derivs),
+        meta={
+            "steps": n_steps,
+            "rejected": n_rejects,
+            "rhs_evals": n_evals,
+            "rel_tol": rel_tol,
+            "abs_tol": abs_tol,
+        },
+    )
+
+
+def assert_arrays_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
+    """Same shape and dtype, and the same bits in every entry, zeros' signs included."""
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()

@@ -17,6 +17,7 @@ from odexpand.expsum import (
 )
 
 from helpers import (
+    assert_arrays_bitwise_equal,
     assert_bitwise_equal,
     build_exp_oracle,
     coeff_distance_exp,
@@ -294,6 +295,27 @@ def test_eval_matches_term_by_term_horner_bitwise():
         s = random_expsum(rng, int(rng.integers(1, 4)), int(rng.integers(0, 12)), 4)
         for t in [0.0, 1.0, -0.7] + list(rng.uniform(0.0, 30.0, 4)):
             assert s.eval(t).tobytes() == eval_exp_horner_oracle(s, t).tobytes()
+
+
+
+def test_eval_over_a_time_array_matches_scalar_eval_bitwise():
+    # Horner over (times, terms, dim) with the terms summed in items() order:
+    # each row is the scalar value bit for bit
+    rng = np.random.default_rng(84)
+    for _ in range(60):
+        dim = int(rng.integers(1, 4))
+        nu = complex(rng.uniform(-2, 0), rng.uniform(-2, 2))
+        quadratic = (nu, cvec(rng, 3 * dim).reshape(3, dim))
+        s = random_expsum(rng, dim, int(rng.integers(0, 7)), 4) + ExpPolySum.build(dim, [quadratic])
+        nus, rows = s.packed
+        assert rows.shape[1] >= 2 and np.any(nus.imag != 0)
+        times = np.concatenate([[0.0, -0.0, 1.0, -0.7], rng.uniform(-1.0, 30.0, 12)])
+        for stack in (times, times[4:10], times[:1], times[:0]):
+            got = s.eval(stack)
+            assert got.shape == (len(stack), dim)
+            for t, row in zip(stack.tolist(), got):
+                assert_arrays_bitwise_equal(row, s.eval(t))
+                assert_arrays_bitwise_equal(row, eval_exp_horner_oracle(s, t))
 
 
 def test_build_matches_dict_oracle_bitwise():

@@ -27,6 +27,7 @@ from odexpand.logpower import (
 
 from helpers import (
     apply_matrix_oracle,
+    assert_arrays_bitwise_equal,
     assert_bitwise_equal,
     build_logpower_oracle,
     coeff_distance_logpower,
@@ -34,6 +35,7 @@ from helpers import (
     cvec,
     descent_op_oracle,
     embed_oracle,
+    eval_logpower_oracle,
     mul_apply_logpower_oracle,
     random_alpha,
     random_logpower,
@@ -69,6 +71,52 @@ def test_eval_gate_is_strict():
     p = LogPowerSum.build(1, 1, [((0.0, -1.0, 0.0), [1.0])])
     with pytest.raises(ValueError, match="below the depth-1 evaluation threshold"):
         p.eval(math.e)
+
+
+def _hard_ladder_times(rng, depth: int, lo: float, hi: float) -> np.ndarray:
+    """Times in (lo, hi) at which a vectorized np.log ladder rounds some entry
+    differently from the math.log one (on platforms where they differ)."""
+    t = rng.uniform(lo, hi, 100_000)
+    vec, chain = t, t.tolist()
+    differs = np.zeros(t.shape, dtype=bool)
+    for _ in range(depth + 1):
+        vec = np.log(vec)
+        chain = [math.log(x) for x in chain]
+        differs |= vec != np.array(chain)
+    return t[differs]
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_eval_over_a_time_array_matches_scalar_eval_bitwise(depth):
+    # each row of a stacked eval is the scalar value bit for bit: the ladder
+    # is a math.log chain per time and each time takes its own matrix-vector
+    # and vector-matrix products
+    rng = np.random.default_rng(70 + depth)
+    lo = exp_zero(depth + 1)
+    times = np.concatenate(
+        [_hard_ladder_times(rng, depth, lo, 300.0 * lo)[:40], rng.uniform(lo, 300.0 * lo, 40)]
+    )
+    for _ in range(12):
+        dim = int(rng.integers(1, 4))
+        p = random_logpower(rng, dim, depth, int(rng.integers(2, 7)), m=0, mu=-1.0)
+        assert p.term_count() >= 2 and np.iscomplexobj(p.alphas)
+        for stack in (times, times[:6], times[:1], times[:0]):
+            got = p.eval(stack)
+            assert got.shape == (len(stack), dim)
+            for t, row in zip(stack.tolist(), got):
+                assert_arrays_bitwise_equal(row, eval_logpower_oracle(p, t))
+                assert_arrays_bitwise_equal(row, p.eval(t))
+
+
+def test_eval_gate_checks_every_stacked_time():
+    p = LogPowerSum.build(1, 1, [((0.0, -1.0, 0.0), [1.0])])
+    gate = exp_zero(2)
+    for bad in (gate, math.nextafter(gate, 0.0), 1.0, -5.0, math.nan):
+        for stack in ([bad], [10.0, 20.0, bad], [bad, 10.0]):
+            with pytest.raises(ValueError, match="below the depth-1 evaluation threshold") as e:
+                p.eval(np.array(stack))
+            assert str(e.value).startswith(f"t = {bad!r} below")
+    p.eval(np.array([math.nextafter(gate, 3.0), 10.0]))
 
 
 def test_eval_matches_naive_product():
