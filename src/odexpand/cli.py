@@ -1,9 +1,22 @@
 """Configuration-driven command line front end.
 
-Subcommands: expand (build terms and serialize them), verify (integrate
-and fit remainder decay), realify (real-form tables), certificate
-(small-data decay constants).  Configs are JSON; complex numbers are
-written as [re, im]; unknown fields are rejected with their path.
+Subcommands: expand (build terms and write expansion.json and
+terms.csv), verify (integrate and fit remainder decay), realify
+(real-form tables), certificate (small-data decay constants).  Configs
+are JSON; complex numbers are written as [re, im]; unknown fields are
+rejected with their path.  The sections and their keys:
+
+    problem       matrix, mode, forcing (required); nonlinearity,
+                  scale_index.  Each forcing record has rate, type
+                  (exp_poly, log_power or real_trig_ladder), terms, and
+                  depth for the last two.
+    expansion     order (default 4).  The exponent ladder is derived
+                  from the problem; see ProblemSpec.
+    verification  y0, t_span (required by verify); rel_tol, abs_tol,
+                  margin, fit_window, grid {kind, count},
+                  fit_resonant {order, window}.
+    certificate   probe_radius (required by certificate), samples.
+    output        dir (overridden by --out).
 
 Exit codes: 0 pass, 1 verification fail, 2 validation error, 3 runtime
 error.
@@ -99,15 +112,24 @@ def _span(value, path: str) -> tuple[float, float]:
     raise ConfigError(f"{path}: expected [lo, hi] with lo < hi")
 
 
-def _matrix(value, path: str) -> np.ndarray:
+def _list(value, path: str, length: int | None = None) -> list:
+    if isinstance(value, list) and (length is None or len(value) == length):
+        return value
+    size = "" if length is None else f" of {length} entries"
+    raise ConfigError(f"{path}: expected a list{size}")
+
+
+def _rows(value, path: str, width: int | None = None) -> list[list[complex]]:
+    """A nonempty list of rows of complex numbers, each ``width`` long (the
+    first row's length when None)."""
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{path}: expected a nonempty list of rows")
     rows = []
     for i, row in enumerate(value):
-        if not isinstance(row, list):
-            raise ConfigError(f"{path}[{i}]: expected a list")
+        row = _list(row, f"{path}[{i}]", width)
+        width = len(row)
         rows.append([_complex(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
-    return np.array(rows, dtype=complex)
+    return rows
 
 
 def _nonlinearity(value, dim: int, path: str):
@@ -125,7 +147,7 @@ def _nonlinearity(value, dim: int, path: str):
         if not isinstance(arity, int) or arity < 2:
             raise ConfigError(f"{p}.arity: expected an integer >= 2")
         entries = []
-        for j, ent in enumerate(rec["entries"]):
+        for j, ent in enumerate(_list(rec["entries"], f"{p}.entries")):
             ep = f"{p}.entries[{j}]"
             if not isinstance(ent, list) or len(ent) != arity + 2:
                 raise ConfigError(
@@ -134,6 +156,8 @@ def _nonlinearity(value, dim: int, path: str):
             idx = ent[: arity + 1]
             if not all(isinstance(x, int) for x in idx):
                 raise ConfigError(f"{ep}: indices must be integers")
+            if not all(0 <= x < dim for x in idx):
+                raise ConfigError(f"{ep}: indices must lie in [0, {dim})")
             entries.append((idx[0], tuple(idx[1:]), _complex(ent[-1], ep)))
         maps.append(MultiLinearMap(arity=arity, dim=dim, entries=tuple(entries)))
     return tuple(maps)
@@ -146,62 +170,53 @@ def _forcing_record(rec, dim: int, path: str):
             raise ConfigError(f"{path}: needs '{field}'")
     rate = _real(rec["rate"], f"{path}.rate")
     kind = rec["type"]
+    terms = _list(rec["terms"], f"{path}.terms")
     if kind == "exp_poly":
         raw = []
-        for i, term in enumerate(rec["terms"]):
+        for i, term in enumerate(terms):
             p = f"{path}.terms[{i}]"
             _check_keys(term, {"exponent", "rows"}, p)
             nu = _complex(term.get("exponent"), f"{p}.exponent")
-            rows = [
-                [_complex(x, f"{p}.rows[{d}][{c}]") for c, x in enumerate(row)]
-                for d, row in enumerate(term.get("rows", []))
-            ]
-            raw.append((nu, rows))
+            raw.append((nu, _rows(term.get("rows"), f"{p}.rows", dim)))
         return rate, ExpPolySum.build(dim, raw)
-    if kind == "log_power":
-        depth = rec.get("depth")
-        if not isinstance(depth, int) or depth < 0:
-            raise ConfigError(f"{path}.depth: expected an integer >= 0")
-        raw = []
-        for i, term in enumerate(rec["terms"]):
-            p = f"{path}.terms[{i}]"
+    if kind not in ("log_power", "real_trig_ladder"):
+        raise ConfigError(
+            f"{path}.type: expected 'exp_poly', 'log_power', or 'real_trig_ladder'"
+        )
+    depth = _int(rec.get("depth"), f"{path}.depth", 0)
+    number = _complex if kind == "log_power" else _real
+
+    def numbers(term, name: str, p: str, length: int) -> list:
+        values = _list(term.get(name), f"{p}.{name}", length)
+        return [number(x, f"{p}.{name}[{j}]") for j, x in enumerate(values)]
+
+    raw = []
+    for i, term in enumerate(terms):
+        p = f"{path}.terms[{i}]"
+        if kind == "log_power":
             _check_keys(term, {"alpha", "vector"}, p)
-            alpha = [
-                _complex(a, f"{p}.alpha[{j}]") for j, a in enumerate(term.get("alpha", []))
-            ]
-            vec = [_complex(x, f"{p}.vector[{j}]") for j, x in enumerate(term.get("vector", []))]
-            raw.append((alpha, np.array(vec, dtype=complex)))
+            alpha = numbers(term, "alpha", p, depth + 2)
+            raw.append((alpha, np.array(numbers(term, "vector", p, dim), dtype=complex)))
+            continue
+        _check_keys(term, {"alpha", "factors", "vector"}, p)
+        alpha = tuple(numbers(term, "alpha", p, depth + 2))
+        factors = []
+        for j, fac in enumerate(_list(term.get("factors", []), f"{p}.factors")):
+            fp = f"{p}.factors[{j}]"
+            _check_keys(fac, {"index", "omega", "phase"}, fp)
+            if fac.get("phase") not in ("cos", "sin"):
+                raise ConfigError(f"{fp}.phase: expected 'cos' or 'sin'")
+            index = _int(fac.get("index"), f"{fp}.index", 0, depth)
+            factors.append((index, _real(fac.get("omega"), f"{fp}.omega"), fac["phase"]))
+        raw.append((alpha, tuple(factors), np.array(numbers(term, "vector", p, dim))))
+    if kind == "log_power":
         return rate, LogPowerSum.build(dim, depth, raw)
-    if kind == "real_trig_ladder":
-        depth = rec.get("depth")
-        if not isinstance(depth, int) or depth < 0:
-            raise ConfigError(f"{path}.depth: expected an integer >= 0")
-        raw = []
-        for i, term in enumerate(rec["terms"]):
-            p = f"{path}.terms[{i}]"
-            _check_keys(term, {"alpha", "factors", "vector"}, p)
-            alpha = [_real(a, f"{p}.alpha[{j}]") for j, a in enumerate(term.get("alpha", []))]
-            factors = []
-            for j, fac in enumerate(term.get("factors", [])):
-                fp = f"{p}.factors[{j}]"
-                _check_keys(fac, {"index", "omega", "phase"}, fp)
-                if fac.get("phase") not in ("cos", "sin"):
-                    raise ConfigError(f"{fp}.phase: expected 'cos' or 'sin'")
-                factors.append(
-                    (fac.get("index"), _real(fac.get("omega"), f"{fp}.omega"), fac["phase"])
-                )
-            vec = [_real(x, f"{p}.vector[{j}]") for j, x in enumerate(term.get("vector", []))]
-            raw.append((tuple(alpha), tuple(factors), np.array(vec)))
-        trig = TrigLadderSum.build(dim, depth, raw)
-        return rate, from_trig_ladder(trig)
-    raise ConfigError(
-        f"{path}.type: expected 'exp_poly', 'log_power', or 'real_trig_ladder'"
-    )
+    return rate, from_trig_ladder(TrigLadderSum.build(dim, depth, raw))
 
 
 _TOP_KEYS = {"problem", "expansion", "verification", "certificate", "output"}
 _PROBLEM_KEYS = {"matrix", "nonlinearity", "forcing", "mode", "scale_index"}
-_EXPANSION_KEYS = {"order", "ladder_base"}
+_EXPANSION_KEYS = {"order"}
 _VERIFICATION_KEYS = {
     "y0",
     "t_span",
@@ -213,7 +228,7 @@ _VERIFICATION_KEYS = {
     "fit_resonant",
 }
 _CERTIFICATE_KEYS = {"probe_radius", "samples"}
-_OUTPUT_KEYS = {"dir", "format"}
+_OUTPUT_KEYS = {"dir"}
 
 
 def load_config(path) -> dict:
@@ -253,7 +268,7 @@ def build_problem(cfg: dict, order_override: int | None = None) -> ProblemSpec:
     prob = cfg["problem"]
     if "matrix" not in prob or "mode" not in prob or "forcing" not in prob:
         raise ConfigError("problem: needs 'matrix', 'mode', and 'forcing'")
-    matrix = _matrix(prob["matrix"], "problem.matrix")
+    matrix = np.array(_rows(prob["matrix"], "problem.matrix"), dtype=complex)
     dim = matrix.shape[0]
     maps = _nonlinearity(prob.get("nonlinearity"), dim, "problem.nonlinearity")
     if not isinstance(prob["forcing"], list) or not prob["forcing"]:
@@ -262,25 +277,16 @@ def build_problem(cfg: dict, order_override: int | None = None) -> ProblemSpec:
         _forcing_record(rec, dim, f"problem.forcing[{i}]")
         for i, rec in enumerate(prob["forcing"])
     )
-    exp_cfg = cfg.get("expansion", {})
-    order = exp_cfg.get("order", 4)
+    order = cfg.get("expansion", {}).get("order", 4)
     if order_override is not None:
         order = order_override
-    if not isinstance(order, int) or order < 0:
-        raise ConfigError("expansion.order: expected an integer >= 0")
-    ladder_base = exp_cfg.get("ladder_base")
-    if ladder_base is not None:
-        ladder_base = tuple(
-            _real(b, f"expansion.ladder_base[{i}]") for i, b in enumerate(ladder_base)
-        )
     spec = ProblemSpec(
         matrix=matrix,
         maps=maps,
         forcing=forcing,
         mode=prob["mode"],
-        scale_index=prob.get("scale_index", 0),
-        order=max(order, 1),
-        ladder_base=ladder_base,
+        scale_index=_int(prob.get("scale_index", 0), "problem.scale_index", 0),
+        order=max(_int(order, "expansion.order", 0), 1),
     )
     spec.validate()
     return spec
@@ -498,10 +504,7 @@ def cmd_expand(cfg: dict, args) -> int:
     out = _out_dir(cfg, args)
     records = expansion_records(expansion)
     _write(out, "expansion.json", json.dumps(records, indent=2) + "\n")
-    if _out_format(cfg, args) == "csv":
-        _write(out, "terms.csv", _terms_csv(expansion))
-    else:
-        _write(out, "terms.txt", _term_table(expansion) + "\n")
+    _write(out, "terms.csv", _terms_csv(expansion))
     print(f"wrote {out / 'expansion.json'}")
     return 0
 
@@ -690,13 +693,6 @@ def _out_dir(cfg: dict, args) -> Path:
     return Path(cfg.get("output", {}).get("dir", "."))
 
 
-def _out_format(cfg: dict, args) -> str:
-    fmt = args.format or cfg.get("output", {}).get("format", "csv")
-    if fmt not in ("csv", "txt"):
-        raise ConfigError("output.format: expected 'csv' or 'txt'")
-    return fmt
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="odexpand",
@@ -714,7 +710,6 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--order", type=int, default=None, help="override expansion.order")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--format", choices=("csv", "txt"), default=None)
 
     args = parser.parse_args(argv)
     handlers = {

@@ -141,6 +141,9 @@ class ProblemSpec:
     forcing maps decay rates to symbolic terms: ExpPolySums whose exponents
     all have real part -mu (exponential mode), or LogPowerSums in the
     (scale_index, -mu) class (power mode: scale_index 0; log mode: >= 1).
+    The exponent ladder comes from the problem alone: its base is the
+    forcing rates, plus the real parts of the matrix's eigenvalues in
+    exponential mode, and power mode also closes it under +1.
     """
 
     matrix: np.ndarray
@@ -149,7 +152,6 @@ class ProblemSpec:
     mode: str
     scale_index: int = 0
     order: int = 4
-    ladder_base: tuple[float, ...] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
@@ -157,10 +159,6 @@ class ProblemSpec:
         object.__setattr__(
             self, "forcing", tuple((float(mu), term) for mu, term in self.forcing)
         )
-        if self.ladder_base is not None:
-            object.__setattr__(
-                self, "ladder_base", tuple(float(b) for b in self.ladder_base)
-            )
 
     @property
     def dim(self) -> int:
@@ -220,30 +218,15 @@ class ProblemSpec:
                     else f"is outside the ({self.scale_index}, -{mu}) class"
                 )
                 raise ValidationError(f"forcing at rate {mu} {where}")
-        if self.mode == "exponential":
-            base = self._ladder_base_or_default()
-            for lam in eigs:
-                re = float(lam.real)
-                if not any(abs(re - b) <= 1e-9 * max(1.0, re) for b in base):
-                    raise ValidationError(
-                        "exponential ladder base must contain every eigenvalue "
-                        f"real part; {re} is missing (ladder closure assumption)"
-                    )
 
-    def _ladder_base_or_default(self) -> tuple[float, ...]:
-        """The given base, or the forcing rates (and in exponential mode the
-        eigenvalue real parts), sorted; ExponentLadder merges near-equal rates."""
-        if self.ladder_base is not None:
-            return self.ladder_base
+    def make_ladder(self) -> ExponentLadder:
+        """The exponent ladder: the closure of the forcing rates, and in
+        exponential mode the eigenvalue real parts, under addition (power
+        mode: also under +1).  Near-equal rates are merged."""
         rates = {mu for mu, _ in self.forcing}
         if self.mode == "exponential":
             rates |= {float(lam.real) for lam in self.eigenvalues()}
-        return tuple(sorted(rates))
-
-    def make_ladder(self) -> ExponentLadder:
-        return ExponentLadder(
-            self._ladder_base_or_default(), unit_increment=(self.mode == "power")
-        )
+        return ExponentLadder(rates, unit_increment=(self.mode == "power"))
 
 
 @dataclass(frozen=True)
@@ -300,7 +283,7 @@ def _zero_term(spec: ProblemSpec, earlier):
     return LogPowerSum.zero(spec.dim, max([0] + [t.depth for t in earlier]))
 
 
-def _ordered_tuples(parts: tuple[float, ...]):
+def _ordered_tuples(parts: tuple[int, ...]):
     """Distinct orderings of a multiset, lexicographically."""
     return sorted(set(itertools.permutations(parts)))
 
@@ -308,8 +291,8 @@ def _ordered_tuples(parts: tuple[float, ...]):
 def _interaction_sum(spec: ProblemSpec, mus, terms, k: int):
     """Sum of all nonlinear interactions that land on rate mus[k].
 
-    One entry per multiset of earlier rates summing to mus[k] and map of
-    that arity.  G is multilinear, so the sum of G over the distinct
+    One entry per multiset of earlier orders whose rates sum to mus[k] and
+    map of that arity.  G is multilinear, so the sum of G over the distinct
     orderings of a multiset is G.symmetrized on any one ordering,
     weighted by 1 / (product of the multiplicity factorials).
     """
@@ -317,42 +300,35 @@ def _interaction_sum(spec: ProblemSpec, mus, terms, k: int):
     max_arity = max((G.arity for G in spec.maps), default=0)
     for parts in _decompose_values(mus[:k], mus[k], max_arity):
         maps_m = [G for G in spec.maps if G.arity == len(parts)]
-        args = {v: terms[_value_index(mus[:k], v)] for v in parts}
-        if not maps_m or any(a.is_zero() for a in args.values()):
+        if not maps_m or any(terms[i].is_zero() for i in parts):
             continue
         if spec.mode == "exponential":
             # Per ordering: exponential mode amplifies ulp-level reorderings
             # past the output tolerance (ROADMAP item 2).
             contributions += [
-                mul_apply_exp(G, [args[v] for v in ordered])
+                mul_apply_exp(G, [terms[i] for i in ordered])
                 for ordered in _ordered_tuples(parts)
                 for G in maps_m
             ]
             continue
-        weight = 1.0 / math.prod(math.factorial(parts.count(v)) for v in args)
+        weight = 1.0 / math.prod(math.factorial(parts.count(i)) for i in set(parts))
         contributions += [
-            mul_apply_logpower(G.symmetrized, [args[v] for v in parts], weight)
+            mul_apply_logpower(G.symmetrized, [terms[i] for i in parts], weight)
             for G in maps_m
         ]
     return contributions
 
 
-def _value_index(values, v: float) -> int:
-    for i, x in enumerate(values):
-        if abs(x - v) < _match_tol(v):
-            return i
-    raise RuntimeError(f"rate {v} not among realized prefix")
-
-
 def _decompose_values(values, mu: float, max_arity: int):
-    """Multisets from an explicit realized prefix (engine-internal)."""
+    """Multisets of 2 to max_arity indices into the increasing realized
+    prefix ``values`` whose rates add up to mu, as nondecreasing tuples."""
     if max_arity < 2:
         return ()
     tol = _match_tol(mu)
     vals = [v for v in values if v <= mu + tol]
-    out: list[tuple[float, ...]] = []
+    out: list[tuple[int, ...]] = []
 
-    def rec(start: int, remaining: float, parts: list[float]):
+    def rec(start: int, remaining: float, parts: list[int]):
         if len(parts) >= 2 and abs(remaining) <= tol:
             out.append(tuple(parts))
             return
@@ -362,7 +338,7 @@ def _decompose_values(values, mu: float, max_arity: int):
             v = vals[i]
             if v > remaining + tol:
                 break
-            parts.append(v)
+            parts.append(i)
             rec(i, remaining - v, parts)
             parts.pop()
 

@@ -17,7 +17,7 @@ import numpy as np
 from .engine import Expansion, ProblemSpec, eval_partial_sum
 from .expsum import snap_float
 from .ladder import exp_zero, iter_log
-from .logpower import LogPowerSum
+from .logpower import LogPowerSum, row_norms
 from .rk45 import Trajectory, integrate_rhs
 
 __all__ = [
@@ -237,13 +237,8 @@ def smallness_certificate(
         gx = np.zeros_like(x)
         for g in spec.maps:
             gx += g.batch(*([x] * g.arity))
-        # Row-wise norms can differ from the per-vector norm in the last
-        # bit; take the maximum with the per-vector norm over every row
-        # that could hold it.
-        rough = np.linalg.norm(gx, axis=1)
-        near_top = (rough > 0.0) & (rough >= rough.max() * (1.0 - 1e-13))
-        for i in np.flatnonzero(near_top):
-            c_star = max(c_star, float(np.linalg.norm(gx[i])) / (r * r))
+        # row_norms is bit for bit each row's per-vector norm
+        c_star = max(c_star, float(row_norms(gx).max()) / (r * r))
     # Quantize to the package-wide coefficient grid: the probe only sees
     # the constant to rounding accuracy, and downstream thresholds should
     # not wobble with the sample set's last ulp.

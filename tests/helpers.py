@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, rk45
-from odexpand.engine import _decompose_values, _match_tol, _ordered_tuples, _value_index
+from odexpand.engine import _decompose_values, _match_tol, _ordered_tuples
 from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import mul_apply_exp, snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
@@ -326,7 +326,7 @@ def interaction_sum_oracle(spec, mus, terms, k: int):
     for parts in _decompose_values(mus[:k], mus[k], max_arity):
         maps_m = [G for G in spec.maps if G.arity == len(parts)]
         for ordered in _ordered_tuples(parts):
-            args = [terms[_value_index(mus[:k], v)] for v in ordered]
+            args = [terms[i] for i in ordered]
             if any(a.is_zero() for a in args):
                 continue
             contributions += [mul_apply(G, args) for G in maps_m]

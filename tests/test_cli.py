@@ -134,10 +134,13 @@ def test_realify_without_a_real_form_exits_two(tmp_path, monkeypatch, capsys):
 
 
 def test_unknown_expansion_key_exits_two(tmp_path, capsys):
-    # keys that were once accepted and never had an effect are rejected too
+    # keys that were once accepted are rejected too, whether they never had
+    # an effect or were removed
     for section, key, value in (
         ("expansion", "ladder_cutoff", 4.0),
         ("problem", "resonance_policy", "zero_free_constants"),
+        ("output", "format", "txt"),
+        ("expansion", "ladder_base", [1.0]),
     ):
         cfg = json.loads((CONFIGS / "riccati.json").read_text())
         cfg.setdefault(section, {})[key] = value
@@ -145,15 +148,42 @@ def test_unknown_expansion_key_exits_two(tmp_path, capsys):
         path.write_text(json.dumps(cfg))
         assert main(["expand", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{section}.{key}: unknown field" in capsys.readouterr().err
+    # and argparse rejects --format, which is no option
+    config = str(CONFIGS / "riccati.json")
+    with pytest.raises(SystemExit) as exc:
+        main(["expand", "--config", config, "--out", str(tmp_path), "--format", "txt"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format txt" in capsys.readouterr().err
+
+
+# Shipped config x subcommand pairs whose config lacks the subcommand's
+# section; every other pair exits 0.
+EXIT_TWO_PAIRS = [
+    ("riccati", "certificate", "certificate.probe_radius: required for this subcommand"),
+    ("resonant", "certificate", "certificate.probe_radius: required for this subcommand"),
+    ("oscillatory_log", "certificate", "certificate.probe_radius: required for this subcommand"),
+    ("oscillatory_log", "verify", "verification: section required for this subcommand"),
+    ("certificate", "verify", "verification: section required for this subcommand"),
+]
+
+
+@pytest.mark.parametrize("name,command,message", EXIT_TWO_PAIRS)
+def test_shipped_config_without_the_section_exits_two(name, command, message, tmp_path, capsys):
+    config = str(CONFIGS / f"{name}.json")
+    assert main([command, "--config", config, "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not any(tmp_path.iterdir())
 
 
 def _set(path: str, value):
-    """Config edit: set the field at a dotted path (value None deletes it)."""
+    """Config edit: set the field at a JSON path such as ``a.b[0].c``
+    (value None deletes it).  Missing objects on the way are created."""
+    *parents, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+
     def edit(cfg):
-        *parents, last = path.split(".")
         node = cfg
-        for name in parents:
-            node = node.setdefault(name, {})
+        for key in parents:
+            node = node[key] if isinstance(key, int) else node.setdefault(key, {})
         if value is None:
             del node[last]
         else:
@@ -180,18 +210,50 @@ MALFORMED_FIELDS = [
     ("certificate", "certificate.probe_radius", -1),
     # t_span is [0, 14], so no grid point falls in the window
     ("verify", "verification.fit_window", [100, 200]),
+    ("expand", "problem.nonlinearity[0].entries", 5),
+    ("expand", "problem.nonlinearity[0].entries[0]", [0, 0, 1, 1.0]),
+    ("expand", "problem.forcing[0].terms", 5),
+    ("expand", "problem.forcing[0].terms[0].rows", 5),
+    ("expand", "problem.forcing[0].terms[0].rows", [[1.0], [1.0, 2.0]]),
+    ("expand", "problem.forcing[0].terms[0].rows", []),
+    ("expand", "problem.scale_index", "1"),
+    ("expand", "problem.scale_index", 1.5),
+    ("expand", "problem.matrix", [[2.0, 0.0], [1.0]]),
+    ("expand", "expansion.order", True),
 ]
+
+# Fields of forcing types that resonant.json does not use, each edited in
+# the shipped config that does; the subcommand is expand.
+MALFORMED_FORCING_FIELDS = [
+    ("riccati", "problem.forcing[0].terms[0].vector", [1.0, 2.0]),
+    ("riccati", "problem.forcing[0].terms[0].alpha", [-1.0]),
+    ("oscillatory_log", "problem.forcing[0].terms[0].factors", 5),
+    ("oscillatory_log", "problem.forcing[0].terms[0].factors[0].index", "a"),
+    ("oscillatory_log", "problem.forcing[0].terms[0].factors[0].index", 9),
+    ("oscillatory_log", "problem.forcing[0].terms[0].alpha", [0.0, -0.5]),
+    ("oscillatory_log", "problem.forcing[0].terms[0].vector", [1.0, 2.0]),
+]
+
+
+def _assert_exits_two_naming(cfg: dict, command, field, value, tmp_path, capsys):
+    _set(field, value)(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"validation error: {field}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,field,value", MALFORMED_FIELDS)
 def test_malformed_field_exits_two_and_names_its_path(command, field, value, tmp_path, capsys):
     cfg = json.loads((CONFIGS / "resonant.json").read_text())
     cfg["certificate"] = {"probe_radius": 1.0, "samples": 64}
-    _set(field, value)(cfg)
-    path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
-    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 2
-    assert f"validation error: {field}" in capsys.readouterr().err
+    _assert_exits_two_naming(cfg, command, field, value, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name,field,value", MALFORMED_FORCING_FIELDS)
+def test_malformed_forcing_field_exits_two_and_names_its_path(name, field, value, tmp_path, capsys):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    _assert_exits_two_naming(cfg, "expand", field, value, tmp_path, capsys)
 
 
 VERIFY_LINE = re.compile(r"^N=(\d+): exponent=(\S+) .* (PASS|FAIL)$", re.MULTILINE)
