@@ -39,7 +39,7 @@ from .engine import (
     expand,
     with_kernel_fit,
 )
-from .expsum import ExpPolySum
+from .expsum import ExpPolySum, snap_float
 from .ladder import exp_zero
 from .logpower import LogPowerSum
 from .multilinear import MultiLinearMap
@@ -79,25 +79,31 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
             raise ConfigError(f"{path}.{key}: unknown field")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: bool is an int subclass, but true and false are not numbers."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _complex(value, path: str) -> complex:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return complex(value)
-    if isinstance(value, list) and len(value) == 2:
-        try:
-            return complex(float(value[0]), float(value[1]))
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, list) and len(value) == 2 and all(map(_is_number, value)):
+        return complex(float(value[0]), float(value[1]))
     raise ConfigError(f"{path}: expected a number or [re, im] pair")
 
 
 def _real(value, path: str) -> float:
-    if isinstance(value, (int, float)):
+    if _is_number(value):
         return float(value)
     raise ConfigError(f"{path}: expected a real number")
 
 
 def _int(value, path: str, lo: int, hi: int | None = None) -> int:
-    if isinstance(value, int) and not isinstance(value, bool):
+    if _is_int(value):
         if lo <= value and (hi is None or value <= hi):
             return value
     bound = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
@@ -144,7 +150,7 @@ def _nonlinearity(value, dim: int, path: str):
         if "arity" not in rec or "entries" not in rec:
             raise ConfigError(f"{p}: needs 'arity' and 'entries'")
         arity = rec["arity"]
-        if not isinstance(arity, int) or arity < 2:
+        if not _is_int(arity) or arity < 2:
             raise ConfigError(f"{p}.arity: expected an integer >= 2")
         entries = []
         for j, ent in enumerate(_list(rec["entries"], f"{p}.entries")):
@@ -154,7 +160,7 @@ def _nonlinearity(value, dim: int, path: str):
                     f"{ep}: expected [out_index, {arity} input indices, value]"
                 )
             idx = ent[: arity + 1]
-            if not all(isinstance(x, int) for x in idx):
+            if not all(map(_is_int, idx)):
                 raise ConfigError(f"{ep}: indices must be integers")
             if not all(0 <= x < dim for x in idx):
                 raise ConfigError(f"{ep}: indices must lie in [0, {dim})")
@@ -201,13 +207,23 @@ def _forcing_record(rec, dim: int, path: str):
         _check_keys(term, {"alpha", "factors", "vector"}, p)
         alpha = tuple(numbers(term, "alpha", p, depth + 2))
         factors = []
+        # ladder components that already carry a factor; the builder drops
+        # factors whose frequency snaps to 0 before it checks the same
+        taken = set()
         for j, fac in enumerate(_list(term.get("factors", []), f"{p}.factors")):
             fp = f"{p}.factors[{j}]"
             _check_keys(fac, {"index", "omega", "phase"}, fp)
             if fac.get("phase") not in ("cos", "sin"):
                 raise ConfigError(f"{fp}.phase: expected 'cos' or 'sin'")
             index = _int(fac.get("index"), f"{fp}.index", 0, depth)
-            factors.append((index, _real(fac.get("omega"), f"{fp}.omega"), fac["phase"]))
+            omega = _real(fac.get("omega"), f"{fp}.omega")
+            if snap_float(omega) != 0.0:
+                if index in taken:
+                    raise ConfigError(
+                        f"{fp}.index: ladder component {index} already has a trig factor"
+                    )
+                taken.add(index)
+            factors.append((index, omega, fac["phase"]))
         raw.append((alpha, tuple(factors), np.array(numbers(term, "vector", p, dim))))
     if kind == "log_power":
         return rate, LogPowerSum.build(dim, depth, raw)

@@ -10,14 +10,26 @@ multiset's share of orderings, so asymmetric maps need no special case.
 Exponential mode still sums ``G`` over every distinct ordering.
 
 Two evaluators share the entry table.  ``__call__`` applies the map to
-single vectors; the ODE right-hand side calls it on every evaluation,
-where per-call numpy overhead would cost more than the loop.  ``batch``
-broadcasts over leading axes, so one call covers every term combination
-of a symbolic product: pass ``(K0, 1, dim)`` and ``(1, K1, dim)`` for the
-outer product, or equal shapes for row-wise products.
+single vectors, and the ODE right-hand side calls it on every evaluation.
+It runs ``kernel``, a straight-line Python function generated once per map
+from the entry table: one statement ``o{i} += v{e}*x0[j0]*x1[j1]...`` per
+entry, in table order, on lists of Python complex numbers.  Python's
+complex arithmetic on list items costs a fraction of numpy's scalar
+operations, and fixed statements need no loop over the table or index
+lookups at run time.  So it beats a loop over the entries from maps of a
+few entries up to Galerkin maps of a thousand.  On a one-entry map it is a
+little slower, because of the conversions to and from lists.  Its source
+is compiled on the first call, at roughly 25 microseconds per entry, so
+only maps that the ODE field uses pay for it.  The statements are
+separate, not one sum expression per row, because CPython's compiler
+recurses into a long expression and fails on rows of several thousand
+entries.
 
-``batch`` works slot by slot over the entry table (``table``): for each
-slot it gathers the real and imaginary parts of every entry's input
+``batch`` broadcasts over leading axes, so one call covers every term
+combination of a symbolic product: pass ``(K0, 1, dim)`` and
+``(1, K1, dim)`` for the outer product, or equal shapes for row-wise
+products.  It works slot by slot over the entry table (``table``): for
+each slot it gathers the real and imaginary parts of every entry's input
 component at once, as ``(..., E)`` arrays, and advances every entry's
 running product by one factor.  It then adds each entry's product into
 its output row, one entry at a time in entry order, starting from zeros.
@@ -29,14 +41,16 @@ exponential mode a chunk is one entry, the loop over entries again: there
 the arithmetic outweighs the per-call overhead, and one entry at a time
 keeps numpy's inner loops long.
 
-``batch`` is bit-identical to ``__call__`` row by row.  Every product is
-the float64 real/imaginary expansion of Python's complex product, in the
-same order, and every output sum adds the same terms in the same order:
-gathering and chunking only regroup independent operations.  Neither
-numpy's vectorised complex multiply nor ``np.add.reduce`` (pairwise
-summation) would keep that.  Both round differently in the last bit, and
-the exponential-mode resonant recursion amplifies such bits far past the
-output tolerance.
+The two evaluators agree bit for bit, up to the sign of a NaN, which IEEE
+754 leaves open.  Python's complex product computes
+``(a.real*b.real - a.imag*b.imag, a.real*b.imag + a.imag*b.real)``, the
+formula of numpy's complex scalars, and ``batch`` writes exactly that out
+in float64 real/imaginary parts.  Every output sum starts from ``0j`` and
+adds the same terms in the same order: gathering and chunking only
+regroup independent operations.  Neither numpy's vectorised complex
+multiply nor ``np.add.reduce`` (pairwise summation) would keep that.
+Both round differently in the last bit, and the exponential-mode resonant
+recursion amplifies such bits far past the output tolerance.
 """
 
 from __future__ import annotations
@@ -94,17 +108,18 @@ class MultiLinearMap:
         )
         object.__setattr__(self, "entries", canon)
 
-    def __call__(self, *args: np.ndarray) -> np.ndarray:
-        """Apply to ``arity`` vectors of length dim."""
+    def __call__(self, *args) -> np.ndarray:
+        """Apply to ``arity`` vectors of length dim.
+
+        A list argument is taken as it is and must hold Python complex
+        numbers, as ``tolist`` of a complex array gives; the ODE field
+        converts its state once and passes the same list to every map.
+        Any other argument is converted with ``np.asarray(a, complex)``.
+        """
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
-        out = np.zeros(self.dim, dtype=complex)
-        for i, ins, val in self.entries:
-            prod = val
-            for slot, j in enumerate(ins):
-                prod = prod * args[slot][j]
-            out[i] += prod
-        return out
+        xs = [a if isinstance(a, list) else np.asarray(a, dtype=complex).tolist() for a in args]
+        return np.array(self.kernel(*xs), dtype=complex)
 
     def batch(self, *args: np.ndarray) -> np.ndarray:
         """Apply to ``arity`` stacks of vectors, broadcasting leading axes.
@@ -145,6 +160,31 @@ class MultiLinearMap:
                 out_re[..., i] += pr[..., e]
                 out_im[..., i] += pi[..., e]
         return out
+
+    @cached_property
+    def kernel(self):
+        """The map as a straight-line Python function, generated once per map.
+
+        ``kernel(x0, ..., x{m-1})`` takes sequences of Python complex
+        numbers and returns the dim output components as a list.  Each
+        output starts at ``0j``, and each entry is one statement that
+        multiplies its value by its input components from left to right
+        and adds the product into its output, in table order.  Entry values
+        are bound by name in the namespace the source runs in, never
+        written into the source; the indices are the validated ints.
+        """
+        slots = [f"x{s}" for s in range(self.arity)]
+        outs = [f"o{i}" for i in range(self.dim)]
+        lines = [f"def kernel({', '.join(slots)}):"]
+        lines += [f"    {o} = 0j" for o in outs]
+        namespace = {}
+        for e, (i, ins, val) in enumerate(self.entries):
+            namespace[f"v{e}"] = val
+            factors = "".join(f"*{x}[{j}]" for x, j in zip(slots, ins))
+            lines.append(f"    o{i} += v{e}{factors}")
+        lines.append(f"    return [{', '.join(outs)}]")
+        exec(compile("\n".join(lines), "<MultiLinearMap.kernel>", "exec"), namespace)
+        return namespace["kernel"]
 
     @cached_property
     def table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -43,15 +43,18 @@ def make_rhs(spec: ProblemSpec):
     """Callable y -> -A y + sum of multilinear terms: the autonomous field.
 
     The forcing is not part of it; ``integrate`` evaluates it once per step
-    at all stage times.
+    at all stage times.  ``y`` is a complex vector.  The field converts it
+    to a list of Python complex numbers once per call and passes that list
+    to every map's ``__call__``, whose generated kernel works on lists.
     """
     neg_A = -spec.matrix  # (-A) @ y is -(A @ y) bit for bit
     maps = spec.maps
 
     def field(y):
         out = neg_A @ y
+        ys = y.tolist()
         for g in maps:
-            out += g(*([y] * g.arity))
+            out += g(*([ys] * g.arity))
         return out
 
     return field

@@ -129,6 +129,27 @@ def dense_apply(G: MultiLinearMap, args) -> np.ndarray:
     return out
 
 
+def burgers_galerkin_map(n: int) -> MultiLinearMap:
+    """The quadratic map of viscous Burgers' equation u_t + u u_x = u_xx on
+    (0, pi) with u = 0 at both ends, projected on sin(x), ..., sin(n x).
+
+    With u = sum_p a_p sin(p x), u u_x = sum_{p,q} q a_p a_q sin(p x) cos(q x)
+    and 2 sin(p x) cos(q x) = sin((p+q) x) + sin((p-q) x), so G_k(a, a)
+    collects -q/2 from p + q = k and from p - q = k, and +q/2 from
+    q - p = k.  Component k - 1 holds mode k.  There are 3 n (n - 1) / 2
+    entries: 84, 360 and 1,488 at n = 8, 16 and 32.
+    """
+    entries = []
+    for k in range(1, n + 1):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                if p + q == k or p - q == k:
+                    entries.append((k - 1, (p - 1, q - 1), -q / 2))
+                elif q - p == k:
+                    entries.append((k - 1, (p - 1, q - 1), q / 2))
+    return MultiLinearMap(2, n, tuple(entries))
+
+
 def batch_oracle(G: MultiLinearMap, *args: np.ndarray) -> np.ndarray:
     """``G.batch`` as a loop over the entry table, one entry at a time.
 
@@ -404,13 +425,17 @@ def eval_logpower_oracle(p: LogPowerSum, t: float) -> np.ndarray:
 
 
 def rhs_oracle(spec):
-    """Callable t, y -> -A y + multilinear terms + each forcing term at t, in order."""
+    """Callable t, y -> -A y + multilinear terms + each forcing term at t, in order.
+
+    The multilinear terms come from ``dense_apply``, not ``G(...)``, so a
+    fault in the map's generated kernel shows against this oracle.
+    """
     neg_A = -spec.matrix
 
     def rhs(t, y):
         out = neg_A @ y
         for g in spec.maps:
-            out += g(*([y] * g.arity))
+            out += dense_apply(g, [y] * g.arity)
         for _, term in spec.forcing:
             if isinstance(term, LogPowerSum):
                 out += eval_logpower_oracle(term, t)

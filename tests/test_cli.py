@@ -256,6 +256,68 @@ def test_malformed_forcing_field_exits_two_and_names_its_path(name, field, value
     _assert_exits_two_naming(cfg, "expand", field, value, tmp_path, capsys)
 
 
+# JSON true and false are no numbers, though Python's bool is an int: each
+# edit is (config, subcommand, field set, value, path the error names).
+BOOLEAN_FIELDS = [
+    ("riccati", "expand", "problem.forcing[0].rate", True, "problem.forcing[0].rate"),
+    ("riccati", "expand", "problem.forcing[0].terms[0].vector[0]", False, "problem.forcing[0].terms[0].vector[0]"),
+    ("resonant", "expand", "problem.matrix[0][0]", True, "problem.matrix[0][0]"),
+    ("resonant", "expand", "problem.matrix[0][0]", [2.0, False], "problem.matrix[0][0]"),
+    ("resonant", "expand", "problem.nonlinearity[0].arity", True, "problem.nonlinearity[0].arity"),
+    ("resonant", "expand", "problem.nonlinearity[0].entries[0][0]", False, "problem.nonlinearity[0].entries[0]"),
+    ("resonant", "expand", "problem.nonlinearity[0].entries[0][2]", False, "problem.nonlinearity[0].entries[0]"),
+    ("resonant", "verify", "verification.t_span[0]", False, "verification.t_span[0]"),
+    ("resonant", "verify", "verification.rel_tol", True, "verification.rel_tol"),
+    ("resonant", "verify", "verification.y0[0]", True, "verification.y0[0]"),
+    ("oscillatory_log", "expand", "problem.forcing[0].terms[0].factors[1].omega", True, "problem.forcing[0].terms[0].factors[1].omega"),
+    ("oscillatory_log", "expand", "problem.forcing[0].terms[0].alpha[4]", True, "problem.forcing[0].terms[0].alpha[4]"),
+]
+
+
+@pytest.mark.parametrize("name,command,field,value,path", BOOLEAN_FIELDS)
+def test_boolean_for_a_number_exits_two_and_names_its_path(
+    name, command, field, value, path, tmp_path, capsys
+):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    _set(field, value)(cfg)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
+
+
+def _oscillatory_log_with_factor(factor: dict, tmp_path) -> Path:
+    cfg = json.loads((CONFIGS / "oscillatory_log.json").read_text())
+    cfg["problem"]["forcing"][0]["terms"][0]["factors"].append(factor)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+@pytest.mark.parametrize("omega", [1.0, -7.0, 1e-11])
+def test_second_trig_factor_on_a_component_exits_two(omega, tmp_path, capsys):
+    # oscillatory_log's term has factors on components 0, 2 and 3
+    config = _oscillatory_log_with_factor({"index": 2, "omega": omega, "phase": "cos"}, tmp_path)
+    assert main(["expand", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: problem.forcing[0].terms[0].factors[3].index: "
+        "ladder component 2 already has a trig factor\n"
+    )
+    assert not any(tmp_path.glob("expansion.json"))
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+@pytest.mark.parametrize("omega", [0.0, -0.0, 4e-13])
+def test_cos_factor_of_zero_frequency_is_dropped_not_rejected(omega, tmp_path):
+    # cos(0 x) = 1: the factor is dropped, as if it were never there
+    config = _oscillatory_log_with_factor({"index": 2, "omega": omega, "phase": "cos"}, tmp_path)
+    assert main(["expand", "--config", str(config), "--out", str(tmp_path / "edited")]) == 0
+    shipped = str(CONFIGS / "oscillatory_log.json")
+    assert main(["expand", "--config", shipped, "--out", str(tmp_path / "shipped")]) == 0
+    for name in ("expansion.json", "terms.csv"):
+        assert (tmp_path / "edited" / name).read_bytes() == (tmp_path / "shipped" / name).read_bytes()
+
+
 VERIFY_LINE = re.compile(r"^N=(\d+): exponent=(\S+) .* (PASS|FAIL)$", re.MULTILINE)
 KERNEL_LINE = re.compile(r"^fitted \d+ kernel constant\(s\) at order \d+: (.*)$", re.MULTILINE)
 

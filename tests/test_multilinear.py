@@ -3,6 +3,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from odexpand import MultiLinearMap
 from odexpand.multilinear import _BLOCK
 
-from helpers import batch_oracle, cvec, dense_apply, random_multilinear
+from helpers import batch_oracle, burgers_galerkin_map, cvec, dense_apply, random_multilinear
 
 
 def test_entries_merge_and_drop_zeros():
@@ -26,15 +27,121 @@ def test_entries_sorted_canonically():
     assert MultiLinearMap(2, 2, e1) == MultiLinearMap(2, 2, e2)
 
 
-def test_call_matches_bruteforce():
+def _as_inputs(x: np.ndarray, kind: str):
+    """x as ``__call__`` may receive it: an array, or a list of Python numbers."""
+    return x if kind == "array" else x.tolist()
+
+
+@pytest.mark.parametrize("kind", ["array", "list"])
+def test_call_matches_bruteforce_bitwise(kind):
     rng = np.random.default_rng(11)
-    for _ in range(25):
-        arity = int(rng.integers(1, 4))
+    for trial in range(200):
+        arity = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 5))
-        G = random_multilinear(rng, arity, dim, n_entries=6)
-        args = [cvec(rng, dim) for _ in range(arity)]
-        got = G(*args)
-        np.testing.assert_allclose(got, dense_apply(G, args), rtol=1e-13, atol=1e-13)
+        G = random_multilinear(rng, arity, dim, n_entries=int(rng.integers(0, 9)), real=trial % 2 == 0)
+        if trial % 3 == 0:  # real-valued inputs
+            xs = [rng.standard_normal(dim) for _ in range(arity)]
+        else:
+            xs = [_spread_cvecs(rng, dim) for _ in range(arity)]
+        got = G(*(_as_inputs(x, kind) for x in xs))
+        assert got.dtype == complex and got.shape == (dim,)
+        # the same values as complex: a real array reaches the kernel converted
+        want = dense_apply(G, [_as_inputs(x.astype(complex), kind) for x in xs])
+        _assert_bitwise(got, want)
+        if kind == "list":  # real floats in a list are used as they are
+            _assert_bitwise(got, dense_apply(G, [x.tolist() for x in xs]))
+
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e300, -1e300, 1e-300, 5e-324, 1.0])
+
+
+def _special_cvecs(rng, shape) -> np.ndarray:
+    """Complex entries whose parts are drawn from signed zeros, infinities,
+    nan, values whose products overflow or underflow, and ordinary ones."""
+    return _complex(rng.choice(_SPECIAL, shape), rng.choice(_SPECIAL, shape))
+
+
+def _assert_bitwise_up_to_nan_sign(a: np.ndarray, b: np.ndarray) -> None:
+    """NaN where the other has NaN, the same bits everywhere else.  IEEE 754
+    leaves the sign of a NaN result unspecified, and numpy's scalar product
+    may take the operands of a NaN * NaN in the other order."""
+    for x, y in ((a.real, b.real), (a.imag, b.imag)):
+        nan = np.isnan(x)
+        assert np.array_equal(nan, np.isnan(y))
+        assert x[~nan].tobytes() == y[~nan].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["array", "list"])
+def test_call_keeps_signed_zeros_inf_nan_and_overflow_bitwise(kind):
+    rng = np.random.default_rng(12)
+    for trial in range(300):
+        arity, dim = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        values = _special_cvecs(rng, int(rng.integers(0, 8))) if trial % 2 else _spread_cvecs(rng, 6)
+        G = MultiLinearMap(
+            arity,
+            dim,
+            tuple(
+                (int(rng.integers(0, dim)), tuple(int(j) for j in rng.integers(0, dim, arity)), v)
+                for v in values
+            ),
+        )
+        xs = [_special_cvecs(rng, dim) for _ in range(arity)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow raises no RuntimeWarning
+            got = G(*(_as_inputs(x, kind) for x in xs))
+        with np.errstate(all="ignore"):
+            want = dense_apply(G, [_as_inputs(x, kind) for x in xs])
+        _assert_bitwise_up_to_nan_sign(got, want)
+
+
+def test_call_starts_every_row_from_positive_zero():
+    # -1 * 0j has real part -0.0, and 0j plus it is +0.0; row 1 has no
+    # entries and stays +0.0
+    assert np.signbit(((-1.0 + 0j) * 0j).real)
+    G = MultiLinearMap(1, 2, ((0, (0,), -1.0),))
+    x = np.zeros(2, dtype=complex)
+    for arg in (x, x.tolist()):
+        got = G(arg)
+        assert got.tobytes() == np.zeros(2, dtype=complex).tobytes()
+        assert got.tobytes() == dense_apply(G, [arg]).tobytes()
+
+
+def test_kernel_compiles_on_first_call_once_per_map():
+    G = random_multilinear(np.random.default_rng(13), 2, 3, n_entries=5)
+    assert "kernel" not in vars(G)
+    x = cvec(np.random.default_rng(14), 3)
+    G(x, x)
+    assert G.kernel is G.kernel
+    assert "kernel" in vars(G)
+
+
+def test_call_on_one_long_output_row_matches_bruteforce_bitwise():
+    # 6,400 entries summed into one row: a single sum expression of that
+    # length would exhaust the compiler's recursion limit
+    rng = np.random.default_rng(15)
+    dim = 80
+    values = cvec(rng, dim * dim) * 10.0 ** rng.integers(-6, 7, dim * dim)
+    G = MultiLinearMap(
+        2, dim, tuple((0, (p, q), values[p * dim + q]) for p in range(dim) for q in range(dim))
+    )
+    assert len(G.entries) == 6400 and {i for i, _, _ in G.entries} == {0}
+    x, y = _spread_cvecs(rng, dim), _spread_cvecs(rng, dim)
+    _assert_bitwise(G(x, y), dense_apply(G, [x, y]))
+    _assert_bitwise(G(x.tolist(), y.tolist()), dense_apply(G, [x, y]))
+
+
+@pytest.mark.parametrize("n, size", [(8, 84), (16, 360), (32, 1488)])
+def test_burgers_galerkin_map_matches_bruteforce_bitwise(n, size):
+    G = burgers_galerkin_map(n)
+    assert len(G.entries) == size and G.is_real()
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        x = _spread_cvecs(rng, n)
+        _assert_bitwise(G(x, x), dense_apply(G, [x, x]))
+        _assert_bitwise(G.symmetrized(x, x), dense_apply(G.symmetrized, [x, x]))
+    # u u_x carries no energy: a . G(a, a) = 0 for real modes a
+    a = rng.standard_normal(n)
+    assert abs(a @ G(a, a)) <= 1e-14 * float(np.abs(a) @ np.abs(G(a, a)))
 
 
 def test_call_is_multilinear_in_each_slot():
