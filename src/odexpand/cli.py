@@ -80,8 +80,13 @@ def _check_keys(obj: dict, allowed, path: str) -> None:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: bool is an int subclass, but true and false are not numbers."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """A finite JSON number.  bool is an int subclass, but true and false are
+    not numbers; json also reads NaN, Infinity and integers beyond a float."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
 
 
 def _is_int(value) -> bool:
@@ -276,6 +281,8 @@ def load_config(path) -> dict:
         _check_keys(cfg["certificate"], _CERTIFICATE_KEYS, "certificate")
     if "output" in cfg:
         _check_keys(cfg["output"], _OUTPUT_KEYS, "output")
+        if not isinstance(cfg["output"].get("dir", ""), str):
+            raise ConfigError("output.dir: expected a string")
     return cfg
 
 
@@ -557,7 +564,11 @@ def cmd_verify(cfg: dict, args) -> int:
     y0 = [_complex(x, f"verification.y0[{i}]") for i, x in enumerate(ver["y0"])]
     t_span = _span(ver["t_span"], "verification.t_span")
     rel_tol = _real(ver.get("rel_tol", 1e-10), "verification.rel_tol")
+    if rel_tol < 0:
+        raise ConfigError("verification.rel_tol: expected a number >= 0")
     abs_tol = _real(ver.get("abs_tol", 1e-12), "verification.abs_tol")
+    if not abs_tol > 0:
+        raise ConfigError("verification.abs_tol: expected a positive number")
     margin = _real(ver.get("margin", 0.1), "verification.margin")
     window = ver.get("fit_window")
     if window is not None:
@@ -572,6 +583,14 @@ def cmd_verify(cfg: dict, args) -> int:
     # the decay fit needs three samples in its window; check before integrating
     if window is not None and np.count_nonzero((grid >= window[0]) & (grid <= window[1])) < 3:
         raise ConfigError("verification.fit_window: holds fewer than 3 points of the sample grid")
+    # a ladder-power forcing term of depth d is defined for t > exp_zero(d + 1)
+    depths = [term.depth for _, term in spec.forcing if isinstance(term, LogPowerSum)]
+    lo = exp_zero(max(depths) + 1) if depths else -math.inf
+    if t_span[0] <= lo:
+        raise ConfigError(
+            f"verification.t_span: starts at {t_span[0]}, but the forcing is only "
+            f"defined for t > {lo}"
+        )
     expansion = expand(spec)
     traj = integrate(spec, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
     if fit_res is not None:
@@ -594,10 +613,11 @@ def cmd_verify(cfg: dict, args) -> int:
     else:
         n_values = list(range(1, expansion.order_count() + 1))
     report_lines = []
+    table = remainder_series(traj, expansion, n_values[-1], grid)
     for n in n_values:
-        ts, rem = remainder_series(traj, expansion, n, grid)
+        rem = table[n]
         target = rates[0] if n == 0 else rates[n - 1]
-        fit = fit_decay(ts, rem, spec.mode, spec.scale_index, window)
+        fit = fit_decay(grid, rem, spec.mode, spec.scale_index, window)
         ok = fit.exponent >= target - margin
         all_pass &= ok
         verdict = "PASS" if ok else "FAIL"

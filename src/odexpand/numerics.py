@@ -1,14 +1,15 @@
 """Numerical verification tools: integration, decay fits, bounds.
 
 Everything here treats the symbolic layer as a black box that can be
-evaluated pointwise.  The checks are deliberately independent of the
-construction: trajectories come from an adaptive Runge-Kutta run and
+evaluated on a grid of times.  The checks are deliberately independent of
+the construction: trajectories come from an adaptive Runge-Kutta run and
 decay rates from least-squares fits in the appropriate log coordinates.
+The remainder check is one pass: the trajectory is sampled once on the
+grid, and ``remainder_series`` returns |y - S_N| for every N as one table.
 """
 
 from __future__ import annotations
 
-import math
 import statistics
 from dataclasses import dataclass
 
@@ -16,15 +17,14 @@ import numpy as np
 
 from .engine import Expansion, ProblemSpec, eval_partial_sum
 from .expsum import snap_float
-from .ladder import exp_zero, iter_log
-from .logpower import LogPowerSum, row_norms
+from .ladder import ladder_eval
+from .logpower import row_norms
 from .rk45 import Trajectory, integrate_rhs
 
 __all__ = [
     "DecayFit",
     "SmallnessCertificate",
     "decay_envelope_constant",
-    "default_fit_window",
     "fit_decay",
     "fit_kernel_constants",
     "integrate",
@@ -60,15 +60,6 @@ def make_rhs(spec: ProblemSpec):
     return field
 
 
-def _forcing_domain_start(spec: ProblemSpec) -> float:
-    """Smallest time at which every forcing term can be evaluated."""
-    lo = -math.inf
-    for _, term in spec.forcing:
-        if isinstance(term, LogPowerSum):
-            lo = max(lo, exp_zero(term.depth + 1))
-    return lo
-
-
 def integrate(
     spec: ProblemSpec,
     y0,
@@ -79,13 +70,10 @@ def integrate(
     """Integrate the problem's ODE over t_span.
 
     The field comes from ``make_rhs``; the forcing records are the
-    problem's forcing terms, each evaluated at a whole stack of times.
+    problem's forcing terms, each evaluated at a whole stack of times.  A
+    t_span that starts outside a forcing term's domain raises that term's
+    own ValueError at t0.
     """
-    lo = _forcing_domain_start(spec)
-    if t_span[0] <= lo:
-        raise ValueError(
-            f"t_span starts at {t_span[0]} but the forcing is only defined for t > {lo}"
-        )
     terms = [term for _, term in spec.forcing]
 
     def forcing(ts):
@@ -268,16 +256,17 @@ def smallness_certificate(
 # Remainders and decay fits
 
 
-def remainder_series(traj: Trajectory, expansion: Expansion, upto: int, ts=None):
-    """Norms |y(t) - partial sum| on a time grid inside the trajectory."""
-    if ts is None:
-        ts = traj.ts
+def remainder_series(traj: Trajectory, expansion: Expansion, upto: int, ts) -> np.ndarray:
+    """Table of |y(t) - S_N(t)| for N = 0..upto on a time grid inside the trajectory.
+
+    Row N holds the norms against the partial sum of the first N orders,
+    so row 0 is |y| itself.  The trajectory is sampled once for all rows.
+    """
     ts = np.asarray(ts, dtype=float)
-    partial = eval_partial_sum(expansion, upto, ts)
-    vals = np.array(
-        [float(np.linalg.norm(traj.sample(t) - p)) for t, p in zip(ts, partial)]
+    ys = traj.sample(ts)
+    return np.stack(
+        [row_norms(ys - eval_partial_sum(expansion, n, ts)) for n in range(upto + 1)]
     )
-    return ts, vals
 
 
 @dataclass(frozen=True)
@@ -286,29 +275,12 @@ class DecayFit:
 
     exponent is the fitted decay rate against the mode's natural
     regressor: t for exponential problems, log of the scale-m* iterated
-    logarithm otherwise.
+    logarithm otherwise.  window is the first and last time fitted.
     """
 
     exponent: float
-    intercept: float
     r_squared: float
-    regressor: str
     window: tuple
-    count: int
-
-
-def default_fit_window(ts, values) -> np.ndarray:
-    """Mask selecting the trailing 40% of the span, above the noise floor.
-
-    The floor is 100 machine epsilons relative to the first sample, which
-    stands in for the size of the quantity whose cancellation produced
-    the remainder.
-    """
-    ts = np.asarray(ts, dtype=float)
-    values = np.asarray(values, dtype=float)
-    t_lo = ts[0] + 0.6 * (ts[-1] - ts[0])
-    floor = 100.0 * np.finfo(float).eps * values[0]
-    return (ts >= t_lo) & (values > floor)
 
 
 def fit_decay(
@@ -322,50 +294,42 @@ def fit_decay(
 
     Exponential mode regresses on t itself; power and log modes regress
     on the log of the iterated logarithm at scale_index, so the fitted
-    exponent is directly comparable with an expansion order's rate.
+    exponent is directly comparable with an expansion order's rate.  The
+    default window is the trailing 40% of the span.  Either window keeps
+    only samples above the noise floor: 100 machine epsilons relative to
+    the first sample, which stands in for the size of the quantity whose
+    cancellation produced the remainder.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
-    if ts.shape != values.shape or ts.ndim != 1:
-        raise ValueError("ts and values must be matching 1-d arrays")
-    floor = 100.0 * np.finfo(float).eps * values[0] if len(values) else 0.0
-    if window is None:
-        mask = default_fit_window(ts, values)
-    else:
-        lo, hi = window
-        mask = (ts >= lo) & (ts <= hi) & (values > floor)
-    mask &= values > 0
+    if ts.shape != values.shape or ts.ndim != 1 or ts.size == 0:
+        raise ValueError("ts and values must be matching nonempty 1-d arrays")
+    floor = 100.0 * np.finfo(float).eps * values[0]
+    lo, hi = window if window is not None else (ts[0] + 0.6 * (ts[-1] - ts[0]), ts[-1])
+    mask = (ts >= lo) & (ts <= hi) & (values > floor) & (values > 0)
     if int(mask.sum()) < 3:
         raise ValueError("fewer than 3 usable samples in the fit window")
     tw = ts[mask]
-    vw = values[mask]
     if mode == "exponential":
         x = tw
-        regressor = "t"
     elif mode in ("power", "log"):
         if scale_index < 0:
             raise ValueError("scale_index must be >= 0")
-        x = np.array([iter_log(scale_index + 1, t) for t in tw])
-        regressor = f"log(ladder[{scale_index}](t))"
+        x = ladder_eval(scale_index, tw)[:, scale_index + 1]
     else:
         raise ValueError(f"unknown mode {mode!r}")
-    y = np.log(vw)
+    y = np.log(values[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(
-        exponent=float(-slope),
-        intercept=float(intercept),
-        r_squared=r2,
-        regressor=regressor,
-        window=(float(tw[0]), float(tw[-1])),
-        count=int(mask.sum()),
-    )
+    return DecayFit(exponent=float(-slope), r_squared=r2, window=(float(tw[0]), float(tw[-1])))
 
 
 # ---------------------------------------------------------------------------
 # Free-constant recovery
+
+_KERNEL_FIT_SAMPLES = 64
 
 
 def fit_kernel_constants(
@@ -373,13 +337,13 @@ def fit_kernel_constants(
     expansion: Expansion,
     k: int,
     window: tuple,
-    n_samples: int = 64,
 ) -> np.ndarray:
     """Least-squares coefficients of order k's kernel modes.
 
     Fits y(t) - (partial sum through order k) against the homogeneous
-    modes attached to order k on a window; choose the window late enough
-    that orders beyond k are negligible relative to the modes.
+    modes attached to order k, at 64 evenly spaced times of a window;
+    choose the window late enough that orders beyond k are negligible
+    relative to the modes.
     """
     order = expansion.orders[k - 1]
     modes = order.kernel
@@ -388,9 +352,9 @@ def fit_kernel_constants(
     lo, hi = window
     if not (traj.t0 <= lo < hi <= traj.t1):
         raise ValueError("window must lie inside the trajectory span")
-    ts = np.linspace(lo, hi, n_samples)
+    ts = np.linspace(lo, hi, _KERNEL_FIT_SAMPLES)
     # one row per (time, component), time-major
-    resid = np.array([traj.sample(t) for t in ts]) - eval_partial_sum(expansion, k, ts)
+    resid = traj.sample(ts) - eval_partial_sum(expansion, k, ts)
     rows = np.stack([mode.eval(ts).reshape(-1) for mode in modes], axis=1)
     coeffs, *_ = np.linalg.lstsq(rows, resid.reshape(-1), rcond=None)
     return coeffs

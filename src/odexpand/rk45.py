@@ -19,7 +19,6 @@ Hermite interpolation from the stored endpoint derivatives.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -75,24 +74,32 @@ class Trajectory:
     def t1(self) -> float:
         return float(self.ts[-1])
 
-    def sample(self, t: float) -> np.ndarray:
-        """Dense-output state at t (must lie inside the integrated span)."""
-        t = float(t)
-        if not self.ts[0] <= t <= self.ts[-1]:
-            raise ValueError(f"t = {t} outside the integrated span")
-        i = bisect.bisect_right(self.ts, t) - 1
-        if i >= len(self.ts) - 1:
-            return self.states[-1].copy()
-        t0, t1 = self.ts[i], self.ts[i + 1]
-        h = t1 - t0
-        s = (t - t0) / h
-        y0, y1 = self.states[i], self.states[i + 1]
-        f0, f1 = self.derivs[i], self.derivs[i + 1]
+    def sample(self, t) -> np.ndarray:
+        """Dense-output state at a time, or one row per time of a 1-D array.
+
+        Every time must lie inside the integrated span.  Each time is found
+        among the accepted points by one ``np.searchsorted`` and interpolated
+        on its step; at t1 the result is ``states[-1]`` exactly.
+        """
+        tv = np.asarray(t, dtype=float).reshape(-1)
+        outside = ~((self.ts[0] <= tv) & (tv <= self.ts[-1]))
+        if outside.any():
+            raise ValueError(f"t = {tv[outside][0]} outside the integrated span")
+        i = np.minimum(np.searchsorted(self.ts, tv, side="right") - 1, len(self.ts) - 2)
+        h = (self.ts[i + 1] - self.ts[i])[:, None]
+        s = (tv - self.ts[i])[:, None] / h
         h00 = (1 + 2 * s) * (1 - s) ** 2
         h10 = s * (1 - s) ** 2
         h01 = s * s * (3 - 2 * s)
         h11 = s * s * (s - 1)
-        return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
+        out = (
+            h00 * self.states[i]
+            + h * h10 * self.derivs[i]
+            + h01 * self.states[i + 1]
+            + h * h11 * self.derivs[i + 1]
+        )
+        out[tv == self.ts[-1]] = self.states[-1]
+        return out if np.ndim(t) else out[0]
 
 
 def _derivative(field, forcing, ts, y) -> np.ndarray:

@@ -6,6 +6,7 @@ and failures replay deterministically.
 
 from __future__ import annotations
 
+import bisect
 import importlib.util
 import itertools
 import math
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, rk45
-from odexpand.engine import _decompose_values, _match_tol, _ordered_tuples
+from odexpand.engine import _decompose_values, _match_tol, _ordered_tuples, eval_partial_sum
 from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import mul_apply_exp, snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
@@ -541,3 +542,35 @@ def assert_arrays_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:
     a, b = np.asarray(a), np.asarray(b)
     assert a.shape == b.shape and a.dtype == b.dtype
     assert a.tobytes() == b.tobytes()
+
+
+def sample_oracle(traj: rk45.Trajectory, t: float) -> np.ndarray:
+    """Dense output at one time: a bisect for the step, then cubic Hermite.
+
+    Its squares are np.float64 ** 2, which calls C pow; an array's square
+    is x*x, and the two differ in the last bit at about 1 value in 1,200.
+    """
+    t = float(t)
+    if not traj.ts[0] <= t <= traj.ts[-1]:
+        raise ValueError(f"t = {t} outside the integrated span")
+    i = bisect.bisect_right(traj.ts, t) - 1
+    if i >= len(traj.ts) - 1:
+        return traj.states[-1].copy()
+    t0, t1 = traj.ts[i], traj.ts[i + 1]
+    h = t1 - t0
+    s = (t - t0) / h
+    y0, y1 = traj.states[i], traj.states[i + 1]
+    f0, f1 = traj.derivs[i], traj.derivs[i + 1]
+    h00 = (1 + 2 * s) * (1 - s) ** 2
+    h10 = s * (1 - s) ** 2
+    h01 = s * s * (3 - 2 * s)
+    h11 = s * s * (s - 1)
+    return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
+
+
+def remainder_series_oracle(traj: rk45.Trajectory, expansion, n: int, ts) -> np.ndarray:
+    """|y(t) - S_n(t)| one grid point at a time, each a scalar sample and norm."""
+    partial = eval_partial_sum(expansion, n, ts)
+    return np.array(
+        [float(np.linalg.norm(sample_oracle(traj, t) - p)) for t, p in zip(ts, partial)]
+    )

@@ -220,6 +220,19 @@ MALFORMED_FIELDS = [
     ("expand", "problem.scale_index", 1.5),
     ("expand", "problem.matrix", [[2.0, 0.0], [1.0]]),
     ("expand", "expansion.order", True),
+    # json reads NaN, Infinity and integers beyond a float's range
+    ("verify", "verification.rel_tol", -1),
+    ("verify", "verification.rel_tol", float("nan")),
+    ("verify", "verification.abs_tol", 0),
+    ("verify", "verification.abs_tol", float("inf")),
+    ("verify", "verification.margin", float("nan")),
+    ("verify", "verification.t_span", [0.0, float("inf")]),
+    ("verify", "verification.y0", [float("nan")]),
+    ("expand", "problem.forcing[0].rate", float("inf")),
+    ("expand", "problem.matrix", [[float("-inf")]]),
+    ("expand", "problem.nonlinearity[0].entries[0]", [0, 0, 0, 10**400]),
+    ("certificate", "certificate.probe_radius", float("inf")),
+    ("expand", "output.dir", 5),
 ]
 
 # Fields of forcing types that resonant.json does not use, each edited in
@@ -284,6 +297,27 @@ def test_boolean_for_a_number_exits_two_and_names_its_path(
     config.write_text(json.dumps(cfg))
     assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith(f"validation error: {path}: ")
+
+
+def test_t_span_outside_the_forcing_domain_exits_two_before_expanding(
+    tmp_path, monkeypatch, capsys
+):
+    # riccati's forcing t^-1 lives at depth 0, so it is defined for t > 1
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg["verification"]["t_span"] = [1.0, 100.0]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+
+    def refuse(spec):
+        raise AssertionError("expand ran")
+
+    monkeypatch.setattr(cli, "expand", refuse)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: verification.t_span: starts at 1.0, but the forcing "
+        "is only defined for t > 1.0\n"
+    )
+    assert not (tmp_path / "out").exists()
 
 
 def _oscillatory_log_with_factor(factor: dict, tmp_path) -> Path:

@@ -7,10 +7,26 @@ import pytest
 import scipy.linalg
 import scipy.special
 
-from helpers import assert_arrays_bitwise_equal, bench_module, integrate_rhs_oracle, rhs_oracle
+from helpers import (
+    assert_arrays_bitwise_equal,
+    bench_module,
+    integrate_rhs_oracle,
+    remainder_series_oracle,
+    rhs_oracle,
+    sample_oracle,
+)
 from odexpand import LogPowerSum, numerics
-from odexpand.cli import build_problem
-from odexpand.numerics import _kronecker_directions, decay_envelope_constant, matrix_exp_norm
+from odexpand.cli import _sample_grid, build_problem
+from odexpand.engine import eval_partial_sum, expand, with_kernel_fit
+from odexpand.numerics import (
+    _kronecker_directions,
+    decay_envelope_constant,
+    fit_decay,
+    fit_kernel_constants,
+    matrix_exp_norm,
+    remainder_series,
+)
+from odexpand.rk45 import Trajectory
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -151,3 +167,185 @@ def test_integrate_calls_the_hooks_it_looks_up(monkeypatch):
     assert len(field_calls) == traj.meta["rhs_evals"] == 2 + 6 * attempts
     # one eval per record per forcing call
     assert forcing_lengths == [n for n in [1, 1] + [6] * attempts for _ in range(2)]
+
+
+def test_integrate_from_the_forcing_threshold_raises_the_forcings_error():
+    # riccati's forcing t^-1 sits at depth 0: defined for t > 1, and the
+    # first forcing call at t0 = 1 raises
+    cfg = _config("riccati")
+    spec = build_problem(cfg)
+    with pytest.raises(ValueError, match="t = 1.0 below the depth-0 evaluation threshold"):
+        numerics.integrate(spec, cfg["verification"]["y0"], (1.0, 100.0))
+
+
+# ---------------------------------------------------------------------------
+# the remainder pipeline: one sample of the trajectory, one table of |y - S_N|
+
+EPS = np.finfo(float).eps
+
+
+def _verify_run(case: str):
+    """A case's expansion, trajectory and the grid verify samples it on."""
+    cfg = _config(case)
+    ver = cfg["verification"]
+    if case == "riccati":
+        ver["t_span"] = [10.0, 1000.0]
+    spec = build_problem(cfg)
+    traj = numerics.integrate(spec, ver["y0"], ver["t_span"], ver["rel_tol"], ver["abs_tol"])
+    return expand(spec), traj, _sample_grid(spec, ver["t_span"], ver)
+
+
+def test_array_sample_matches_the_scalar_oracle():
+    # a decaying oscillation integrated in few long steps, sampled densely
+    traj = numerics.integrate_rhs(
+        lambda y: np.array([-0.5 * y[0] + 3j * y[0], -y[0] - 2.0 * y[1]]),
+        lambda ts: [],
+        [1.0, 0.5j],
+        (0.0, 20.0),
+        rel_tol=1e-6,
+        abs_tol=1e-9,
+    )
+    ts = np.concatenate([np.linspace(0.0, 20.0, 4001), traj.ts])
+    got = traj.sample(ts)
+    want = np.array([sample_oracle(traj, t) for t in ts])
+    assert got.shape == (len(ts), 2)
+    # the Hermite weights' squares may differ from the oracle's in the last bit
+    i = np.minimum(np.searchsorted(traj.ts, ts, side="right") - 1, len(traj.ts) - 2)
+    h = (traj.ts[i + 1] - traj.ts[i])[:, None]
+    size = (
+        abs(traj.states[i]) + abs(traj.states[i + 1])
+        + h * (abs(traj.derivs[i]) + abs(traj.derivs[i + 1]))
+    )
+    assert np.all(abs(got - want) <= 4 * EPS * size)
+    assert np.mean(got == want) > 0.99
+    # every accepted point, t1 included, gives its stored state
+    np.testing.assert_array_equal(got[4001:], traj.states)
+    assert_arrays_bitwise_equal(traj.sample(traj.t1), traj.states[-1])
+    assert_arrays_bitwise_equal(traj.sample(ts[17]), got[17])
+    with pytest.raises(ValueError, match="outside the integrated span"):
+        traj.sample(np.array([1.0, 20.5]))
+
+
+def test_sample_at_t1_keeps_the_sign_of_a_zero():
+    # the Hermite formula at s = 1 would turn this -0.0 into +0.0
+    states = np.array([[1.0 + 1.0j], [complex(-0.0, -1.0)]])
+    traj = Trajectory(ts=np.array([0.0, 1.0]), states=states, derivs=np.zeros_like(states))
+    assert_arrays_bitwise_equal(traj.sample(1.0), states[-1])
+    assert_arrays_bitwise_equal(traj.sample(np.array([0.5, 1.0]))[1], states[-1])
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+@pytest.mark.parametrize("case", ["riccati", "resonant", "verify-long:0", "exp-resonant:3"])
+def test_remainder_table_matches_the_per_point_loop(case):
+    expansion, traj, grid = _verify_run(case)
+    upto = expansion.order_count()
+    table = remainder_series(traj, expansion, upto, grid)
+    assert table.shape == (upto + 1, len(grid))
+    # row 0 is the solution's own norm
+    assert_arrays_bitwise_equal(
+        table[0], np.array([np.linalg.norm(traj.sample(t)) for t in grid])
+    )
+    for n in range(upto + 1):
+        want = remainder_series_oracle(traj, expansion, n, grid)
+        # a last-bit change of a Hermite weight moves y by an ulp of |y|
+        assert np.all(abs(table[n] - want) <= 8 * EPS * table[0]), n
+        assert np.mean(table[n] == want) > 0.95, n
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_remainder_table_rows_are_partial_sum_orders():
+    # a trajectory whose states are exactly S_2 at its nodes: sampled at the
+    # nodes, row 2 vanishes and row 1 is |order 2's term|
+    expansion = expand(build_problem(_config("resonant")))
+    ts = np.linspace(1.0, 6.0, 41)
+    states = eval_partial_sum(expansion, 2, ts)
+    traj = Trajectory(ts=ts, states=states, derivs=np.zeros_like(states))
+    table = remainder_series(traj, expansion, 2, ts)
+    np.testing.assert_array_equal(table[2], 0.0)
+    second = np.abs(expansion.orders[1].term.eval(ts)[:, 0])
+    np.testing.assert_allclose(table[1], second, rtol=1e-14)
+    np.testing.assert_array_equal(table[0], np.abs(states[:, 0]))
+
+
+# Planted decays: (mode, scale_index, the regressor at t) with grids inside
+# each regressor's domain.
+PLANTED = {
+    "exponential": ("exponential", 0, lambda t: t, np.linspace(0.0, 15.0, 151)),
+    "power": ("power", 0, np.log, np.geomspace(10.0, 1e4, 200)),
+    "log": ("log", 1, lambda t: np.log(np.log(t)), np.geomspace(3.0, 1e8, 200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_fit_decay_recovers_a_planted_exponent(name):
+    mode, scale_index, x, ts = PLANTED[name]
+    values = 3.0 * np.exp(-1.75 * x(ts))
+    fit = fit_decay(ts, values, mode, scale_index)
+    assert fit.exponent == pytest.approx(1.75, rel=1e-10)
+    assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
+    # the default window is the trailing 40% of the span
+    first = ts[ts >= ts[0] + 0.6 * (ts[-1] - ts[0])][0]
+    assert fit.window == (first, ts[-1])
+    # an explicit window fits only its own samples: plant a second exponent
+    # before the middle of the grid and fit there
+    mid = ts[len(ts) // 2]
+    early = values * np.exp(-0.5 * (x(ts) - x(mid)))
+    values2 = np.where(ts < mid, early, values)
+    fit2 = fit_decay(ts, values2, mode, scale_index, window=(ts[0], ts[len(ts) // 2 - 1]))
+    assert fit2.exponent == pytest.approx(2.25, rel=1e-10)
+    assert fit2.window == (ts[0], ts[len(ts) // 2 - 1])
+
+
+@pytest.mark.parametrize("window", [None, (25.0, 50.0)])
+def test_fit_decay_drops_samples_below_the_noise_floor(window):
+    # e^-t down to t = 32, then a plateau of rounding noise far below 100 ulps
+    # of the first sample: only the samples above the floor are fitted
+    ts = np.linspace(0.0, 50.0, 501)
+    noise = 1e-17 * (1.0 + 0.5 * np.sin(7.0 * ts))
+    values = np.where(ts <= 32.0, np.exp(-ts), noise)
+    fit = fit_decay(ts, values, "exponential", window=window)
+    assert fit.exponent == pytest.approx(1.0, rel=1e-10)
+    assert fit.window[1] == pytest.approx(31.4, abs=0.1)
+
+
+def test_fit_decay_needs_three_usable_samples():
+    ts = np.linspace(0.0, 10.0, 11)
+    values = np.exp(-ts)
+    with pytest.raises(ValueError, match="fewer than 3 usable samples"):
+        fit_decay(ts, values, "exponential", window=(8.5, 10.0))
+    # zeros and samples below the floor do not count
+    with pytest.raises(ValueError, match="fewer than 3 usable samples"):
+        fit_decay(ts, np.where(ts < 9.0, 0.0, values), "exponential", window=(0.0, 10.0))
+    with pytest.raises(ValueError, match="fewer than 3 usable samples"):
+        fit_decay(ts, np.where(ts < 2.0, values, 1e-20), "exponential", window=(0.0, 10.0))
+    assert fit_decay(ts, values, "exponential", window=(7.5, 10.0)).window == (8.0, 10.0)
+    with pytest.raises(ValueError, match="matching nonempty 1-d arrays"):
+        fit_decay([], [], "exponential")
+    with pytest.raises(ValueError, match="unknown mode"):
+        fit_decay(ts, values, "linear")
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+@pytest.mark.parametrize("nodes,rtol", [("at_the_samples", 1e-10), ("dense", 1e-8)])
+def test_fit_kernel_constants_recovers_planted_constants(nodes, rtol):
+    # resonant.json's order 2 has one free kernel mode, e^{-2t}; a trajectory
+    # that is S_2 with planted constants gives those constants back
+    expansion = expand(build_problem(_config("resonant")))
+    assert len(expansion.orders[1].kernel) == 1
+    planted = np.array([0.37 - 0.21j])
+    target = with_kernel_fit(expansion, 2, planted)
+    if nodes == "at_the_samples":
+        ts = np.linspace(10.0, 14.0, 64)
+        derivs = np.zeros((len(ts), 1), dtype=complex)
+    else:
+        ts = np.linspace(9.0, 15.0, 3001)
+        derivs = sum(o.term.derivative().eval(ts) for o in target.orders[:2])
+    traj = Trajectory(ts=ts, states=eval_partial_sum(target, 2, ts), derivs=derivs)
+    coeffs = fit_kernel_constants(traj, expansion, 2, (10.0, 14.0))
+    # S_2 is e^{-t} in size and the mode e^{-2t}, so the subtraction loses
+    # about 14 bits at t = 10; dense nodes add the Hermite interpolation error
+    np.testing.assert_allclose(coeffs, planted, rtol=rtol)
+    # order 1 has no free mode, and the window must lie inside the span
+    assert fit_kernel_constants(traj, expansion, 1, (10.0, 14.0)).shape == (0,)
+    with pytest.raises(ValueError, match="inside the trajectory span"):
+        fit_kernel_constants(traj, expansion, 2, (5.0, 14.0))
