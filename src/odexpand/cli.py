@@ -399,26 +399,10 @@ def _power_factor(j: int, a: complex) -> str | None:
     return f"{name}^{_fmt_complex(a)}"
 
 
-def term_string_logpower(term: LogPowerSum) -> str:
-    """Human form of a ladder-power sum, e.g. 2*t^-2."""
-    if term.is_zero():
-        return "0"
+def _ladder_term_string(terms) -> str:
+    """Human form of (alpha, trig factors, vec) ladder terms, e.g. 2*t^-2."""
     parts = []
-    for alpha, vec in term.items():
-        factors = [_vec_str(vec)]
-        for i, a in enumerate(alpha):
-            f = _power_factor(i - 1, a)
-            if f is not None:
-                factors.append(f)
-        parts.append("·".join(factors))
-    return " + ".join(parts)
-
-
-def term_string_trig(term: TrigLadderSum) -> str:
-    if term.is_zero():
-        return "0"
-    parts = []
-    for (alpha, factors), vec in term.items():
+    for alpha, factors, vec in terms:
         bits = [_vec_str(vec)]
         for i, a in enumerate(alpha):
             f = _power_factor(i - 1, complex(a))
@@ -427,7 +411,7 @@ def term_string_trig(term: TrigLadderSum) -> str:
         for j, omega, phase in factors:
             bits.append(f"{phase}({_num(omega)}·{_slot_name(j)})")
         parts.append("·".join(bits))
-    return " + ".join(parts)
+    return " + ".join(parts) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +498,7 @@ def _term_table(expansion: Expansion) -> str:
             if order.kernel:
                 s += f"   [{len(order.kernel)} free kernel mode(s)]"
         else:
-            s = term_string_logpower(term)
+            s = _ladder_term_string((alpha, (), vec) for alpha, vec in term.items())
         lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
     return "\n".join(lines)
 
@@ -684,7 +668,8 @@ def cmd_realify(cfg: dict, args) -> int:
             real_term = convert(term)
         except ValueError as e:  # the term has no real form
             raise ValidationError(f"order {k}: {e}") from e
-        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {term_string_trig(real_term)}")
+        real = _ladder_term_string((a, f, vec) for (a, f), vec in real_term.items())
+        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {real}")
     table = "\n".join(lines)
     print(table)
     print(f"max imaginary residue on the sample grid: {worst:.3e}")

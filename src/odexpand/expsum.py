@@ -1,19 +1,24 @@
 """Finite sums of polynomial-times-exponential terms on C^n.
 
 An ``ExpPolySum`` stores g(t) = sum_nu p_nu(t) * exp(nu*t) with complex
-exponents nu and vector polynomial coefficients p_nu.  The representation is
-kept canonical: exponents are snapped to a fixed grid and merged, negligible
-polynomial rows are dropped, and no term has an all-zero polynomial.  Under
-that discipline two sums agree as functions iff their term maps agree, which
-is what the engine's symbolic identity checks rely on.
+exponents nu and vector polynomial coefficients p_nu.  The sum is two
+arrays in canonical term order: the exponents ``nus`` (K,) and the
+coefficient rows ``rows`` (K, D, dim), row j of a term being the
+coefficient of t^j, zero-padded to the longest term.  Every operator below
+maps them to new raw arrays and canonicalizes once through ``from_arrays``:
+exponents are snapped to a fixed grid and merged, negligible polynomial
+rows are zeroed, and no term has an all-zero polynomial.  Under that
+discipline two sums agree as functions iff their arrays agree, which is
+what the engine's symbolic identity checks rely on.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,13 +29,16 @@ __all__ = [
     "snap_scalar",
     "snap_float",
     "snap_array",
+    "group_keys",
     "mul_apply_exp",
     "trim_small_exp",
 ]
 
 # Exponent keys live on this grid; equality of snapped keys is exact.
 EXPONENT_GRID = 1e-12
-# Polynomial rows below TRIM_REL * (largest row norm in the term) are dropped.
+# Coefficients below TRIM_REL times the largest of their group are dropped:
+# a polynomial row against its term here, a term against its sum in the
+# ladder-power sums.
 TRIM_REL = 1e-13
 
 
@@ -50,24 +58,37 @@ def snap_array(x: np.ndarray) -> np.ndarray:
     return np.round(np.asarray(x, dtype=float) / EXPONENT_GRID) * EXPONENT_GRID + 0.0
 
 
-def _sort_key(nu: complex) -> tuple[float, float]:
-    return (nu.real, nu.imag)
+def group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Snap R >= 1 complex key rows (R, C) and group the equal ones.
 
-
-def _stack_rows(polys: Sequence[np.ndarray], dim: int) -> np.ndarray:
-    """Coefficient row blocks stacked into (K, D, dim), zero-padded to D >= 1 rows."""
-    out = np.zeros((len(polys), max([1] + [p.shape[0] for p in polys]), dim), dtype=complex)
-    for i, p in enumerate(polys):
-        out[i, : p.shape[0]] = p
-    return out
+    Returns the distinct snapped keys (G, C) in canonical order, which is
+    lexicographic over (Re k0, Im k0, Re k1, ...); the raw index of each
+    group's first row; and the group index of every raw row.
+    """
+    snapped = snap_array(np.ascontiguousarray(keys, dtype=complex).view(float))
+    order = np.lexsort(snapped.T[::-1])
+    sorted_keys = snapped[order]
+    starts = np.ones(order.shape[0], dtype=bool)
+    starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
+    group = np.empty(order.shape[0], dtype=np.intp)
+    group[order] = np.cumsum(starts) - 1
+    # lexsort is stable, so each group's first sorted row is its first raw row.
+    return sorted_keys[starts].view(complex), order[starts], group
 
 
 @dataclass(frozen=True)
 class ExpPolySum:
-    """Canonical sum of p_nu(t)*exp(nu*t) terms; treat instances as immutable."""
+    """Canonical sum of p_nu(t)*exp(nu*t) terms; treat instances as immutable.
+
+    ``nus`` (K,) holds the exponents and ``rows`` (K, D, dim) the
+    coefficient rows, both complex and in canonical (Re, Im) order, with D
+    the length of the longest term (at least 1) and every row past a term's
+    end zero; every instance comes out of from_arrays.
+    """
 
     dim: int
-    terms: dict[complex, np.ndarray] = field(default_factory=dict)
+    nus: np.ndarray
+    rows: np.ndarray
 
     @classmethod
     def build(cls, dim: int, raw: Iterable[tuple[complex, np.ndarray]]) -> "ExpPolySum":
@@ -79,7 +100,10 @@ class ExpPolySum:
                 raise ValueError(f"coefficient width {arr.shape[1]} != dim {dim}")
             nus.append(complex(nu))
             polys.append(arr)
-        return cls.from_arrays(dim, np.array(nus, dtype=complex), _stack_rows(polys, dim))
+        rows = np.zeros((len(polys), max([1] + [p.shape[0] for p in polys]), dim), dtype=complex)
+        for i, p in enumerate(polys):
+            rows[i, : p.shape[0]] = p
+        return cls.from_arrays(dim, np.array(nus, dtype=complex), rows)
 
     @classmethod
     def from_arrays(cls, dim: int, nus: np.ndarray, rows: np.ndarray) -> "ExpPolySum":
@@ -88,143 +112,146 @@ class ExpPolySum:
         Exponents are snapped onto the grid.  A term whose snapped exponent
         occurs once keeps its rows; rows of a repeated exponent are summed
         onto zeros in raw order.  Terms are sorted by (Re, Im).  Within each
-        term, rows whose norm is below TRIM_REL times the term's largest are
-        zeroed, trailing zero rows are cut, and an all-zero term is dropped.
+        term, rows that are zero or whose norm is below TRIM_REL times the
+        term's largest are zeroed, and a term with no row left is dropped;
+        the rows are then cut to the longest term.
         """
-        nus = np.ascontiguousarray(nus, dtype=complex).reshape(-1)
+        nus = np.asarray(nus, dtype=complex).reshape(-1, 1)
         rows = np.asarray(rows, dtype=complex)
-        count = nus.shape[0]
-        if count == 0:
-            return cls(dim=dim, terms={})
-        keys = snap_array(nus.view(float).reshape(count, 2))
-        order = np.lexsort((keys[:, 1], keys[:, 0]))
-        sorted_keys = keys[order]
-        starts = np.ones(count, dtype=bool)
-        starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-        group = np.empty(count, dtype=np.intp)
-        group[order] = np.cumsum(starts) - 1
-        acc = np.zeros((int(starts.sum()),) + rows.shape[1:], dtype=complex)
+        if nus.shape[0] == 0:
+            return cls.zero(dim)
+        uniq, first, group = group_keys(nus)
+        acc = np.zeros((uniq.shape[0],) + rows.shape[1:], dtype=complex)
         np.add.at(acc, group, rows)
         # Adding onto zeros turns -0.0 into 0.0; a lone term keeps its rows as given.
         lone = np.bincount(group) == 1
-        acc[lone] = rows[order[starts][lone]]
+        acc[lone] = rows[first[lone]]
         norms = np.sqrt((abs(acc) ** 2).sum(axis=2))
-        top = norms.max(axis=1)
-        keep = norms >= TRIM_REL * top[:, None]
+        keep = (norms > 0.0) & (norms >= TRIM_REL * norms.max(axis=1)[:, None])
         acc[~keep] = 0.0
-        lengths = keep.shape[1] - np.argmax(keep[:, ::-1], axis=1)
-        uniq = sorted_keys[starts].view(complex).reshape(-1)
-        out: dict[complex, np.ndarray] = {}
-        for nu, coeffs, n_rows, live in zip(uniq.tolist(), acc, lengths, top != 0.0):
-            if live:
-                out[nu] = coeffs[:n_rows]
-        return cls(dim=dim, terms=out)
+        live = keep.any(axis=1)
+        used = np.flatnonzero(keep.any(axis=0))
+        width = used[-1] + 1 if used.size else 1
+        return cls(dim, uniq[live, 0], acc[live, :width])
 
     @classmethod
     def zero(cls, dim: int) -> "ExpPolySum":
-        return cls(dim=dim, terms={})
+        return cls(dim, np.zeros(0, dtype=complex), np.zeros((0, 1, dim), dtype=complex))
+
+    def _canon(self, nus: np.ndarray, rows: np.ndarray) -> "ExpPolySum":
+        """Canonical sum of raw terms at this sum's dim."""
+        return ExpPolySum.from_arrays(self.dim, nus, rows)
 
     # -- queries ---------------------------------------------------------
 
     @cached_property
-    def packed(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exponents (K,) and zero-padded rows (K, degree+1, dim) in items() order."""
-        items = self.items()
-        nus = np.array([nu for nu, _ in items], dtype=complex)
-        return nus, _stack_rows([c for _, c in items], self.dim)
+    def _lengths(self) -> np.ndarray:
+        """Each term's row count up to its last nonzero row (every kept row is nonzero)."""
+        live = (self.rows != 0).any(axis=2)
+        return live.shape[1] - np.argmax(live[:, ::-1], axis=1)
 
     def items(self) -> list[tuple[complex, np.ndarray]]:
-        """Terms in deterministic (Re, Im) order."""
-        return [(nu, self.terms[nu]) for nu in sorted(self.terms, key=_sort_key)]
+        """(exponent, coefficient rows) pairs in canonical order, cut at each term's end."""
+        return [
+            (nu, rows[:n])
+            for nu, rows, n in zip(self.nus.tolist(), self.rows, self._lengths.tolist())
+        ]
+
+    @cached_property
+    def terms(self) -> Mapping[complex, np.ndarray]:
+        """Read-only {exponent: coefficient rows} view, for key lookups."""
+        return MappingProxyType(dict(self.items()))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return self.nus.shape[0] == 0
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return self.nus.shape[0]
 
     def sup_norm(self) -> float:
         """Largest coefficient row norm over all terms."""
-        best = 0.0
-        for c in self.terms.values():
-            best = max(best, float(np.sqrt((abs(c) ** 2).sum(axis=1)).max()))
-        return best
+        return float(np.sqrt((abs(self.rows) ** 2).sum(axis=2)).max(initial=0.0))
 
     def exponents(self) -> list[complex]:
-        return [nu for nu, _ in self.items()]
+        return self.nus.tolist()
 
     def in_class(self, mu: float, tol: float = 1e-9) -> bool:
         """All exponents have real part mu (the fixed-decay-rate class)."""
-        scale = max(1.0, abs(mu))
-        return all(abs(nu.real - mu) <= tol * scale for nu in self.terms)
+        return bool((abs(self.nus.real - mu) <= tol * max(1.0, abs(mu))).all())
 
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "ExpPolySum") -> "ExpPolySum":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        return ExpPolySum.build(self.dim, list(self.terms.items()) + list(other.terms.items()))
+        k, width = self.term_count(), max(self.rows.shape[1], other.rows.shape[1])
+        rows = np.zeros((k + other.term_count(), width, self.dim), dtype=complex)
+        rows[:k, : self.rows.shape[1]] = self.rows
+        rows[k:, : other.rows.shape[1]] = other.rows
+        return self._canon(np.concatenate([self.nus, other.nus]), rows)
 
     def __sub__(self, other: "ExpPolySum") -> "ExpPolySum":
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "ExpPolySum":
-        return ExpPolySum.build(self.dim, [(nu, a * c) for nu, c in self.terms.items()])
+        return self._canon(self.nus, a * self.rows)
 
     def apply_matrix(self, A: np.ndarray) -> "ExpPolySum":
-        """Left-multiply every coefficient row by A (rows are vectors)."""
-        A = np.asarray(A, dtype=complex)
-        return ExpPolySum.build(self.dim, [(nu, c @ A.T) for nu, c in self.terms.items()])
+        """Left-multiply every coefficient row by A (rows are vectors).
+
+        Each term's rows go through ``rows @ A.T`` as one block, as they
+        would term by term: a term of several rows is one matrix product,
+        which its padding rows leave unchanged, and a one-row term is a
+        vector-matrix product, which rounds differently.
+        """
+        AT = np.asarray(A, dtype=complex).T
+        out = self.rows @ AT
+        one = self._lengths == 1
+        out[one, :1] = self.rows[one, :1] @ AT
+        return self._canon(self.nus, out)
 
     def conjugate(self) -> "ExpPolySum":
-        return ExpPolySum.build(
-            self.dim, [(nu.conjugate(), c.conjugate()) for nu, c in self.terms.items()]
-        )
+        return self._canon(self.nus.conj(), self.rows.conj())
 
     def derivative(self) -> "ExpPolySum":
-        """d/dt: each term p*exp(nu t) maps to (p' + nu*p)*exp(nu t)."""
-        raw = []
-        for nu, c in self.terms.items():
-            d = c.shape[0]
-            out = nu * c.astype(complex, copy=True)
-            for j in range(d - 1):
-                out[j] += (j + 1) * c[j + 1]
-            raw.append((nu, out))
-        return ExpPolySum.build(self.dim, raw)
+        """d/dt: each term p*exp(nu t) maps to (p' + nu*p)*exp(nu t).
+
+        Row j gains (j+1) times row j+1 only inside its term, so a term's
+        last row keeps the sign of a zero in nu*p.
+        """
+        out = self.nus[:, None, None] * self.rows
+        steps = np.arange(1, self.rows.shape[1])
+        inside = (steps < self._lengths[:, None])[:, :, None]
+        np.add(out[:, :-1], steps[:, None] * self.rows[:, 1:], out=out[:, :-1], where=inside)
+        return self._canon(self.nus, out)
 
     def eval(self, t) -> np.ndarray:
         """Value in C^dim at time t, or at each time of a 1-D array (one row per time).
 
         Horner's rule runs on all times and terms at once over the
         zero-padded rows (padding keeps a term's partial value at exactly
-        zero), and the terms are summed in items() order, one after
+        zero), and the terms are summed in canonical order, one after
         another, so each row is bit-identical to the scalar value.
         """
         ts = np.asarray(t, dtype=float)
         tc = ts.reshape(-1, 1, 1)
-        nus, rows = self.packed
-        p = np.zeros((tc.shape[0], nus.shape[0], self.dim), dtype=complex)
-        for j in range(rows.shape[1] - 1, -1, -1):
-            p = p * tc + rows[:, j]
+        p = np.zeros((tc.shape[0], self.term_count(), self.dim), dtype=complex)
+        for j in range(self.rows.shape[1] - 1, -1, -1):
+            p = p * tc + self.rows[:, j]
         # not in place: numpy's in-place complex product can round differently
-        p = p * np.exp(nus * tc[:, :, 0])[:, :, None]
+        p = p * np.exp(self.nus * tc[:, :, 0])[:, :, None]
         out = np.zeros((tc.shape[0], self.dim), dtype=complex)
-        for k in range(nus.shape[0]):
+        for k in range(self.term_count()):
             out += p[:, k]
         return out if ts.ndim else out[0]
 
     # -- serialization ---------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        recs = []
-        for nu, c in self.items():
-            recs.append(
-                {
-                    "exponent": [nu.real, nu.imag],
-                    "coeffs": [[[z.real, z.imag] for z in row] for row in c],
-                }
-            )
-        return recs
+        return [
+            {"exponent": [nu.real, nu.imag], "coeffs": [[[z.real, z.imag] for z in r] for r in c]}
+            for nu, c in self.items()
+        ]
 
 
 def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
@@ -249,14 +276,13 @@ def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
     m = len(args)
     nu, vecs, sizes = None, [], []
     for s, a in enumerate(args):
-        nus, rows = a.packed
         shape = [1] * (2 * m)
-        shape[2 * s : 2 * s + 2] = rows.shape[:2]
-        vecs.append(rows.reshape(shape + [G.dim]))
-        sizes.append(rows.shape[1])
+        shape[2 * s : 2 * s + 2] = a.rows.shape[:2]
+        vecs.append(a.rows.reshape(shape + [G.dim]))
+        sizes.append(a.rows.shape[1])
         lead = [1] * m
-        lead[s] = nus.shape[0]
-        nu = nus.reshape(lead) if nu is None else nu + nus.reshape(lead)
+        lead[s] = a.term_count()
+        nu = a.nus.reshape(lead) if nu is None else nu + a.nus.reshape(lead)
     # (K_0, D_0, K_1, D_1, ..., dim) -> (K_0, ..., K_m-1, D_0, ..., D_m-1, dim)
     g = G.batch(*vecs).transpose(
         list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)) + [2 * m]
@@ -278,13 +304,6 @@ def trim_small_exp(s: ExpPolySum, scale: float, rel: float = TRIM_REL) -> ExpPol
     dust from a genuine small term.  Residual checks (symbolic defects)
     have an external scale to measure against and use this instead.
     """
-    bound = rel * scale
-    raw = []
-    for nu, rows in s.items():
-        kept = rows.copy()
-        norms = np.sqrt((abs(kept) ** 2).sum(axis=1))
-        kept[norms < bound] = 0.0
-        if np.any(kept):
-            raw.append((nu, kept))
-    return ExpPolySum.build(s.dim, raw)
-
+    rows = s.rows.copy()
+    rows[np.sqrt((abs(rows) ** 2).sum(axis=2)) < rel * scale] = 0.0
+    return s._canon(s.nus, rows)

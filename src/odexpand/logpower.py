@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expsum import snap_array, snap_scalar
+from .expsum import TRIM_REL, group_keys, snap_scalar
 from .ladder import exp_zero, ladder_eval
 from .multilinear import MultiLinearMap
 
@@ -47,8 +47,6 @@ __all__ = [
     "mul_apply_logpower",
     "trim_small_logpower",
 ]
-
-TRIM_REL = 1e-13
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -131,29 +129,19 @@ class LogPowerSum:
         per-vector ``np.linalg.norm`` in the last bit, which only matters
         for a term within an ulp of the trim line.
         """
-        alphas = np.ascontiguousarray(alphas, dtype=complex)
+        alphas = np.asarray(alphas, dtype=complex)
         xis = np.asarray(xis, dtype=complex)
         count = alphas.shape[0]
         if count == 0:
             return cls(dim, depth, np.zeros((0, depth + 2), complex), np.zeros((0, dim), complex))
-        # Interleaved (re, im) columns: their lexicographic order is the
-        # canonical term order.
-        keys = snap_array(alphas.view(float))
-        order = np.lexsort(keys.T[::-1])
-        sorted_keys = keys[order]
-        starts = np.ones(count, dtype=bool)
-        starts[1:] = (sorted_keys[1:] != sorted_keys[:-1]).any(axis=1)
-        # lexsort is stable, so each group's first sorted row is its first raw row.
-        first = order[starts]
-        group = np.empty(count, dtype=np.intp)
-        group[order] = np.cumsum(starts) - 1
+        uniq, first, group = group_keys(alphas)
         later = np.ones(count, dtype=bool)
         later[first] = False
         acc = xis[first]
         np.add.at(acc, group[later], xis[later])
         norms = np.linalg.norm(acc, axis=1)
         keep = (norms > 0.0) & (norms >= TRIM_REL * norms.max())
-        return cls(dim, depth, sorted_keys[starts][keep].view(complex), acc[keep])
+        return cls(dim, depth, uniq[keep], acc[keep])
 
     @classmethod
     def zero(cls, dim: int, depth: int) -> "LogPowerSum":

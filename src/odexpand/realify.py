@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsum import ExpPolySum, snap_float, snap_scalar
+from .expsum import TRIM_REL, ExpPolySum, snap_float, snap_scalar
 from .ladder import exp_zero, ladder_eval
 from .logpower import LogPowerSum
 
@@ -41,19 +41,17 @@ __all__ = [
     "imag_residue",
 ]
 
-TRIM_REL = 1e-13
 COS, SIN = "cos", "sin"
 
 
 def _ladder_view(s: ExpPolySum) -> LogPowerSum:
-    """s as a depth-0 ladder sum: one term per nonzero row, alpha = (nu, j)."""
-    raw = [
-        ((nu, j), row)
-        for nu, rows in s.items()
-        for j, row in enumerate(rows)
-        if np.any(row)
-    ]
-    return LogPowerSum.build(s.dim, 0, raw)
+    """s as a depth-0 ladder sum: one term per nonzero row, alpha = (nu, j).
+
+    The rows are taken term by term, j ascending within a term.
+    """
+    k, j = np.nonzero((s.rows != 0).any(axis=2))
+    alphas = np.stack([s.nus[k], j.astype(complex)], axis=1)
+    return LogPowerSum.from_arrays(s.dim, 0, alphas, s.rows[k, j])
 
 
 def asymmetry_witness(p, tol: float = 1e-12):

@@ -139,12 +139,15 @@ def integrate_rhs(
     returns an empty sequence.  Every attempted step makes one forcing call
     for its six stage times and six field calls; the start makes one of
     each for the initial point and for the starting step guess.  The step
-    that reaches t_span[1] lands on it exactly.  Raises StepUnderflow when
+    that reaches t_span[1] lands on it exactly.  ``rel_tol`` must be finite
+    and >= 0 and ``abs_tol`` finite and > 0.  Raises StepUnderflow when
     error control cannot proceed.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
+    if not (math.isfinite(rel_tol) and rel_tol >= 0.0 and math.isfinite(abs_tol) and abs_tol > 0.0):
+        raise ValueError(f"need finite rel_tol >= 0 and abs_tol > 0, got {rel_tol!r}, {abs_tol!r}")
     y = np.array(y0, dtype=complex).reshape(-1)
     K = np.empty((7, y.shape[0]), dtype=complex)  # the stages, one per row
     Kf = K.view(float)
@@ -168,7 +171,8 @@ def integrate_rhs(
         last = h >= t1 - t
         if last:
             h = t1 - t
-        if h <= _TINY * max(abs(t), 1.0):
+        # written so that a NaN step raises too
+        if not h > _TINY * max(abs(t), 1.0):
             raise StepUnderflow(f"step size underflow at t = {t}")
         records = forcing(t + _C_STAGES * h)
         for i in range(1, 7):

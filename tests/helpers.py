@@ -301,7 +301,11 @@ def _trim_poly_oracle(coeffs: np.ndarray):
     return coeffs[: np.nonzero(keep)[0][-1] + 1]
 
 
-def build_exp_oracle(dim: int, raw) -> ExpPolySum:
+def exp_oracle_terms(dim: int, raw) -> dict[complex, np.ndarray]:
+    """Canonical {exponent: rows} dict of raw (exponent, rows) pairs, in (Re, Im) order.
+
+    Each term's rows are cut after its last kept row.
+    """
     acc: dict[complex, np.ndarray] = {}
     for nu, coeffs in raw:
         key = snap_scalar(complex(nu))
@@ -319,7 +323,16 @@ def build_exp_oracle(dim: int, raw) -> ExpPolySum:
         trimmed = _trim_poly_oracle(acc[key])
         if trimmed is not None:
             out[key] = trimmed
-    return ExpPolySum(dim=dim, terms=out)
+    return out
+
+
+def build_exp_oracle(dim: int, raw) -> ExpPolySum:
+    """exp_oracle_terms packed into the canonical arrays, zero-padded to the longest term."""
+    terms = exp_oracle_terms(dim, raw)
+    rows = np.zeros((len(terms), max([1] + [c.shape[0] for c in terms.values()]), dim), complex)
+    for k, c in enumerate(terms.values()):
+        rows[k, : c.shape[0]] = c
+    return ExpPolySum(dim, np.array(list(terms), dtype=complex), rows)
 
 
 def mul_apply_exp_oracle(G: MultiLinearMap, args) -> ExpPolySum:
@@ -333,6 +346,57 @@ def mul_apply_exp_oracle(G: MultiLinearMap, args) -> ExpPolySum:
             out[sum(idx)] += G(*(polys[slot][j] for slot, j in enumerate(idx)))
         raw.append((nu, out))
     return build_exp_oracle(G.dim, raw)
+
+
+# Term-by-term oracles for the array operators of ExpPolySum: the loops
+# over (exponent, rows) pairs the package ran while its sums were dicts.
+# Each operator must reproduce its loop bit for bit.
+
+
+def scale_exp_oracle(s: ExpPolySum, a: complex) -> ExpPolySum:
+    return build_exp_oracle(s.dim, [(nu, a * c) for nu, c in s.items()])
+
+
+def add_exp_oracle(s: ExpPolySum, other: ExpPolySum) -> ExpPolySum:
+    return build_exp_oracle(s.dim, s.items() + other.items())
+
+
+def conjugate_exp_oracle(s: ExpPolySum) -> ExpPolySum:
+    return build_exp_oracle(s.dim, [(nu.conjugate(), c.conjugate()) for nu, c in s.items()])
+
+
+def apply_matrix_exp_oracle(s: ExpPolySum, A: np.ndarray) -> ExpPolySum:
+    A = np.asarray(A, dtype=complex)
+    return build_exp_oracle(s.dim, [(nu, c @ A.T) for nu, c in s.items()])
+
+
+def derivative_exp_oracle(s: ExpPolySum) -> ExpPolySum:
+    raw = []
+    for nu, c in s.items():
+        out = nu * c.astype(complex, copy=True)
+        for j in range(c.shape[0] - 1):
+            out[j] += (j + 1) * c[j + 1]
+        raw.append((nu, out))
+    return build_exp_oracle(s.dim, raw)
+
+
+def trim_small_exp_oracle(s: ExpPolySum, scale: float, rel: float = EXP_TRIM_REL) -> ExpPolySum:
+    raw = []
+    for nu, rows in s.items():
+        kept = rows.copy()
+        kept[np.sqrt((abs(kept) ** 2).sum(axis=1)) < rel * scale] = 0.0
+        if np.any(kept):
+            raw.append((nu, kept))
+    return build_exp_oracle(s.dim, raw)
+
+
+def ladder_view_raw_oracle(s: ExpPolySum) -> list:
+    """The (alpha, row) pairs of the depth-0 ladder view, term by term, j ascending."""
+    return [((nu, j), row) for nu, rows in s.items() for j, row in enumerate(rows) if np.any(row)]
+
+
+def ladder_view_oracle(s: ExpPolySum) -> LogPowerSum:
+    return build_logpower_oracle(s.dim, 0, ladder_view_raw_oracle(s))
 
 
 def interaction_sum_oracle(spec, mus, terms, k: int):
@@ -361,6 +425,10 @@ def assert_bitwise_equal(p, q) -> None:
     Works for LogPowerSum and ExpPolySum; the sign of every zero counts.
     """
     assert type(p) is type(q) and p.dim == q.dim
+    if isinstance(p, ExpPolySum):
+        # the canonical arrays themselves, padding included
+        assert_arrays_bitwise_equal(p.nus, q.nus)
+        assert_arrays_bitwise_equal(p.rows, q.rows)
     assert list(p.terms) == list(q.terms)
     for key in p.terms:
         a, b = p.terms[key], q.terms[key]

@@ -8,24 +8,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odexpand import ExpPolySum, MultiLinearMap
+from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap
 from odexpand.expsum import (
     mul_apply_exp,
     snap_float,
     snap_scalar,
     trim_small_exp,
 )
+from odexpand.realify import _ladder_view
 
 from helpers import (
+    add_exp_oracle,
+    apply_matrix_exp_oracle,
     assert_arrays_bitwise_equal,
     assert_bitwise_equal,
     build_exp_oracle,
     coeff_distance_exp,
+    conjugate_exp_oracle,
     cvec,
+    derivative_exp_oracle,
     eval_exp_horner_oracle,
+    exp_oracle_terms,
+    ladder_view_oracle,
+    ladder_view_raw_oracle,
     mul_apply_exp_oracle,
     random_expsum,
     random_multilinear,
+    scale_exp_oracle,
+    trim_small_exp_oracle,
 )
 
 
@@ -307,7 +317,7 @@ def test_eval_over_a_time_array_matches_scalar_eval_bitwise():
         nu = complex(rng.uniform(-2, 0), rng.uniform(-2, 2))
         quadratic = (nu, cvec(rng, 3 * dim).reshape(3, dim))
         s = random_expsum(rng, dim, int(rng.integers(0, 7)), 4) + ExpPolySum.build(dim, [quadratic])
-        nus, rows = s.packed
+        nus, rows = s.nus, s.rows
         assert rows.shape[1] >= 2 and np.any(nus.imag != 0)
         times = np.concatenate([[0.0, -0.0, 1.0, -0.7], rng.uniform(-1.0, 30.0, 12)])
         for stack in (times, times[4:10], times[:1], times[:0]):
@@ -333,3 +343,107 @@ def test_build_matches_dict_oracle_bitwise():
             if rng.random() < 0.3:
                 raw.append((nu, -rows[:1] * (1.0 + rng.uniform(-1e-12, 1e-12))))
         assert_bitwise_equal(ExpPolySum.build(dim, raw), build_exp_oracle(dim, raw))
+
+
+def _lattice_raw(rng, dim: int) -> list:
+    """Raw terms on a small exponent lattice, so keys repeat and merge.
+
+    Terms have 1-4 rows; about a third of the entries are -0.0, and some
+    middle rows sit below the trim line of their term.
+    """
+    raw = []
+    for _ in range(int(rng.integers(1, 8))):
+        nu = complex(-int(rng.integers(1, 3)), int(rng.integers(-1, 2)))
+        rows = cvec(rng, dim * int(rng.integers(1, 5))).reshape(-1, dim)
+        rows[rng.random(rows.shape) < 0.3] = complex(-0.0, -0.0)
+        if rows.shape[0] > 2 and rng.random() < 0.5:
+            rows[1] *= 1e-15
+        raw.append((nu, rows))
+    return raw
+
+
+def _exp_cases(rng, count: int):
+    """(sum, second sum of the same dim): zero, random and lattice sums."""
+    for _ in range(count):
+        dim = int(rng.integers(1, 5))
+        pair = []
+        for _ in range(2):
+            kind = rng.random()
+            if kind < 0.1:
+                pair.append(ExpPolySum.zero(dim))
+            elif kind < 0.45:
+                pair.append(random_expsum(rng, dim, int(rng.integers(0, 6)), int(rng.integers(0, 4))))
+            else:
+                pair.append(ExpPolySum.build(dim, _lattice_raw(rng, dim)))
+        yield tuple(pair)
+
+
+def test_array_operators_match_their_term_loops_bitwise():
+    rng = np.random.default_rng(91)
+    for s, other in _exp_cases(rng, 120):
+        for a in (-1.0, 0.37, complex(*rng.standard_normal(2))):
+            assert_bitwise_equal(s.scale(a), scale_exp_oracle(s, a))
+        assert_bitwise_equal(s + other, add_exp_oracle(s, other))
+        assert_bitwise_equal(other + s, add_exp_oracle(other, s))
+        assert_bitwise_equal(s.conjugate(), conjugate_exp_oracle(s))
+        A = cvec(rng, s.dim * s.dim).reshape(s.dim, s.dim)
+        assert_bitwise_equal(s.apply_matrix(A), apply_matrix_exp_oracle(s, A))
+        assert_bitwise_equal(s.derivative(), derivative_exp_oracle(s))
+        top = s.sup_norm()
+        for scale in (0.0, 1.0, top, 2e12 * top, 1e14 * top):
+            assert_bitwise_equal(trim_small_exp(s, scale), trim_small_exp_oracle(s, scale))
+        assert_bitwise_equal(_ladder_view(s), ladder_view_oracle(s))
+
+
+def test_items_cut_each_term_at_its_last_kept_row_and_terms_is_read_only():
+    rng = np.random.default_rng(92)
+    for _ in range(80):
+        dim = int(rng.integers(1, 4))
+        raw = _lattice_raw(rng, dim)
+        s = ExpPolySum.build(dim, raw)
+        want = exp_oracle_terms(dim, raw)
+        assert [nu for nu, _ in s.items()] == list(want)
+        lengths = [c.shape[0] for c in want.values()]
+        assert [c.shape[0] for _, c in s.items()] == lengths
+        assert s.rows.shape == (len(want), max([1] + lengths), dim)
+        for (_, c), w in zip(s.items(), want.values()):
+            assert_arrays_bitwise_equal(c, w)
+        with pytest.raises(TypeError):
+            s.terms[-1.0 + 0j] = np.zeros((1, dim), dtype=complex)
+        assert list(s.terms) == list(want)
+
+
+def test_add_and_ladder_view_pass_raw_terms_in_loop_order(monkeypatch):
+    # Merged rows are summed in raw order, so the order is part of the
+    # bit-for-bit contract: self's terms before other's, and the ladder
+    # view's rows term by term with j ascending.
+    seen = []
+    exp_from_arrays = ExpPolySum.from_arrays.__func__
+    ladder_from_arrays = LogPowerSum.from_arrays.__func__
+
+    def record_exp(cls, dim, nus, rows):
+        seen.append((nus, rows))
+        return exp_from_arrays(cls, dim, nus, rows)
+
+    def record_ladder(cls, dim, depth, alphas, xis):
+        seen.append((alphas, xis))
+        return ladder_from_arrays(cls, dim, depth, alphas, xis)
+
+    monkeypatch.setattr(ExpPolySum, "from_arrays", classmethod(record_exp))
+    monkeypatch.setattr(LogPowerSum, "from_arrays", classmethod(record_ladder))
+    rng = np.random.default_rng(93)
+    for s, other in _exp_cases(rng, 60):
+        seen.clear()
+        s + other
+        nus, rows = seen[-1]
+        raw = s.items() + other.items()
+        assert_arrays_bitwise_equal(nus, np.array([nu for nu, _ in raw], dtype=complex))
+        for k, (_, c) in enumerate(raw):
+            assert_arrays_bitwise_equal(rows[k, : c.shape[0]], c)
+            assert not rows[k, c.shape[0]:].any()
+        seen.clear()
+        _ladder_view(s)
+        alphas, xis = seen[-1]
+        raw = ladder_view_raw_oracle(s)
+        assert_arrays_bitwise_equal(alphas, np.array([a for a, _ in raw], dtype=complex).reshape(-1, 2))
+        assert_arrays_bitwise_equal(xis, np.array([v for _, v in raw], dtype=complex).reshape(-1, s.dim))

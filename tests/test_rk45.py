@@ -1,10 +1,15 @@
 """Adaptive Runge-Kutta integration against closed-form trajectories."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import odexpand
 from helpers import integrate_rhs_oracle
 from odexpand import StepUnderflow, integrate_rhs
 
@@ -212,3 +217,41 @@ def test_last_step_lands_exactly_on_the_end_of_the_span():
             break
     else:
         pytest.fail("no span in the sweep rounds short of its end")
+
+
+# Each case ran forever before the tolerances were checked: the starting-step
+# guess divided 0 by 0, every attempt with h = NaN was rejected, and the step
+# budget counts accepted steps only.  A subprocess with a timeout keeps a
+# relapse from hanging the suite.
+HANGING_CALL = (
+    "import numpy as np\n"
+    "from odexpand import StepUnderflow, integrate_rhs, rk45\n"
+    "{setup}"
+    "try:\n"
+    "    integrate_rhs(lambda y: -2*y + y*y, lambda ts: [np.exp(-ts)[:, None]], [0.01],\n"
+    "                  (0.0, 14.0), {tols})\n"
+    "except (ValueError, StepUnderflow) as e:\n"
+    "    print(type(e).__name__)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "setup, tols, raised",
+    [
+        ("", "rel_tol=1e-11, abs_tol=0.0", "ValueError"),
+        ("", 'rel_tol=float("nan")', "ValueError"),
+        ("", 'abs_tol=float("inf")', "ValueError"),
+        ("", "rel_tol=-1e-10", "ValueError"),
+        # a NaN step from any source stops the loop
+        ("rk45._initial_step = lambda *args: float('nan')\n", "rel_tol=1e-10", "StepUnderflow"),
+    ],
+)
+def test_bad_tolerances_and_nan_steps_raise_instead_of_looping(setup, tols, raised):
+    src = Path(odexpand.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", HANGING_CALL.format(setup=setup, tols=tols)],
+        capture_output=True, text=True, timeout=30, env=env,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == raised
