@@ -15,6 +15,7 @@ what the engine's symbolic identity checks rely on.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -114,7 +115,8 @@ class ExpPolySum:
         onto zeros in raw order.  Terms are sorted by (Re, Im).  Within each
         term, rows that are zero or whose norm is below TRIM_REL times the
         term's largest are zeroed, and a term with no row left is dropped;
-        the rows are then cut to the longest term.
+        the rows are then cut to the longest term.  A non-finite coefficient
+        raises ValueError.
         """
         nus = np.asarray(nus, dtype=complex).reshape(-1, 1)
         rows = np.asarray(rows, dtype=complex)
@@ -127,7 +129,10 @@ class ExpPolySum:
         lone = np.bincount(group) == 1
         acc[lone] = rows[first[lone]]
         norms = np.sqrt((abs(acc) ** 2).sum(axis=2))
-        keep = (norms > 0.0) & (norms >= TRIM_REL * norms.max(axis=1)[:, None])
+        top = norms.max(axis=1)
+        if not math.isfinite(top.max()):
+            raise ValueError(f"non-finite coefficient in an ExpPolySum (largest norm {top.max()})")
+        keep = (norms > 0.0) & (norms >= TRIM_REL * top[:, None])
         acc[~keep] = 0.0
         live = keep.any(axis=1)
         used = np.flatnonzero(keep.any(axis=0))

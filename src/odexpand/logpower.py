@@ -25,6 +25,7 @@ Three linear operators drive the power/log recursions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -125,9 +126,10 @@ class LogPowerSum:
         agree are summed in raw order (the first row, then each later row
         added to it); terms are sorted by (Re a(-1), Im a(-1), Re a(0), ...);
         terms with zero norm or a norm below TRIM_REL times the largest are
-        dropped.  The norms are taken row-wise and may differ from a
-        per-vector ``np.linalg.norm`` in the last bit, which only matters
-        for a term within an ulp of the trim line.
+        dropped; a non-finite coefficient raises ValueError.  The norms are
+        taken row-wise and may differ from a per-vector ``np.linalg.norm`` in
+        the last bit, which only matters for a term within an ulp of the trim
+        line.
         """
         alphas = np.asarray(alphas, dtype=complex)
         xis = np.asarray(xis, dtype=complex)
@@ -140,7 +142,10 @@ class LogPowerSum:
         acc = xis[first]
         np.add.at(acc, group[later], xis[later])
         norms = np.linalg.norm(acc, axis=1)
-        keep = (norms > 0.0) & (norms >= TRIM_REL * norms.max())
+        top = norms.max()
+        if not math.isfinite(top):
+            raise ValueError(f"non-finite coefficient in a LogPowerSum (largest norm {top})")
+        keep = (norms > 0.0) & (norms >= TRIM_REL * top)
         return cls(dim, depth, uniq[keep], acc[keep])
 
     @classmethod

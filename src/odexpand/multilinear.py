@@ -16,11 +16,11 @@ from the entry table: one statement ``o{i} += v{e}*x0[j0]*x1[j1]...`` per
 entry, in table order, on lists of Python complex numbers.  Python's
 complex arithmetic on list items costs a fraction of numpy's scalar
 operations, and fixed statements need no loop over the table or index
-lookups at run time.  So it beats a loop over the entries from maps of a
-few entries up to Galerkin maps of a thousand.  On a one-entry map it is a
-little slower, because of the conversions to and from lists.  Its source
-is compiled on the first call, at roughly 25 microseconds per entry, so
-only maps that the ODE field uses pay for it.  The statements are
+lookups at run time.  Given lists, ``__call__`` returns the kernel's list
+with no conversion, which is how the ODE field calls it; given arrays, it
+converts them to lists and the result back to an array.  Its source is
+compiled on the first call, at roughly 25 microseconds per entry, so only
+maps that are applied to single vectors pay for it.  The statements are
 separate, not one sum expression per row, because CPython's compiler
 recurses into a long expression and fails on rows of several thousand
 entries.
@@ -108,16 +108,23 @@ class MultiLinearMap:
         )
         object.__setattr__(self, "entries", canon)
 
-    def __call__(self, *args) -> np.ndarray:
+    def __call__(self, *args):
         """Apply to ``arity`` vectors of length dim.
 
-        A list argument is taken as it is and must hold Python complex
-        numbers, as ``tolist`` of a complex array gives; the ODE field
-        converts its state once and passes the same list to every map.
-        Any other argument is converted with ``np.asarray(a, complex)``.
+        When every argument is a list, the lists are passed to ``kernel`` as
+        they are and its list of dim Python complex numbers comes back; the
+        ODE field works this way.  Otherwise each non-list argument is
+        converted with ``np.asarray(a, complex).tolist()`` and the result is
+        a complex ndarray.  List arguments hold Python numbers, as ``tolist``
+        of an array gives.
         """
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
+        for a in args:
+            if not isinstance(a, list):
+                break
+        else:
+            return self.kernel(*args)
         xs = [a if isinstance(a, list) else np.asarray(a, dtype=complex).tolist() for a in args]
         return np.array(self.kernel(*xs), dtype=complex)
 

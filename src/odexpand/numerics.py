@@ -19,6 +19,7 @@ from .engine import Expansion, ProblemSpec, eval_partial_sum
 from .expsum import snap_float
 from .ladder import ladder_eval
 from .logpower import row_norms
+from .multilinear import MultiLinearMap
 from .rk45 import Trajectory, integrate_rhs
 
 __all__ = [
@@ -43,18 +44,23 @@ def make_rhs(spec: ProblemSpec):
     """Callable y -> -A y + sum of multilinear terms: the autonomous field.
 
     The forcing is not part of it; ``integrate`` evaluates it once per step
-    at all stage times.  ``y`` is a complex vector.  The field converts it
-    to a list of Python complex numbers once per call and passes that list
-    to every map's ``__call__``, whose generated kernel works on lists.
+    at all stage times.  ``y`` is a list of n Python complex numbers, as
+    ``integrate_rhs`` passes it, and the field returns a new such list.
+    -A is applied as an arity-1 ``MultiLinearMap`` built from A's nonzero
+    entries, so every term goes through a map's ``__call__`` and its
+    generated kernel; the terms are added in the order -A y, then each map
+    of ``spec.maps``.
     """
-    neg_A = -spec.matrix  # (-A) @ y is -(A @ y) bit for bit
+    neg_A = -spec.matrix
+    linear = MultiLinearMap(
+        1, spec.dim, tuple((i, (j,), neg_A[i, j]) for i, j in zip(*np.nonzero(neg_A)))
+    )
     maps = spec.maps
 
     def field(y):
-        out = neg_A @ y
-        ys = y.tolist()
+        out = linear(y)
         for g in maps:
-            out += g(*([ys] * g.arity))
+            out = [a + b for a, b in zip(out, g(*([y] * g.arity)))]
         return out
 
     return field

@@ -7,6 +7,7 @@ and failures replay deterministically.
 from __future__ import annotations
 
 import bisect
+import cmath
 import importlib.util
 import itertools
 import math
@@ -480,9 +481,29 @@ def coeff_distance_logpower(a: LogPowerSum, b: LogPowerSum) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Pointwise right-hand side and per-stage integrator, as the package ran
-# before the forcing was evaluated once per step at all stage times.  The
-# stacked loop must reproduce their trajectories bit for bit.
+# Pointwise right-hand side and two per-stage integrators.  The scalar loop
+# does ``rk45.integrate_rhs``'s arithmetic with one rhs(t, y) call per stage,
+# so the stacked forcing must reproduce its trajectories bit for bit.  The
+# numpy loop is the integrator as it ran on arrays, with BLAS stage
+# products; the package must agree with it within a measured bound.
+
+# Dormand-Prince 5(4) tableau: row i of DP_A weighs stages 1..i for stage
+# i + 1's input, and row 6 is the 5th-order weights (FSAL).
+DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+DP_A = tuple(
+    np.array(row)
+    for row in (
+        (),
+        (1 / 5,),
+        (3 / 40, 9 / 40),
+        (44 / 45, -56 / 15, 32 / 9),
+        (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+        (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+        (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+    )
+)
+DP_B4 = np.array((5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40))
+DP_E = np.append(DP_A[6], 0.0) - DP_B4  # 5th minus 4th order weights
 
 
 def eval_logpower_oracle(p: LogPowerSum, t: float) -> np.ndarray:
@@ -493,16 +514,23 @@ def eval_logpower_oracle(p: LogPowerSum, t: float) -> np.ndarray:
     return np.exp(p.alphas @ np.array(logs)) @ p.xis
 
 
-def rhs_oracle(spec):
-    """Callable t, y -> -A y + multilinear terms + each forcing term at t, in order.
+def linear_map(A: np.ndarray) -> MultiLinearMap:
+    """y -> A y as an arity-1 map of A's nonzero entries."""
+    return MultiLinearMap(1, A.shape[0], tuple((i, (j,), A[i, j]) for i, j in zip(*np.nonzero(A))))
 
-    The multilinear terms come from ``dense_apply``, not ``G(...)``, so a
-    fault in the map's generated kernel shows against this oracle.
+
+def rhs_oracle(spec):
+    """Callable t, y -> -A y + multilinear terms + each forcing term at t, in
+    order, as a list of Python complex numbers.
+
+    -A y and the multilinear terms come from ``dense_apply``, not
+    ``G(...)``, so a fault in a map's generated kernel shows against this
+    oracle.
     """
-    neg_A = -spec.matrix
+    neg_A = linear_map(-spec.matrix)
 
     def rhs(t, y):
-        out = neg_A @ y
+        out = dense_apply(neg_A, [y])
         for g in spec.maps:
             out += dense_apply(g, [y] * g.arity)
         for _, term in spec.forcing:
@@ -510,9 +538,128 @@ def rhs_oracle(spec):
                 out += eval_logpower_oracle(term, t)
             else:
                 out += eval_exp_horner_oracle(term, t)
-        return out
+        return out.tolist()
 
     return rhs
+
+
+def _left_sum(weights, values):
+    """sum_j w_j v_j over the nonzero weights, added from left to right."""
+    terms = [w * v for w, v in zip(weights, values) if w != 0.0]
+    acc = terms[0]
+    for x in terms[1:]:
+        acc = acc + x
+    return acc
+
+
+def _rms_oracle(v) -> float:
+    acc = 0.0
+    for x in v:
+        acc += x * x
+    return math.sqrt(acc / len(v))
+
+
+def _initial_step_scalar_oracle(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
+    u0 = [x for z in y0 for x in (z.real, z.imag)]
+    g0 = [x for z in f0 for x in (z.real, z.imag)]
+    sc = [abs_tol + rel_tol * abs(x) for x in u0]
+    d0 = _rms_oracle([x / s for x, s in zip(u0, sc)])
+    d1 = _rms_oracle([x / s for x, s in zip(g0, sc)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, t_max - t0)
+    f1 = rhs(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
+    f1 = [x for z in f1 for x in (z.real, z.imag)]
+    d2 = _rms_oracle([(a - b) / s for a, b, s in zip(f1, g0, sc)]) / h0
+    if max(d1, d2) <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** 0.2
+    return min(100 * h0, h1, t_max - t0)
+
+
+def integrate_rhs_scalar_oracle(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12):
+    """Dormand-Prince loop on lists of Python complex numbers, with one
+    rhs(t, y) call per stage at t + c_i h.
+
+    Each stage input and the error estimate loop over their tableau row,
+    leaving out zero weights and adding from left to right.  The first
+    non-finite stage ends an attempt, which is retried with h/4.
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    rows = [row.tolist() for row in DP_A]
+    e_row = DP_E.tolist()
+    u = np.array(y0, dtype=complex).reshape(-1).tolist()
+    k1 = list(rhs(t0, u))
+    if not all(map(cmath.isfinite, k1)):
+        raise ValueError("right-hand side not finite at the initial point")
+    h = _initial_step_scalar_oracle(rhs, t0, u, k1, rel_tol, abs_tol, t1)
+    t = t0
+    ts, states, derivs = [t0], [u], [k1]
+    err_prev = 1.0
+    n_steps = n_rejects = 0
+    n_evals = 2
+    max_factor = rk45._FAC_MAX
+    while t < t1:
+        if n_steps > rk45._MAX_STEPS:
+            raise RuntimeError("step budget exhausted")
+        last = h >= t1 - t
+        if last:
+            h = t1 - t
+        if not h > rk45._TINY * max(abs(t), 1.0):
+            raise rk45.StepUnderflow(f"step size underflow at t = {t}")
+        ks = [k1]
+        for i in range(1, 7):
+            x = [y + h * _left_sum(rows[i], col) for y, col in zip(u, zip(*ks))]
+            k = list(rhs(t + DP_C[i] * h, x))
+            n_evals += 1
+            if not all(map(cmath.isfinite, k)):
+                break
+            ks.append(k)
+        if len(ks) < 7:
+            h *= 0.25
+            n_rejects += 1
+            max_factor = 1.0
+            continue
+        acc = 0.0
+        for a, b, col in zip(u, x, zip(*ks)):
+            d = h * _left_sum(e_row, col)
+            wr = d.real / (abs_tol + rel_tol * max(abs(a.real), abs(b.real)))
+            wi = d.imag / (abs_tol + rel_tol * max(abs(a.imag), abs(b.imag)))
+            acc += wr * wr + wi * wi
+        err = math.sqrt(acc / (2 * len(u)))
+        if err <= 1.0:
+            t = t1 if last else t + h
+            u, k1 = x, ks[6]
+            ts.append(t)
+            states.append(u)
+            derivs.append(k1)
+            n_steps += 1
+            err_c = max(err, 1e-10)
+            factor = rk45._SAFETY * err_c**-rk45._ALPHA * err_prev**rk45._BETA
+            h *= min(max_factor, max(rk45._FAC_MIN, factor))
+            err_prev = err_c
+            max_factor = rk45._FAC_MAX
+        else:
+            n_rejects += 1
+            factor = rk45._SAFETY * err**-rk45._ALPHA
+            h *= min(1.0, max(rk45._FAC_MIN, factor))
+            max_factor = 1.0
+    return _trajectory(ts, states, derivs, n_steps, n_rejects, n_evals, rel_tol, abs_tol)
+
+
+def _trajectory(ts, states, derivs, n_steps, n_rejects, n_evals, rel_tol, abs_tol):
+    return rk45.Trajectory(
+        ts=np.array(ts),
+        states=np.array(states, dtype=complex),
+        derivs=np.array(derivs, dtype=complex),
+        meta={
+            "steps": n_steps,
+            "rejected": n_rejects,
+            "rhs_evals": n_evals,
+            "rel_tol": rel_tol,
+            "abs_tol": abs_tol,
+        },
+    )
 
 
 def _initial_step_oracle(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
@@ -532,10 +679,14 @@ def _initial_step_oracle(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
 
 
 def integrate_rhs_oracle(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12):
-    """Dormand-Prince loop with one rhs(t, y) call per stage.
+    """Dormand-Prince loop on numpy arrays with one rhs(t, y) call per stage.
 
-    It advances with t += h on the last step too, which can land one ulp
-    short of t_span[1] and then stop with StepUnderflow.
+    The stages share one (7, n) complex array, each stage input is one BLAS
+    product of its tableau row with the array's float view, and the error
+    norm runs over the float views.  All six stages run before their
+    finiteness is checked.  It advances with t += h on the last step too,
+    which can land one ulp short of t_span[1] and then stop with
+    StepUnderflow.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:
@@ -561,8 +712,8 @@ def integrate_rhs_oracle(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float
         if h <= rk45._TINY * max(abs(t), 1.0):
             raise rk45.StepUnderflow(f"step size underflow at t = {t}")
         for i in range(1, 7):
-            u_new = u + h * (rk45._A[i] @ Kf[:i])
-            K[i] = rhs(t + rk45._C[i] * h, u_new.view(complex))
+            u_new = u + h * (DP_A[i] @ Kf[:i])
+            K[i] = rhs(t + DP_C[i] * h, u_new.view(complex))
         n_evals += 6
         if not np.isfinite(Kf).all():
             h *= 0.25
@@ -571,7 +722,7 @@ def integrate_rhs_oracle(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float
             continue
         au_new = np.abs(u_new)
         sc = abs_tol + rel_tol * np.maximum(au, au_new)
-        w = h * (rk45._E @ Kf) / sc
+        w = h * (DP_E @ Kf) / sc
         err = math.sqrt(w @ w / w.size)
         if err <= 1.0:
             t += h
@@ -591,18 +742,7 @@ def integrate_rhs_oracle(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float
             factor = rk45._SAFETY * err**-rk45._ALPHA
             h *= min(1.0, max(rk45._FAC_MIN, factor))
             max_factor = 1.0
-    return rk45.Trajectory(
-        ts=np.array(ts),
-        states=np.array(states),
-        derivs=np.array(derivs),
-        meta={
-            "steps": n_steps,
-            "rejected": n_rejects,
-            "rhs_evals": n_evals,
-            "rel_tol": rel_tol,
-            "abs_tol": abs_tol,
-        },
-    )
+    return _trajectory(ts, states, derivs, n_steps, n_rejects, n_evals, rel_tol, abs_tol)
 
 
 def assert_arrays_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:

@@ -104,6 +104,16 @@ def test_snap_float_grid():
     assert snap_scalar(complex(1e-16, 2.0)) == 2.0j
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_build_rejects_a_non_finite_coefficient(bad):
+    # a NaN row norm fails every trim comparison, which used to drop its term
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        ExpPolySum.build(1, [(-1.0, [[bad]]), (-2.0, [[1.0]])])
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        ExpPolySum.build(2, [(-1.0, [[1.0, 0.0], [0.0, bad]])])
+
+
 def test_tiny_rows_are_trimmed_within_a_term():
     s = ExpPolySum.build(1, [(-1.0, [[1.0], [1e-20]])])
     (_, rows), = s.items()

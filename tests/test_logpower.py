@@ -149,6 +149,14 @@ def test_build_rejects_wrong_alpha_length():
         LogPowerSum.build(1, 1, [((0.0, -1.0), [1.0])])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_build_rejects_a_non_finite_coefficient(bad):
+    # a NaN norm fails every trim comparison, which used to drop every term
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        LogPowerSum.build(1, 0, [((-1, 0), [bad]), ((-2, 0), [1.0])])
+
+
 def test_perturbed_alpha_does_not_merge():
     raw = [((0.0, -1.0), [1.0]), ((0.0, -1.0 + 1e-6), [1.0])]
     assert LogPowerSum.build(1, 0, raw).term_count() == 2

@@ -32,6 +32,17 @@ def _as_inputs(x: np.ndarray, kind: str):
     return x if kind == "array" else x.tolist()
 
 
+def _apply(G: MultiLinearMap, xs, kind: str) -> np.ndarray:
+    """G on xs passed as ``kind``, as a complex array.  Lists in give the
+    kernel's list of Python complex numbers back, arrays a complex array."""
+    got = G(*(_as_inputs(x, kind) for x in xs))
+    if kind == "list":
+        assert type(got) is list and all(type(v) is complex for v in got)
+        got = np.array(got, dtype=complex)
+    assert got.dtype == complex and got.shape == (G.dim,)
+    return got
+
+
 @pytest.mark.parametrize("kind", ["array", "list"])
 def test_call_matches_bruteforce_bitwise(kind):
     rng = np.random.default_rng(11)
@@ -43,8 +54,7 @@ def test_call_matches_bruteforce_bitwise(kind):
             xs = [rng.standard_normal(dim) for _ in range(arity)]
         else:
             xs = [_spread_cvecs(rng, dim) for _ in range(arity)]
-        got = G(*(_as_inputs(x, kind) for x in xs))
-        assert got.dtype == complex and got.shape == (dim,)
+        got = _apply(G, xs, kind)
         # the same values as complex: a real array reaches the kernel converted
         want = dense_apply(G, [_as_inputs(x.astype(complex), kind) for x in xs])
         _assert_bitwise(got, want)
@@ -88,10 +98,21 @@ def test_call_keeps_signed_zeros_inf_nan_and_overflow_bitwise(kind):
         xs = [_special_cvecs(rng, dim) for _ in range(arity)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # overflow raises no RuntimeWarning
-            got = G(*(_as_inputs(x, kind) for x in xs))
+            got = _apply(G, xs, kind)
         with np.errstate(all="ignore"):
             want = dense_apply(G, [_as_inputs(x, kind) for x in xs])
         _assert_bitwise_up_to_nan_sign(got, want)
+
+
+def test_call_returns_an_array_unless_every_argument_is_a_list():
+    rng = np.random.default_rng(16)
+    G = random_multilinear(rng, 2, 3, n_entries=6)
+    x, y = cvec(rng, 3), cvec(rng, 3)
+    want = _apply(G, [x, y], "list")
+    for args in ((x, y.tolist()), (x.tolist(), y), (x, y)):
+        got = G(*args)
+        assert type(got) is np.ndarray
+        _assert_bitwise(got, want)
 
 
 def test_call_starts_every_row_from_positive_zero():
@@ -100,8 +121,9 @@ def test_call_starts_every_row_from_positive_zero():
     assert np.signbit(((-1.0 + 0j) * 0j).real)
     G = MultiLinearMap(1, 2, ((0, (0,), -1.0),))
     x = np.zeros(2, dtype=complex)
-    for arg in (x, x.tolist()):
-        got = G(arg)
+    for kind in ("array", "list"):
+        got = _apply(G, [x], kind)
+        arg = _as_inputs(x, kind)
         assert got.tobytes() == np.zeros(2, dtype=complex).tobytes()
         assert got.tobytes() == dense_apply(G, [arg]).tobytes()
 
@@ -127,7 +149,7 @@ def test_call_on_one_long_output_row_matches_bruteforce_bitwise():
     assert len(G.entries) == 6400 and {i for i, _, _ in G.entries} == {0}
     x, y = _spread_cvecs(rng, dim), _spread_cvecs(rng, dim)
     _assert_bitwise(G(x, y), dense_apply(G, [x, y]))
-    _assert_bitwise(G(x.tolist(), y.tolist()), dense_apply(G, [x, y]))
+    _assert_bitwise(_apply(G, [x, y], "list"), dense_apply(G, [x, y]))
 
 
 @pytest.mark.parametrize("n, size", [(8, 84), (16, 360), (32, 1488)])
