@@ -15,9 +15,7 @@ from .engine import (
     ValidationError,
     eval_partial_sum,
     expand,
-    extend,
     symbolic_defect,
-    with_kernel_fit,
 )
 from .expsum import ExpPolySum
 from .ladder import exp_zero, iter_exp, iter_log, ladder_eval
@@ -73,7 +71,6 @@ __all__ = [
     "eval_partial_sum",
     "exp_zero",
     "expand",
-    "extend",
     "fit_decay",
     "fit_kernel_constants",
     "from_trig_ladder",
@@ -95,5 +92,4 @@ __all__ = [
     "to_trig_ladder",
     "to_trig_poly",
     "weight_op",
-    "with_kernel_fit",
 ]

@@ -37,7 +37,6 @@ from .engine import (
     ProblemSpec,
     ValidationError,
     expand,
-    with_kernel_fit,
 )
 from .expsum import ExpPolySum, snap_float
 from .ladder import exp_zero
@@ -426,8 +425,6 @@ def _order_record(expansion: Expansion, k: int) -> dict:
         rec["type"] = "exp_poly"
         rec["terms"] = term.to_records()
         rec["kernel"] = [m.to_records() for m in order.kernel]
-        if order.kernel_coeffs is not None:
-            rec["kernel_coeffs"] = [[c.real, c.imag] for c in order.kernel_coeffs]
     else:
         rec["type"] = "log_power"
         rec["depth"] = term.depth
@@ -577,9 +574,10 @@ def cmd_verify(cfg: dict, args) -> int:
         )
     expansion = expand(spec)
     traj = integrate(spec, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
+    kernel = None
     if fit_res is not None:
         coeffs = fit_kernel_constants(traj, expansion, k, k_window)
-        expansion = with_kernel_fit(expansion, k, coeffs)
+        kernel = (k, coeffs)
         print(
             f"fitted {len(coeffs)} kernel constant(s) at order {k}: "
             + ", ".join(_fmt_complex(c) for c in coeffs)
@@ -597,7 +595,7 @@ def cmd_verify(cfg: dict, args) -> int:
     else:
         n_values = list(range(1, expansion.order_count() + 1))
     report_lines = []
-    table = remainder_series(traj, expansion, n_values[-1], grid)
+    table = remainder_series(traj, expansion, n_values[-1], grid, kernel)
     for n in n_values:
         rem = table[n]
         target = rates[0] if n == 0 else rates[n - 1]

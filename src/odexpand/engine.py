@@ -20,8 +20,10 @@ type and the solve depend on the mode:
                       power mode; the descent terms decay faster than every
                       ladder rate and drop out entirely.
 
-Construction is strictly order by order: extending a truncation never
-revisits earlier terms.
+Construction is strictly order by order: a higher truncation reproduces
+every lower order bit for bit.  ``expand`` is the only builder, and a built
+expansion is never edited; the constants of resonant kernel modes are fitted
+by the numerical check and added there as values.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import heapq
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,9 +61,7 @@ __all__ = [
     "ExpansionOrder",
     "ValidationError",
     "expand",
-    "extend",
     "symbolic_defect",
-    "with_kernel_fit",
     "eval_partial_sum",
 ]
 
@@ -232,19 +232,23 @@ class ProblemSpec:
 @dataclass(frozen=True)
 class ExpansionOrder:
     """One constructed term: the rate, the symbolic term, and (exponential
-    mode only) the resonant kernel modes whose constants are data-dependent."""
+    mode only) the resonant kernel modes.  The term leaves the kernel modes
+    out: their constants depend on the particular solution, so a check fits
+    them and adds them as values (``numerics.remainder_series``)."""
 
     mu: float
     term: object
     kernel: tuple[ExpPolySum, ...] = ()
-    kernel_coeffs: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class Expansion:
-    mode: str
     orders: tuple[ExpansionOrder, ...]
     spec: ProblemSpec = field(repr=False)
+
+    @property
+    def mode(self) -> str:
+        return self.spec.mode
 
     @property
     def rates(self) -> tuple[float, ...]:
@@ -375,7 +379,7 @@ def _arity_cap_warning(spec: ProblemSpec, mus) -> None:
             f"nonlinearity degrees up to {need}; degrees above {max_arity} "
             "are taken to be absent from the system",
             RuntimeWarning,
-            stacklevel=4,  # the caller of expand / extend
+            stacklevel=3,  # the caller of expand
         )
 
 
@@ -413,25 +417,6 @@ def _solve_rate(spec: ProblemSpec, mu: float, rhs, cache):
     return term, tuple(_augment_modes(spec, mu, modes))
 
 
-def _expand_core(spec: ProblemSpec, upto: int, reuse: tuple[ExpansionOrder, ...]):
-    mus = spec.make_ladder().take(upto)
-    _arity_cap_warning(spec, mus)
-    for i, o in enumerate(reuse):
-        if abs(o.mu - mus[i]) >= _match_tol(mus[i]):
-            raise RuntimeError("reused orders disagree with the ladder prefix")
-    orders = list(reuse)
-    terms = [o.term for o in orders]
-    cache = ShiftedInverseCache(spec.matrix) if spec.mode != "exponential" else None
-    for k in range(len(orders), upto):
-        rhs = _rate_rhs(spec, mus, terms, k)
-        term, kernel = _solve_rate(spec, mus[k], rhs, cache)
-        if not _in_rate_class(spec, term, mus[k]):
-            raise RuntimeError(f"constructed term escaped the class of rate {mus[k]}")
-        orders.append(ExpansionOrder(mu=mus[k], term=term, kernel=kernel))
-        terms.append(term)
-    return Expansion(mode=spec.mode, orders=tuple(orders), spec=spec)
-
-
 def _augment_modes(spec: ProblemSpec, mu_k: float, modes: list[ExpPolySum]):
     """Add unforced homogeneous modes whose decay rate lands on this order."""
     seen = {snap_scalar(m.exponents()[0]) for m in modes if not m.is_zero()}
@@ -458,14 +443,18 @@ def expand(spec: ProblemSpec, order: int | None = None) -> Expansion:
     upto = spec.order if order is None else int(order)
     if upto < 1:
         raise ValidationError("truncation order must be >= 1")
-    return _expand_core(spec, upto, ())
-
-
-def extend(expansion: Expansion, order: int) -> Expansion:
-    """Extend a truncation; existing orders are reused untouched."""
-    if order <= expansion.order_count():
-        return expansion
-    return _expand_core(expansion.spec, order, expansion.orders)
+    mus = spec.make_ladder().take(upto)
+    _arity_cap_warning(spec, mus)
+    orders, terms = [], []
+    cache = ShiftedInverseCache(spec.matrix) if spec.mode != "exponential" else None
+    for k in range(upto):
+        rhs = _rate_rhs(spec, mus, terms, k)
+        term, kernel = _solve_rate(spec, mus[k], rhs, cache)
+        if not _in_rate_class(spec, term, mus[k]):
+            raise RuntimeError(f"constructed term escaped the class of rate {mus[k]}")
+        orders.append(ExpansionOrder(mu=mus[k], term=term, kernel=kernel))
+        terms.append(term)
+    return Expansion(orders=tuple(orders), spec=spec)
 
 
 def symbolic_defect(expansion: Expansion, k: int):
@@ -489,21 +478,6 @@ def symbolic_defect(expansion: Expansion, k: int):
     raw = q.apply_matrix(spec.matrix) + weight_op(-1, q) - rhs
     scale = max(q.sup_norm(), rhs.sup_norm())
     return raw if scale == 0.0 else trim_small_logpower(raw, scale, RESIDUAL_REL)
-
-
-def with_kernel_fit(expansion: Expansion, k: int, coeffs) -> Expansion:
-    """Fold fitted kernel constants into the k-th term (1-based)."""
-    i = k - 1
-    o = expansion.orders[i]
-    coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
-    if len(coeffs) != len(o.kernel):
-        raise ValueError("coefficient count != kernel size")
-    term = o.term
-    for c, mode in zip(coeffs, o.kernel):
-        term = term + mode.scale(c)
-    new_order = replace(o, term=term, kernel_coeffs=coeffs)
-    orders = expansion.orders[:i] + (new_order,) + expansion.orders[i + 1 :]
-    return replace(expansion, orders=orders)
 
 
 def eval_partial_sum(expansion: Expansion, upto: int, t) -> np.ndarray:

@@ -4,8 +4,10 @@ Everything here treats the symbolic layer as a black box that can be
 evaluated on a grid of times.  The checks are deliberately independent of
 the construction: trajectories come from an adaptive Runge-Kutta run and
 decay rates from least-squares fits in the appropriate log coordinates.
-The remainder check is one pass: the trajectory is sampled once on the
-grid, and ``remainder_series`` returns |y - S_N| for every N as one table.
+The remainder check samples the trajectory once on the grid, and
+``remainder_series`` returns |y - S_N| for every N as one table.  The kernel
+fit takes its own 64 samples in its window; the fitted constants enter the
+table as values added to the partial sums, never as symbolic terms.
 """
 
 from __future__ import annotations
@@ -262,17 +264,28 @@ def smallness_certificate(
 # Remainders and decay fits
 
 
-def remainder_series(traj: Trajectory, expansion: Expansion, upto: int, ts) -> np.ndarray:
+def remainder_series(
+    traj: Trajectory, expansion: Expansion, upto: int, ts, kernel: tuple | None = None
+) -> np.ndarray:
     """Table of |y(t) - S_N(t)| for N = 0..upto on a time grid inside the trajectory.
 
     Row N holds the norms against the partial sum of the first N orders,
-    so row 0 is |y| itself.  The trajectory is sampled once for all rows.
+    so row 0 is |y| itself.  ``kernel`` is an optional ``(k, coeffs)`` pair,
+    as ``fit_kernel_constants`` returns coeffs for order k: every partial sum
+    from order k on then also holds sum_i coeffs[i] * mode_i(t) over order
+    k's kernel modes.  The trajectory is sampled once for all rows.
     """
     ts = np.asarray(ts, dtype=float)
     ys = traj.sample(ts)
-    return np.stack(
-        [row_norms(ys - eval_partial_sum(expansion, n, ts)) for n in range(upto + 1)]
-    )
+    partials = [eval_partial_sum(expansion, n, ts) for n in range(upto + 1)]
+    if kernel is not None:
+        k, coeffs = kernel
+        modes = expansion.orders[k - 1].kernel
+        if len(coeffs) != len(modes):
+            raise ValueError("coefficient count != kernel size")
+        fitted = sum(c * mode.eval(ts) for c, mode in zip(coeffs, modes))
+        partials[k:] = [s + fitted for s in partials[k:]]
+    return np.stack([row_norms(ys - s) for s in partials])
 
 
 @dataclass(frozen=True)
@@ -304,12 +317,15 @@ def fit_decay(
     default window is the trailing 40% of the span.  Either window keeps
     only samples above the noise floor: 100 machine epsilons relative to
     the first sample, which stands in for the size of the quantity whose
-    cancellation produced the remainder.
+    cancellation produced the remainder.  A non-finite value anywhere
+    raises ValueError.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
     if ts.shape != values.shape or ts.ndim != 1 or ts.size == 0:
         raise ValueError("ts and values must be matching nonempty 1-d arrays")
+    if not np.isfinite(values).all():
+        raise ValueError("fit_decay: a sample value is not finite")
     floor = 100.0 * np.finfo(float).eps * values[0]
     lo, hi = window if window is not None else (ts[0] + 0.6 * (ts[-1] - ts[0]), ts[-1])
     mask = (ts >= lo) & (ts <= hi) & (values > floor) & (values > 0)

@@ -268,6 +268,9 @@ def from_trig_ladder(q: TrigLadderSum) -> LogPowerSum:
 
 
 def imag_residue(p, ts: Sequence[float]) -> float:
-    """Largest |imaginary part| of p over a sample grid (realness check)."""
-    # max keeps its running value past a nan residue, so such a time is skipped
-    return max([0.0] + abs(p.eval(ts).imag).max(axis=1).tolist())
+    """Largest |imaginary part| of p over a sample grid (realness check);
+    ValueError when p is not finite somewhere on the grid."""
+    values = p.eval(ts)
+    if not np.isfinite(values).all():
+        raise ValueError("imag_residue: the sum is not finite on the sample grid")
+    return max([0.0] + abs(values.imag).max(axis=1).tolist())

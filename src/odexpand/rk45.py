@@ -206,6 +206,9 @@ def _initial_step(field, forcing, t0, y0, f0, rel_tol, abs_tol, t_max):
     y1 = [y + h0 * f for y, f in zip(y0, f0)]
     f1 = _parts(_derivative(field, y1, _forcing_rows(forcing, np.array([t0 + h0]))[0]))
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, g0, sc)]) / h0
+    if not math.isfinite(d2):
+        # as for a non-finite stage: a quarter of the trial step
+        return 0.25 * h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -227,10 +230,11 @@ def integrate_rhs(
     for its six stage times and up to six field calls: the first stage
     that is not finite ends the attempt, which is retried with a quarter of
     the step.  The start makes one call of each for the initial point and
-    for the starting step guess.  The step that reaches t_span[1] lands on
-    it exactly.  ``rel_tol`` must be finite and >= 0 and ``abs_tol``
-    finite and > 0.  Raises StepUnderflow when error control cannot
-    proceed.
+    for the starting step guess; a guess whose trial derivative is not
+    finite starts with a quarter of the trial step.  The step that reaches
+    t_span[1] lands on it exactly.  ``rel_tol`` must be finite and >= 0 and
+    ``abs_tol`` finite and > 0.  Raises StepUnderflow when error control
+    cannot proceed.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not t1 > t0:

@@ -570,6 +570,8 @@ def _initial_step_scalar_oracle(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
     f1 = rhs(t0 + h0, [y + h0 * f for y, f in zip(y0, f0)])
     f1 = [x for z in f1 for x in (z.real, z.imag)]
     d2 = _rms_oracle([(a - b) / s for a, b, s in zip(f1, g0, sc)]) / h0
+    if not math.isfinite(d2):
+        return 0.25 * h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -776,9 +778,21 @@ def sample_oracle(traj: rk45.Trajectory, t: float) -> np.ndarray:
     return h00 * y0 + h * h10 * f0 + h01 * y1 + h * h11 * f1
 
 
-def remainder_series_oracle(traj: rk45.Trajectory, expansion, n: int, ts) -> np.ndarray:
-    """|y(t) - S_n(t)| one grid point at a time, each a scalar sample and norm."""
+def remainder_series_oracle(
+    traj: rk45.Trajectory, expansion, n: int, ts, kernel=None
+) -> np.ndarray:
+    """|y(t) - S_n(t)| one grid point at a time, each a scalar sample and norm.
+
+    With ``kernel = (k, coeffs)`` and n >= k, S_n also holds the fitted
+    kernel modes of order k, sum_i coeffs[i] * mode_i(t), added mode by mode.
+    """
     partial = eval_partial_sum(expansion, n, ts)
+    if kernel is not None and n >= kernel[0]:
+        k, coeffs = kernel
+        fitted = 0
+        for c, mode in zip(coeffs, expansion.orders[k - 1].kernel):
+            fitted = fitted + c * mode.eval(ts)
+        partial = partial + fitted
     return np.array(
         [float(np.linalg.norm(sample_oracle(traj, t) - p)) for t, p in zip(ts, partial)]
     )

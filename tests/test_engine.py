@@ -1,5 +1,6 @@
 """Exponent ladders, problem validation, and the recursive term construction."""
 
+import dataclasses
 import itertools
 import math
 from pathlib import Path
@@ -16,9 +17,7 @@ from odexpand import (
     ValidationError,
     eval_partial_sum,
     expand,
-    extend,
     symbolic_defect,
-    with_kernel_fit,
 )
 from odexpand import engine
 from odexpand.cli import build_problem, load_config
@@ -269,7 +268,7 @@ def test_defect_detects_tampered_terms():
         type(exp_.orders[0])(mu=1.0, term=tampered),
         exp_.orders[1],
     )
-    bad = type(exp_)(mode=exp_.mode, orders=orders, spec=exp_.spec)
+    bad = type(exp_)(orders=orders, spec=exp_.spec)
     # the extra delta*exp(-t) feeds (A - 1) delta = delta into the defect
     d = symbolic_defect(bad, 1)
     assert not d.is_zero()
@@ -282,30 +281,22 @@ def test_defect_index_out_of_range():
         symbolic_defect(exp_, 3)
 
 
-def test_extend_reuses_existing_orders_bitwise():
-    spec = riccati_spec(order=2)
-    first = expand(spec)
-    longer = extend(first, 4)
-    assert longer.order_count() == 4
-    for k in (1, 2):
-        assert longer.orders[k - 1].term.to_records() == first.orders[k - 1].term.to_records()
-    assert extend(longer, 3) is longer
-
-
 @pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
 @pytest.mark.parametrize("name", ["riccati", "resonant", "oscillatory_log"])
-def test_extend_matches_a_direct_expansion_bitwise(name):
-    # one order loop serves every mode, so resuming it after order 2 must
-    # rebuild exactly what one uninterrupted run builds, kernels included
+def test_lower_truncation_is_a_bitwise_prefix(name):
+    # construction is order by order, so building to order 2 gives exactly
+    # the first two orders of the order-5 build, kernels included
     spec = build_problem(load_config(CONFIGS / f"{name}.json"))
-    resumed = extend(expand(spec, 2), 5)
-    direct = expand(spec, 5)
-    assert resumed.rates == direct.rates
-    for got, want in zip(resumed.orders, direct.orders):
+    short, full = expand(spec, 2), expand(spec, 5)
+    assert full.order_count() == 5 and short.rates == full.rates[:2]
+    for got, want in zip(short.orders, full.orders[:2]):
         assert_bitwise_equal(got.term, want.term)
         assert len(got.kernel) == len(want.kernel)
         for g, w in zip(got.kernel, want.kernel):
             assert_bitwise_equal(g, w)
+    # the mode is the problem's, not a copy that could drift from it
+    assert short.mode == spec.mode
+    assert "mode" not in {f.name for f in dataclasses.fields(short)}
 
 
 # ---------------------------------------------------------------------------
@@ -411,31 +402,11 @@ def test_exponential_mode_applies_each_map_once_per_ordering(monkeypatch):
     assert counts == {"mul_apply_logpower": 0, "mul_apply_exp": 15}
 
 
-def test_arity_warning_names_the_caller_of_expand_and_extend():
+def test_arity_warning_names_the_caller_of_expand():
     spec = _spec("resonant")
-    with pytest.warns(RuntimeWarning, match="the remainder analysis") as expand_record:
-        short = expand(spec, 2)
-    with pytest.warns(RuntimeWarning, match="the remainder analysis") as extend_record:
-        extend(short, 4)
-    for record in (expand_record, extend_record):
-        assert [Path(w.filename) for w in record] == [Path(__file__)]
-
-
-def test_with_kernel_fit_attaches_coefficients():
-    spec = ProblemSpec(np.array([[2.0]]), (SQ,), (exp_forcing(1.0, [[1.0]]),),
-                       "exponential", order=2)
-    with pytest.warns(RuntimeWarning):
-        exp_ = expand(spec)
-    fitted = with_kernel_fit(exp_, 2, [0.25])
-    np.testing.assert_allclose(fitted.orders[1].kernel_coeffs, [0.25])
-
-    t = 3.0
-    base_val = eval_partial_sum(exp_, 2, t)
-    fit_val = eval_partial_sum(fitted, 2, t)
-    np.testing.assert_allclose(fit_val - base_val, [0.25 * math.exp(-2 * t)], rtol=1e-12)
-
-    with pytest.raises(ValueError, match="coefficient count != kernel size"):
-        with_kernel_fit(exp_, 2, [0.25, 0.5])
+    with pytest.warns(RuntimeWarning, match="the remainder analysis") as record:
+        expand(spec, 4)
+    assert [Path(w.filename) for w in record] == [Path(__file__)]
 
 
 # ---------------------------------------------------------------------------

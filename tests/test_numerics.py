@@ -19,7 +19,7 @@ from helpers import (
 )
 from odexpand import LogPowerSum, numerics
 from odexpand.cli import _sample_grid, build_problem
-from odexpand.engine import eval_partial_sum, expand, with_kernel_fit
+from odexpand.engine import eval_partial_sum, expand
 from odexpand.numerics import (
     _kronecker_directions,
     decay_envelope_constant,
@@ -317,6 +317,34 @@ def test_remainder_table_rows_are_partial_sum_orders():
     np.testing.assert_array_equal(table[0], np.abs(states[:, 0]))
 
 
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_fitted_kernel_is_added_to_partial_sums_from_its_order_on():
+    # resonant.json to order 3, its trajectory sampled at its own nodes, where
+    # the array sample and the scalar oracle are both the stored state: rows
+    # n >= 2 hold the fitted e^{-2t} mode as a value, rows n < 2 do not
+    cfg = _config("resonant")
+    ver = cfg["verification"]
+    spec = build_problem(cfg)
+    expansion = expand(spec, 3)
+    traj = numerics.integrate(spec, ver["y0"], ver["t_span"], ver["rel_tol"], ver["abs_tol"])
+    coeffs = fit_kernel_constants(traj, expansion, 2, (10.0, 14.0))
+    assert coeffs.shape == (1,)
+    ts = traj.ts[::3]
+    plain = remainder_series(traj, expansion, 3, ts)
+    table = remainder_series(traj, expansion, 3, ts, kernel=(2, coeffs))
+    for n in (0, 1):
+        assert_arrays_bitwise_equal(table[n], plain[n])
+    for n in (2, 3):
+        want = remainder_series_oracle(traj, expansion, n, ts, kernel=(2, coeffs))
+        assert_arrays_bitwise_equal(table[n], want)
+        assert not np.array_equal(table[n], plain[n])
+    # once the expansion holds, the fitted mode is most of the order-2 remainder
+    late = (ts > 6.0) & (ts < 10.0)
+    assert np.all(table[2][late] < 0.05 * plain[2][late])
+    with pytest.raises(ValueError, match="coefficient count != kernel size"):
+        remainder_series(traj, expansion, 3, ts, kernel=(2, np.zeros(2)))
+
+
 # Planted decays: (mode, scale_index, the regressor at t) with grids inside
 # each regressor's domain.
 PLANTED = {
@@ -375,6 +403,22 @@ def test_fit_decay_needs_three_usable_samples():
         fit_decay(ts, values, "linear")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fit_decay_rejects_a_sample_that_is_not_finite(bad):
+    # five bad samples inside the window: masking them out would still fit
+    # exponent 2 with R^2 = 1
+    ts = np.linspace(0.0, 10.0, 101)
+    values = np.exp(-2.0 * ts)
+    values[[70, 75, 80, 85, 90]] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        fit_decay(ts, values, "exponential")
+    # outside the window too
+    values = np.exp(-2.0 * ts)
+    values[3] = bad
+    with pytest.raises(ValueError, match="not finite"):
+        fit_decay(ts, values, "exponential", window=(5.0, 10.0))
+
+
 @pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
 @pytest.mark.parametrize("nodes,rtol", [("at_the_samples", 1e-10), ("dense", 1e-8)])
 def test_fit_kernel_constants_recovers_planted_constants(nodes, rtol):
@@ -383,14 +427,16 @@ def test_fit_kernel_constants_recovers_planted_constants(nodes, rtol):
     expansion = expand(build_problem(_config("resonant")))
     assert len(expansion.orders[1].kernel) == 1
     planted = np.array([0.37 - 0.21j])
-    target = with_kernel_fit(expansion, 2, planted)
+    mode = expansion.orders[1].kernel[0]
     if nodes == "at_the_samples":
         ts = np.linspace(10.0, 14.0, 64)
         derivs = np.zeros((len(ts), 1), dtype=complex)
     else:
         ts = np.linspace(9.0, 15.0, 3001)
-        derivs = sum(o.term.derivative().eval(ts) for o in target.orders[:2])
-    traj = Trajectory(ts=ts, states=eval_partial_sum(target, 2, ts), derivs=derivs)
+        derivs = sum(o.term.derivative().eval(ts) for o in expansion.orders[:2])
+        derivs = derivs + planted[0] * mode.derivative().eval(ts)
+    states = eval_partial_sum(expansion, 2, ts) + planted[0] * mode.eval(ts)
+    traj = Trajectory(ts=ts, states=states, derivs=derivs)
     coeffs = fit_kernel_constants(traj, expansion, 2, (10.0, 14.0))
     # S_2 is e^{-t} in size and the mode e^{-2t}, so the subtraction loses
     # about 14 bits at t = 10; dense nodes add the Hermite interpolation error

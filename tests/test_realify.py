@@ -208,6 +208,16 @@ def test_trig_ladder_matches_complex_eval():
             assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(b)))
 
 
+def test_imag_residue_rejects_a_sum_that_is_not_finite():
+    # e^{800 t} overflows at t = 10 and 20, and inf - inf leaves NaN in
+    # every component; a skipped NaN would report a residue of 0
+    p = LogPowerSum.build(2, 0, [((800.0, 0.0), [1.0, 1j]), ((799.0, 0.0), [-1.0, 0.0])])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(p.eval(np.array([10.0, 20.0]))).all()
+        with pytest.raises(ValueError, match="not finite on the sample grid"):
+            imag_residue(p, [10.0, 20.0])
+
+
 def test_trig_ladder_rejects_asymmetric_input():
     p = LogPowerSum.build(1, 0, [((1j, -1.0), [1.0])])
     with pytest.raises(ValueError, match="not conjugation-symmetric"):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import odexpand
-from helpers import integrate_rhs_oracle
+from helpers import integrate_rhs_oracle, integrate_rhs_scalar_oracle
 from odexpand import StepUnderflow, integrate_rhs
 
 
@@ -219,6 +219,32 @@ def test_nonfinite_stage_rejects_and_quarters_the_step():
     np.testing.assert_allclose(start[retry], start[retry - 1], rtol=1e-12)
     np.testing.assert_allclose(h[retry], h[retry - 1] / 4, rtol=1e-9)
     np.testing.assert_allclose(traj.states[:, 0], np.exp(-traj.ts), rtol=1e-5, atol=1e-12)
+
+
+def nan_on_second_call():
+    """y' = -y, except that the second call (the starting guess's trial
+    point) returns NaN."""
+    calls = []
+
+    def field(y):
+        calls.append(1)
+        return [complex("nan")] if len(calls) == 2 else [-v for v in y]
+
+    return field
+
+
+def test_nonfinite_trial_derivative_starts_with_a_quarter_of_the_trial_step():
+    # the starting guess evaluates the field once at t0 + h0; a NaN there
+    # must not leave the guess to d1 alone, and the run starts as a
+    # non-finite stage would retry it: with h0 / 4
+    traj = integrate_rhs(nan_on_second_call(), unforced, [1.0], (0.0, 1.0))
+    # d0 = d1 = 1 / (1e-12 + 1e-10), so the trial step h0 is 0.01
+    assert traj.ts[1] - traj.ts[0] == 0.25 * 0.01
+    np.testing.assert_allclose(traj.states[:, 0], np.exp(-traj.ts), rtol=1e-9)
+    # the scalar oracle follows the same rule
+    field = nan_on_second_call()
+    want = integrate_rhs_scalar_oracle(lambda t, y: field(y), [1.0], (0.0, 1.0))
+    np.testing.assert_array_equal(want.ts, traj.ts)
 
 
 def test_last_step_lands_exactly_on_the_end_of_the_span():
