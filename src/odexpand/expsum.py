@@ -14,7 +14,6 @@ what the engine's symbolic identity checks rely on.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -265,13 +264,14 @@ def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
     Exponents add across the chosen terms; polynomial parts combine by
     m-dimensional coefficient convolution through G.
 
-    One ``G.batch`` call evaluates every (term, row) choice at once:
-    argument s lays its terms along axis 2s and its zero-padded rows along
-    axis 2s+1.  The sum then reduces in two stages, as the term-by-term
-    loop does: per term combination by degree, adding row tuples in
-    lexicographic order, then per snapped exponent in combination order.
-    Padding rows contribute exact zeros, which leave every sum unchanged,
-    so the result is bit-identical to that loop through ``build``.
+    Each argument is flattened to its live (term, row) pairs, the rows up
+    to each term's end, with argument s laid along axis s.  One ``G.batch``
+    call evaluates every choice of live rows at once, and ``np.add.at``
+    scatters each product into its (term combination, degree) slot, in the
+    C order of the row choices.  The sum so reduces in two stages, as the
+    term-by-term loop does: per term combination by degree, adding row
+    tuples in lexicographic order, then per snapped exponent in combination
+    order, so the result is bit-identical to that loop through ``build``.
     """
     if len(args) != G.arity:
         raise ValueError(f"map arity {G.arity} != argument count {len(args)}")
@@ -279,26 +279,27 @@ def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
         if a.dim != G.dim:
             raise ValueError("dimension mismatch between map and arguments")
     m = len(args)
-    nu, vecs, sizes = None, [], []
+    nu, vecs, terms, degrees = None, [], [], 0
     for s, a in enumerate(args):
-        shape = [1] * (2 * m)
-        shape[2 * s : 2 * s + 2] = a.rows.shape[:2]
-        vecs.append(a.rows.reshape(shape + [G.dim]))
-        sizes.append(a.rows.shape[1])
+        live = np.arange(a.rows.shape[1]) < a._lengths[:, None]
+        k, j = np.nonzero(live)
         lead = [1] * m
+        lead[s] = k.size
+        vecs.append(a.rows[live].reshape(lead + [G.dim]))
+        terms.append(k.reshape(lead))
+        degrees = degrees + j.reshape(lead)
         lead[s] = a.term_count()
         nu = a.nus.reshape(lead) if nu is None else nu + a.nus.reshape(lead)
-    # (K_0, D_0, K_1, D_1, ..., dim) -> (K_0, ..., K_m-1, D_0, ..., D_m-1, dim)
-    g = G.batch(*vecs).transpose(
-        list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)) + [2 * m]
-    )
-    combos = g.shape[:m]
-    out = np.zeros(combos + (sum(sizes) - m + 1, G.dim), dtype=complex)
-    for idx in itertools.product(*(range(d) for d in sizes)):
-        out[..., sum(idx), :] += g[(Ellipsis,) + idx + (slice(None),)]
-    return ExpPolySum.from_arrays(
-        G.dim, nu.reshape(-1), out.reshape((-1,) + out.shape[m:])
-    )
+    width = sum(a.rows.shape[1] for a in args) - m + 1
+    slot = np.ravel_multi_index(terms + [degrees], nu.shape + (width,)).reshape(-1)
+    g = G.batch(*vecs).reshape(-1, G.dim)
+    out = np.zeros((nu.size, width, G.dim), dtype=complex)
+    flat = out.reshape(-1, G.dim)
+    # one scatter per component: np.add.at is several times faster on 1-D
+    # operands than on rows of dim values
+    for i in range(G.dim):
+        np.add.at(flat[:, i], slot, g[:, i])
+    return ExpPolySum.from_arrays(G.dim, nu.reshape(-1), out)
 
 
 def trim_small_exp(s: ExpPolySum, scale: float, rel: float = TRIM_REL) -> ExpPolySum:

@@ -36,10 +36,12 @@ its output row, one entry at a time in entry order, starting from zeros.
 So a call costs about 6 numpy operations per slot and chunk plus 2 per
 entry, where a loop over entries costs 6 per slot for every entry.  The
 entries go in chunks of about ``_BLOCK`` row x entry products, so the
-``(..., E)`` temporaries stay small.  On the largest stacks of
-exponential mode a chunk is one entry, the loop over entries again: there
-the arithmetic outweighs the per-call overhead, and one entry at a time
-keeps numpy's inner loops long.
+``(..., E)`` temporaries stay small.  Exponential mode stacks only the
+live rows of its terms: at order 7 a stack holds at most 2,000 rows, so a
+6-entry map goes in one chunk, and at order 12 up to 39,304, where a chunk
+is one entry, the loop over entries again: there the arithmetic outweighs
+the per-call overhead, and one entry at a time keeps numpy's inner loops
+long.
 
 The two evaluators agree bit for bit, up to the sign of a NaN, which IEEE
 754 leaves open.  Python's complex product computes
@@ -65,10 +67,10 @@ import numpy as np
 __all__ = ["MultiLinearMap"]
 
 # Row x entry products per entry chunk of ``batch``: each float64
-# temporary of a chunk stays near 128 kB.  Exponential mode sends stacks of
-# up to ~17k rows through maps of 6 entries; unchunked, their
-# (rows, entries) temporaries would raise the process's peak memory by
-# megabytes.
+# temporary of a chunk stays near 128 kB.  Exponential mode sends ragged
+# stacks of up to 39,304 rows (order 12) through maps of 6 entries;
+# unchunked, their (rows, entries) temporaries would raise the process's
+# peak memory by megabytes.
 _BLOCK = 1 << 14
 
 

@@ -14,9 +14,15 @@ solutions, so the returned particular solution carries no component along
 the resonant kernel modes; those modes are returned separately so callers
 can fit their free constants against data.
 
-The non-resonant solve is the only code in the package that uses scipy
-(LAPACK getrf/getrs through ``scipy.linalg.lu_factor``/``lu_solve``), and
-it imports ``scipy.linalg`` when it runs, so runs that never reach it load
+Which terms are resonant is decided for all of f at once: one stacked
+``np.linalg.svd`` call over every term's B, each slice equal bit for bit
+to the call on that B alone.
+
+The non-resonant solve is the only code in the package that uses scipy:
+it factors B with ``scipy.linalg.lu_factor`` (LAPACK getrf) and
+back-substitutes each degree with LAPACK getrs, got once per B from
+``scipy.linalg.get_lapack_funcs``, the routine ``lu_solve`` wraps.  It
+imports ``scipy.linalg`` when it runs, so runs that never reach it load
 no scipy.  It stays on scipy because exponential-mode resonant expansions
 amplify rounding differences by about 1e6 on orders >= 3: with
 ``np.linalg.solve`` here, an order-5 coefficient of the benchmark's
@@ -46,17 +52,29 @@ RESIDUAL_REL = 1e-10
 
 
 def _solve_nonresonant(B: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Back-substitute q_j = B^{-1}(p_j - (j+1) q_{j+1}) from the top degree."""
+    """Back-substitute q_j = B^{-1}(p_j - (j+1) q_{j+1}) from the top degree.
+
+    B is factored once by ``scipy.linalg.lu_factor``.  Each degree is then
+    one call of LAPACK getrs, the routine ``scipy.linalg.lu_solve`` calls,
+    without that function's per-call wrappers and input check; a solution
+    that is not finite raises ValueError, as a non-finite right-hand side
+    made ``lu_solve`` do.
+    """
     import scipy.linalg
 
-    lu_piv = scipy.linalg.lu_factor(B)
+    lu, piv = scipy.linalg.lu_factor(B)
+    (getrs,) = scipy.linalg.get_lapack_funcs(("getrs",), (lu, p))
     d = p.shape[0]
     q = np.zeros_like(p)
     for j in range(d - 1, -1, -1):
         rhs = p[j].copy()
         if j + 1 < d:
             rhs -= (j + 1) * q[j + 1]
-        q[j] = scipy.linalg.lu_solve(lu_piv, rhs)
+        q[j], info = getrs(lu, piv, rhs, overwrite_b=1)
+        if info != 0:
+            raise ValueError(f"LAPACK getrs rejected its argument {-info}")
+        if not np.isfinite(q[j]).all():
+            raise ValueError("non-finite solution of a non-resonant resolvent solve")
     return q
 
 
@@ -170,10 +188,11 @@ def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[
     scale = f.sup_norm()
     raw: list[tuple[complex, np.ndarray]] = []
     modes: list[ExpPolySum] = []
-    for nu, p in f.items():
-        B = A + nu * np.eye(n)
-        sv = np.linalg.svd(B, compute_uv=False)
-        if sv[-1] > SINGULAR_REL * max(sv[0], 1.0):
+    Bs = A + f.nus[:, None, None] * np.eye(n)
+    sv = np.linalg.svd(Bs, compute_uv=False)
+    invertible = sv[:, -1] > SINGULAR_REL * np.maximum(sv[:, 0], 1.0)
+    for (nu, p), B, ok in zip(f.items(), Bs, invertible.tolist()):
+        if ok:
             q = _solve_nonresonant(B, p)
         else:
             q = _solve_resonant(B, p, scale)

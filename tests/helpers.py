@@ -12,6 +12,7 @@ import importlib.util
 import itertools
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -349,6 +350,36 @@ def mul_apply_exp_oracle(G: MultiLinearMap, args) -> ExpPolySum:
     return build_exp_oracle(G.dim, raw)
 
 
+def mul_apply_exp_padded_oracle(G: MultiLinearMap, args) -> ExpPolySum:
+    """``mul_apply_exp`` as it ran on zero-padded stacks, before they went ragged.
+
+    One ``G.batch`` call over every (term, row) choice, padding rows
+    included: argument s lays its terms along axis 2s and its zero-padded
+    rows along axis 2s+1.  The degree fold then adds one (K_0, ..., K_m-1,
+    dim) slice per row tuple, in lexicographic order; the padding products
+    are exact zeros added to sums that start at +0.0.
+    """
+    m = len(args)
+    nu, vecs, sizes = None, [], []
+    for s, a in enumerate(args):
+        shape = [1] * (2 * m)
+        shape[2 * s : 2 * s + 2] = a.rows.shape[:2]
+        vecs.append(a.rows.reshape(shape + [G.dim]))
+        sizes.append(a.rows.shape[1])
+        lead = [1] * m
+        lead[s] = a.term_count()
+        nu = a.nus.reshape(lead) if nu is None else nu + a.nus.reshape(lead)
+    # (K_0, D_0, K_1, D_1, ..., dim) -> (K_0, ..., K_m-1, D_0, ..., D_m-1, dim)
+    g = G.batch(*vecs).transpose(
+        list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)) + [2 * m]
+    )
+    combos = g.shape[:m]
+    out = np.zeros(combos + (sum(sizes) - m + 1, G.dim), dtype=complex)
+    for idx in itertools.product(*(range(d) for d in sizes)):
+        out[..., sum(idx), :] += g[(Ellipsis,) + idx + (slice(None),)]
+    return ExpPolySum.from_arrays(G.dim, nu.reshape(-1), out.reshape((-1,) + out.shape[m:]))
+
+
 # Term-by-term oracles for the array operators of ExpPolySum: the loops
 # over (exponent, rows) pairs the package ran while its sums were dicts.
 # Each operator must reproduce its loop bit for bit.
@@ -398,6 +429,25 @@ def ladder_view_raw_oracle(s: ExpPolySum) -> list:
 
 def ladder_view_oracle(s: ExpPolySum) -> LogPowerSum:
     return build_logpower_oracle(s.dim, 0, ladder_view_raw_oracle(s))
+
+
+def solve_nonresonant_oracle(B: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The non-resonant back-substitution through ``lu_factor``/``lu_solve``.
+
+    One ``lu_solve`` call per degree, as the resolvent ran before it called
+    LAPACK getrs directly.
+    """
+    import scipy.linalg
+
+    lu_piv = scipy.linalg.lu_factor(B)
+    d = p.shape[0]
+    q = np.zeros_like(p)
+    for j in range(d - 1, -1, -1):
+        rhs = p[j].copy()
+        if j + 1 < d:
+            rhs -= (j + 1) * q[j + 1]
+        q[j] = scipy.linalg.lu_solve(lu_piv, rhs)
+    return q
 
 
 def interaction_sum_oracle(spec, mus, terms, k: int):
@@ -745,6 +795,16 @@ def integrate_rhs_oracle(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float
             h *= min(1.0, max(rk45._FAC_MIN, factor))
             max_factor = 1.0
     return _trajectory(ts, states, derivs, n_steps, n_rejects, n_evals, rel_tol, abs_tol)
+
+
+def peak_bytes(f) -> int:
+    """Peak bytes numpy and Python allocate while f() runs, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def assert_arrays_bitwise_equal(a: np.ndarray, b: np.ndarray) -> None:

@@ -30,6 +30,7 @@ from helpers import (
     coeff_distance_exp,
     coeff_distance_logpower,
     interaction_sum_oracle,
+    mul_apply_exp_padded_oracle,
     rates_upto,
 )
 
@@ -365,6 +366,23 @@ def test_expansion_is_bit_identical_under_the_per_entry_batch_oracle(case, order
         m.setattr(MultiLinearMap, "batch", batch_oracle)
         want = expand(spec, order)
     assert got.rates == want.rates
+    for g, w in zip(got.orders, want.orders):
+        assert_bitwise_equal(g.term, w.term)
+        assert len(g.kernel) == len(w.kernel)
+        for gk, wk in zip(g.kernel, w.kernel):
+            assert_bitwise_equal(gk, wk)
+
+
+def test_exp_resonant_expansion_is_bit_identical_under_the_padded_product(monkeypatch):
+    # ragged stacks leave out only padding products, which added exact
+    # zeros; nine orders of resonant recursion must not move a single bit
+    spec = _spec("exp-resonant:0")
+    got = expand(spec, 9)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "mul_apply_exp", mul_apply_exp_padded_oracle)
+        want = expand(spec, 9)
+    assert got.rates == want.rates and len(got.orders) == 9
+    assert any(g.kernel for g in got.orders)
     for g, w in zip(got.orders, want.orders):
         assert_bitwise_equal(g.term, w.term)
         assert len(g.kernel) == len(w.kernel)

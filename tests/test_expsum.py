@@ -32,6 +32,8 @@ from helpers import (
     ladder_view_oracle,
     ladder_view_raw_oracle,
     mul_apply_exp_oracle,
+    mul_apply_exp_padded_oracle,
+    peak_bytes,
     random_expsum,
     random_multilinear,
     scale_exp_oracle,
@@ -292,7 +294,106 @@ def test_mul_apply_matches_term_by_term_oracle_bitwise():
                 args.append(_lattice_expsum(rng, dim, n_terms, deg))
             else:
                 args.append(random_expsum(rng, dim, n_terms, deg))
-        assert_bitwise_equal(mul_apply_exp(G, args), mul_apply_exp_oracle(G, args))
+        got = mul_apply_exp(G, args)
+        assert_bitwise_equal(got, mul_apply_exp_oracle(G, args))
+        assert_bitwise_equal(got, mul_apply_exp_padded_oracle(G, args))
+
+
+def _ragged_expsum(rng, dim: int, lengths, signed_zeros: bool = False) -> ExpPolySum:
+    """Terms of the given row counts on lattice exponents, each a lone term.
+
+    With signed_zeros, about a third of the entries become -0.0 (a lone
+    term keeps its rows as given), never a whole row.
+    """
+    raw = []
+    for i, n in enumerate(lengths):
+        rows = cvec(rng, n * dim).reshape(n, dim)
+        if signed_zeros:
+            parts = rows.view(float).reshape(n, 2 * dim)
+            parts[rng.random(parts.shape) < 0.35] = -0.0
+            parts[:, 0] = rng.standard_normal(n)
+        raw.append((complex(-1.0 - i, 0.5 * (i % 3)), rows))
+    s = ExpPolySum.build(dim, raw)
+    assert sorted(s._lengths.tolist()) == sorted(lengths)
+    return s
+
+
+def _assert_mul_apply_matches_both_oracles(G, args) -> ExpPolySum:
+    got = mul_apply_exp(G, args)
+    assert_bitwise_equal(got, mul_apply_exp_oracle(G, args))
+    assert_bitwise_equal(got, mul_apply_exp_padded_oracle(G, args))
+    return got
+
+
+@pytest.mark.parametrize("signed_zeros", [False, True])
+@pytest.mark.parametrize(
+    "lengths",
+    [
+        [(1, 6)],
+        [(6, 1, 2)],
+        [(1, 6), (3, 1)],
+        [(1,), (6, 1, 1, 6)],
+        [(1, 6), (2,), (6, 1, 3)],
+        [(1, 1, 1), (1, 6), (1,)],
+    ],
+)
+def test_mul_apply_on_ragged_terms_matches_both_oracles_bitwise(lengths, signed_zeros):
+    # a 1-row term next to a 6-row one: the live rows are a small share of
+    # the padded stack, and every padded row a ragged stack leaves out
+    # would only have added an exact zero
+    rng = np.random.default_rng(83 + len(lengths))
+    for dim in (1, 3):
+        G = random_multilinear(rng, len(lengths), dim, n_entries=6)
+        args = [_ragged_expsum(rng, dim, n, signed_zeros) for n in lengths]
+        _assert_mul_apply_matches_both_oracles(G, args)
+
+
+def test_mul_apply_with_a_zero_argument_is_zero():
+    rng = np.random.default_rng(84)
+    G = random_multilinear(rng, 3, 2, n_entries=5)
+    a = _ragged_expsum(rng, 2, (1, 6, 2))
+    for args in ([a, ExpPolySum.zero(2), a], [ExpPolySum.zero(2)] * 3, [a, a, ExpPolySum.zero(2)]):
+        got = _assert_mul_apply_matches_both_oracles(G, args)
+        assert got.is_zero() and got.rows.shape == (0, 1, 2)
+
+
+def test_mul_apply_keeps_exact_cancellations_and_signed_zeros_bitwise():
+    # (1 + t) e^-t times (1 - t) e^-t through x*y: the t rows cancel to an
+    # exact zero inside the 1 - t^2 polynomial; times a lone (1, -0.0)
+    # row, the zero components carry the signs the term loop gives them
+    G = MultiLinearMap.scalar_power(2)
+    p = ExpPolySum.build(1, [(-1.0, [[1.0], [1.0]])])
+    q = ExpPolySum.build(1, [(-1.0, [[1.0], [-1.0]]), (-3.0, [[2.0]])])
+    got = _assert_mul_apply_matches_both_oracles(G, [p, q])
+    rows = got.terms[-2.0]
+    assert rows.tolist() == [[1.0], [0.0], [-1.0]]
+    assert not np.signbit(rows[1, 0].real)
+    H = MultiLinearMap(2, 2, ((0, (0, 1), 1.0), (1, (1, 0), -1.0), (1, (1, 1), 1.0)))
+    u = ExpPolySum(2, np.array([-1.0 + 0j]), np.array([[[1.0, -0.0], [-0.0, 2.0]]], dtype=complex))
+    v = ExpPolySum(2, np.array([-2.0 + 0j, -1.0 + 0j]), np.array(
+        [[[-0.0, 1.0], [0.0, 0.0]], [[3.0, -0.0], [1.0, 1.0]]], dtype=complex
+    ))
+    assert u._lengths.tolist() == [2] and v._lengths.tolist() == [1, 2]
+    _assert_mul_apply_matches_both_oracles(H, [u, v])
+    _assert_mul_apply_matches_both_oracles(H, [v, u])
+    _assert_mul_apply_matches_both_oracles(MultiLinearMap(1, 2, ((1, (0,), -1.0),)), [u])
+
+
+def test_mul_apply_peak_memory_stays_below_the_padded_oracle():
+    # order-7-shaped arguments of a cubic map: terms x padded rows of 7 x 6,
+    # 5 x 4 and 5 x 4 (16,800 padded row tuples), with ragged term lengths
+    rng = np.random.default_rng(85)
+    G = random_multilinear(rng, 3, 3, n_entries=6)
+    args = [
+        _ragged_expsum(rng, 3, (1, 2, 6, 3, 1, 4, 2)),
+        _ragged_expsum(rng, 3, (1, 4, 2, 1, 3)),
+        _ragged_expsum(rng, 3, (2, 1, 4, 1, 1)),
+    ]
+    assert [a.rows.shape[:2] for a in args] == [(7, 6), (5, 4), (5, 4)]
+    G.table  # built once per map, not on the measured call
+    padded = peak_bytes(lambda: mul_apply_exp_padded_oracle(G, args))
+    got = peak_bytes(lambda: mul_apply_exp(G, args))
+    assert got <= padded
 
 
 def test_mul_apply_trims_near_cancellation_like_the_oracle():

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,7 +12,14 @@ from hypothesis import strategies as st
 from odexpand import MultiLinearMap
 from odexpand.multilinear import _BLOCK
 
-from helpers import batch_oracle, burgers_galerkin_map, cvec, dense_apply, random_multilinear
+from helpers import (
+    batch_oracle,
+    burgers_galerkin_map,
+    cvec,
+    dense_apply,
+    peak_bytes,
+    random_multilinear,
+)
 
 
 def test_entries_merge_and_drop_zeros():
@@ -377,26 +383,19 @@ def test_batch_over_several_entry_chunks_matches_the_oracle_bitwise(arity):
     _assert_bitwise(G.batch(*args[::-1]), batch_oracle(G, *args[::-1]))
 
 
-def _peak_bytes(f) -> int:
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_batch_peak_memory_stays_within_one_block_of_the_oracle():
-    # the shape of exp-resonant's largest order-7 stacks: three (terms, rows)
-    # axis pairs of a cubic map, 16,800 broadcast rows
+    # the padded shape of exp-resonant's largest order-7 products: three
+    # (terms, rows) axis pairs of a cubic map, 16,800 broadcast rows.
+    # mul_apply_exp stacks only live rows, at most 2,000 at order 7, so this
+    # stack is larger than any the package sends at that order
     rng = np.random.default_rng(37)
     G = random_multilinear(rng, 3, 3, n_entries=6)
     x0 = cvec(rng, 7 * 6 * 3).reshape(7, 6, 1, 1, 1, 1, 3)
     x1 = cvec(rng, 5 * 4 * 3).reshape(1, 1, 5, 4, 1, 1, 3)
     x2 = cvec(rng, 5 * 4 * 3).reshape(1, 1, 1, 1, 5, 4, 3)
     G.table  # built once per map, not on the measured call
-    oracle = _peak_bytes(lambda: batch_oracle(G, x0, x1, x2))
-    got = _peak_bytes(lambda: G.batch(x0, x1, x2))
+    oracle = peak_bytes(lambda: batch_oracle(G, x0, x1, x2))
+    got = peak_bytes(lambda: G.batch(x0, x1, x2))
     # one chunk's (rows, entries) products, of which about eight float64
     # arrays are alive at once
     block = max(1, _BLOCK // 16800) * 16800

@@ -6,11 +6,20 @@ import pytest
 from odexpand import (
     ExpPolySum,
     homogeneous_modes,
+    resolvent,
     resolvent_defect,
     resolvent_solve_exp,
 )
 
-from helpers import coeff_distance_exp, cvec, random_expsum, random_matrix
+from helpers import (
+    assert_arrays_bitwise_equal,
+    assert_bitwise_equal,
+    coeff_distance_exp,
+    cvec,
+    random_expsum,
+    random_matrix,
+    solve_nonresonant_oracle,
+)
 
 
 def _degree(mode: ExpPolySum) -> int:
@@ -179,3 +188,74 @@ def test_dimension_checks():
         resolvent_solve_exp(np.array([[1.0]]), f)
     with pytest.raises(ValueError):
         resolvent_solve_exp(np.array([[1.0, 0.0]]), ExpPolySum.build(1, [(-1.0, [[1.0]])]))
+
+
+# ---------------------------------------------------------------------------
+# the non-resonant back-substitution and the stacked resonance test
+
+
+def test_getrs_back_substitution_matches_lu_solve_bitwise():
+    rng = np.random.default_rng(131)
+    for n in range(1, 5):
+        for rows in range(1, 6):
+            for B in (random_matrix(rng, n), rng.standard_normal((n, n)).astype(complex)):
+                p = cvec(rng, rows * n).reshape(rows, n) * 10.0 ** rng.integers(-3, 4)
+                got = resolvent._solve_nonresonant(B, p)
+                assert_arrays_bitwise_equal(got, solve_nonresonant_oracle(B, p))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_nonresonant_solve_raises_on_a_non_finite_solution(rows):
+    # B^{-1} p overflows at the top degree; lu_solve checked only its
+    # right-hand side, so it let that pass on a one-row term
+    B = np.array([[1e-300, 0.0], [0.0, 1.0]], dtype=complex)
+    p = np.zeros((rows, 2), dtype=complex)
+    p[-1] = [1e300, 1.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        resolvent._solve_nonresonant(B, p)
+    p[-1] = [1.0, np.nan]
+    with pytest.raises(ValueError, match="non-finite"):
+        resolvent._solve_nonresonant(B, p)
+
+
+def test_stacked_svd_decides_resonance_as_the_per_term_svd(monkeypatch):
+    rng = np.random.default_rng(137)
+    A = _jordan_plant(rng, 3, 2)
+    n = A.shape[0]
+    # -2 hits the Jordan eigenvalue exactly; the others miss it
+    f = ExpPolySum.build(3, [
+        (nu, cvec(rng, 2 * n).reshape(2, n))
+        for nu in (-1.0, -2.0, -2.5, -1.0 + 0.7j, -1.0 - 0.7j, -3.5)
+    ])
+    seen = []
+    for name in ("_solve_nonresonant", "_solve_resonant"):
+        def spy(B, *rest, _inner=getattr(resolvent, name), _name=name):
+            seen.append((_name, B.copy()))
+            return _inner(B, *rest)
+
+        monkeypatch.setattr(resolvent, name, spy)
+    z, modes = resolvent_solve_exp(A, f)
+    want = []
+    for nu in f.exponents():
+        B = A + nu * np.eye(n)
+        sv = np.linalg.svd(B, compute_uv=False)
+        invertible = sv[-1] > resolvent.SINGULAR_REL * max(sv[0], 1.0)
+        solver = "_solve_nonresonant" if invertible else "_solve_resonant"
+        want.append((solver, B))
+    assert [name for name, _ in seen] == [name for name, _ in want]
+    assert [name for name, _ in seen].count("_solve_resonant") == 1
+    for (_, got), (_, B) in zip(seen, want):
+        assert_arrays_bitwise_equal(got, B)
+    assert len(modes) == 3
+    assert resolvent_defect(A.astype(complex), f, z).is_zero()
+    # each slice of the stacked call is the single-matrix call, bit for bit
+    stack = np.stack([B for _, B in want])
+    for B, sv in zip(stack, np.linalg.svd(stack, compute_uv=False)):
+        assert_arrays_bitwise_equal(sv, np.linalg.svd(B, compute_uv=False))
+
+
+def test_zero_forcing_gives_the_zero_sum_and_no_modes():
+    A = np.array([[2.0, 1.0], [0.0, 3.0]])
+    z, modes = resolvent_solve_exp(A, ExpPolySum.zero(2))
+    assert modes == []
+    assert_bitwise_equal(z, ExpPolySum.zero(2))
