@@ -7,15 +7,18 @@ order.  Every mode runs the same loop: the right-hand side at rate mu is the
 interactions of earlier terms that land on mu, plus the forcing there, and
 the term solves one linear problem at that rate.  The interactions are a sum
 over multisets of earlier rates that add up to mu.  Power and log mode apply
-each map's symmetrization once per multiset; exponential mode still applies
-the map once per distinct ordering of the multiset.  Otherwise only the term
-type and the solve depend on the mode:
+each map's symmetrization to every multiset of its arity in one stacked call
+per order, and canonicalize the whole right-hand side once; exponential mode
+still applies the map once per distinct ordering of the multiset and adds
+the pieces one by one.  Otherwise only the term type and the solve depend on
+the mode:
 
     exponential mode: ExpPolySums, solved through the resolvent, which also
                       returns the resonant kernel modes;
     power mode:       LogPowerSums on the plain power scale, solved by the
-                      shifted inverse; the right-hand side also carries minus
-                      the descent of the term one unit below;
+                      shifted inverse, one stacked solve per order; the
+                      right-hand side also carries minus the descent of the
+                      term one unit below;
     log mode:         LogPowerSums on an iterated-log scale, solved as in
                       power mode; the descent terms decay faster than every
                       ladder rate and drop out entirely.
@@ -280,47 +283,50 @@ def _in_rate_class(spec: ProblemSpec, term, mu: float) -> bool:
     return term.in_class(spec.scale_index, -mu)
 
 
-def _zero_term(spec: ProblemSpec, earlier):
-    """The mode's zero term, at the deepest depth among the earlier terms."""
-    if spec.mode == "exponential":
-        return ExpPolySum.zero(spec.dim)
-    return LogPowerSum.zero(spec.dim, max([0] + [t.depth for t in earlier]))
-
-
 def _ordered_tuples(parts: tuple[int, ...]):
     """Distinct orderings of a multiset, lexicographically."""
     return sorted(set(itertools.permutations(parts)))
 
 
 def _interaction_sum(spec: ProblemSpec, mus, terms, k: int):
-    """Sum of all nonlinear interactions that land on rate mus[k].
+    """The nonlinear interactions that land on rate mus[k], as pieces.
 
-    One entry per multiset of earlier orders whose rates sum to mus[k] and
-    map of that arity.  G is multilinear, so the sum of G over the distinct
-    orderings of a multiset is G.symmetrized on any one ordering,
-    weighted by 1 / (product of the multiplicity factorials).
+    They run over the multisets of earlier orders whose rates sum to mus[k]
+    and the maps of the multiset's arity.  Exponential mode applies each map
+    to every distinct ordering of each multiset and returns one ExpPolySum
+    per (ordering, map).  Power and log mode use that G is multilinear: the
+    sum of G over the distinct orderings of a multiset is G.symmetrized on
+    any one ordering, weighted by 1 / (product of the multiplicity
+    factorials).  They make one ``mul_apply_logpower`` call per map over
+    all the multisets of its arity and return its raw (alphas, xis) rows,
+    for the one canonicalization of the order's right-hand side.
     """
-    contributions = []
     max_arity = max((G.arity for G in spec.maps), default=0)
-    for parts in _decompose_values(mus[:k], mus[k], max_arity):
-        maps_m = [G for G in spec.maps if G.arity == len(parts)]
-        if not maps_m or any(terms[i].is_zero() for i in parts):
-            continue
-        if spec.mode == "exponential":
-            # Per ordering: exponential mode amplifies ulp-level reorderings
-            # past the output tolerance (ROADMAP item 2).
-            contributions += [
-                mul_apply_exp(G, [terms[i] for i in ordered])
-                for ordered in _ordered_tuples(parts)
-                for G in maps_m
-            ]
-            continue
-        weight = 1.0 / math.prod(math.factorial(parts.count(i)) for i in set(parts))
-        contributions += [
-            mul_apply_logpower(G.symmetrized, [terms[i] for i in parts], weight)
-            for G in maps_m
+    multisets = [
+        parts
+        for parts in _decompose_values(mus[:k], mus[k], max_arity)
+        if not any(terms[i].is_zero() for i in parts)
+    ]
+    if spec.mode == "exponential":
+        # Per ordering: exponential mode amplifies ulp-level reorderings
+        # past the output tolerance (ROADMAP item 2).
+        return [
+            mul_apply_exp(G, [terms[i] for i in ordered])
+            for parts in multisets
+            for ordered in _ordered_tuples(parts)
+            for G in spec.maps
+            if G.arity == len(parts)
         ]
-    return contributions
+    pieces = []
+    for G in spec.maps:
+        group = [parts for parts in multisets if len(parts) == G.arity]
+        if group:
+            weights = [
+                1.0 / math.prod(math.factorial(parts.count(i)) for i in set(parts))
+                for parts in group
+            ]
+            pieces.append(mul_apply_logpower(G.symmetrized, terms, group, weights))
+    return pieces
 
 
 def _decompose_values(values, mu: float, max_arity: int):
@@ -387,21 +393,29 @@ def _rate_rhs(spec: ProblemSpec, mus, terms, k: int):
     """Right-hand side of the linear problem for the term at rate mus[k].
 
     The interactions landing on the rate, then the forcing there, then (power
-    mode) minus the descent of the term one unit below, summed in that order
-    onto the zero at the deepest depth of the terms before k.
+    mode) minus the descent of the term one unit below, at the deepest depth
+    of the terms before k and the forcing.  Exponential mode adds them one
+    by one onto the zero sum; power and log mode stack their raw rows and
+    canonicalize once.
     """
     pieces = _interaction_sum(spec, mus, terms, k)
     f_k = _forcing_at(spec, mus[k])
+    if spec.mode == "exponential":
+        total = ExpPolySum.zero(spec.dim)
+        for piece in pieces + ([] if f_k is None else [f_k]):
+            total = total + piece
+        return total
+    depth = max([0] + [t.depth for t in terms[:k]])
     if f_k is not None:
-        pieces.append(f_k)
+        pieces.append((f_k.alphas, f_k.xis))
+        depth = max(depth, f_k.depth)
     if spec.mode == "power":
         lam = _chi_source(mus, k)
         if lam is not None and not terms[lam].is_zero():
-            pieces.append(descent_op(terms[lam]).scale(-1.0))
-    total = _zero_term(spec, terms[:k])
-    for piece in pieces:
-        total = total + piece
-    return total
+            descent = descent_op(terms[lam])
+            # the raw rows of descent.scale(-1.0)
+            pieces.append((descent.alphas, -1.0 * descent.xis))
+    return LogPowerSum.from_pieces(spec.dim, depth, pieces)
 
 
 def _solve_rate(spec: ProblemSpec, mu: float, rhs, cache):

@@ -123,7 +123,11 @@ class ExpPolySum:
             return cls.zero(dim)
         uniq, first, group = group_keys(nus)
         acc = np.zeros((uniq.shape[0],) + rows.shape[1:], dtype=complex)
-        np.add.at(acc, group, rows)
+        # One scatter over flat entries: each entry still sums its rows in
+        # raw order, and np.add.at is several times faster on 1-D operands.
+        size = rows.shape[1] * rows.shape[2]
+        slot = (group[:, None] * size + np.arange(size)).reshape(-1)
+        np.add.at(acc.reshape(-1), slot, rows.reshape(-1))
         # Adding onto zeros turns -0.0 into 0.0; a lone term keeps its rows as given.
         lone = np.bincount(group) == 1
         acc[lone] = rows[first[lone]]

@@ -8,7 +8,9 @@ with complex exponent vectors alpha = (a(-1), ..., a(k)) and coefficient
 vectors xi in C^n.  The sum is two arrays in canonical term order: the
 exponents ``alphas`` (K, k+2) and the coefficients ``xis`` (K, n).  Every
 operator below maps them to new raw arrays and canonicalizes once through
-``from_arrays``.
+``from_arrays``.  The product ``mul_apply_logpower`` returns its raw arrays
+instead, so that the engine can sum the products, the forcing and the
+descent term of one order with a single ``from_pieces``.
 
 Complex powers are taken through the principal branch, x^a = exp(a*log x).
 With logs = ladder_eval(k, t) = (t, log t, ..., log L_k(t)) the value is
@@ -20,7 +22,8 @@ Three linear operators drive the power/log recursions:
     weight_op(j, p)     multiply each term by its exponent a(j)
     descent_op(p)       sum_j z_0^-1 ... z_j^-1 * weight_op(j, p); together
                         with weight_op(-1) it represents d/dt on composites
-    shifted_inverse(A, p)  apply (A + a(-1) I)^-1 to each coefficient
+    shifted_inverse(A, p)  apply (A + a(-1) I)^-1 to each coefficient, in
+                        one stacked solve
 """
 
 from __future__ import annotations
@@ -48,6 +51,32 @@ __all__ = [
     "mul_apply_logpower",
     "trim_small_logpower",
 ]
+
+# Rows gathered per block in mul_apply_logpower.  With the 17 entries of a
+# symmetrized cubic map of dim 3, a block's G.batch temporaries stay near
+# 70 kB each.  Gathering a whole order at once (2,504 rows at order 10 of
+# the power-expand benchmark's problem 0) raises the traced peak of that
+# expansion from 1.0 to 1.9 MB; blocks of 256 rows took it to 0.8 MB, but
+# made twice the G.batch calls at order 16.
+_ROWS = 512
+
+
+def _stack_rows(
+    pieces: Sequence[tuple[np.ndarray, np.ndarray]], dim: int, depth: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (alphas, xis) pieces stacked in order, exponent vectors zero-padded
+    to depth+2 entries as ``embed`` pads them."""
+    count = sum(a.shape[0] for a, _ in pieces)
+    alphas = np.zeros((count, depth + 2), dtype=complex)
+    xis = np.empty((count, dim), dtype=complex)
+    lo = 0
+    for a, x in pieces:
+        if a.shape[1] > depth + 2:
+            raise ValueError(f"piece of depth {a.shape[1] - 2} above depth {depth}")
+        alphas[lo : lo + a.shape[0], : a.shape[1]] = a
+        xis[lo : lo + a.shape[0]] = x
+        lo += a.shape[0]
+    return alphas, xis
 
 
 def row_norms(rows: np.ndarray) -> np.ndarray:
@@ -147,6 +176,20 @@ class LogPowerSum:
             raise ValueError(f"non-finite coefficient in a LogPowerSum (largest norm {top})")
         keep = (norms > 0.0) & (norms >= TRIM_REL * top)
         return cls(dim, depth, uniq[keep], acc[keep])
+
+    @classmethod
+    def from_pieces(
+        cls, dim: int, depth: int, pieces: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> "LogPowerSum":
+        """Canonical sum of raw pieces, each an (alphas, xis) pair of arrays.
+
+        A piece's exponent vectors may be shorter than depth+2; they are
+        zero-padded, as ``embed`` pads.  The pieces are stacked in the
+        order given and canonicalized by one ``from_arrays`` call, so rows
+        with equal exponents are summed in that order.
+        """
+        alphas, xis = _stack_rows(list(pieces), dim, depth)
+        return cls.from_arrays(dim, depth, alphas, xis)
 
     @classmethod
     def zero(cls, dim: int, depth: int) -> "LogPowerSum":
@@ -279,9 +322,11 @@ class ShiftedInverseCache:
     """Checked shifted matrices A + i*omega*I, memoized per imaginary shift.
 
     A single cache is shared across one expansion run.  It caches one
-    singularity check per distinct shift, not a factorization: each solve
-    is one ``np.linalg.solve`` on the cached matrix, which for the small
-    systems here costs less than reusing LU factors would.
+    singularity check per distinct shift, not a factorization: ``solve``
+    stacks the cached matrix of every row and makes one stacked
+    ``np.linalg.solve`` call, which for the small systems here costs less
+    than reusing LU factors would, and gives each row the bits of its own
+    ``np.linalg.solve``.
     """
 
     def __init__(self, A: np.ndarray):
@@ -306,12 +351,22 @@ class ShiftedInverseCache:
         self._cache[shift] = B
         return B
 
-    def solve(self, alpha_m1: complex, xi: np.ndarray) -> np.ndarray:
-        if abs(alpha_m1.real) > 1e-12:
-            raise ValueError(
-                f"exponent a(-1) = {alpha_m1} is not purely imaginary"
-            )
-        return np.linalg.solve(self._shifted(snap_scalar(alpha_m1)), xi)
+    def solve(self, shifts: np.ndarray, xis: np.ndarray) -> np.ndarray:
+        """Solve (A + a I) x = xi for each row: shifts a (K,), xis (K, n).
+
+        The rows are checked in order: a shift with a real part raises
+        ValueError, and so does a numerically singular shifted matrix.
+        """
+        xis = np.asarray(xis, dtype=complex).reshape(-1, self._n)
+        mats = []
+        for a in np.asarray(shifts, dtype=complex).reshape(-1).tolist():
+            if abs(a.real) > 1e-12:
+                raise ValueError(f"exponent a(-1) = {a} is not purely imaginary")
+            mats.append(self._shifted(snap_scalar(a)))
+        if len(mats) != xis.shape[0]:
+            raise ValueError(f"{len(mats)} shifts for {xis.shape[0]} coefficient rows")
+        stack = np.array(mats).reshape(-1, self._n, self._n)
+        return np.linalg.solve(stack, xis[:, :, None])[:, :, 0]
 
 
 def shifted_inverse(
@@ -322,8 +377,7 @@ def shifted_inverse(
         cache = ShiftedInverseCache(A)
     if cache.A.shape[0] != p.dim:
         raise ValueError("matrix/operand dimension mismatch")
-    solved = [cache.solve(a, v) for a, v in zip(p.alphas[:, 0].tolist(), p.xis)]
-    return p._canon(p.alphas, np.array(solved, dtype=complex).reshape(-1, p.dim))
+    return p._canon(p.alphas, cache.solve(p.alphas[:, 0], p.xis))
 
 
 def time_derivative(p: LogPowerSum) -> LogPowerSum:
@@ -332,40 +386,77 @@ def time_derivative(p: LogPowerSum) -> LogPowerSum:
 
 
 def mul_apply_logpower(
-    G: MultiLinearMap, args: Sequence[LogPowerSum], weight: float = 1.0
-) -> LogPowerSum:
-    """Push m LogPowerSums through an m-linear map (exponent vectors add).
+    G: MultiLinearMap,
+    terms: Sequence[LogPowerSum],
+    multisets: Sequence[Sequence[int]],
+    weights: Sequence[float] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw terms of sum_g weights[g] * G(terms[i] for i in multisets[g]).
 
-    Every combination of one term per argument is formed at once: argument
-    s is laid along axis s, exponent vectors add by broadcasting from left
-    to right, and one ``G.batch`` call gives every coefficient.  The raw
-    terms come out in ``itertools.product`` order over the arguments'
-    terms, and ``G.batch`` matches ``G(...)`` bit for bit, so with weight 1
-    the result is bit-identical to the term-by-term loop through ``build``.
-    Any other weight multiplies the raw coefficients before they are
-    canonicalized.
+    Each entry of ``multisets`` picks G.arity of ``terms`` by index; every
+    combination of one term row per pick is one raw term, whose exponent
+    vector is the sum of the picked ones, added from left to right.  The
+    rows come out multiset after multiset, each in ``itertools.product``
+    order over its picks, at the largest depth of the picked sums; shallower
+    exponent vectors are zero-padded, as ``embed`` pads.  A weight other
+    than 1 multiplies its multiset's raw coefficients.  The result is the
+    pair (alphas, xis) of raw arrays, for one canonicalization of the sum it
+    belongs to (``LogPowerSum.from_pieces``).
+
+    The engine makes one call per (order, map).  Only flat index arrays
+    into a table of the picked sums' rows span all the rows; the rows are
+    gathered and pushed through ``G.batch`` in blocks of ``_ROWS``, so the
+    argument stacks stay small whatever the order.  ``G.batch`` gives every
+    row the bits of ``G(...)`` on it, so each raw term is bit for bit the
+    one the term-by-term loop makes.
     """
-    if len(args) != G.arity:
-        raise ValueError(f"map arity {G.arity} != argument count {len(args)}")
-    for a in args:
-        if a.dim != G.dim:
+    m = G.arity
+    multisets = [tuple(parts) for parts in multisets]
+    weights = [1.0] * len(multisets) if weights is None else list(weights)
+    if len(weights) != len(multisets):
+        raise ValueError(f"{len(weights)} weights for {len(multisets)} multisets")
+    for parts in multisets:
+        if len(parts) != m:
+            raise ValueError(f"map arity {m} != argument count {len(parts)}")
+    used = sorted({i for parts in multisets for i in parts})
+    for i in used:
+        if terms[i].dim != G.dim:
             raise ValueError("dimension mismatch between map and arguments")
-    depth = max(a.depth for a in args)
-    m = len(args)
-    alpha, xis = None, []
-    for s, a in enumerate(args):
-        a = a.embed(depth)
-        shape = [1] * m
-        shape[s] = a.term_count()
-        keys = a.alphas.reshape(shape + [depth + 2])
-        alpha = keys if alpha is None else alpha + keys
-        xis.append(a.xis.reshape(shape + [G.dim]))
-    xi = G.batch(*xis)
-    if weight != 1.0:
-        xi *= weight
-    return LogPowerSum.from_arrays(
-        G.dim, depth, alpha.reshape(-1, depth + 2), xi.reshape(-1, G.dim)
+    if not used:
+        return np.zeros((0, 2), dtype=complex), np.zeros((0, G.dim), dtype=complex)
+    depth = max(terms[i].depth for i in used)
+    # One table of the picked sums' rows; terms[i] starts at row start[i].
+    picks = [(terms[i].alphas, terms[i].xis) for i in used]
+    alpha_tab, xi_tab = _stack_rows(picks, G.dim, depth)
+    start = dict(zip(used, np.cumsum([0] + [a.shape[0] for a, _ in picks]).tolist()))
+    index = np.concatenate(
+        [
+            np.indices([terms[i].term_count() for i in parts]).reshape(m, -1)
+            + np.array([start[i] for i in parts])[:, None]
+            for parts in multisets
+        ],
+        axis=1,
     )
+    counts = [math.prod(terms[i].term_count() for i in parts) for parts in multisets]
+    row_weight = np.repeat(np.array(weights, dtype=float), counts)
+    alphas = np.empty((index.shape[1], depth + 2), dtype=complex)
+    xis = np.empty((index.shape[1], G.dim), dtype=complex)
+    for lo in range(0, index.shape[1], _ROWS):
+        block = index[:, lo : lo + _ROWS]
+        picked = alpha_tab[block]
+        out = alphas[lo : lo + _ROWS]
+        np.copyto(out, picked[0])
+        for a in picked[1:]:
+            out += a
+        xi = G.batch(*xi_tab[block])
+        # rows of weight 1 stay as G gave them, as when each multiset had its
+        # own call: a product with 1 + 0j can flip the sign of a zero
+        w = row_weight[lo : lo + _ROWS]
+        scaled = w != 1.0
+        if scaled.any():
+            xi[scaled] *= w[scaled, None]
+        xis[lo : lo + _ROWS] = xi
+    return alphas, xis
 
 
 def trim_small_logpower(p: LogPowerSum, scale: float, rel: float = TRIM_REL) -> LogPowerSum:

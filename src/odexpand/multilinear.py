@@ -5,9 +5,12 @@ entry table: ``value * x1[j1] * ... * xm[jm]`` accumulated into output row
 ``i``.  No symmetry is assumed.  The ODE right-hand side applies a map as
 written.  In power and log mode the expansion engine sums interactions over
 multisets of earlier terms: it applies ``symmetrized``, the sum of the
-map over every slot permutation, once per multiset and weights it by the
-multiset's share of orderings, so asymmetric maps need no special case.
-Exponential mode still sums ``G`` over every distinct ordering.
+map over every slot permutation, to one ordering of each multiset and
+weights it by the multiset's share of orderings, so asymmetric maps need
+no special case.  The rows of all the multisets of one order are stacked
+and go through ``symmetrized.batch`` in blocks of a few hundred, in one
+product call per (order, map).  Exponential mode still sums ``G`` over
+every distinct ordering.
 
 Two evaluators share the entry table.  ``__call__`` applies the map to
 single vectors, and the ODE right-hand side calls it on every evaluation.

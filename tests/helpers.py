@@ -18,11 +18,18 @@ from pathlib import Path
 import numpy as np
 
 from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, rk45
-from odexpand.engine import _decompose_values, _match_tol, _ordered_tuples, eval_partial_sum
+from odexpand.engine import (
+    _chi_source,
+    _decompose_values,
+    _forcing_at,
+    _match_tol,
+    _ordered_tuples,
+    eval_partial_sum,
+)
 from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import mul_apply_exp, snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
-from odexpand.logpower import ShiftedInverseCache, mul_apply_logpower
+from odexpand.logpower import descent_op, mul_apply_logpower
 
 
 def bench_module(name: str):
@@ -234,13 +241,14 @@ def build_logpower_oracle(dim: int, depth: int, raw) -> LogPowerSum:
     )
 
 
-def mul_apply_logpower_oracle(G: MultiLinearMap, args) -> LogPowerSum:
+def mul_apply_logpower_oracle(G: MultiLinearMap, args, weight: float = 1.0) -> LogPowerSum:
     depth = max(a.depth for a in args)
     args = [embed_oracle(a, depth) for a in args]
     raw = []
     for combo in itertools.product(*(a.items() for a in args)):
         alpha = tuple(sum(parts) for parts in zip(*(c[0] for c in combo)))
-        raw.append((alpha, G(*(c[1] for c in combo))))
+        xi = G(*(c[1] for c in combo))
+        raw.append((alpha, xi if weight == 1.0 else xi * weight))
     return build_logpower_oracle(G.dim, depth, raw)
 
 
@@ -287,8 +295,10 @@ def descent_op_oracle(p: LogPowerSum) -> LogPowerSum:
 
 
 def shifted_inverse_oracle(A: np.ndarray, p: LogPowerSum) -> LogPowerSum:
-    cache = ShiftedInverseCache(A)
-    raw = [(a, cache.solve(a[0], v)) for a, v in p.items()]
+    """One ``np.linalg.solve`` per term, on A + snapped a(-1) times the identity."""
+    A = np.asarray(A, dtype=complex)
+    eye = np.eye(A.shape[0])
+    raw = [(a, np.linalg.solve(A + snap_scalar(a[0]) * eye, v)) for a, v in p.items()]
     return build_logpower_oracle(p.dim, p.depth, raw)
 
 
@@ -455,19 +465,55 @@ def interaction_sum_oracle(spec, mus, terms, k: int):
 
     The engine's sum before it symmetrized power/log-mode maps: every
     multiset of earlier rates that adds up to mus[k], every distinct ordering
-    of it, and every map of that arity, each applied as written.
+    of it, and every map of that arity, each applied as written.  The pieces
+    have the form the engine's ``_interaction_sum`` returns: ExpPolySums in
+    exponential mode, raw (alphas, xis) rows in power and log mode.
     """
-    mul_apply = mul_apply_exp if spec.mode == "exponential" else mul_apply_logpower
     contributions = []
     max_arity = max((G.arity for G in spec.maps), default=0)
     for parts in _decompose_values(mus[:k], mus[k], max_arity):
         maps_m = [G for G in spec.maps if G.arity == len(parts)]
         for ordered in _ordered_tuples(parts):
-            args = [terms[i] for i in ordered]
-            if any(a.is_zero() for a in args):
+            if any(terms[i].is_zero() for i in ordered):
                 continue
-            contributions += [mul_apply(G, args) for G in maps_m]
+            if spec.mode == "exponential":
+                contributions += [mul_apply_exp(G, [terms[i] for i in ordered]) for G in maps_m]
+            else:
+                contributions += [mul_apply_logpower(G, terms, [ordered]) for G in maps_m]
     return contributions
+
+
+def rate_rhs_per_multiset_oracle(spec, mus, terms, k: int) -> LogPowerSum:
+    """Power/log-mode right-hand side at mus[k], one canonical piece at a time.
+
+    The engine's loop before it stacked each order's products: one
+    canonicalized product per (multiset, map), term by term through
+    ``G.symmetrized`` with the multiset's weight, then the forcing and minus
+    the descent term, each added onto the running sum with ``+``.
+    """
+    assert spec.mode in ("power", "log")
+    pieces = []
+    max_arity = max((G.arity for G in spec.maps), default=0)
+    for parts in _decompose_values(mus[:k], mus[k], max_arity):
+        if any(terms[i].is_zero() for i in parts):
+            continue
+        weight = 1.0 / math.prod(math.factorial(parts.count(i)) for i in set(parts))
+        args = [terms[i] for i in parts]
+        pieces += [
+            mul_apply_logpower_oracle(G.symmetrized, args, weight)
+            for G in spec.maps
+            if G.arity == len(parts)
+        ]
+    f_k = _forcing_at(spec, mus[k])
+    if f_k is not None:
+        pieces.append(f_k)
+    lam = _chi_source(mus, k) if spec.mode == "power" else None
+    if lam is not None and not terms[lam].is_zero():
+        pieces.append(descent_op(terms[lam]).scale(-1.0))
+    total = LogPowerSum.zero(spec.dim, max([0] + [t.depth for t in terms[:k]]))
+    for piece in pieces:
+        total = total + piece
+    return total
 
 
 def assert_bitwise_equal(p, q) -> None:

@@ -1,5 +1,6 @@
 """Iterated-log power sums: evaluation, ladder calculus, shifted inverses."""
 
+import itertools
 import json
 import math
 
@@ -231,20 +232,25 @@ def test_shifted_inverse_inverts_stationary_operator():
         assert coeff_distance_logpower(back, p) <= 1e-12 * scale
 
 
+def _solve_one(cache: ShiftedInverseCache, shift: complex, xi: np.ndarray) -> np.ndarray:
+    """The cache's stacked solve on a stack of one row."""
+    return cache.solve(np.array([shift]), np.asarray(xi, dtype=complex)[None])[0]
+
+
 def test_shift_cache_rejects_real_exponential_part():
     cache = ShiftedInverseCache(np.array([[1.0]]))
     with pytest.raises(ValueError, match="is not purely imaginary"):
-        cache.solve(0.5 + 1j, np.array([1.0 + 0j]))
+        _solve_one(cache, 0.5 + 1j, np.array([1.0 + 0j]))
 
 
 def test_shift_cache_singular_matrix():
     cache = ShiftedInverseCache(np.array([[0.0]]))
     with pytest.raises(ValueError, match="numerically singular"):
-        cache.solve(0.0, np.array([1.0 + 0j]))
+        _solve_one(cache, 0.0, np.array([1.0 + 0j]))
     # a nonzero imaginary shift onto the spectrum of -A
     cache = ShiftedInverseCache(np.diag([1.0, 2j]))
     with pytest.raises(ValueError, match="numerically singular"):
-        cache.solve(-2j, np.array([1.0 + 0j, 1.0]))
+        _solve_one(cache, -2j, np.array([1.0 + 0j, 1.0]))
 
 
 def test_shift_cache_reuses_factorizations():
@@ -252,8 +258,8 @@ def test_shift_cache_reuses_factorizations():
     A = random_matrix(rng, 3)
     cache = ShiftedInverseCache(A)
     xi = cvec(rng, 3)
-    first = cache.solve(2j, xi)
-    second = cache.solve(2j, xi)
+    first = _solve_one(cache, 2j, xi)
+    second = _solve_one(cache, 2j, xi)
     np.testing.assert_array_equal(first, second)
     np.testing.assert_allclose((A + 2j * np.eye(3)) @ first, xi, rtol=1e-11)
 
@@ -271,10 +277,10 @@ def test_shift_cache_solve_matches_lapack_lu():
             xi = cvec(rng, n)
             B = A + snap_scalar(shift) * np.eye(n)
             want = scipy.linalg.lu_solve(scipy.linalg.lu_factor(B), xi)
-            got = cache.solve(shift, xi)
+            got = _solve_one(cache, shift, xi)
             assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
         near = 1j * (omega + 0.3 * EXPONENT_GRID)
-        np.testing.assert_array_equal(cache.solve(near, xi), cache.solve(1j * omega, xi))
+        np.testing.assert_array_equal(_solve_one(cache, near, xi), _solve_one(cache, 1j * omega, xi))
 
 
 def test_embed_pads_with_zero_exponents():
@@ -327,17 +333,23 @@ def test_add_across_depths_is_embed_then_add_bitwise():
         assert_bitwise_equal(diff, a.embed(depth) - b.embed(depth))
 
 
+def _product(G: MultiLinearMap, args, weight: float = 1.0) -> LogPowerSum:
+    """G on one tuple of arguments, canonicalized: one multiset, one piece."""
+    raw = mul_apply_logpower(G, args, [range(len(args))], [weight])
+    return LogPowerSum.from_pieces(G.dim, max(a.depth for a in args), [raw])
+
+
 def test_mul_apply_square_of_inverse_power():
     sq = MultiLinearMap.scalar_power(2)
     p = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
-    out = mul_apply_logpower(sq, [p, p])
+    out = _product(sq, [p, p])
     assert out.items()[0][0] == (0.0, -2.0)
 
 
 def test_mul_apply_binomial_expansion():
     sq = MultiLinearMap.scalar_power(2)
     p = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0]), ((0.0, -2.0), [1.0])])
-    out = mul_apply_logpower(sq, [p, p])
+    out = _product(sq, [p, p])
     got = {alpha: complex(xi[0]) for alpha, xi in out.items()}
     assert got == {
         (0.0, -2.0): 1.0,
@@ -350,7 +362,7 @@ def test_mul_apply_embeds_mixed_depths():
     sq = MultiLinearMap.scalar_power(2)
     a = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
     b = LogPowerSum.build(1, 1, [((0.0, 0.0, -1.0), [1.0])])
-    out = mul_apply_logpower(sq, [a, b])
+    out = _product(sq, [a, b])
     assert out.depth == 1
     assert out.items()[0][0] == (0.0, -1.0, -1.0)
 
@@ -364,7 +376,7 @@ def test_mul_apply_matches_pointwise():
     ))
     a = random_logpower(rng, 2, 1, n_terms=2, m=0, mu=-1.0)
     b = random_logpower(rng, 2, 1, n_terms=2, m=0, mu=-0.5)
-    out = mul_apply_logpower(G, [a, b])
+    out = _product(G, [a, b])
     for t in np.geomspace(20.0, 200.0, 8):
         np.testing.assert_allclose(
             out.eval(t), G(a.eval(t), b.eval(t)), rtol=1e-10, atol=1e-12
@@ -455,7 +467,11 @@ def test_mul_apply_matches_term_by_term_oracle_bitwise():
             make(rng, dim, int(rng.integers(0, 3)), int(rng.integers(0, 6)))
             for _ in range(arity)
         ]
-        assert_bitwise_equal(mul_apply_logpower(G, args), mul_apply_logpower_oracle(G, args))
+        assert_bitwise_equal(_product(G, args), mul_apply_logpower_oracle(G, args))
+        weight = float(rng.choice([0.5, 1.0 / 6.0]))
+        assert_bitwise_equal(
+            _product(G, args, weight), mul_apply_logpower_oracle(G, args, weight)
+        )
 
 
 def test_mul_apply_trims_near_cancellation_like_the_oracle():
@@ -467,7 +483,7 @@ def test_mul_apply_trims_near_cancellation_like_the_oracle():
         for eps in (0.0, 1e-16, 3e-14, 9e-14, 1.1e-13, 5e-13, 1e-11):
             p = LogPowerSum.build(1, 0, [(a, [1.0]), (b, [c])])
             q = LogPowerSum.build(1, 0, [(b, [1.0]), (a, [-(1.0 - eps) / c])])
-            got = mul_apply_logpower(G, [p, q])
+            got = _product(G, [p, q])
             assert_bitwise_equal(got, mul_apply_logpower_oracle(G, [p, q]))
             top = max(abs(c), 1.0 / abs(c))
             assert ((0j, -2.5 + 0j) in got.terms) == (eps > 1e-13 * top)
@@ -552,3 +568,134 @@ def test_shifted_inverse_matches_its_term_loop_bitwise():
         p = p + p.scale(0.5).embed(depth + 1).conjugate()
         A = random_matrix(rng, dim)
         assert_bitwise_equal(shifted_inverse(A, p), shifted_inverse_oracle(A, p))
+
+
+# ---------------------------------------------------------------------------
+# One stacked product call per (order, map), one canonicalization of the
+# pieces, and one stacked shifted solve
+
+
+def _raw_product_oracle(G, terms, multisets, weights, depth):
+    """Raw rows term by term: one G call per row combination, multiset by multiset."""
+    used = {i for parts in multisets for i in parts}
+    padded = {i: np.pad(terms[i].alphas, ((0, 0), (0, depth - terms[i].depth))) for i in used}
+    alphas, xis = [], []
+    for parts, w in zip(multisets, weights):
+        picks = [range(terms[i].term_count()) for i in parts]
+        for combo in itertools.product(*picks):
+            alpha = padded[parts[0]][combo[0]].copy()
+            for i, r in zip(parts[1:], combo[1:]):
+                alpha = alpha + padded[i][r]
+            xi = G(*(terms[i].xis[r] for i, r in zip(parts, combo)))
+            alphas.append(alpha)
+            xis.append(xi if w == 1.0 else xi * w)
+    return (
+        np.array(alphas, dtype=complex).reshape(-1, depth + 2),
+        np.array(xis, dtype=complex).reshape(-1, G.dim),
+    )
+
+
+def test_stacked_mul_apply_matches_its_term_loop_bitwise():
+    # repeated picks, mixed depths, weights 1 and not 1 side by side, and
+    # stacks of several gather blocks (terms of up to 9 rows, arity 3)
+    rng = np.random.default_rng(89)
+    for _ in range(25):
+        arity = int(rng.integers(1, 4))
+        dim = int(rng.integers(1, 4))
+        G = random_multilinear(rng, arity, dim, n_entries=int(rng.integers(0, 7)))
+        terms = []
+        for _ in range(int(rng.integers(1, 5))):
+            depth = int(rng.integers(0, 3))
+            n_terms = int(rng.integers(1, 10))
+            make = _lattice_logpower if rng.random() < 0.5 else random_logpower
+            terms.append(make(rng, dim, depth, n_terms))
+        multisets = [
+            tuple(sorted(int(i) for i in rng.integers(0, len(terms), arity)))
+            for _ in range(int(rng.integers(1, 6)))
+        ]
+        weights = [float(rng.choice([1.0, 0.5, 1.0 / 6.0])) for _ in multisets]
+        depth = max(terms[i].depth for parts in multisets for i in parts)
+        alphas, xis = mul_apply_logpower(G, terms, multisets, weights)
+        want_alphas, want_xis = _raw_product_oracle(G, terms, multisets, weights, depth)
+        assert_arrays_bitwise_equal(alphas, want_alphas)
+        assert_arrays_bitwise_equal(xis, want_xis)
+
+
+def test_stacked_mul_apply_checks_its_arguments():
+    G = MultiLinearMap.scalar_power(2)
+    p = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
+    with pytest.raises(ValueError, match="map arity 2 != argument count 3"):
+        mul_apply_logpower(G, [p], [(0, 0, 0)])
+    with pytest.raises(ValueError, match="1 weights for 2 multisets"):
+        mul_apply_logpower(G, [p], [(0, 0), (0, 0)], [0.5])
+    q = LogPowerSum.build(2, 0, [((0.0, -1.0), [1.0, 1.0])])
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        mul_apply_logpower(G, [p, q], [(0, 1)])
+
+
+def test_from_pieces_pads_and_sums_in_the_given_order():
+    rng = np.random.default_rng(97)
+    for _ in range(40):
+        dim = int(rng.integers(1, 4))
+        depth = int(rng.integers(0, 3))
+        pieces, raw = [], []
+        for _ in range(int(rng.integers(0, 5))):
+            d = int(rng.integers(0, depth + 1))
+            p = _lattice_logpower(rng, dim, d, int(rng.integers(0, 6)))
+            scale = complex(*rng.standard_normal(2))
+            pieces.append((p.alphas, scale * p.xis))
+            pad = (0j,) * (depth - d)
+            raw += [(tuple(a) + pad, scale * x) for a, x in zip(p.alphas.tolist(), p.xis)]
+        got = LogPowerSum.from_pieces(dim, depth, pieces)
+        assert got.depth == depth
+        assert_bitwise_equal(got, build_logpower_oracle(dim, depth, raw))
+    deep = LogPowerSum.build(1, 2, [((0.0, -1.0, 0.0, 1.0), [1.0])])
+    with pytest.raises(ValueError, match="above depth 1"):
+        LogPowerSum.from_pieces(1, 1, [(deep.alphas, deep.xis)])
+
+
+def test_stacked_shifted_solve_matches_per_row_solves_bitwise():
+    # repeated and distinct shifts in one stack, and shifts a fraction of
+    # the exponent grid apart, which snap onto one matrix
+    rng = np.random.default_rng(101)
+    for _ in range(60):
+        n = int(rng.integers(1, 5))
+        A = random_matrix(rng, n)
+        omegas = [snap_float(w) for w in rng.uniform(-3.0, 3.0, 3)]
+        shifts = [1j * (omegas[int(rng.integers(0, 3))] + rng.uniform(-0.4, 0.4) * EXPONENT_GRID)
+                  for _ in range(int(rng.integers(1, 9)))]
+        xis = cvec(rng, len(shifts) * n).reshape(-1, n)
+        got = ShiftedInverseCache(A).solve(np.array(shifts), xis)
+        want = np.array([
+            np.linalg.solve(A + snap_scalar(a) * np.eye(n), xi) for a, xi in zip(shifts, xis)
+        ])
+        assert_arrays_bitwise_equal(got, want)
+        # the same stack through shifted_inverse, against its term loop
+        p = LogPowerSum.build(n, 0, [((a, -1.0 - k), xi) for k, (a, xi) in enumerate(zip(shifts, xis))])
+        assert_bitwise_equal(shifted_inverse(A, p), shifted_inverse_oracle(A, p))
+
+
+def test_stacked_shifted_solve_raises_as_its_row_loop_did():
+    # the rows are checked in order, so the first bad row names the error
+    A = np.diag([1.0, 2j])
+    singular = "A + (-2j)I is numerically singular; the dissipativity assumption excludes this"
+    real_part = "exponent a(-1) = (0.5+1j) is not purely imaginary"
+    xi = np.array([1.0, 1.0])
+    for shifts, message in (
+        ([0j, 1j, -2j], singular),
+        ([0j, 0.5 + 1j, -2j], real_part),
+        ([-2j, 0.5 + 1j], singular),
+    ):
+        with pytest.raises(ValueError) as err:
+            ShiftedInverseCache(A).solve(np.array(shifts), np.tile(xi, (len(shifts), 1)))
+        assert str(err.value) == message
+    with pytest.raises(ValueError, match="2 shifts for 1 coefficient rows"):
+        ShiftedInverseCache(A).solve(np.array([1j, 2j]), xi[None])
+    p = LogPowerSum.build(2, 0, [((1j, -1.0), xi), ((-2j, -1.0), xi)])
+    with pytest.raises(ValueError) as err:
+        shifted_inverse(A, p)
+    assert str(err.value) == singular
+    p = LogPowerSum.build(2, 0, [((0.5 + 1j, -1.0), xi), ((1j, -1.0), xi)])
+    with pytest.raises(ValueError) as err:
+        shifted_inverse(A, p)
+    assert str(err.value) == real_part
