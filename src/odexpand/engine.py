@@ -83,7 +83,7 @@ def _match_tol(mu: float) -> float:
 
 
 class ExponentLadder:
-    """Lazily enumerated closure of positive base rates.
+    """Closure of positive base rates under addition.
 
     The closure contains all finite sums of base elements; ``unit_increment``
     additionally closes under +1.  Values are produced in increasing order
@@ -102,36 +102,35 @@ class ExponentLadder:
                 dedup.append(v)
         self.base = tuple(dedup)
         self.unit_increment = bool(unit_increment)
-        self._realized: list[float] = []
-        self._heap: list[float] = list(self.base)
-        heapq.heapify(self._heap)
-
-    def _neighbors(self, x: float):
-        for b in self.base:
-            yield x + b
-        if self.unit_increment:
-            yield x + 1.0
-
-    def _grow(self) -> bool:
-        """Realize the next rate; False when the heap is exhausted."""
-        while self._heap:
-            x = heapq.heappop(self._heap)
-            if self._realized and x - self._realized[-1] < _match_tol(x):
-                continue
-            self._realized.append(x)
-            for y in self._neighbors(x):
-                heapq.heappush(self._heap, y)
-            return True
-        return False
 
     def take(self, count: int) -> tuple[float, ...]:
-        """The first ``count`` realized rates in increasing order."""
+        """The first ``count`` rates in increasing order.
+
+        ValidationError when a step from a realized rate lands within the
+        match tolerance of it: the step's sum could not be told apart from
+        the rate, so its terms would be merged into the rate's.  Every
+        realized rate thus leaves a candidate the duplicate skip keeps, and
+        the candidates never run out.
+        """
         if count < 0:
             raise ValueError("count must be >= 0")
-        while len(self._realized) < count:
-            if not self._grow():
-                raise RuntimeError("ladder exhausted below requested count")
-        return tuple(self._realized[:count])
+        steps = self.base + ((1.0,) if self.unit_increment else ())
+        heap = list(self.base)
+        heapq.heapify(heap)
+        realized: list[float] = []
+        while len(realized) < count:
+            x = heapq.heappop(heap)
+            if realized and x - realized[-1] < _match_tol(x):
+                continue
+            realized.append(x)
+            for b in steps:
+                if (x + b) - x < _match_tol(x + b):
+                    raise ValidationError(
+                        f"ladder step {b!r} from rate {x!r} lands within the rate "
+                        "match tolerance; the two rates cannot be told apart"
+                    )
+                heapq.heappush(heap, x + b)
+        return tuple(realized)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,14 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
     Output depth is p.depth + 1 when some term oscillates in the deepest
     component (its imaginary exponent becomes a trig factor one level
     down), else exactly p.depth.
+
+    Pair rule: of a conjugate pair, the member whose first nonzero
+    imaginary exponent is negative emits both; a term with no nonzero
+    imaginary exponent is its own pair and gives Re(xi).
+
+    Rotation: with each oscillating component written as
+    cos(b L) + i sin(b L), a pair is 2 Re(xi * prod (cos + i sin)), so the
+    term with s sine factors has coefficient 2 Re(xi i^s).
     """
     witness = asymmetry_witness(p, tol)
     if witness is not None:
@@ -196,40 +204,17 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
     needs_lift = bool((p.alphas[:, deepest].imag != 0.0).any())
     out_depth = p.depth + 1 if needs_lift else p.depth
     raw = []
-    scale = max(p.sup_norm(), 1.0)
     for alpha, xi in p.items():
-        # canonical representative: skip terms whose conjugate partner sorts
-        # first, so each pair is emitted once
-        key_sort = tuple((a.real, a.imag) for a in alpha)
-        conj_sort = tuple((a.real, -a.imag) for a in alpha)
-        if conj_sort < key_sort:
-            continue
-        self_conjugate = conj_sort == key_sort
+        # imaginary exponent on tuple index i (component i-1) becomes a
+        # trig factor on component i
+        osc = [(i, a.imag) for i, a in enumerate(alpha) if a.imag != 0.0]
+        if osc and osc[0][1] > 0.0:
+            continue  # its partner emits the pair
         a_real = [a.real for a in alpha] + [0.0] * (out_depth - p.depth)
-        osc = [(i, alpha[i].imag) for i in range(len(alpha)) if alpha[i].imag != 0.0]
-        if self_conjugate:
-            if float(abs(xi.imag).max()) > tol * scale:
-                raise ValueError("self-conjugate term has an imaginary coefficient")
-            raw.append((a_real, (), xi.real.copy()))
-            continue
-        x, y = xi.real, xi.imag
+        weight = 2.0 if osc else 1.0  # a real term is its own pair
         for picks in itertools.product((COS, SIN), repeat=len(osc)):
-            sins = sum(1 for ph in picks if ph == SIN)
-            quarter = sins % 4
-            if quarter == 0:
-                vec = 2.0 * x
-            elif quarter == 1:
-                vec = -2.0 * y
-            elif quarter == 2:
-                vec = -2.0 * x
-            else:
-                vec = 2.0 * y
-            factors = []
-            for (i, b), ph in zip(osc, picks):
-                # imaginary exponent on tuple index i (component i-1) becomes
-                # a trig factor on component i
-                factors.append((i, b, ph))
-            raw.append((a_real, factors, vec))
+            factors = [(i, b, ph) for (i, b), ph in zip(osc, picks)]
+            raw.append((a_real, factors, weight * (xi * 1j ** picks.count(SIN)).real))
     return TrigLadderSum.build(p.dim, out_depth, raw)
 
 

@@ -30,6 +30,7 @@ from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import mul_apply_exp, snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
 from odexpand.logpower import descent_op, mul_apply_logpower
+from odexpand.realify import COS, SIN, TrigLadderSum, asymmetry_witness
 
 
 def bench_module(name: str):
@@ -439,6 +440,65 @@ def ladder_view_raw_oracle(s: ExpPolySum) -> list:
 
 def ladder_view_oracle(s: ExpPolySum) -> LogPowerSum:
     return build_logpower_oracle(s.dim, 0, ladder_view_raw_oracle(s))
+
+
+def to_trig_ladder_oracle(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
+    """The real-form loop before the pair rule and the rotation: sort-key
+    tuples pick each pair's member, and a four-way branch on the number of
+    sines picks the coefficient."""
+    witness = asymmetry_witness(p, tol)
+    if witness is not None:
+        raise ValueError(
+            f"sum is not conjugation-symmetric at term {witness}; no real form exists"
+        )
+    deepest = p.depth + 1  # tuple index of the deepest component
+    needs_lift = bool((p.alphas[:, deepest].imag != 0.0).any())
+    out_depth = p.depth + 1 if needs_lift else p.depth
+    raw = []
+    scale = max(p.sup_norm(), 1.0)
+    for alpha, xi in p.items():
+        # canonical representative: skip terms whose conjugate partner sorts
+        # first, so each pair is emitted once
+        key_sort = tuple((a.real, a.imag) for a in alpha)
+        conj_sort = tuple((a.real, -a.imag) for a in alpha)
+        if conj_sort < key_sort:
+            continue
+        self_conjugate = conj_sort == key_sort
+        a_real = [a.real for a in alpha] + [0.0] * (out_depth - p.depth)
+        osc = [(i, alpha[i].imag) for i in range(len(alpha)) if alpha[i].imag != 0.0]
+        if self_conjugate:
+            if float(abs(xi.imag).max()) > tol * scale:
+                raise ValueError("self-conjugate term has an imaginary coefficient")
+            raw.append((a_real, (), xi.real.copy()))
+            continue
+        x, y = xi.real, xi.imag
+        for picks in itertools.product((COS, SIN), repeat=len(osc)):
+            sins = sum(1 for ph in picks if ph == SIN)
+            quarter = sins % 4
+            if quarter == 0:
+                vec = 2.0 * x
+            elif quarter == 1:
+                vec = -2.0 * y
+            elif quarter == 2:
+                vec = -2.0 * x
+            else:
+                vec = 2.0 * y
+            factors = []
+            for (i, b), ph in zip(osc, picks):
+                # imaginary exponent on tuple index i (component i-1) becomes
+                # a trig factor on component i
+                factors.append((i, b, ph))
+            raw.append((a_real, factors, vec))
+    return TrigLadderSum.build(p.dim, out_depth, raw)
+
+
+def assert_trig_bitwise_equal(p: TrigLadderSum, q: TrigLadderSum) -> None:
+    """Same depth, same keys in the same order, bit-identical coefficients
+    (the sign of every zero counts)."""
+    assert (p.dim, p.depth) == (q.dim, q.depth)
+    assert list(p.terms) == list(q.terms)
+    for key in p.terms:
+        assert_arrays_bitwise_equal(p.terms[key], q.terms[key])
 
 
 def solve_nonresonant_oracle(B: np.ndarray, p: np.ndarray) -> np.ndarray:

@@ -320,6 +320,28 @@ def test_t_span_outside_the_forcing_domain_exits_two_before_expanding(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["power", "log"])
+def test_ladder_that_merges_rates_exits_two(mode, tmp_path, capsys):
+    # riccati with forcing t^(-1e-12), or (log t)^(-1e-12) in log mode: the
+    # quadratic's rate 2e-12 cannot be told apart from 1e-12
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    forcing = cfg["problem"]["forcing"][0]
+    forcing["rate"] = 1e-12
+    if mode == "log":
+        cfg["problem"].update(mode="log", scale_index=1)
+        forcing.update(depth=1, terms=[{"alpha": [0.0, 0.0, -1e-12], "vector": [1.0]}])
+    else:
+        forcing["terms"][0]["alpha"] = [0.0, -1e-12]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["expand", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: ladder step 1e-12 from rate 1e-12 lands within the "
+        "rate match tolerance; the two rates cannot be told apart\n"
+    )
+    assert not any(tmp_path.glob("expansion.json"))
+
+
 def _oscillatory_log_with_factor(factor: dict, tmp_path) -> Path:
     cfg = json.loads((CONFIGS / "oscillatory_log.json").read_text())
     cfg["problem"]["forcing"][0]["terms"][0]["factors"].append(factor)

@@ -121,6 +121,36 @@ def test_ladder_base_validation():
         ExponentLadder((1.0, -0.5))
 
 
+def test_ladder_rejects_a_step_it_cannot_tell_from_the_rate():
+    # 1e-12 + 1e-12 sits within the match tolerance of 1e-12: the rate
+    # where G(u1, u1) lands would be merged into 1e-12 and never built
+    for unit in (True, False):
+        with pytest.raises(ValidationError, match="ladder step 1e-12 from rate 1e-12"):
+            ExponentLadder((1e-12,), unit_increment=unit).take(4)
+    # the steps from the last rate taken are checked too
+    with pytest.raises(ValidationError, match="ladder step 1e-12 from rate 1e-12"):
+        ExponentLadder((1e-12,)).take(1)
+
+
+def _tiny_rate_spec(mode: str) -> ProblemSpec:
+    # y' = -y + y^2 + t^(-1e-12), or its log-mode twin (log t)^(-1e-12)
+    depth = 0 if mode == "power" else 1
+    alpha = (0.0,) * depth + (0.0, -1e-12)
+    f = LogPowerSum.build(1, depth, [(alpha, [1.0])])
+    return ProblemSpec(
+        matrix=np.array([[1.0]]), maps=(SQ,), forcing=((1e-12, f),),
+        mode=mode, scale_index=depth, order=4,
+    )
+
+
+@pytest.mark.parametrize("mode", ["power", "log"])
+def test_expand_rejects_a_ladder_that_merges_rates(mode):
+    # power mode used to return (1e-12, 1 + 1e-12, ...) and drop the 2e-12
+    # term; log mode ran out of candidates with a RuntimeError
+    with pytest.raises(ValidationError, match="ladder step 1e-12 from rate 1e-12"):
+        expand(_tiny_rate_spec(mode))
+
+
 def test_index_of_realized_rates():
     lad = ExponentLadder((1.0,))
     assert lad.take(5).index(3.0) == 2

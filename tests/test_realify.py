@@ -1,6 +1,7 @@
 """Real trig forms of conjugation-symmetric sums, and back."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +17,22 @@ from odexpand import (
     to_trig_ladder,
     to_trig_poly,
 )
-from odexpand.realify import asymmetry_witness
+from odexpand.cli import _realify_grid, build_problem, load_config
+from odexpand.realify import _ladder_view, asymmetry_witness
 from odexpand.ladder import exp_zero
 from odexpand.logpower import descent_op, shifted_inverse, weight_op
 
-from helpers import cvec, random_multilinear, sym_logpower
+from helpers import (
+    assert_trig_bitwise_equal,
+    bench_module,
+    cvec,
+    random_alpha,
+    random_multilinear,
+    sym_logpower,
+    to_trig_ladder_oracle,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def sym_expsum(rng, dim, n_pairs=2, max_degree=2):
@@ -392,3 +404,61 @@ def test_sup_norm_is_the_largest_per_term_norm_bitwise():
         want = max(float(np.linalg.norm(v)) for v in p.terms.values())
         assert p.sup_norm() == want
     assert LogPowerSum.zero(2, 1).sup_norm() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the pair rule and the rotation against the sort-key loop they replaced
+
+
+def _realify_specs():
+    # the benchmark's power-expand (order 10) and exp-resonant (order 7)
+    # pools at their own orders, and the shipped configs
+    workloads = bench_module("workloads")
+    for name in ("power-expand", "exp-resonant"):
+        for index in range(workloads.POOL_SIZE):
+            yield build_problem(workloads.problem(name, index).config)
+    for path in sorted(CONFIGS.glob("*.json")):
+        yield build_problem(load_config(path))
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_real_forms_of_the_pools_match_the_sort_key_loop_bitwise():
+    check = bench_module("check")
+    converted = 0
+    for spec in _realify_specs():
+        expansion = expand(spec)
+        grid = _realify_grid(expansion, spec)
+        for order in expansion.orders:
+            term = order.term
+            if term.is_zero():
+                continue
+            assert imag_residue(term, grid) <= check.REALIFY_RESIDUE
+            p = _ladder_view(term) if isinstance(term, ExpPolySum) else term
+            assert_trig_bitwise_equal(to_trig_ladder(p), to_trig_ladder_oracle(p))
+            converted += 1
+    assert converted > 500
+
+
+def sym_mixed_logpower(rng, dim, depth, n_terms):
+    # each component oscillates or not at random (a flat one gets +0.0 or
+    # -0.0), so real terms and terms whose first oscillation sits anywhere
+    # in the exponent vector all occur
+    raw = []
+    for _ in range(n_terms):
+        alpha = [
+            a if rng.random() < 0.5 else complex(a.real, rng.choice([0.0, -0.0]))
+            for a in random_alpha(rng, depth)
+        ]
+        raw.append((tuple(alpha), cvec(rng, dim)))
+    q = LogPowerSum.build(dim, depth, raw)
+    return q + q.conjugate()
+
+
+def test_real_forms_of_random_symmetric_sums_match_the_sort_key_loop_bitwise():
+    # up to four oscillating components per term, where the pools have one
+    rng = np.random.default_rng(47)
+    for make in (sym_logpower, sym_mixed_logpower):
+        for _ in range(60):
+            depth = int(rng.integers(0, 3))
+            p = make(rng, int(rng.integers(1, 4)), depth, int(rng.integers(1, 5)))
+            assert_trig_bitwise_equal(to_trig_ladder(p), to_trig_ladder_oracle(p))
