@@ -1,9 +1,10 @@
 """Configuration-driven command line front end.
 
-Subcommands: expand (build terms and write expansion.json and
-terms.csv), verify (integrate and fit remainder decay), realify
-(real-form tables), certificate (small-data decay constants).  Configs
-are JSON; complex numbers are written as [re, im]; unknown fields are
+Subcommands and the files they write: expand (build terms; expansion.json,
+compact, read it with python -m json.tool), verify (integrate and fit
+remainder decay; verify.txt, remainders.csv), realify (real-form tables;
+real_terms.txt), certificate (small-data decay constants; certificate.csv).
+Configs are JSON; complex numbers are written as [re, im]; unknown fields are
 rejected with their path.  The sections and their keys:
 
     problem       matrix, mode, forcing (required); nonlinearity,
@@ -366,25 +367,6 @@ def _vec_str(vec) -> str:
     return "(" + ",".join(vals) + ")"
 
 
-def term_string_exp(term: ExpPolySum) -> str:
-    """Human form of an exponential-polynomial sum, e.g. (0,-1)*e^(-t)."""
-    if term.is_zero():
-        return "0"
-    parts = []
-    for nu, rows in term.items():
-        for d, row in enumerate(rows):
-            if not np.any(row):
-                continue
-            factors = [_vec_str(row)]
-            if d == 1:
-                factors.append("t")
-            elif d > 1:
-                factors.append(f"t^{d}")
-            factors.append(f"e^({_fmt_complex(nu)}t)")
-            parts.append("·".join(factors))
-    return " + ".join(parts) if parts else "0"
-
-
 def _power_factor(j: int, a: complex) -> str | None:
     if a == 0:
         return None
@@ -399,7 +381,8 @@ def _power_factor(j: int, a: complex) -> str | None:
 
 
 def _ladder_term_string(terms) -> str:
-    """Human form of (alpha, trig factors, vec) ladder terms, e.g. 2*t^-2."""
+    """Human form of (alpha, trig factors, vec) ladder terms, e.g. 2·t^-2; an
+    exponential row vec·t^d·e^(nu t) is the term ((nu, d), (), vec)."""
     parts = []
     for alpha, factors, vec in terms:
         bits = [_vec_str(vec)]
@@ -444,37 +427,6 @@ def expansion_records(expansion: Expansion) -> dict:
     }
 
 
-def _terms_csv(expansion: Expansion) -> str:
-    lines = [
-        "order,rate,kind,exponent_re,exponent_im,alpha,component,degree,value_re,value_im"
-    ]
-    for k in range(1, expansion.order_count() + 1):
-        order = expansion.orders[k - 1]
-        term = order.term
-        mu = _fmt(order.mu)
-        if isinstance(term, ExpPolySum):
-            for nu, rows in term.items():
-                for d, row in enumerate(rows):
-                    for c, v in enumerate(row):
-                        if v == 0:
-                            continue
-                        lines.append(
-                            f"{k},{mu},exp_poly,{_fmt(nu.real)},{_fmt(nu.imag)},,"
-                            f"{c},{d},{_fmt(v.real)},{_fmt(v.imag)}"
-                        )
-        else:
-            for alpha, vec in term.items():
-                alpha_s = ";".join(f"{_fmt(a.real)}{a.imag:+.17g}j" for a in alpha)
-                for c, v in enumerate(vec):
-                    if v == 0:
-                        continue
-                    lines.append(
-                        f"{k},{mu},log_power,,,{alpha_s},{c},,"
-                        f"{_fmt(v.real)},{_fmt(v.imag)}"
-                    )
-    return "\n".join(lines) + "\n"
-
-
 def _write(out_dir: Path, name: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / name, "w", encoding="utf-8", newline="\n") as fh:
@@ -491,7 +443,12 @@ def _term_table(expansion: Expansion) -> str:
         order = expansion.orders[k - 1]
         term = order.term
         if isinstance(term, ExpPolySum):
-            s = term_string_exp(term)
+            s = _ladder_term_string(
+                ((nu, d), (), row)
+                for nu, rows in term.items()
+                for d, row in enumerate(rows)
+                if row.any()
+            )
             if order.kernel:
                 s += f"   [{len(order.kernel)} free kernel mode(s)]"
         else:
@@ -507,8 +464,7 @@ def cmd_expand(cfg: dict, args) -> int:
     print(_term_table(expansion))
     out = _out_dir(cfg, args)
     records = expansion_records(expansion)
-    _write(out, "expansion.json", json.dumps(records, indent=2) + "\n")
-    _write(out, "terms.csv", _terms_csv(expansion))
+    _write(out, "expansion.json", json.dumps(records) + "\n")
     print(f"wrote {out / 'expansion.json'}")
     return 0
 
@@ -573,6 +529,8 @@ def cmd_verify(cfg: dict, args) -> int:
             f"defined for t > {lo}"
         )
     expansion = expand(spec)
+    if fit_res is not None and not expansion.orders[k - 1].kernel:
+        raise ConfigError(f"verification.fit_resonant.order: order {k} has no kernel modes")
     traj = integrate(spec, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
     kernel = None
     if fit_res is not None:

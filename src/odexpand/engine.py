@@ -174,9 +174,9 @@ class ProblemSpec:
 
     def validate(self) -> None:
         A = self.matrix
-        n = A.shape[0]
-        if A.ndim != 2 or A.shape != (n, n):
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValidationError("matrix must be square")
+        n = A.shape[0]
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
         eigs = self.eigenvalues()

@@ -71,6 +71,7 @@ def _assert_matches_golden(got: dict, want: dict) -> None:
 def test_expand_matches_golden(name, tmp_path, capsys):
     code = main(["expand", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["expansion.json"]
     got = json.loads((tmp_path / "expansion.json").read_text())
     want = json.loads((GOLDEN / f"{name}.expansion.json").read_text())
     _assert_matches_golden(got, want)
@@ -115,10 +116,13 @@ def test_realify_exits_zero(name, tmp_path):
 
 def test_exponential_realify_keeps_the_decay(tmp_path, capsys):
     # y' = -y + y^2 + e^{-t} is resonant at rate 1: its first term t e^{-t}
-    # keeps its decay factor in the real form.
+    # keeps its decay factor in the real form, and expand prints the term
+    # with its factors in the same order.
     config = str(CONFIGS / "certificate.json")
     assert main(["realify", "--config", config, "--out", str(tmp_path)]) == 0
     assert "rate        1   1·e^(-1t)·t\n" in capsys.readouterr().out
+    assert main(["expand", "--config", config, "--out", str(tmp_path)]) == 0
+    assert "rate        1   1·e^(-1t)·t   [1 free kernel mode(s)]\n" in capsys.readouterr().out
 
 
 def test_realify_without_a_real_form_exits_two(tmp_path, monkeypatch, capsys):
@@ -320,6 +324,26 @@ def test_t_span_outside_the_forcing_domain_exits_two_before_expanding(
     assert not (tmp_path / "out").exists()
 
 
+def test_kernel_fit_at_an_order_without_kernel_modes_exits_two_before_integrating(
+    tmp_path, monkeypatch, capsys
+):
+    # riccati is in power mode: no order has kernel modes
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg["verification"]["fit_resonant"] = {"order": 1, "window": [500.0, 1000.0]}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate ran")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: verification.fit_resonant.order: order 1 has no kernel modes\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("mode", ["power", "log"])
 def test_ladder_that_merges_rates_exits_two(mode, tmp_path, capsys):
     # riccati with forcing t^(-1e-12), or (log t)^(-1e-12) in log mode: the
@@ -370,8 +394,9 @@ def test_cos_factor_of_zero_frequency_is_dropped_not_rejected(omega, tmp_path):
     assert main(["expand", "--config", str(config), "--out", str(tmp_path / "edited")]) == 0
     shipped = str(CONFIGS / "oscillatory_log.json")
     assert main(["expand", "--config", shipped, "--out", str(tmp_path / "shipped")]) == 0
-    for name in ("expansion.json", "terms.csv"):
-        assert (tmp_path / "edited" / name).read_bytes() == (tmp_path / "shipped" / name).read_bytes()
+    assert (tmp_path / "edited" / "expansion.json").read_bytes() == (
+        tmp_path / "shipped" / "expansion.json"
+    ).read_bytes()
 
 
 VERIFY_LINE = re.compile(r"^N=(\d+): exponent=(\S+) .* (PASS|FAIL)$", re.MULTILINE)

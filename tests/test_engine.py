@@ -202,6 +202,8 @@ def test_validation_messages():
 
     with pytest.raises(ValidationError, match="matrix must be square"):
         ProblemSpec(**{**base, "matrix": np.array([[1.0, 0.0]])}).validate()
+    with pytest.raises(ValidationError, match="matrix must be square"):
+        ProblemSpec(**{**base, "matrix": np.array(2.0)}).validate()
     with pytest.raises(ValidationError, match="mode must be one of"):
         ProblemSpec(**{**base, "mode": "weird"}).validate()
     with pytest.raises(ValidationError, match="dissipativity violated"):
