@@ -13,8 +13,9 @@ still applies the map once per distinct ordering of the multiset and adds
 the pieces one by one.  Otherwise only the term type and the solve depend on
 the mode:
 
-    exponential mode: ExpPolySums, solved through the resolvent, which also
-                      returns the resonant kernel modes;
+    exponential mode: ExpPolySums, solved through the resolvent; the kernel
+                      modes at a rate are those of the clusters of A's
+                      spectrum on it (``ProblemSpec.clusters``);
     power mode:       LogPowerSums on the plain power scale, solved by the
                       shifted inverse, one stacked solve per order; the
                       right-hand side also carries minus the descent of the
@@ -25,7 +26,7 @@ the mode:
 
 Construction is strictly order by order: a higher truncation reproduces
 every lower order bit for bit.  ``expand`` is the only builder, and a built
-expansion is never edited; the constants of resonant kernel modes are fitted
+expansion is never edited; the constants of its kernel modes are fitted
 by the numerical check and added there as values.
 """
 
@@ -36,6 +37,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -52,6 +54,7 @@ from .logpower import (
 from .multilinear import MultiLinearMap
 from .resolvent import (
     RESIDUAL_REL,
+    SINGULAR_REL,
     homogeneous_modes,
     resolvent_defect,
     resolvent_solve_exp,
@@ -144,7 +147,7 @@ class ProblemSpec:
     all have real part -mu (exponential mode), or LogPowerSums in the
     (scale_index, -mu) class (power mode: scale_index 0; log mode: >= 1).
     The exponent ladder comes from the problem alone: its base is the
-    forcing rates, plus the real parts of the matrix's eigenvalues in
+    forcing rates, plus the rates of the matrix's eigenvalue clusters in
     exponential mode, and power mode also closes it under +1.
     """
 
@@ -166,11 +169,42 @@ class ProblemSpec:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.matrix)
+        """The matrix's eigenvalues, computed once per problem; read-only."""
+        eigs = np.linalg.eigvals(self.matrix)
+        eigs.setflags(write=False)
+        return eigs
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[complex, int], ...]:
+        """The spectrum as (nu, algebraic multiplicity) pairs, nu = -eigenvalue.
+
+        The one rule for every spectral decision of exponential mode: the
+        ladder's eigen-rates are -Re nu and an order's kernel modes are
+        ``homogeneous_modes(A, nu)`` of the clusters on its rate.  The
+        eigenvalues within sqrt(SINGULAR_REL) * max(norm(A), 1) of the
+        smallest remaining one, in (Re, Im) order, merge at their mean: the
+        computed copies of a defective eigenvalue of index k scatter by about
+        eps^(1/k).  nu is the snapped minus mean, and the merge stands only
+        when A + nu I has a generalized nullspace of exactly that dimension;
+        otherwise the smallest eigenvalue stays alone.  Canonical
+        (Re nu, Im nu) order.
+        """
+        radius = math.sqrt(SINGULAR_REL) * max(float(np.linalg.norm(self.matrix, 2)), 1.0)
+        rest = sorted(map(complex, self.eigenvalues), key=lambda z: (z.real, z.imag))
+        out = []
+        while rest:
+            near = [i for i, lam in enumerate(rest) if abs(lam - rest[0]) <= radius]
+            nu = snap_scalar(-sum(rest[i] for i in near) / len(near))
+            if len(near) > 1 and len(homogeneous_modes(self.matrix, nu)) != len(near):
+                near, nu = [0], snap_scalar(-rest[0])
+            out.append((nu, len(near)))
+            rest = [lam for i, lam in enumerate(rest) if i not in near]
+        return tuple(sorted(out, key=lambda c: (c[0].real, c[0].imag)))
 
     def slowest_rate(self) -> float:
-        return float(min(self.eigenvalues().real))
+        return float(min(self.eigenvalues.real))
 
     def validate(self) -> None:
         A = self.matrix
@@ -179,7 +213,7 @@ class ProblemSpec:
         n = A.shape[0]
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-        eigs = self.eigenvalues()
+        eigs = self.eigenvalues
         if min(eigs.real) <= 1e-10:
             raise ValidationError(
                 "dissipativity violated: every eigenvalue of the linear part "
@@ -223,18 +257,20 @@ class ProblemSpec:
 
     def make_ladder(self) -> ExponentLadder:
         """The exponent ladder: the closure of the forcing rates, and in
-        exponential mode the eigenvalue real parts, under addition (power
-        mode: also under +1).  Near-equal rates are merged."""
+        exponential mode the rates -Re nu of the eigenvalue clusters, under
+        addition (power mode: also under +1).  Near-equal rates are merged."""
         rates = {mu for mu, _ in self.forcing}
         if self.mode == "exponential":
-            rates |= {float(lam.real) for lam in self.eigenvalues()}
+            rates |= {-nu.real for nu, _ in self.clusters}
         return ExponentLadder(rates, unit_increment=(self.mode == "power"))
 
 
 @dataclass(frozen=True)
 class ExpansionOrder:
     """One constructed term: the rate, the symbolic term, and (exponential
-    mode only) the resonant kernel modes.  The term leaves the kernel modes
+    mode only) the kernel modes: ``homogeneous_modes`` of every eigenvalue
+    cluster on the rate, in canonical (Re nu, Im nu) order, as many per
+    cluster as its algebraic multiplicity.  The term leaves the kernel modes
     out: their constants depend on the particular solution, so a check fits
     them and adds them as values (``numerics.remainder_series``)."""
 
@@ -420,34 +456,16 @@ def _rate_rhs(spec: ProblemSpec, mus, terms, k: int):
 def _solve_rate(spec: ProblemSpec, mu: float, rhs, cache):
     """The term at rate mu and its kernel modes: the one mode-dependent step.
 
-    Exponential mode solves z' + A z = rhs through the resolvent and adds the
-    unforced eigenmodes at mu; power/log modes apply the shifted inverse of
-    A + weight_op(-1) and have no kernel.
+    Exponential mode solves z' + A z = rhs through the resolvent; the kernel
+    modes are those of the eigenvalue clusters whose rate matches mu under
+    the ladder's rule, whatever the right-hand side.  Power/log modes apply
+    the shifted inverse of A + weight_op(-1) and have no kernel.
     """
     if spec.mode != "exponential":
         return (rhs if rhs.is_zero() else shifted_inverse(spec.matrix, rhs, cache)), ()
-    term, modes = (rhs, []) if rhs.is_zero() else resolvent_solve_exp(spec.matrix, rhs)
-    return term, tuple(_augment_modes(spec, mu, modes))
-
-
-def _augment_modes(spec: ProblemSpec, mu_k: float, modes: list[ExpPolySum]):
-    """Add unforced homogeneous modes whose decay rate lands on this order."""
-    seen = {snap_scalar(m.exponents()[0]) for m in modes if not m.is_zero()}
-    eigs = spec.eigenvalues()
-    reps: list[complex] = []
-    for lam in eigs:
-        if abs(lam.real - mu_k) > 1e-9 * max(1.0, mu_k):
-            continue
-        if any(abs(lam - r) < 1e-8 for r in reps):
-            continue
-        reps.append(complex(lam))
-    out = list(modes)
-    for lam in sorted(reps, key=lambda z: (z.real, z.imag)):
-        nu = snap_scalar(-lam)
-        if nu in seen:
-            continue
-        out.extend(homogeneous_modes(spec.matrix, nu))
-    return out
+    term = rhs if rhs.is_zero() else resolvent_solve_exp(spec.matrix, rhs)[0]
+    on_rate = [nu for nu, _ in spec.clusters if abs(nu.real + mu) < _match_tol(mu)]
+    return term, tuple(m for nu in on_rate for m in homogeneous_modes(spec.matrix, nu))
 
 
 def expand(spec: ProblemSpec, order: int | None = None) -> Expansion:

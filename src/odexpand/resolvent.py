@@ -11,8 +11,10 @@ linear system over all coefficients is solved by minimum-norm least squares,
 raising r until the system is consistent.  The minimum-norm solution is
 orthogonal to the coefficient vectors of the homogeneous polynomial
 solutions, so the returned particular solution carries no component along
-the resonant kernel modes; those modes are returned separately so callers
-can fit their free constants against data.
+the kernel modes at that exponent.  The solve only reports which exponents
+it treated as resonant.  The kernel modes come from ``homogeneous_modes``,
+which the engine calls once per cluster of A's spectrum, whatever the
+forcing, so callers can fit their free constants against data.
 
 Which terms are resonant is decided for all of f at once: one stacked
 ``np.linalg.svd`` call over every term's B, each slice equal bit for bit
@@ -171,13 +173,13 @@ def _kernel_modes(B: np.ndarray, nu: complex, dim: int) -> list[ExpPolySum]:
     return modes
 
 
-def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[ExpPolySum]]:
-    """Particular solution of z' + A z = f, plus resonant kernel modes.
+def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[complex]]:
+    """Particular solution of z' + A z = f, and the exponents solved as resonant.
 
-    Returns (z, modes).  z solves the ODE exactly term by term; modes lists
-    a basis of decaying homogeneous solutions attached to the resonant
-    exponents of f (empty when no exponent hits the spectrum of -A).  The
-    particular solution carries zero free constants along those modes.
+    Returns (z, resonant).  z solves the ODE exactly term by term; resonant
+    lists, in f's order, the exponents of f that hit the spectrum of -A
+    (empty when none does).  Along the homogeneous modes at those exponents
+    (``homogeneous_modes``) the particular solution carries zero constants.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -187,7 +189,7 @@ def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[
         raise ValueError(f"forcing dimension {f.dim} != matrix dimension {n}")
     scale = f.sup_norm()
     raw: list[tuple[complex, np.ndarray]] = []
-    modes: list[ExpPolySum] = []
+    resonant: list[complex] = []
     Bs = A + f.nus[:, None, None] * np.eye(n)
     sv = np.linalg.svd(Bs, compute_uv=False)
     invertible = sv[:, -1] > SINGULAR_REL * np.maximum(sv[:, 0], 1.0)
@@ -196,9 +198,9 @@ def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[
             q = _solve_nonresonant(B, p)
         else:
             q = _solve_resonant(B, p, scale)
-            modes.extend(_kernel_modes(B, nu, n))
+            resonant.append(nu)
         raw.append((nu, q))
-    return ExpPolySum.build(n, raw), modes
+    return ExpPolySum.build(n, raw), resonant
 
 
 def homogeneous_modes(A: np.ndarray, nu: complex) -> list[ExpPolySum]:

@@ -50,6 +50,27 @@ def cvec(rng, n: int) -> np.ndarray:
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def mode_degree(mode: ExpPolySum) -> int:
+    """Polynomial degree of a kernel mode, which is one exponential term."""
+    (_, rows), = mode.items()
+    return rows.shape[0] - 1
+
+
+def jordan_plant(rng, n: int, lam: int):
+    """Integer similarity of a single Jordan block: exact spectrum {lam}."""
+    J = np.eye(n, dtype=np.int64) * lam
+    for i in range(n - 1):
+        J[i, i + 1] = 1
+    L = np.eye(n, dtype=np.int64)
+    U = np.eye(n, dtype=np.int64)
+    L[np.tril_indices(n, -1)] = rng.integers(-2, 3, size=n * (n - 1) // 2)
+    U[np.triu_indices(n, 1)] = rng.integers(-2, 3, size=n * (n - 1) // 2)
+    Q = L @ U
+    Qi = np.round(np.linalg.inv(Q)).astype(np.int64)
+    assert np.array_equal(Q @ Qi, np.eye(n, dtype=np.int64))
+    return (Q @ J @ Qi).astype(float)
+
+
 def random_matrix(rng, n: int, re_lo: float = 0.5, re_hi: float = 3.0) -> np.ndarray:
     """Well-conditioned matrix with eigenvalue real parts in [re_lo, re_hi].
 

@@ -67,7 +67,9 @@ def _assert_matches_golden(got: dict, want: dict) -> None:
                 assert float(abs(cg - cw).max(initial=0.0)) <= COEFF_REL * scale, w["order"]
 
 
-@pytest.mark.parametrize("name", ["certificate", "oscillatory_log", "resonant", "riccati"])
+@pytest.mark.parametrize(
+    "name", ["certificate", "jordan_resonant", "oscillatory_log", "resonant", "riccati"]
+)
 def test_expand_matches_golden(name, tmp_path, capsys):
     code = main(["expand", "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
@@ -106,12 +108,33 @@ def test_golden_comparison_rejects_a_perturbed_coefficient():
         _assert_matches_golden(got, want)
 
 
-@pytest.mark.parametrize("name", ["riccati", "oscillatory_log", "resonant", "certificate"])
+@pytest.mark.parametrize(
+    "name", ["riccati", "oscillatory_log", "resonant", "certificate", "jordan_resonant"]
+)
 def test_realify_exits_zero(name, tmp_path):
     config = str(CONFIGS / f"{name}.json")
     assert main(["realify", "--config", config, "--out", str(tmp_path)]) == 0
     residue = (tmp_path / "real_terms.txt").read_text().splitlines()[-1]
     assert float(residue.split(",")[1]) <= 1e-12
+
+
+def test_jordan_resonance_has_one_order_and_real_kernel_constants(tmp_path, capsys):
+    # eigenvalue 1 sits in a 2x2 Jordan block, so its computed copies
+    # scatter by about 7e-9; they are one rate with two kernel modes
+    config = str(CONFIGS / "jordan_resonant.json")
+    code = main(["expand", "--config", config, "--out", str(tmp_path / "e"), "--order", "3"])
+    assert code == 0
+    records = json.loads((tmp_path / "e" / "expansion.json").read_text())
+    assert records["rates"] == [1.0, 2.0, 3.0]
+    assert [len(o["kernel"]) for o in records["orders"]] == [2, 0, 1]
+    capsys.readouterr()
+    assert main(["verify", "--config", config, "--out", str(tmp_path / "v")]) == 0
+    (line,) = [s for s in capsys.readouterr().out.splitlines() if s.startswith("fitted")]
+    printed = line.split(": ", 1)[1].split(", ")
+    constants = [complex(c.strip("()").replace("i", "j")) for c in printed]
+    assert len(constants) == 2
+    for c in constants:
+        assert abs(c.imag) <= 1e-12 * abs(c)
 
 
 def test_exponential_realify_keeps_the_decay(tmp_path, capsys):

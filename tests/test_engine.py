@@ -19,6 +19,7 @@ from odexpand import (
     ValidationError,
     eval_partial_sum,
     expand,
+    resolvent_defect,
     symbolic_defect,
 )
 from odexpand import engine
@@ -32,6 +33,8 @@ from helpers import (
     coeff_distance_exp,
     coeff_distance_logpower,
     interaction_sum_oracle,
+    jordan_plant,
+    mode_degree,
     mul_apply_exp_padded_oracle,
     peak_bytes,
     rate_rhs_per_multiset_oracle,
@@ -338,6 +341,103 @@ def test_lower_truncation_is_a_bitwise_prefix(name):
     # the mode is the problem's, not a copy that could drift from it
     assert short.mode == spec.mode
     assert "mode" not in {f.name for f in dataclasses.fields(short)}
+
+
+# ---------------------------------------------------------------------------
+# one clustering of the spectrum: the ladder's eigen-rates and the kernel modes
+
+# S J S^-1 with J a 2x2 Jordan block at 1 and a simple eigenvalue 3; the
+# computed copies of the double eigenvalue scatter by about 7e-9
+JORDAN = np.array([[2.0, 1.0, -1.0], [-2.0, 1.0, 2.0], [-1.0, 1.0, 2.0]])
+
+
+def _exp_spec(A, forcing, order: int) -> ProblemSpec:
+    n = A.shape[0]
+    return ProblemSpec(A, (), tuple((mu, ExpPolySum.build(n, raw)) for mu, raw in forcing),
+                       "exponential", order=order)
+
+
+def _orders_near(expansion, rate: float, tol: float = 1e-6):
+    return [o for o in expansion.orders if abs(o.mu - rate) < tol]
+
+
+@pytest.mark.parametrize("forcing", [
+    [(1.0, [(-1.0, [[0.01, 0.02, -0.01]])])],
+    [(0.5, [(-0.5, [[1.0, 0.0, 0.0]])])],
+], ids=["forced", "unforced"])
+def test_defective_eigenvalue_has_one_order_with_its_full_kernel(forcing):
+    exp_ = expand(_exp_spec(JORDAN, forcing, 4))
+    (order,) = _orders_near(exp_, 1.0)
+    assert order.mu == 1.0
+    assert sorted(mode_degree(m) for m in order.kernel) == [0, 1]
+    assert [m.exponents() for m in order.kernel] == [[-1.0], [-1.0]]
+    zero = ExpPolySum.zero(3)
+    for m in order.kernel:
+        assert resolvent_defect(JORDAN, zero, m).sup_norm() < 1e-7 * m.sup_norm()
+
+
+def _jordan_cases():
+    for size in (2, 3):
+        for seed in range(6):
+            rng = np.random.default_rng(seed)
+            P = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+            J = 2.0 * np.eye(size) + np.eye(size, k=1)
+            yield pytest.param(P @ J @ np.linalg.inv(P), 2.0, id=f"complex-{size}-{seed}")
+    rng = np.random.default_rng(109)
+    for n in (2, 3, 4):
+        for lam in (1, 2, 3):
+            yield pytest.param(jordan_plant(rng, n, lam), float(lam), id=f"plant-{n}-{lam}")
+
+
+@pytest.mark.parametrize("A, lam", list(_jordan_cases()))
+def test_every_jordan_cluster_has_one_order_with_a_mode_per_multiplicity(A, lam):
+    n = A.shape[0]
+    exp_ = expand(_exp_spec(A, [(0.7, [(-0.7, [np.ones(n)])])], 6))
+    (order,) = _orders_near(exp_, lam)
+    assert order.mu == lam
+    assert sorted(mode_degree(m) for m in order.kernel) == list(range(n))
+    assert sum(len(o.kernel) for o in exp_.orders) == n
+    assert exp_.spec.clusters == ((complex(-lam), n),)
+
+
+def test_a_mode_sits_on_its_own_rate_only():
+    # 2 + 5e-10 is a ladder rate of its own, next to the forcing's 2
+    A = np.array([[2.0 + 5e-10]])
+    spec = ProblemSpec(A, (), (exp_forcing(1.0, [[1.0]]), (2.0, ExpPolySum.zero(1))),
+                       "exponential", order=3)
+    exp_ = expand(spec)
+    assert exp_.rates == (1.0, 2.0, 2.0000000005)
+    assert [len(o.kernel) for o in exp_.orders] == [0, 0, 1]
+
+
+def test_close_simple_eigenvalues_are_not_merged():
+    rng = np.random.default_rng(5)
+    Q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    A = Q @ np.diag([2.0, 2.0 + 1e-6, 3.0]) @ Q.T
+    exp_ = expand(_exp_spec(A, [(1.0, [(-1.0, [[1.0, 0.0, 0.0]])])], 4))
+    assert exp_.rates == (1.0, 2.0, 2.000001, 3.0)
+    assert [len(o.kernel) for o in exp_.orders] == [0, 1, 1, 1]
+
+
+@pytest.mark.parametrize("forcing", [
+    [(1.0, [(-1.0 - 2.0j, [[1.0, 0.0]]), (-1.0 + 2.0j, [[0.0, 1.0]])])],
+    [(0.5, [(-0.5, [[1.0, 0.0]])])],
+], ids=["forced", "unforced"])
+def test_conjugate_kernel_modes_come_in_canonical_order(forcing):
+    exp_ = expand(_exp_spec(np.array([[1.0, -2.0], [2.0, 1.0]]), forcing, 3))
+    (order,) = [o for o in exp_.orders if o.kernel]
+    assert order.mu == 1.0
+    assert [m.exponents()[0] for m in order.kernel] == [-1.0 - 2.0j, -1.0 + 2.0j]
+
+
+def test_one_eigen_decomposition_per_problem(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
+    expand(_exp_spec(JORDAN, [(1.0, [(-1.0, [[0.01, 0.02, -0.01]])])], 5))
+    assert len(calls) == 1
+    expand(build_problem(load_config(CONFIGS / "jordan_resonant.json")), 3)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

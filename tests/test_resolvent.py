@@ -1,4 +1,4 @@
-"""Particular solutions of z' + Az = f and their resonant kernel bases."""
+"""Particular solutions of z' + Az = f, and the kernel bases of its spectrum."""
 
 import numpy as np
 import pytest
@@ -16,46 +16,30 @@ from helpers import (
     assert_bitwise_equal,
     coeff_distance_exp,
     cvec,
+    jordan_plant,
+    mode_degree,
     random_expsum,
     random_matrix,
     solve_nonresonant_oracle,
 )
 
 
-def _degree(mode: ExpPolySum) -> int:
-    """Polynomial degree of a kernel mode, which is one exponential term."""
-    (_, rows), = mode.items()
-    return rows.shape[0] - 1
-
-
-def _jordan_plant(rng, n: int, lam: int):
-    """Integer similarity of a single Jordan block: exact spectrum {lam}."""
-    J = np.eye(n, dtype=np.int64) * lam
-    for i in range(n - 1):
-        J[i, i + 1] = 1
-    L = np.eye(n, dtype=np.int64)
-    U = np.eye(n, dtype=np.int64)
-    L[np.tril_indices(n, -1)] = rng.integers(-2, 3, size=n * (n - 1) // 2)
-    U[np.triu_indices(n, 1)] = rng.integers(-2, 3, size=n * (n - 1) // 2)
-    Q = L @ U
-    Qi = np.round(np.linalg.inv(Q)).astype(np.int64)
-    assert np.array_equal(Q @ Qi, np.eye(n, dtype=np.int64))
-    return (Q @ J @ Qi).astype(float)
-
-
 def test_simple_nonresonant_scalar():
-    z, modes = resolvent_solve_exp(np.array([[2.0]]), ExpPolySum.build(1, [(-1.0, [[1.0]])]))
-    assert modes == []
+    z, resonant = resolvent_solve_exp(np.array([[2.0]]), ExpPolySum.build(1, [(-1.0, [[1.0]])]))
+    assert resonant == []
     (nu, rows), = z.items()
     assert nu == -1.0
     np.testing.assert_allclose(rows, [[1.0]])
 
 
 def test_simple_resonant_scalar_bumps_degree():
-    z, modes = resolvent_solve_exp(np.array([[1.0]]), ExpPolySum.build(1, [(-1.0, [[1.0]])]))
+    A = np.array([[1.0]])
+    z, resonant = resolvent_solve_exp(A, ExpPolySum.build(1, [(-1.0, [[1.0]])]))
     (nu, rows), = z.items()
     assert nu == -1.0
     np.testing.assert_allclose(rows, [[0.0], [1.0]], atol=1e-14)
+    assert resonant == [-1.0]
+    modes = homogeneous_modes(A, -1.0)
     assert len(modes) == 1
     (mnu, mrows), = modes[0].items()
     assert mnu == -1.0
@@ -65,8 +49,8 @@ def test_simple_resonant_scalar_bumps_degree():
 def test_rotational_block_solution():
     A = np.array([[1.0, -1.0], [1.0, 1.0]])
     f = ExpPolySum.build(2, [(-1.0, [[1.0, 0.0]])])
-    z, modes = resolvent_solve_exp(A, f)
-    assert modes == []
+    z, resonant = resolvent_solve_exp(A, f)
+    assert resonant == []
     (nu, rows), = z.items()
     np.testing.assert_allclose(rows, [[0.0, -1.0]], atol=1e-14)
 
@@ -77,8 +61,8 @@ def test_defect_vanishes_on_random_nonresonant_problems():
         n = int(rng.integers(1, 6))
         A = random_matrix(rng, n)
         f = random_expsum(rng, n, n_terms=3, max_degree=3)
-        z, modes = resolvent_solve_exp(A, f)
-        assert modes == []
+        z, resonant = resolvent_solve_exp(A, f)
+        assert resonant == []
         assert resolvent_defect(A, f, z).is_zero()
 
 
@@ -118,10 +102,12 @@ def test_defect_vanishes_on_planted_diagonalizable_resonance():
         nu = -float(lams[0])
         deg = int(rng.integers(0, 3))
         f = ExpPolySum.build(n, [(nu, cvec(rng, (deg + 1) * n).reshape(deg + 1, n))])
-        z, modes = resolvent_solve_exp(A, f)
+        z, resonant = resolvent_solve_exp(A, f)
         assert resolvent_defect(A, f, z).is_zero()
+        assert resonant == f.exponents()
+        modes = homogeneous_modes(A, nu)
         assert len(modes) == 1
-        assert _degree(modes[0]) == 0
+        assert mode_degree(modes[0]) == 0
 
 
 def test_planted_jordan_resonance_recovers_full_kernel():
@@ -129,14 +115,16 @@ def test_planted_jordan_resonance_recovers_full_kernel():
     for _ in range(12):
         n = int(rng.integers(2, 5))
         lam = int(rng.integers(1, 4))
-        A = _jordan_plant(rng, n, lam)
+        A = jordan_plant(rng, n, lam)
         deg = int(rng.integers(0, 3))
         f = ExpPolySum.build(n, [(-float(lam), cvec(rng, (deg + 1) * n).reshape(deg + 1, n))])
-        z, modes = resolvent_solve_exp(A, f)
+        z, resonant = resolvent_solve_exp(A, f)
         assert resolvent_defect(A, f, z).is_zero()
+        assert resonant == [-float(lam)]
         # the full generalized eigenspace: one mode per Jordan chain slot
+        modes = homogeneous_modes(A, -float(lam))
         assert len(modes) == n
-        degrees = sorted(_degree(m) for m in modes)
+        degrees = sorted(mode_degree(m) for m in modes)
         assert degrees == list(range(n))
         zero = ExpPolySum.zero(n)
         for m in modes:
@@ -149,9 +137,14 @@ def test_mixed_multiplicity_kernel():
     S = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0]])
     A = S @ Jm @ np.linalg.inv(S)
     f = ExpPolySum.build(3, [(-1.0, [[1.0, 2.0, -1.0]])])
-    z, modes = resolvent_solve_exp(A, f)
+    z, resonant = resolvent_solve_exp(A, f)
     assert resolvent_defect(A, f, z).is_zero()
-    assert sorted(_degree(m) for m in modes) == [0, 1]
+    assert resonant == [-1.0]
+    modes = homogeneous_modes(A, -1.0)
+    assert sorted(mode_degree(m) for m in modes) == [0, 1]
+    zero = ExpPolySum.zero(3)
+    for m in modes:
+        assert resolvent_defect(A, zero, m).sup_norm() < 1e-7 * m.sup_norm()
 
 
 def test_multi_term_forcing_solved_per_exponent():
@@ -220,7 +213,7 @@ def test_nonresonant_solve_raises_on_a_non_finite_solution(rows):
 
 def test_stacked_svd_decides_resonance_as_the_per_term_svd(monkeypatch):
     rng = np.random.default_rng(137)
-    A = _jordan_plant(rng, 3, 2)
+    A = jordan_plant(rng, 3, 2)
     n = A.shape[0]
     # -2 hits the Jordan eigenvalue exactly; the others miss it
     f = ExpPolySum.build(3, [
@@ -234,7 +227,7 @@ def test_stacked_svd_decides_resonance_as_the_per_term_svd(monkeypatch):
             return _inner(B, *rest)
 
         monkeypatch.setattr(resolvent, name, spy)
-    z, modes = resolvent_solve_exp(A, f)
+    z, resonant = resolvent_solve_exp(A, f)
     want = []
     for nu in f.exponents():
         B = A + nu * np.eye(n)
@@ -246,7 +239,8 @@ def test_stacked_svd_decides_resonance_as_the_per_term_svd(monkeypatch):
     assert [name for name, _ in seen].count("_solve_resonant") == 1
     for (_, got), (_, B) in zip(seen, want):
         assert_arrays_bitwise_equal(got, B)
-    assert len(modes) == 3
+    assert resonant == [-2.0]
+    assert len(homogeneous_modes(A, -2.0)) == 3
     assert resolvent_defect(A.astype(complex), f, z).is_zero()
     # each slice of the stacked call is the single-matrix call, bit for bit
     stack = np.stack([B for _, B in want])
@@ -256,6 +250,6 @@ def test_stacked_svd_decides_resonance_as_the_per_term_svd(monkeypatch):
 
 def test_zero_forcing_gives_the_zero_sum_and_no_modes():
     A = np.array([[2.0, 1.0], [0.0, 3.0]])
-    z, modes = resolvent_solve_exp(A, ExpPolySum.zero(2))
-    assert modes == []
+    z, resonant = resolvent_solve_exp(A, ExpPolySum.zero(2))
+    assert resonant == []
     assert_bitwise_equal(z, ExpPolySum.zero(2))
