@@ -72,25 +72,27 @@ def ladder_eval(depth: int, t) -> np.ndarray:
     so entry 0 is t itself.  Requires a finite t > exp_zero(depth), so the
     deepest component is strictly positive (it vanishes exactly at the
     threshold).  A 1-D array of times gives one such row per time, shape
-    (len(t), depth+2).  Every row is a chain of ``math.log`` calls, which
-    keeps a stacked row bit-identical to the scalar one; ``np.log`` can
-    differ from it in the last bit.
+    (len(t), depth+2); the times are checked in one pass, and the first bad
+    one in array order raises.  Column j + 1 is ``math.log`` mapped over
+    column j, so each row is the scalar row's chain of ``math.log`` calls,
+    bit for bit; ``np.log`` can differ from it in the last bit.
     """
     if depth < -1:
         raise ValueError("ladder depth must be >= -1")
     ts = np.asarray(t, dtype=float)
+    times = ts.reshape(-1)
     lo = exp_zero(depth) if depth >= 0 else -math.inf
-    rows = []
-    for x in ts.reshape(-1).tolist():
-        if not math.isfinite(x):
-            raise ValueError("ladder_eval needs a finite t")
-        if x <= lo:
+    col = times.tolist()
+    for x in col:
+        if not lo < x < math.inf:
+            if not math.isfinite(x):
+                raise ValueError("ladder_eval needs a finite t")
             raise ValueError(
                 f"t = {x!r} is outside the depth-{depth} ladder domain (need t > {lo!r})"
             )
-        logs = [x]
-        for _ in range(depth + 1):
-            logs.append(math.log(logs[-1]))
-        rows.append(logs)
-    out = np.array(rows) if rows else np.empty((0, depth + 2))
+    out = np.empty((len(col), depth + 2))
+    out[:, 0] = times
+    for j in range(1, depth + 2):
+        col = list(map(math.log, col))
+        out[:, j] = col
     return out if ts.ndim else out[0]

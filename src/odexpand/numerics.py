@@ -146,14 +146,17 @@ def matrix_exp_norm(A: np.ndarray, t_grid) -> np.ndarray:
     return np.linalg.norm(_expm_stack(-t[:, None, None] * A), 2, axis=(1, 2))
 
 
-def decay_envelope_constant(A: np.ndarray, t_grid=None) -> float:
+def decay_envelope_constant(A: np.ndarray, t_grid=None, lam1: float | None = None) -> float:
     """Smallest observed C with |exp(-t A)| <= C exp(-lambda_1 t / 2).
 
     The envelope with half the slowest rate always decays, so the sup is
     attained on a bounded window; the default grid covers it generously.
+    ``lam1`` is lambda_1 when the caller already has it; otherwise it is
+    taken from A's eigenvalues.
     """
     A = np.asarray(A, dtype=complex)
-    lam1 = min(np.linalg.eigvals(A).real)
+    if lam1 is None:
+        lam1 = min(np.linalg.eigvals(A).real)
     if lam1 <= 0:
         raise ValueError("matrix must have spectrum in the open right half plane")
     if t_grid is None:
@@ -222,9 +225,8 @@ def smallness_certificate(
     """
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
-    A = spec.matrix
-    lam1 = float(min(np.linalg.eigvals(A).real))
-    c0 = decay_envelope_constant(A)
+    lam1 = spec.slowest_rate()
+    c0 = decay_envelope_constant(spec.matrix, lam1=lam1)
     n = spec.dim
     dirs = _kronecker_directions(2 * n, samples)
     dirs_c = dirs[:, :n] + 1j * dirs[:, n:]

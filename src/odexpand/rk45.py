@@ -14,13 +14,33 @@ with the 5th-order solution and controls the step from the embedded
 4th-order error estimate; the last stage doubles as the first stage of the
 next step (FSAL).
 
-The state and the stages are lists of Python complex numbers.  Each stage
-input is one expression per component, with the tableau's zero entries
-left out.  On the small systems this package integrates, a numpy call
-costs more than the arithmetic it does, so a step touches numpy only to
-evaluate the forcing and to convert its records with ``tolist``.  The
-error norm is the RMS over the 2n real and imaginary components, each
-scaled by abs_tol + rel_tol * max(|u|, |u_new|) of its own component.
+The state and the stages are lists of Python complex numbers.  On the
+small systems this package integrates, a numpy call costs more than the
+arithmetic it does, so a step touches numpy only to evaluate the forcing
+and to convert its records with ``tolist``.  The rest of an attempted step
+is one straight-line Python function, generated from the tableau for each
+(n, number of forcing records) the first time ``integrate_rhs`` meets that
+shape, and cached.  It unpacks the state, the previous derivative and each
+record's six rows into local names, and gives every component of every
+stage its own statement: the stage input u_j + h * (a_1 k1_j + ... ) with
+the tableau's zero entries left out, then the field value plus the forcing
+rows in record order, then a finiteness check that raises at the first
+non-finite stage.  The field is called once per stage on a list of the
+stage's components.  The error norm is the RMS over the 2n real and
+imaginary components, each scaled by abs_tol + rel_tol * max(|u|, |u_new|)
+of its own component, summed one component at a time.
+
+Separate statements, not one expression per stage over all components,
+keep the source flat: CPython's compiler recurses into nested expressions
+and fails on very long ones.  However large n is, an expression sums at
+most seven terms (or one per forcing record), and the n-long parts are
+flat lists of names.  The generated code does the arithmetic of a loop
+over the components with the same expressions, the same grouping and the
+same order, so the trajectory is bit for bit what that loop gives
+(``tests/helpers.py`` keeps such a loop as the oracle); only the
+interpreter's work around the arithmetic (loops, ``zip`` tuples, calls) is
+gone.
+
 Dense output between accepted points is cubic Hermite interpolation from
 the stored endpoint derivatives; the trajectory's arrays are built once,
 when the integration ends.
@@ -32,6 +52,7 @@ import math
 import sys
 from cmath import isfinite
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,16 +132,6 @@ class Trajectory:
         return out if np.ndim(t) else out[0]
 
 
-def _forcing_rows(forcing, ts) -> list[tuple]:
-    """The forcing records at the times ts, as one tuple of rows per time.
-
-    Each record is converted with one ``tolist``; entry j of a time's tuple
-    is record j at that time, a list of n numbers.
-    """
-    records = [f.tolist() for f in forcing(ts)]
-    return list(zip(*records)) if records else [()] * len(ts)
-
-
 def _derivative(field, y, rows) -> list:
     """field(y) plus each forcing row of rows, added in record order."""
     k = field(y)
@@ -129,61 +140,78 @@ def _derivative(field, y, rows) -> list:
     return k
 
 
+def _rows_at(forcing, t: float) -> list:
+    """The forcing records at the one time t, each a list of n numbers."""
+    return [f.tolist()[0] for f in forcing(np.array([t]))]
+
+
 class _NonFinite(Exception):
     """A stage came out non-finite; args[0] is the number of field calls made."""
 
 
-def _stage(field, y, rows, i) -> list:
-    """The derivative at stage input y, with the forcing rows of stage i + 2."""
-    k = _derivative(field, y, rows[i])
-    if not all(map(isfinite, k)):
-        raise _NonFinite(i + 1)
-    return k
+# Row i of the tableau weighs k1, k2, ... for stage i + 2's input; row 5
+# (stage 7) is the 5th-order solution.  None marks a zero entry.
+_STAGE_ROWS = (
+    ("_A21",),
+    ("_A31", "_A32"),
+    ("_A41", "_A42", "_A43"),
+    ("_A51", "_A52", "_A53", "_A54"),
+    ("_A61", "_A62", "_A63", "_A64", "_A65"),
+    ("_A71", None, "_A73", "_A74", "_A75", "_A76"),
+)
+_ERROR_ROW = ("_E1", None, "_E3", "_E4", "_E5", "_E6", "_E7")
 
 
-def _attempt(field, rows, u, k1, h):
-    """One step of size h from state u, whose derivative is k1.
+def _weighted(row, j: int) -> str:
+    """sum_s row[s] * k{s+1}_j over the nonzero entries, left to right."""
+    return " + ".join(f"{w} * k{s + 1}_{j}" for s, w in enumerate(row) if w is not None)
 
-    Returns the 5th-order solution, its derivative (stage 7, the next
-    step's k1) and the error estimate h * sum_j E_j k_j per component.
-    Raises _NonFinite at the first non-finite stage; no later stage runs.
+
+@lru_cache(maxsize=None)
+def _generated_attempt(n: int, records: int):
+    """The attempt function for n components and ``records`` forcing records.
+
+    ``attempt(field, u, k1, h, rel_tol, abs_tol, f0, ...)`` takes one
+    forcing record per parameter f{r}, as its ``tolist()``: six rows of n
+    numbers, one per stage time.  It returns the 5th-order solution, its
+    derivative (stage 7, the next step's k1) and the error norm, or raises
+    _NonFinite at the first non-finite stage; no later stage runs.  The
+    tableau entries are read by name from this module.
     """
-    k2 = _stage(field, [y + h * (_A21 * a) for y, a in zip(u, k1)], rows, 0)
-    k3 = _stage(field, [y + h * (_A31 * a + _A32 * b) for y, a, b in zip(u, k1, k2)], rows, 1)
-    y4 = [y + h * (_A41 * a + _A42 * b + _A43 * c) for y, a, b, c in zip(u, k1, k2, k3)]
-    k4 = _stage(field, y4, rows, 2)
-    y5 = [
-        y + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-        for y, a, b, c, d in zip(u, k1, k2, k3, k4)
-    ]
-    k5 = _stage(field, y5, rows, 3)
-    y6 = [
-        y + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-        for y, a, b, c, d, e in zip(u, k1, k2, k3, k4, k5)
-    ]
-    k6 = _stage(field, y6, rows, 4)
-    y7 = [
-        y + h * (_A71 * a + _A73 * c + _A74 * d + _A75 * e + _A76 * f)
-        for y, a, c, d, e, f in zip(u, k1, k3, k4, k5, k6)
-    ]
-    k7 = _stage(field, y7, rows, 5)
-    est = [
-        h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
-        for a, c, d, e, f, g in zip(k1, k3, k4, k5, k6, k7)
-    ]
-    return y7, k7, est
+    recs = [f"f{r}" for r in range(records)]
 
+    def names(fmt: str) -> str:
+        return ", ".join(fmt.format(j) for j in range(n))
 
-def _error_norm(u, u_new, est, rel_tol, abs_tol) -> float:
-    """RMS of est over the 2n real components, each divided by its scale
-    abs_tol + rel_tol * max(|u|, |u_new|) on that component."""
-    acc = 0.0
-    for a, b, d in zip(u, u_new, est):
-        ar, br, ai, bi = abs(a.real), abs(b.real), abs(a.imag), abs(b.imag)
-        wr = d.real / (abs_tol + rel_tol * (ar if ar > br else br))
-        wi = d.imag / (abs_tol + rel_tol * (ai if ai > bi else bi))
-        acc += wr * wr + wi * wi
-    return math.sqrt(acc / (2 * len(est)))
+    lines = [
+        f"def attempt(field, u, k1, h, rel_tol, abs_tol{''.join(', ' + f for f in recs)}):",
+        f"    {names('u{}')}, = u",
+        f"    {names('k1_{}')}, = k1",
+    ]
+    lines += [f"    {', '.join(f'{f}_{i}' for i in range(2, 8))} = {f}" for f in recs]
+    for i, row in enumerate(_STAGE_ROWS, start=2):
+        lines += [f"    y{i}_{j} = u{j} + h * ({_weighted(row, j)})" for j in range(n)]
+        lines += [f"    y{i} = [{names(f'y{i}_{{}}')}]", f"    {names('g{}')}, = field(y{i})"]
+        for j in range(n):
+            forced = "".join(f" + {f}_{i}[{j}]" for f in recs)
+            lines += [
+                f"    k{i}_{j} = g{j}{forced}",
+                f"    if not isfinite(k{i}_{j}):",
+                f"        raise _NonFinite({i - 1})",
+            ]
+    lines.append("    acc = 0.0")
+    for j in range(n):
+        lines.append(f"    d = h * ({_weighted(_ERROR_ROW, j)})")
+        for part, w in (("real", "wr"), ("imag", "wi")):
+            lines += [
+                f"    a, b = abs(u{j}.{part}), abs(y7_{j}.{part})",
+                f"    {w} = d.{part} / (abs_tol + rel_tol * (a if a > b else b))",
+            ]
+        lines.append("    acc += wr * wr + wi * wi")
+    lines.append(f"    return y7, [{names('k7_{}')}], math.sqrt(acc / {2 * n})")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<rk45 attempt n={n} records={records}>", "exec"), globals(), namespace)
+    return namespace["attempt"]
 
 
 def _parts(v) -> list[float]:
@@ -204,7 +232,7 @@ def _initial_step(field, forcing, t0, y0, f0, rel_tol, abs_tol, t_max):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_max - t0)
     y1 = [y + h0 * f for y, f in zip(y0, f0)]
-    f1 = _parts(_derivative(field, y1, _forcing_rows(forcing, np.array([t0 + h0]))[0]))
+    f1 = _parts(_derivative(field, y1, _rows_at(forcing, t0 + h0)))
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, g0, sc)]) / h0
     if not math.isfinite(d2):
         # as for a non-finite stage: a quarter of the trial step
@@ -225,8 +253,9 @@ def integrate_rhs(
     and returns a sequence of n real or complex numbers; it must not
     change the list.  ``forcing(ts)`` receives a 1-D float array of
     times and returns a sequence of forcing records, each an array of shape
-    (len(ts), n) whose row i is that record at ts[i]; an unforced problem
-    returns an empty sequence.  Every attempted step makes one forcing call
+    (len(ts), n) whose row i is that record at ts[i], and the same number
+    of records on every call; an unforced problem returns an empty
+    sequence.  Every attempted step makes one forcing call
     for its six stage times and up to six field calls: the first stage
     that is not finite ends the attempt, which is retried with a quarter of
     the step.  The start makes one call of each for the initial point and
@@ -242,7 +271,9 @@ def integrate_rhs(
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0 and math.isfinite(abs_tol) and abs_tol > 0.0):
         raise ValueError(f"need finite rel_tol >= 0 and abs_tol > 0, got {rel_tol!r}, {abs_tol!r}")
     u = np.array(y0, dtype=complex).reshape(-1).tolist()
-    k1 = _derivative(field, u, _forcing_rows(forcing, np.array([t0]))[0])
+    rows = _rows_at(forcing, t0)
+    attempt = _generated_attempt(len(u), len(rows))
+    k1 = _derivative(field, u, rows)
     if not all(map(isfinite, k1)):
         raise ValueError("right-hand side not finite at the initial point")
     h = _initial_step(field, forcing, t0, u, k1, rel_tol, abs_tol, t1)
@@ -262,9 +293,9 @@ def integrate_rhs(
         # written so that a NaN step raises too
         if not h > _TINY * max(abs(t), 1.0):
             raise StepUnderflow(f"step size underflow at t = {t}")
-        rows = _forcing_rows(forcing, t + _C_STAGES * h)
+        records = [f.tolist() for f in forcing(t + _C_STAGES * h)]
         try:
-            u_new, k7, est = _attempt(field, rows, u, k1, h)
+            u_new, k7, err = attempt(field, u, k1, h, rel_tol, abs_tol, *records)
         except _NonFinite as stop:
             n_evals += stop.args[0]
             h *= 0.25
@@ -272,7 +303,6 @@ def integrate_rhs(
             max_factor = 1.0
             continue
         n_evals += 6
-        err = _error_norm(u, u_new, est, rel_tol, abs_tol)
         if err <= 1.0:
             t = t1 if last else t + h
             u, k1 = u_new, k7  # FSAL: stage 7 is the derivative at the accepted point

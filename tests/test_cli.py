@@ -491,6 +491,24 @@ def test_certificate_matches_golden(tmp_path):
         assert float(g) == pytest.approx(float(w), rel=1e-9, abs=0.0), name
 
 
+def test_certificate_computes_the_eigenvalues_once(tmp_path, monkeypatch):
+    # lambda_1 comes from the problem's cached spectrum, and the envelope
+    # constant reuses it; the file is the golden one byte for byte
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(1)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counted)
+    config = str(CONFIGS / "certificate.json")
+    assert main(["certificate", "--config", config, "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    got = (tmp_path / "certificate.csv").read_bytes()
+    assert got == (GOLDEN / "certificate.certificate.csv").read_bytes()
+
+
 def test_verify_order_option_overrides_the_config(tmp_path, capsys):
     # an explicit --order wins over the config's order in both directions,
     # including a config that asks for order 0

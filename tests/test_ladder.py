@@ -103,3 +103,33 @@ def test_ladder_components_positive_past_gate(depth, t):
     assert len(logs) == depth + 2
     # entries strictly decrease along the ladder
     assert np.all(np.diff(logs) < 0)
+
+
+def test_ladder_eval_raises_for_the_first_bad_time_in_stack_order():
+    # the stack is checked in one pass: a NaN ahead of an out-of-domain
+    # time names the NaN, and the reverse order names the domain
+    with pytest.raises(ValueError, match="needs a finite t"):
+        ladder_eval(1, np.array([5.0, math.nan, 0.5, 7.0]))
+    with pytest.raises(ValueError, match=r"t = 0\.5 is outside the depth-1 ladder domain"):
+        ladder_eval(1, np.array([5.0, 0.5, math.nan, 7.0]))
+    with pytest.raises(ValueError, match="needs a finite t"):
+        ladder_eval(0, np.array([2.0, -math.inf, -1.0]))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_stacked_rows_are_the_scalar_rows_bitwise(depth):
+    # enough times that a vectorized np.log would differ from the math.log
+    # chain in the last bit somewhere in the stack
+    rng = np.random.default_rng(depth)
+    ts = exp_zero(depth) + np.concatenate([rng.uniform(1e-3, 1e2, 10_000), np.geomspace(1e-6, 1e6, 2_000)])
+    stacked = ladder_eval(depth, ts)
+    assert stacked.shape == (len(ts), depth + 2) and stacked.flags.c_contiguous
+    chains = []
+    for t in ts.tolist():
+        chain = [t]
+        for _ in range(depth + 1):
+            chain.append(math.log(chain[-1]))
+        chains.append(chain)
+    assert stacked.view(np.int64).tolist() == np.array(chains).view(np.int64).tolist()
+    for i in range(0, len(ts), 97):
+        assert stacked[i].view(np.int64).tolist() == ladder_eval(depth, ts[i]).view(np.int64).tolist()

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -93,9 +94,11 @@ def test_kronecker_directions_match_the_ndtri_formula(dim2):
 def _config(case: str) -> dict:
     """A shipped config by name, a benchmark pool problem as 'workload:index',
     'two-records': verify-long problem 0 with a second, depth-1 forcing
-    record, so each stage sums two records in order, or 'burgers:n': the
-    n-mode Galerkin Burgers system (A = diag(k^2), forcing t^-1 / k) from
-    y0 = 0 over t in [10, 30]."""
+    record, so each stage sums two records in order, 'dim3-two-records':
+    exp-resonant problem 0 (dim 3) with a second, rate-2.5 forcing record,
+    'dim3-unforced': the same config, which ``_integration_run`` integrates
+    without forcing, or 'burgers:n': the n-mode Galerkin Burgers system
+    (A = diag(k^2), forcing t^-1 / k) from y0 = 0 over t in [10, 30]."""
     if case.startswith("burgers:"):
         n = int(case.split(":")[1])
         entries = [[i, *ins, v.real] for i, ins, v in burgers_galerkin_map(n).entries]
@@ -130,6 +133,16 @@ def _config(case: str) -> dict:
             }
         )
         return cfg
+    if case in ("dim3-two-records", "dim3-unforced"):
+        cfg = copy.deepcopy(_config("exp-resonant:0"))
+        cfg["problem"]["forcing"].append(
+            {
+                "rate": 2.5,
+                "type": "exp_poly",
+                "terms": [{"exponent": -2.5, "rows": [[0.3, -0.2, 0.1]]}],
+            }
+        )
+        return cfg
     if ":" in case:
         workload, index = case.split(":")
         return bench_module("workloads").problem(workload, int(index)).config
@@ -146,6 +159,8 @@ INTEGRATION_CASES = [
     "exp-resonant:15",
     "two-records",
     "burgers:8",
+    "dim3-two-records",
+    "dim3-unforced",
 ]
 
 
@@ -153,7 +168,9 @@ def _integration_run(case: str):
     """A case's problem, its integration arguments and the package's trajectory."""
     cfg = _config(case)
     spec = build_problem(cfg)
-    assert case != "two-records" or len(spec.forcing) == 2
+    if case == "dim3-unforced":
+        spec = dataclasses.replace(spec, forcing=())
+    assert not case.endswith("two-records") or len(spec.forcing) == 2
     ver = cfg["verification"]
     y0 = [complex(x) for x in ver["y0"]]
     args = (y0, ver["t_span"], ver["rel_tol"], ver["abs_tol"])

@@ -174,6 +174,35 @@ def test_stored_derivatives_are_the_rhs_at_the_stored_states():
         np.testing.assert_allclose(f, want, rtol=1e-14, atol=0.0)
 
 
+def real_pair_field(y):
+    # a real problem: from real data every imaginary part stays exactly 0
+    a, b = y
+    return [-a + b * b, -2.0 * b + 0.5 * a * b]
+
+
+def real_pair_forcing(ts):
+    return [
+        0.3 * np.exp(-ts)[:, None] * np.array([1.0, -0.5]),
+        (0.2 / (1.0 + ts))[:, None] * np.array([0.0, 1.0]),
+    ]
+
+
+@pytest.mark.parametrize("forcing", [unforced, real_pair_forcing], ids=["unforced", "two-records"])
+def test_a_field_of_python_floats_gives_the_complex_fields_trajectory(forcing):
+    # the field may return real numbers; each stage then adds them to the
+    # forcing rows or uses them as they are
+    def float_field(y):
+        return [v.real for v in real_pair_field(y)]
+
+    args = (forcing, [0.4, -0.3], (0.0, 8.0))
+    want = integrate_rhs(real_pair_field, *args, rel_tol=1e-10, abs_tol=1e-13)
+    got = integrate_rhs(float_field, *args, rel_tol=1e-10, abs_tol=1e-13)
+    assert not np.iscomplexobj(np.asarray(float_field([0.4 + 0j, -0.3 + 0j])))
+    assert got.meta == want.meta and want.meta["steps"] > 10
+    for name in ("ts", "states", "derivs"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_complex_components_of_different_scales():
     # y' = 3i (y - 1) from y0 = 1 + 1e-8 i: y = 1 + 1e-8 i e^{3it}, a real
     # part near 1 and an imaginary part of amplitude 1e-8.  The error norm
