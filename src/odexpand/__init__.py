@@ -40,7 +40,6 @@ from .numerics import (
     smallness_certificate,
 )
 from .realify import (
-    TrigLadderSum,
     from_trig_ladder,
     imag_residue,
     to_trig_ladder,
@@ -64,7 +63,6 @@ __all__ = [
     "SmallnessCertificate",
     "StepUnderflow",
     "Trajectory",
-    "TrigLadderSum",
     "ValidationError",
     "decay_envelope_constant",
     "descent_op",

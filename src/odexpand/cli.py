@@ -51,7 +51,6 @@ from .numerics import (
     smallness_certificate,
 )
 from .realify import (
-    TrigLadderSum,
     asymmetry_witness,
     from_trig_ladder,
     imag_residue,
@@ -212,8 +211,8 @@ def _forcing_record(rec, dim: int, path: str):
         _check_keys(term, {"alpha", "factors", "vector"}, p)
         alpha = tuple(numbers(term, "alpha", p, depth + 2))
         factors = []
-        # ladder components that already carry a factor; the builder drops
-        # factors whose frequency snaps to 0 before it checks the same
+        # ladder components that already carry a factor; from_trig_ladder
+        # drops factors whose frequency snaps to 0 before it checks the same
         taken = set()
         for j, fac in enumerate(_list(term.get("factors", []), f"{p}.factors")):
             fp = f"{p}.factors[{j}]"
@@ -232,7 +231,7 @@ def _forcing_record(rec, dim: int, path: str):
         raw.append((alpha, tuple(factors), np.array(numbers(term, "vector", p, dim))))
     if kind == "log_power":
         return rate, LogPowerSum.build(dim, depth, raw)
-    return rate, from_trig_ladder(TrigLadderSum.build(dim, depth, raw))
+    return rate, from_trig_ladder(dim, depth, raw)
 
 
 _TOP_KEYS = {"problem", "expansion", "verification", "certificate", "output"}
@@ -380,11 +379,12 @@ def _power_factor(j: int, a: complex) -> str | None:
     return f"{name}^{_fmt_complex(a)}"
 
 
-def _ladder_term_string(terms) -> str:
-    """Human form of (alpha, trig factors, vec) ladder terms, e.g. 2·t^-2; an
-    exponential row vec·t^d·e^(nu t) is the term ((nu, d), (), vec)."""
+def _ladder_term_string(rows) -> str:
+    """Human form of ((alpha, trig factors), vec) ladder rows, the shape of a
+    real form, e.g. 2·t^-2; an exponential row vec·t^d·e^(nu t) is the row
+    (((nu, d), ()), vec)."""
     parts = []
-    for alpha, factors, vec in terms:
+    for (alpha, factors), vec in rows:
         bits = [_vec_str(vec)]
         for i, a in enumerate(alpha):
             f = _power_factor(i - 1, complex(a))
@@ -444,7 +444,7 @@ def _term_table(expansion: Expansion) -> str:
         term = order.term
         if isinstance(term, ExpPolySum):
             s = _ladder_term_string(
-                ((nu, d), (), row)
+                (((nu, d), ()), row)
                 for nu, rows in term.items()
                 for d, row in enumerate(rows)
                 if row.any()
@@ -452,7 +452,7 @@ def _term_table(expansion: Expansion) -> str:
             if order.kernel:
                 s += f"   [{len(order.kernel)} free kernel mode(s)]"
         else:
-            s = _ladder_term_string((alpha, (), vec) for alpha, vec in term.items())
+            s = _ladder_term_string(((alpha, ()), vec) for alpha, vec in term.items())
         lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
     return "\n".join(lines)
 
@@ -590,7 +590,12 @@ def _realify_grid(expansion: Expansion, spec: ProblemSpec) -> np.ndarray:
         ]
     )
     lo = exp_zero(depth + 1)
-    start = max(2.0 * lo, 10.0) if math.isfinite(lo) else 10.0
+    if not math.isfinite(lo):
+        raise ValidationError(
+            f"realify: a depth-{depth} sum has no finite sample grid "
+            f"(evaluation threshold {lo})"
+        )
+    start = max(2.0 * lo, 10.0)
     return np.geomspace(start, start * 1e3, 33)
 
 
@@ -621,11 +626,10 @@ def cmd_realify(cfg: dict, args) -> int:
         worst = max(worst, imag_residue(term, grid))
         convert = to_trig_poly if isinstance(term, ExpPolySum) else to_trig_ladder
         try:
-            real_term = convert(term)
+            rows = convert(term)
         except ValueError as e:  # the term has no real form
             raise ValidationError(f"order {k}: {e}") from e
-        real = _ladder_term_string((a, f, vec) for (a, f), vec in real_term.items())
-        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {real}")
+        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {_ladder_term_string(rows)}")
     table = "\n".join(lines)
     print(table)
     print(f"max imaginary residue on the sample grid: {worst:.3e}")

@@ -247,6 +247,11 @@ class ProblemSpec:
                 raise ValidationError("power/log modes take LogPowerSum forcing")
             if term.dim != n:
                 raise ValidationError("forcing dimension mismatch")
+            if not exp_mode and term.depth < self.scale_index:
+                raise ValidationError(
+                    f"forcing at rate {mu} has depth {term.depth}, "
+                    f"below scale_index {self.scale_index}"
+                )
             if not _in_rate_class(self, term, mu):
                 where = (
                     f"has exponents off the -{mu} line"

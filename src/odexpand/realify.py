@@ -1,8 +1,13 @@
 """Real forms of conjugation-symmetric expansions.
 
 A complex sum whose term map is closed under conjugation (exponents
-conjugated, coefficients conjugated) is real-valued; these converters
-rewrite such sums over a real basis.
+conjugated, coefficients conjugated) is real-valued.  Its real form is a
+view of the same sum, not a term type of its own: a sorted list of
+canonical rows ((alpha, factors), vec), each the real ladder power
+exp(t)^a(-1) z_0^a(0) ... z_k^a(k) times a product of cos/sin factors
+(component j, frequency w > 0, phase), times a real vector.  ``realify``
+prints these rows; a config's ``real_trig_ladder`` forcing is written as
+rows too, and from_trig_ladder turns them back into a LogPowerSum.
 
 For ladder-power sums an imaginary exponent on component j folds into a
 cosine/sine of the next ladder component:
@@ -22,18 +27,14 @@ and the decay e^(Re nu t) stays a real power of exp(t).
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .expsum import TRIM_REL, ExpPolySum, snap_float, snap_scalar
-from .ladder import exp_zero, ladder_eval
 from .logpower import LogPowerSum
 
 __all__ = [
-    "TrigLadderSum",
     "asymmetry_witness",
     "to_trig_poly",
     "to_trig_ladder",
@@ -78,114 +79,62 @@ def asymmetry_witness(p, tol: float = 1e-12):
 
 
 # ---------------------------------------------------------------------------
-# real ladder-power sums with trig factors
+# real forms: sorted rows ((alpha, factors), vec)
 
 
-def _snap_alpha_real(alpha: Sequence[float]) -> tuple[float, ...]:
-    return tuple(snap_float(a) for a in alpha)
-
-
-def _canon_factors(factors, vec):
-    """Normalize factor frequencies to be positive; sin soaks up the sign."""
-    out = []
-    for j, omega, phase in factors:
-        if phase not in (COS, SIN):
-            raise ValueError(f"phase must be cos or sin, got {phase!r}")
-        if j < 0:
-            raise ValueError("trig factor index must be >= 0")
-        w = snap_float(omega)
-        if w < 0.0:
-            w = -w
-            if phase == SIN:
-                vec = -vec
-        if w == 0.0:
-            if phase == SIN:
-                return None, None  # sin(0) kills the term
-            continue  # cos(0) is 1
-        out.append((int(j), w, phase))
-    out.sort()
-    seen = [j for j, _, _ in out]
-    if len(seen) != len(set(seen)):
-        raise ValueError("at most one trig factor per ladder component")
-    return tuple(out), vec
-
-
-@dataclass(frozen=True)
-class TrigLadderSum:
-    """Real sums of (ladder powers) * (product of cos/sin of ladder components).
-
-    Term key: (real exponent vector over components -1..depth, factor tuple
-    of (component index j >= 0, frequency w > 0, cos|sin)).
+def _real_rows(dim: int, depth: int, raw) -> list:
+    """Canonical real form of raw (alpha, factors, vec) rows: the sorted
+    ((alpha, factors), vec) list.  alpha holds real exponents of components
+    -1..depth and factors are (component j >= 0, frequency w, cos|sin).
+    Values are snapped, negative frequencies flipped (sin soaks up the
+    sign), equal keys merged and rows below TRIM_REL of the largest dropped.
     """
-
-    dim: int
-    depth: int
-    terms: dict[tuple, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def build(cls, dim: int, depth: int, raw) -> "TrigLadderSum":
-        if depth < -1:
-            raise ValueError("depth must be >= -1")
-        acc: dict[tuple, np.ndarray] = {}
-        for alpha, factors, vec in raw:
-            a = _snap_alpha_real(alpha)
-            if len(a) != depth + 2:
-                raise ValueError(
-                    f"exponent vector length {len(a)} != depth+2 = {depth + 2}"
-                )
-            v = np.asarray(vec, dtype=float).reshape(-1)
-            if v.shape[0] != dim:
-                raise ValueError("coefficient length mismatch")
-            fac, v = _canon_factors(factors, v)
-            if fac is None:
-                continue
+    if depth < -1:
+        raise ValueError("depth must be >= -1")
+    acc: dict[tuple, np.ndarray] = {}
+    for alpha, factors, vec in raw:
+        a = tuple(snap_float(x) for x in alpha)
+        if len(a) != depth + 2:
+            raise ValueError(
+                f"exponent vector length {len(a)} != depth+2 = {depth + 2}"
+            )
+        v = np.asarray(vec, dtype=float).reshape(-1)
+        if v.shape[0] != dim:
+            raise ValueError("coefficient length mismatch")
+        fac = []
+        for j, omega, phase in factors:
+            if phase not in (COS, SIN):
+                raise ValueError(f"phase must be cos or sin, got {phase!r}")
+            if j < 0:
+                raise ValueError("trig factor index must be >= 0")
+            w = snap_float(omega)
+            if w < 0.0:
+                w = -w
+                if phase == SIN:
+                    v = -v
+            if w != 0.0:
+                fac.append((int(j), w, phase))
+            elif phase == SIN:
+                break  # sin(0) kills the term; cos(0) is 1
+        else:
+            fac.sort()
+            if len({j for j, _, _ in fac}) != len(fac):
+                raise ValueError("at most one trig factor per ladder component")
             if any(j > depth for j, _, _ in fac):
                 raise ValueError("trig factor index exceeds depth")
-            key = (a, fac)
+            key = (a, tuple(fac))
             acc[key] = acc.get(key, np.zeros(dim)) + v
-        norms = {k: float(np.linalg.norm(v)) for k, v in acc.items()}
-        top = max(norms.values(), default=0.0)
-        out = {
-            k: acc[k]
-            for k in sorted(acc)
-            if norms[k] > 0.0 and norms[k] >= TRIM_REL * top
-        }
-        return cls(dim=dim, depth=depth, terms=out)
-
-    def items(self):
-        return [(k, self.terms[k]) for k in sorted(self.terms)]
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def eval(self, t: float) -> np.ndarray:
-        t = float(t)
-        gate = exp_zero(self.depth + 1)
-        if not t > gate:
-            raise ValueError(
-                f"t = {t!r} below the depth-{self.depth} evaluation threshold {gate!r}"
-            )
-        # logs[j] = iter_log(j, t): component j's value and component j-1's log
-        logs = ladder_eval(self.depth, t).tolist()
-        out = np.zeros(self.dim)
-        for (alpha, factors), vec in self.terms.items():
-            w = alpha[0] * t
-            for j in range(0, self.depth + 1):
-                w += alpha[j + 1] * logs[j + 1]
-            val = math.exp(w)
-            for j, omega, phase in factors:
-                x = omega * logs[j]
-                val *= math.cos(x) if phase == COS else math.sin(x)
-            out = out + val * vec
-        return out
+    norms = {k: float(np.linalg.norm(v)) for k, v in acc.items()}
+    top = max(norms.values(), default=0.0)
+    return [(k, acc[k]) for k in sorted(acc) if norms[k] > 0.0 and norms[k] >= TRIM_REL * top]
 
 
-def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
-    """Real form of a conjugation-symmetric ladder-power sum.
+def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> list:
+    """Real form of a conjugation-symmetric ladder-power sum, as rows.
 
-    Output depth is p.depth + 1 when some term oscillates in the deepest
-    component (its imaginary exponent becomes a trig factor one level
-    down), else exactly p.depth.
+    Output depth (len(alpha) - 2 of every row) is p.depth + 1 when some
+    term oscillates in the deepest component (its imaginary exponent
+    becomes a trig factor one level down), else exactly p.depth.
 
     Pair rule: of a conjugate pair, the member whose first nonzero
     imaginary exponent is negative emits both; a term with no nonzero
@@ -215,41 +164,44 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
         for picks in itertools.product((COS, SIN), repeat=len(osc)):
             factors = [(i, b, ph) for (i, b), ph in zip(osc, picks)]
             raw.append((a_real, factors, weight * (xi * 1j ** picks.count(SIN)).real))
-    return TrigLadderSum.build(p.dim, out_depth, raw)
+    return _real_rows(p.dim, out_depth, raw)
 
 
-def to_trig_poly(s: ExpPolySum, tol: float = 1e-12) -> TrigLadderSum:
+def to_trig_poly(s: ExpPolySum, tol: float = 1e-12) -> list:
     """Real form of a conjugation-symmetric exponential sum, at depth 0.
 
-    Each term reads e^(Re nu t) t^j cos/sin(Im nu t); decaying exponents
+    Each row reads e^(Re nu t) t^j cos/sin(Im nu t); decaying exponents
     are taken as they are.
     """
     return to_trig_ladder(_ladder_view(s), tol)
 
 
-def from_trig_ladder(q: TrigLadderSum) -> LogPowerSum:
-    """Rewrite trig factors as conjugate pairs of imaginary ladder powers.
+def from_trig_ladder(dim: int, depth: int, raw) -> LogPowerSum:
+    """The LogPowerSum of raw real rows (alpha, factors, vec).
 
-    cos(w L_j) = (z_{j-1}^{iw} + z_{j-1}^{-iw})/2 and likewise for sin; the
-    result is conjugation-symmetric at the same depth.
+    The rows are canonicalized (and validated) as the real form is; each
+    trig factor on component j then becomes a conjugate pair of imaginary
+    powers z_{j-1}^(+-iw), so the result is conjugation-symmetric at the
+    same depth.
     """
-    raw: list[tuple[list[complex], np.ndarray]] = []
-    for (alpha, factors), vec in q.terms.items():
+    out: list[tuple[list[complex], np.ndarray]] = []
+    for (alpha, factors), vec in _real_rows(dim, depth, raw):
         base = [complex(a) for a in alpha]
-        choices = []
-        for j, omega, phase in factors:
-            if phase == COS:
-                choices.append(((1j * omega, 0.5 + 0j), (-1j * omega, 0.5 + 0j)))
-            else:
-                choices.append(((1j * omega, -0.5j), (-1j * omega, 0.5j)))
+        # (exponent shift, weight) pairs: cos = (e^{iwL} + e^{-iwL})/2 and
+        # sin = (e^{iwL} - e^{-iwL})/(2i)
+        choices = [
+            ((1j * w, 0.5 + 0j), (-1j * w, 0.5 + 0j)) if phase == COS
+            else ((1j * w, -0.5j), (-1j * w, 0.5j))
+            for _, w, phase in factors
+        ]
         for combo in itertools.product(*choices):
             a = list(base)
             coeff = 1.0 + 0j
             for (j, _, _), (shift, weight) in zip(factors, combo):
                 a[j] += shift  # tuple index j = component j-1
                 coeff *= weight
-            raw.append((a, coeff * vec.astype(complex)))
-    return LogPowerSum.build(q.dim, q.depth, raw)
+            out.append((a, coeff * vec.astype(complex)))
+    return LogPowerSum.build(dim, depth, out)
 
 
 def imag_residue(p, ts: Sequence[float]) -> float:

@@ -30,7 +30,7 @@ from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import mul_apply_exp, snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
 from odexpand.logpower import descent_op, mul_apply_logpower
-from odexpand.realify import COS, SIN, TrigLadderSum, asymmetry_witness
+from odexpand.realify import COS, SIN, _real_rows, asymmetry_witness
 
 
 def bench_module(name: str):
@@ -463,7 +463,7 @@ def ladder_view_oracle(s: ExpPolySum) -> LogPowerSum:
     return build_logpower_oracle(s.dim, 0, ladder_view_raw_oracle(s))
 
 
-def to_trig_ladder_oracle(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
+def to_trig_ladder_oracle(p: LogPowerSum, tol: float = 1e-12) -> list:
     """The real-form loop before the pair rule and the rotation: sort-key
     tuples pick each pair's member, and a four-way branch on the number of
     sines picks the coefficient."""
@@ -510,16 +510,15 @@ def to_trig_ladder_oracle(p: LogPowerSum, tol: float = 1e-12) -> TrigLadderSum:
                 # a trig factor on component i
                 factors.append((i, b, ph))
             raw.append((a_real, factors, vec))
-    return TrigLadderSum.build(p.dim, out_depth, raw)
+    return _real_rows(p.dim, out_depth, raw)
 
 
-def assert_trig_bitwise_equal(p: TrigLadderSum, q: TrigLadderSum) -> None:
-    """Same depth, same keys in the same order, bit-identical coefficients
-    (the sign of every zero counts)."""
-    assert (p.dim, p.depth) == (q.dim, q.depth)
-    assert list(p.terms) == list(q.terms)
-    for key in p.terms:
-        assert_arrays_bitwise_equal(p.terms[key], q.terms[key])
+def assert_trig_bitwise_equal(p: list, q: list) -> None:
+    """Two real forms as rows: the same keys (so the same depth) in the
+    same order, bit-identical coefficients (the sign of every zero counts)."""
+    assert [key for key, _ in p] == [key for key, _ in q]
+    for (_, u), (_, v) in zip(p, q):
+        assert_arrays_bitwise_equal(u, v)
 
 
 def solve_nonresonant_oracle(B: np.ndarray, p: np.ndarray) -> np.ndarray:

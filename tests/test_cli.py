@@ -4,8 +4,9 @@
 Record structure and term keys must match exactly; coefficients must
 agree within 1e-13 of the largest coefficient of their order.  ``verify``
 stdout is compared with ``golden/<config>.verify.txt`` (exit code and
-verdicts exactly, fitted numbers within tolerance) and ``certificate``
-output with ``golden/certificate.certificate.csv``.
+verdicts exactly, fitted numbers within tolerance), ``certificate``
+output with ``golden/certificate.certificate.csv``, and ``realify``
+output with ``golden/<config>.real_terms.txt`` byte for byte.
 """
 
 import json
@@ -111,11 +112,60 @@ def test_golden_comparison_rejects_a_perturbed_coefficient():
 @pytest.mark.parametrize(
     "name", ["riccati", "oscillatory_log", "resonant", "certificate", "jordan_resonant"]
 )
-def test_realify_exits_zero(name, tmp_path):
+def test_realify_matches_golden(name, tmp_path):
+    # the printed real form is pinned byte for byte, rows and residue line
     config = str(CONFIGS / f"{name}.json")
     assert main(["realify", "--config", config, "--out", str(tmp_path)]) == 0
-    residue = (tmp_path / "real_terms.txt").read_text().splitlines()[-1]
+    assert sorted(os.listdir(tmp_path)) == ["real_terms.txt"]
+    got = (tmp_path / "real_terms.txt").read_bytes()
+    assert got == (GOLDEN / f"{name}.real_terms.txt").read_bytes()
+    residue = got.decode().splitlines()[-1]
     assert float(residue.split(",")[1]) <= 1e-12
+
+
+def test_realify_of_a_sum_too_deep_to_sample_exits_two(tmp_path, capsys):
+    # a depth-4 sum is defined only above exp_zero(5), which overflows to
+    # inf; expand still runs, but realify has no grid to check realness on
+    cfg = json.loads((CONFIGS / "oscillatory_log.json").read_text())
+    forcing = cfg["problem"]["forcing"][0]
+    forcing["depth"] = 4
+    forcing["terms"][0]["alpha"].append(0.0)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["expand", "--config", str(config), "--out", str(tmp_path / "e")]) == 0
+    capsys.readouterr()
+    assert main(["realify", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: realify: a depth-4 sum has no finite sample grid "
+        "(evaluation threshold inf)\n"
+    )
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize(
+    "name,edit,message",
+    [
+        (
+            "oscillatory_log",
+            {"scale_index": 5},
+            "forcing at rate 0.5 has depth 3, below scale_index 5",
+        ),
+        (
+            "riccati",
+            {"mode": "log", "scale_index": 1},
+            "forcing at rate 1.0 has depth 0, below scale_index 1",
+        ),
+    ],
+)
+def test_scale_index_above_the_forcing_depth_exits_two(name, edit, message, tmp_path, capsys):
+    # the (scale_index, -mu) class needs a component scale_index to sit on
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    cfg["problem"].update(edit)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    assert main(["expand", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"validation error: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_jordan_resonance_has_one_order_and_real_kernel_constants(tmp_path, capsys):

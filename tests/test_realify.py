@@ -10,7 +10,6 @@ from odexpand import (
     ExpPolySum,
     LogPowerSum,
     ProblemSpec,
-    TrigLadderSum,
     expand,
     from_trig_ladder,
     imag_residue,
@@ -18,11 +17,12 @@ from odexpand import (
     to_trig_poly,
 )
 from odexpand.cli import _realify_grid, build_problem, load_config
-from odexpand.realify import _ladder_view, asymmetry_witness
+from odexpand.realify import _ladder_view, _real_rows, asymmetry_witness
 from odexpand.ladder import exp_zero
 from odexpand.logpower import descent_op, shifted_inverse, weight_op
 
 from helpers import (
+    assert_arrays_bitwise_equal,
     assert_trig_bitwise_equal,
     bench_module,
     cvec,
@@ -33,6 +33,20 @@ from helpers import (
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def depth_of(rows) -> int:
+    """Depth of a real form: every exponent vector has length depth + 2."""
+    (depth,) = {len(alpha) - 2 for (alpha, _), _ in rows}
+    return depth
+
+
+def real_value(rows, dim: int, t: float) -> np.ndarray:
+    """A real form's value at t, through the LogPowerSum it stands for."""
+    raw = [(alpha, factors, vec) for (alpha, factors), vec in rows]
+    value = from_trig_ladder(dim, depth_of(rows), raw).eval(t)
+    assert np.max(np.abs(value.imag)) <= 1e-12 * max(1.0, np.max(np.abs(value)))
+    return value.real
 
 
 def sym_expsum(rng, dim, n_pairs=2, max_degree=2):
@@ -51,52 +65,56 @@ def sym_expsum(rng, dim, n_pairs=2, max_degree=2):
 
 def test_cosine_pair():
     s = ExpPolySum.build(1, [(1j, [[0.5]]), (-1j, [[0.5]])])
-    trig = to_trig_poly(s)
-    assert trig.depth == 0
-    assert trig.items() == [(((0.0, 0.0), ((0, 1.0, "cos"),)), pytest.approx([1.0]))]
+    rows = to_trig_poly(s)
+    assert depth_of(rows) == 0
+    assert rows == [(((0.0, 0.0), ((0, 1.0, "cos"),)), pytest.approx([1.0]))]
 
 
 def test_sine_pair():
     s = ExpPolySum.build(1, [(1j, [[-0.5j]]), (-1j, [[0.5j]])])
-    trig = to_trig_poly(s)
-    assert trig.items() == [(((0.0, 0.0), ((0, 1.0, "sin"),)), pytest.approx([1.0]))]
+    rows = to_trig_poly(s)
+    assert rows == [(((0.0, 0.0), ((0, 1.0, "sin"),)), pytest.approx([1.0]))]
 
 
 def test_degree_one_pair():
     # t * (cos 2t + sin 2t) written as a conjugate pair
     xi = (1.0 - 1.0j) / 2.0
     s = ExpPolySum.build(1, [(2j, [[0.0], [xi]]), (-2j, [[0.0], [xi.conjugate()]])])
-    trig = to_trig_poly(s)
-    assert trig.items() == [
+    rows = to_trig_poly(s)
+    assert rows == [
         (((0.0, 1.0), ((0, 2.0, "cos"),)), pytest.approx([1.0])),
         (((0.0, 1.0), ((0, 2.0, "sin"),)), pytest.approx([1.0])),
     ]
     t = 1.7
-    np.testing.assert_allclose(trig.eval(t), [t * (math.cos(2 * t) + math.sin(2 * t))])
+    np.testing.assert_allclose(
+        real_value(rows, 1, t), [t * (math.cos(2 * t) + math.sin(2 * t))]
+    )
 
 
 def test_trig_poly_matches_complex_eval():
     rng = np.random.default_rng(11)
     for _ in range(15):
         s = sym_expsum(rng, int(rng.integers(1, 4)))
-        trig = to_trig_poly(s)
-        assert trig.depth == 0
+        rows = to_trig_poly(s)
+        assert depth_of(rows) == 0
         scale = max(s.sup_norm(), 1.0)
         assert imag_residue(s, rng.uniform(0.0, 8.0, size=20)) < 1e-10 * scale
         # the real form lives on the depth-0 ladder, which starts above t = 1
         for t in rng.uniform(1.01, 8.0, size=20):
-            np.testing.assert_allclose(trig.eval(t), s.eval(t).real, atol=1e-10 * scale)
+            np.testing.assert_allclose(
+                real_value(rows, s.dim, t), s.eval(t).real, atol=1e-10 * scale
+            )
 
 
 def test_trig_poly_converts_decaying_pairs_and_rejects_asymmetric_input():
     s = ExpPolySum.build(1, [(-1.0 + 1j, [[1.0], [0.5j]]), (-1.0 - 1j, [[1.0], [-0.5j]])])
-    trig = to_trig_poly(s)
-    assert trig.items() == [
+    rows = to_trig_poly(s)
+    assert rows == [
         (((-1.0, 0.0), ((0, 1.0, "cos"),)), pytest.approx([2.0])),
         (((-1.0, 1.0), ((0, 1.0, "sin"),)), pytest.approx([-1.0])),
     ]
     for t in (1.5, 4.0, 12.0):
-        np.testing.assert_allclose(trig.eval(t), s.eval(t).real, rtol=1e-13)
+        np.testing.assert_allclose(real_value(rows, 1, t), s.eval(t).real, rtol=1e-13)
     with pytest.raises(ValueError, match="not conjugation-symmetric"):
         to_trig_poly(ExpPolySum.build(1, [(1j, [[1.0]])]))
 
@@ -104,7 +122,7 @@ def test_trig_poly_converts_decaying_pairs_and_rejects_asymmetric_input():
 def test_trig_poly_build_canonicalizes():
     # the depth-0 trig form: negative frequency folds onto the positive axis,
     # sin soaking the sign, and merges with its positive-frequency twin
-    p = TrigLadderSum.build(
+    rows = _real_rows(
         1,
         0,
         [
@@ -112,14 +130,14 @@ def test_trig_poly_build_canonicalizes():
             ((0.0, 0.0), ((0, 2.0, "sin"),), [3.0]),
         ],
     )
-    assert p.items() == [(((0.0, 0.0), ((0, 2.0, "sin"),)), pytest.approx([2.0]))]
+    assert rows == [(((0.0, 0.0), ((0, 2.0, "sin"),)), pytest.approx([2.0]))]
     # sin(0) vanishes
-    assert TrigLadderSum.build(1, 0, [((0.0, 0.0), ((0, 0.0, "sin"),), [1.0])]).is_zero()
+    assert _real_rows(1, 0, [((0.0, 0.0), ((0, 0.0, "sin"),), [1.0])]) == []
     with pytest.raises(ValueError, match="phase must be cos or sin"):
-        TrigLadderSum.build(1, 0, [((0.0, 0.0), ((0, 1.0, "tan"),), [1.0])])
+        _real_rows(1, 0, [((0.0, 0.0), ((0, 1.0, "tan"),), [1.0])])
     # a depth-0 sum has one oscillating component, the one in t itself
     with pytest.raises(ValueError, match="trig factor index exceeds depth"):
-        TrigLadderSum.build(1, 0, [((0.0, 0.0), ((1, 1.0, "cos"),), [1.0])])
+        _real_rows(1, 0, [((0.0, 0.0), ((1, 1.0, "cos"),), [1.0])])
 
 
 # ---------------------------------------------------------------------------
@@ -128,30 +146,30 @@ def test_trig_poly_build_canonicalizes():
 
 def test_oscillation_in_the_deepest_component_lifts_depth():
     p = LogPowerSum.build(1, 1, [((0, 0, 1j), [1.0]), ((0, 0, -1j), [1.0])])
-    trig = to_trig_ladder(p)
-    assert trig.depth == 2
-    assert trig.items() == [
+    rows = to_trig_ladder(p)
+    assert depth_of(rows) == 2
+    assert rows == [
         (((0.0, 0.0, 0.0, 0.0), ((2, 1.0, "cos"),)), pytest.approx([2.0]))
     ]
 
 
 def test_real_input_converts_identically():
     p = LogPowerSum.build(2, 1, [((0.0, -1.0, 2.0), [1.0, -0.5])])
-    trig = to_trig_ladder(p)
-    assert trig.depth == 1
-    assert trig.items() == [
+    rows = to_trig_ladder(p)
+    assert depth_of(rows) == 1
+    assert rows == [
         (((0.0, -1.0, 2.0), ()), pytest.approx([1.0, -0.5]))
     ]
     t = 40.0
-    np.testing.assert_allclose(trig.eval(t), p.eval(t).real, rtol=1e-13)
+    np.testing.assert_allclose(real_value(rows, 2, t), p.eval(t).real, rtol=1e-13)
 
 
 def test_oscillation_in_time_itself_keeps_depth():
     # exp(2it)/t style pair: the trig factor lands on component 0
     p = LogPowerSum.build(1, 0, [((2j, -1.0), [0.5]), ((-2j, -1.0), [0.5])])
-    trig = to_trig_ladder(p)
-    assert trig.depth == 0
-    assert trig.items() == [
+    rows = to_trig_ladder(p)
+    assert depth_of(rows) == 0
+    assert rows == [
         (((0.0, -1.0), ((0, 2.0, "cos"),)), pytest.approx([1.0]))
     ]
 
@@ -159,9 +177,9 @@ def test_oscillation_in_time_itself_keeps_depth():
 def test_mixed_oscillation_keeps_depth_when_deepest_is_real():
     alpha = (2j, -1.0, 1.0, -1.0 / 3.0)
     p = LogPowerSum.build(1, 2, [(alpha, [0.5]), (tuple(a.conjugate() for a in map(complex, alpha)), [0.5])])
-    trig = to_trig_ladder(p)
-    assert trig.depth == 2
-    keys = [k for k, _ in trig.items()]
+    rows = to_trig_ladder(p)
+    assert depth_of(rows) == 2
+    keys = [k for k, _ in rows]
     assert len(keys) == 1
     a, factors = keys[0]
     assert factors == ((0, 2.0, "cos"),)
@@ -174,20 +192,20 @@ def test_quarter_phase_sign_table():
     p = LogPowerSum.build(
         1, 1, [((1j, -1.0, 1j), xi), ((-1j, -1.0, -1j), xi.conj())]
     )
-    trig = to_trig_ladder(p)
-    assert trig.depth == 2
+    rows = to_trig_ladder(p)
+    assert depth_of(rows) == 2
     expected = {
         ((0, 1.0, "cos"), (2, 1.0, "cos")): 1.0,
         ((0, 1.0, "cos"), (2, 1.0, "sin")): -0.5,
         ((0, 1.0, "sin"), (2, 1.0, "cos")): -0.5,
         ((0, 1.0, "sin"), (2, 1.0, "sin")): -1.0,
     }
-    got = {fac: v[0] for (a, fac), v in trig.items()}
+    got = {fac: v[0] for (a, fac), v in rows}
     assert set(got) == set(expected)
     for fac, val in expected.items():
         assert got[fac] == pytest.approx(val)
     t = 3.1 * exp_zero(3)
-    np.testing.assert_allclose(trig.eval(t), p.eval(t).real, rtol=1e-12)
+    np.testing.assert_allclose(real_value(rows, 1, t), p.eval(t).real, rtol=1e-12)
 
 
 def sym_decaying_logpower(rng, dim, depth):
@@ -209,13 +227,13 @@ def test_trig_ladder_matches_complex_eval():
     for _ in range(12):
         depth = int(rng.integers(0, 3))
         p = sym_decaying_logpower(rng, int(rng.integers(1, 3)), depth)
-        trig = to_trig_ladder(p)
-        gate = exp_zero(trig.depth + 1)
+        rows = to_trig_ladder(p)
+        gate = exp_zero(depth_of(rows) + 1)
         ts = np.geomspace(1.3 * gate, 40.0 * gate, 20)
         scale = max(p.sup_norm(), 1.0)
         assert imag_residue(p, ts) < 1e-9 * scale
         for t in ts:
-            a = trig.eval(t)
+            a = real_value(rows, p.dim, t)
             b = p.eval(t).real
             assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(b)))
 
@@ -236,33 +254,35 @@ def test_trig_ladder_rejects_asymmetric_input():
         to_trig_ladder(p)
 
 
-def test_trig_ladder_build_validation():
+@pytest.mark.parametrize("build", [_real_rows, from_trig_ladder])
+def test_real_rows_validation(build):
+    # from_trig_ladder canonicalizes its rows first, so it refuses the same
     ok_alpha = (0.0, -1.0)
     with pytest.raises(ValueError, match="trig factor index exceeds depth"):
-        TrigLadderSum.build(1, 0, [(ok_alpha, ((1, 1.0, "cos"),), [1.0])])
+        build(1, 0, [(ok_alpha, ((1, 1.0, "cos"),), [1.0])])
     with pytest.raises(ValueError, match="trig factor index must be >= 0"):
-        TrigLadderSum.build(1, 0, [(ok_alpha, ((-1, 1.0, "cos"),), [1.0])])
+        build(1, 0, [(ok_alpha, ((-1, 1.0, "cos"),), [1.0])])
     with pytest.raises(ValueError, match="at most one trig factor per ladder component"):
-        TrigLadderSum.build(
-            1, 0, [(ok_alpha, ((0, 1.0, "cos"), (0, 2.0, "sin")), [1.0])]
-        )
+        build(1, 0, [(ok_alpha, ((0, 1.0, "cos"), (0, 2.0, "sin")), [1.0])])
     with pytest.raises(ValueError, match="phase must be cos or sin"):
-        TrigLadderSum.build(1, 0, [(ok_alpha, ((0, 1.0, "tanh"),), [1.0])])
+        build(1, 0, [(ok_alpha, ((0, 1.0, "tanh"),), [1.0])])
     with pytest.raises(ValueError, match="length 3 != depth\\+2 = 2"):
-        TrigLadderSum.build(1, 0, [((0.0, -1.0, 0.0), (), [1.0])])
+        build(1, 0, [((0.0, -1.0, 0.0), (), [1.0])])
     with pytest.raises(ValueError, match="coefficient length mismatch"):
-        TrigLadderSum.build(2, 0, [(ok_alpha, (), [1.0])])
+        build(2, 0, [(ok_alpha, (), [1.0])])
+    with pytest.raises(ValueError, match="depth must be >= -1"):
+        build(1, -2, [])
 
 
-def test_trig_ladder_build_canonicalizes_factors():
+def test_real_rows_canonicalize_factors():
     # sin(0 * L) kills the term, cos(0 * L) is dropped, negative frequency flips sin
-    assert TrigLadderSum.build(1, 0, [((0.0, -1.0), ((0, 0.0, "sin"),), [1.0])]).is_zero()
-    p = TrigLadderSum.build(1, 0, [((0.0, -1.0), ((0, 0.0, "cos"),), [1.0])])
-    assert p.items() == [(((0.0, -1.0), ()), pytest.approx([1.0]))]
-    q = TrigLadderSum.build(1, 0, [((0.0, -1.0), ((0, -2.0, "sin"),), [1.0])])
-    assert q.items() == [(((0.0, -1.0), ((0, 2.0, "sin"),)), pytest.approx([-1.0]))]
+    assert _real_rows(1, 0, [((0.0, -1.0), ((0, 0.0, "sin"),), [1.0])]) == []
+    p = _real_rows(1, 0, [((0.0, -1.0), ((0, 0.0, "cos"),), [1.0])])
+    assert p == [(((0.0, -1.0), ()), pytest.approx([1.0]))]
+    q = _real_rows(1, 0, [((0.0, -1.0), ((0, -2.0, "sin"),), [1.0])])
+    assert q == [(((0.0, -1.0), ((0, 2.0, "sin"),)), pytest.approx([-1.0]))]
     # the folded term merges with its positive-frequency twin
-    r = TrigLadderSum.build(
+    r = _real_rows(
         1,
         0,
         [
@@ -270,22 +290,46 @@ def test_trig_ladder_build_canonicalizes_factors():
             ((0.0, -1.0), ((0, 2.0, "sin"),), [3.0]),
         ],
     )
-    assert r.items() == [(((0.0, -1.0), ((0, 2.0, "sin"),)), pytest.approx([2.0]))]
+    assert r == [(((0.0, -1.0), ((0, 2.0, "sin"),)), pytest.approx([2.0]))]
+    # so does the LogPowerSum built from them
+    assert from_trig_ladder(
+        1, 0, [((0.0, -1.0), ((0, 0.0, "sin"),), [1.0])]
+    ).is_zero()
+    flipped = from_trig_ladder(1, 0, [((0.0, -1.0), ((0, -2.0, "sin"),), [1.0])])
+    twin = from_trig_ladder(1, 0, [((0.0, -1.0), ((0, 2.0, "sin"),), [-1.0])])
+    assert_arrays_bitwise_equal(flipped.alphas, twin.alphas)
+    assert_arrays_bitwise_equal(flipped.xis, twin.xis)
 
 
 def test_from_trig_ladder_worked_cases():
-    q = TrigLadderSum.build(1, 0, [((0.0, 0.0), ((0, 2.0, "cos"),), [1.0])])
-    p = from_trig_ladder(q)
+    # cos(2t) = (e^{2it} + e^{-2it}) / 2
+    p = from_trig_ladder(1, 0, [((0.0, 0.0), ((0, 2.0, "cos"),), [1.0])])
     assert p.depth == 0
     got = {a: v[0] for a, v in p.items()}
-    assert got[(-2j, 0.0)] == pytest.approx(0.5)
-    assert got[(2j, 0.0)] == pytest.approx(0.5)
+    assert got == {(-2j, 0.0): pytest.approx(0.5), (2j, 0.0): pytest.approx(0.5)}
 
-    q = TrigLadderSum.build(1, 2, [((0.0, 0.0, 0.0, 0.0), ((2, 3.0, "sin"),), [1.0])])
-    p = from_trig_ladder(q)
+    # sin(3 ln_2 t) = (z_1^{3i} - z_1^{-3i}) / (2i), z_1 = ln t
+    p = from_trig_ladder(1, 2, [((0.0, 0.0, 0.0, 0.0), ((2, 3.0, "sin"),), [1.0])])
     got = {a: v[0] for a, v in p.items()}
-    assert got[(0.0, 0.0, 3j, 0.0)] == pytest.approx(-0.5j)
-    assert got[(0.0, 0.0, -3j, 0.0)] == pytest.approx(0.5j)
+    assert got == {
+        (0.0, 0.0, 3j, 0.0): pytest.approx(-0.5j),
+        (0.0, 0.0, -3j, 0.0): pytest.approx(0.5j),
+    }
+
+    # 2 t^-1 cos(2t) sin(3 ln t): the factors multiply out into four terms
+    p = from_trig_ladder(
+        1, 1, [((0.0, -1.0, 0.0), ((0, 2.0, "cos"), (1, 3.0, "sin")), [2.0])]
+    )
+    got = {a: v[0] for a, v in p.items()}
+    assert got == {
+        (2j, -1.0 + 3j, 0.0): pytest.approx(-0.5j),
+        (2j, -1.0 - 3j, 0.0): pytest.approx(0.5j),
+        (-2j, -1.0 + 3j, 0.0): pytest.approx(-0.5j),
+        (-2j, -1.0 - 3j, 0.0): pytest.approx(0.5j),
+    }
+    t = 7.5
+    want = 2.0 / t * math.cos(2.0 * t) * math.sin(3.0 * math.log(t))
+    np.testing.assert_allclose(p.eval(t), [want], rtol=1e-13, atol=1e-15)
 
 
 def random_trig_ladder(rng, dim, depth):
@@ -300,24 +344,25 @@ def random_trig_ladder(rng, dim, depth):
                 phase = "cos" if rng.random() < 0.5 else "sin"
                 factors.append((j, float(rng.uniform(0.5, 3.0)), phase))
         raw.append((alpha, tuple(factors), rng.standard_normal(dim)))
-    return TrigLadderSum.build(dim, depth, raw)
+    return raw
 
 
 def test_trig_ladder_round_trip():
     rng = np.random.default_rng(23)
     for _ in range(20):
         depth = int(rng.integers(0, 3))
-        q = random_trig_ladder(rng, int(rng.integers(1, 3)), depth)
-        p = from_trig_ladder(q)
+        dim = int(rng.integers(1, 3))
+        raw = random_trig_ladder(rng, dim, depth)
+        p = from_trig_ladder(dim, depth, raw)
         assert asymmetry_witness(p) is None
         back = to_trig_ladder(p)
-        # trig factors sit on components <= depth, so no lift can occur
-        assert back.depth == depth
-        gate = exp_zero(depth + 1)
-        for t in np.geomspace(1.3 * gate, 30.0 * gate, 12):
-            a = q.eval(t)
-            b = back.eval(t)
-            assert np.max(np.abs(a - b)) < 1e-9 * max(1.0, np.max(np.abs(a)))
+        # trig factors sit on components <= depth, so no lift can occur,
+        # and the rows come back as they went in
+        assert depth_of(back) == depth
+        want = _real_rows(dim, depth, raw)
+        assert [k for k, _ in back] == [k for k, _ in want]
+        for (_, a), (_, b) in zip(back, want):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -388,8 +433,8 @@ def test_real_problem_produces_symmetric_expansion():
         assert asymmetry_witness(term, tol=1e-10) is None
         if term.is_zero():
             continue
-        trig = to_trig_ladder(term, tol=1e-10)
-        assert trig.depth == 0
+        rows = to_trig_ladder(term, tol=1e-10)
+        assert depth_of(rows) == 0
         assert imag_residue(term, ts) < 1e-10 * max(term.sup_norm(), 1.0)
 
 
