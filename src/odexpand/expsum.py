@@ -253,6 +253,11 @@ class ExpPolySum:
             out += p[:, k]
         return out if ts.ndim else out[0]
 
+    def kernel(self, ts: list) -> list:
+        """``eval`` at a list of Python floats, as a list of rows of Python
+        complex numbers: the integrator's forcing contract, with eval's bits."""
+        return self.eval(np.array(ts, dtype=float)).tolist()
+
     # -- serialization ---------------------------------------------------
 
     def to_records(self) -> list[dict]:

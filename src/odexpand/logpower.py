@@ -17,6 +17,18 @@ With logs = ladder_eval(k, t) = (t, log t, ..., log L_k(t)) the value is
 the one product exp(alphas @ logs) @ xis, which is why evaluation requires
 every ladder component to be strictly positive.
 
+Two evaluators share that arithmetic, split by traffic as
+``MultiLinearMap``'s ``batch`` and ``kernel`` are.  ``eval`` takes a time
+or an array of times, checks each against the domain threshold and forms
+the two products with numpy; it serves grids (remainders, kernel fits, the
+realify residue).  ``kernel`` is a straight-line Python function generated
+once per sum, on lists of Python floats, with no check and no numpy call;
+the integrator calls it at the six stage times of every attempted step,
+after one ``eval`` at the start of the span has checked the domain.  Both
+take the ladder from the same math.log chain.  On one term with real
+exponents they agree bit for bit; elsewhere eval's BLAS products may fuse
+or reorder and differ in the last bits.
+
 Three linear operators drive the power/log recursions:
 
     weight_op(j, p)     multiply each term by its exponent a(j)
@@ -28,6 +40,7 @@ Three linear operators drive the power/log recursions:
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -282,6 +295,73 @@ class LogPowerSum:
         e = np.exp(np.matmul(self.alphas, logs[:, :, None]))  # (T, K, 1)
         out = np.matmul(self.xis.T, e)[:, :, 0]
         return out if ts.ndim else out[0]
+
+    @cached_property
+    def kernel(self):
+        """The sum as a straight-line Python function, generated once per sum.
+
+        ``kernel(ts)`` takes a list of Python floats and returns one list of
+        dim Python complex numbers per time.  The times are not checked:
+        each must lie above eval's threshold.  For each time the ladder is
+        ladder_eval's chain, l0 = t and l{j+1} = math.log(l{j}).  For term k,
+        zr and zi sum Re a(j) * l{j} and Im a(j) * l{j} over the nonzero
+        parts, left to right, and e_k is math.exp(zr) when every exponent
+        of the term is real, else cmath.exp(complex(zr, zi)).  Each output
+        component is the running sum of xi_k * e_k over the terms with a
+        nonzero coefficient there, in term order, with each product written
+        in float parts: (xr*er - xi*ei, xr*ei + xi*er), or (xr*e, xi*e)
+        for a real e_k.  An exponent that overflows makes the call return
+        eval's rows for its times instead, so an overflow gives np.exp's
+        inf and never raises.
+
+        One statement per (term, component) keeps the source flat for any
+        number of terms; coefficients are bound by name in the namespace
+        the source runs in, never written into it.
+        """
+        namespace = {"log": math.log, "exp": math.exp, "cexp": cmath.exp}
+        namespace["overflow"] = lambda ts: self.eval(np.array(ts, dtype=float)).tolist()
+
+        def running_sum(name: str, products: list[str]) -> list[str]:
+            return [f"{name} = 0.0"] + [f"{name} += {p}" for p in products]
+
+        exps, real = [], []
+        for k, alpha in enumerate(self.alphas.tolist()):
+            real.append(not any(a.imag for a in alpha))
+            for part in ("real",) if real[k] else ("real", "imag"):
+                products = []
+                for j, a in enumerate(alpha):
+                    if getattr(a, part):
+                        namespace[f"a{k}_{j}{part[0]}"] = getattr(a, part)
+                        products.append(f"a{k}_{j}{part[0]} * l{j}")
+                exps += running_sum(f"z{part[0]}", products)
+            if real[k]:
+                exps.append(f"e{k} = exp(zr)")
+            else:
+                exps += [f"e{k} = cexp(complex(zr, zi))", f"e{k}r, e{k}i = e{k}.real, e{k}.imag"]
+        sums = []
+        for i in range(self.dim):
+            re, im = [], []
+            for k, xi in enumerate(self.xis[:, i].tolist()):
+                if not xi:
+                    continue
+                xr, xm = f"x{k}_{i}r", f"x{k}_{i}i"
+                namespace[xr], namespace[xm] = xi.real, xi.imag
+                if real[k]:
+                    re.append(f"{xr} * e{k}")
+                    im.append(f"{xm} * e{k}")
+                else:
+                    re.append(f"({xr} * e{k}r - {xm} * e{k}i)")
+                    im.append(f"({xr} * e{k}i + {xm} * e{k}r)")
+            sums += running_sum(f"o{i}r", re) + running_sum(f"o{i}i", im)
+        outs = ", ".join(f"complex(o{i}r, o{i}i)" for i in range(self.dim))
+        lines = ["def kernel(ts):", "    rows = []", "    for l0 in ts:"]
+        lines += [f"        l{j + 1} = log(l{j})" for j in range(self.depth + 1)]
+        lines += ["        try:"] + [f"            {x}" for x in exps]
+        lines += ["        except (OverflowError, ValueError):", "            return overflow(ts)"]
+        lines += [f"        {x}" for x in sums]
+        lines += [f"        rows.append([{outs}])", "    return rows"]
+        exec(compile("\n".join(lines), "<LogPowerSum.kernel>", "exec"), namespace)
+        return namespace["kernel"]
 
     # -- serialization ---------------------------------------------------
 

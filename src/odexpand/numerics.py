@@ -20,7 +20,7 @@ import numpy as np
 from .engine import Expansion, ProblemSpec, eval_partial_sum
 from .expsum import snap_float
 from .ladder import ladder_eval
-from .logpower import row_norms
+from .logpower import LogPowerSum, row_norms
 from .multilinear import MultiLinearMap
 from .rk45 import Trajectory, integrate_rhs
 
@@ -78,14 +78,20 @@ def integrate(
     """Integrate the problem's ODE over t_span.
 
     The field comes from ``make_rhs``; the forcing records are the
-    problem's forcing terms, each evaluated at a whole stack of times.  A
-    t_span that starts outside a forcing term's domain raises that term's
-    own ValueError at t0.
+    problem's forcing terms, each evaluated by its ``kernel`` on the list
+    of a step's stage times.  The kernels do not check their times, so each
+    power/log term's domain gate runs once per integration, as an ``eval``
+    at t_span[0]: a t_span that starts outside a term's domain raises that
+    term's own ValueError there, and the stage times never fall below
+    t_span[0].
     """
-    terms = [term for _, term in spec.forcing]
+    for _, term in spec.forcing:
+        if isinstance(term, LogPowerSum):
+            term.eval(t_span[0])
+    kernels = [term.kernel for _, term in spec.forcing]
 
     def forcing(ts):
-        return [term.eval(ts) for term in terms]
+        return [k(ts) for k in kernels]
 
     return integrate_rhs(make_rhs(spec), forcing, y0, t_span, rel_tol, abs_tol)
 

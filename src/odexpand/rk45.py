@@ -14,11 +14,13 @@ with the 5th-order solution and controls the step from the embedded
 4th-order error estimate; the last stage doubles as the first stage of the
 next step (FSAL).
 
-The state and the stages are lists of Python complex numbers.  On the
-small systems this package integrates, a numpy call costs more than the
-arithmetic it does, so a step touches numpy only to evaluate the forcing
-and to convert its records with ``tolist``.  The rest of an attempted step
-is one straight-line Python function, generated from the tableau for each
+The state, the stages and the forcing records are lists of Python
+numbers.  On the small systems this package integrates, a numpy call costs
+more than the arithmetic it does, so an attempted step makes none: the
+forcing gets the six stage times as a list of floats and returns its
+records as lists (``numerics.integrate`` passes each forcing term's
+generated kernel), and the rest of the step is one straight-line Python
+function, generated from the tableau for each
 (n, number of forcing records) the first time ``integrate_rhs`` meets that
 shape, and cached.  It unpacks the state, the previous derivative and each
 record's six rows into local names, and gives every component of every
@@ -60,7 +62,7 @@ __all__ = ["Trajectory", "StepUnderflow", "integrate_rhs"]
 
 # Dormand-Prince 5(4) tableau.  Row 7 of A is the 5th-order weights (FSAL),
 # and E = b5 - b4 weighs the error estimate; a72 = b2 = E2 = 0.
-_C_STAGES = np.array((1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0))  # c2..c7, fractions of h
+_C_STAGES = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # c2..c7, fractions of h
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -142,7 +144,7 @@ def _derivative(field, y, rows) -> list:
 
 def _rows_at(forcing, t: float) -> list:
     """The forcing records at the one time t, each a list of n numbers."""
-    return [f.tolist()[0] for f in forcing(np.array([t]))]
+    return [rec[0] for rec in forcing([t])]
 
 
 class _NonFinite(Exception):
@@ -172,8 +174,8 @@ def _generated_attempt(n: int, records: int):
     """The attempt function for n components and ``records`` forcing records.
 
     ``attempt(field, u, k1, h, rel_tol, abs_tol, f0, ...)`` takes one
-    forcing record per parameter f{r}, as its ``tolist()``: six rows of n
-    numbers, one per stage time.  It returns the 5th-order solution, its
+    forcing record per parameter f{r}, as the forcing returns it: six rows
+    of n numbers, one per stage time.  It returns the 5th-order solution, its
     derivative (stage 7, the next step's k1) and the error norm, or raises
     _NonFinite at the first non-finite stage; no later stage runs.  The
     tableau entries are read by name from this module.
@@ -251,21 +253,24 @@ def integrate_rhs(
 
     ``field(y)`` receives the state as a list of n Python complex numbers
     and returns a sequence of n real or complex numbers; it must not
-    change the list.  ``forcing(ts)`` receives a 1-D float array of
-    times and returns a sequence of forcing records, each an array of shape
-    (len(ts), n) whose row i is that record at ts[i], and the same number
+    change the list.  ``forcing(ts)`` receives a list of Python floats
+    and returns a sequence of forcing records, each a list of len(ts) rows
+    of n numbers whose row i is that record at ts[i], and the same number
     of records on every call; an unforced problem returns an empty
     sequence.  Every attempted step makes one forcing call
     for its six stage times and up to six field calls: the first stage
     that is not finite ends the attempt, which is retried with a quarter of
     the step.  The start makes one call of each for the initial point and
     for the starting step guess; a guess whose trial derivative is not
-    finite starts with a quarter of the trial step.  The step that reaches
-    t_span[1] lands on it exactly.  ``rel_tol`` must be finite and >= 0 and
-    ``abs_tol`` finite and > 0.  Raises StepUnderflow when error control
-    cannot proceed.
+    finite starts with a quarter of the trial step.  Both ends of t_span
+    must be finite, so every time passed to the forcing is a finite float
+    no smaller than t_span[0].  The step that reaches t_span[1] lands on it
+    exactly.  ``rel_tol`` must be finite and >= 0 and ``abs_tol`` finite
+    and > 0.  Raises StepUnderflow when error control cannot proceed.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got ({t0!r}, {t1!r})")
     if not t1 > t0:
         raise ValueError("t_span must be increasing")
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0 and math.isfinite(abs_tol) and abs_tol > 0.0):
@@ -293,7 +298,7 @@ def integrate_rhs(
         # written so that a NaN step raises too
         if not h > _TINY * max(abs(t), 1.0):
             raise StepUnderflow(f"step size underflow at t = {t}")
-        records = [f.tolist() for f in forcing(t + _C_STAGES * h)]
+        records = forcing([t + c * h for c in _C_STAGES])
         try:
             u_new, k7, err = attempt(field, u, k1, h, rel_tol, abs_tol, *records)
         except _NonFinite as stop:

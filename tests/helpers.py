@@ -690,6 +690,44 @@ def eval_logpower_oracle(p: LogPowerSum, t: float) -> np.ndarray:
     return np.exp(p.alphas @ np.array(logs)) @ p.xis
 
 
+def kernel_logpower_oracle(p: LogPowerSum, t: float) -> list:
+    """One time, in plain Python loops: the arithmetic of ``LogPowerSum.kernel``.
+
+    A math.log ladder; per term, zr and zi summed from 0.0 over the nonzero
+    real and imaginary exponent parts, left to right, and math.exp(zr) for
+    an all-real term, else cmath.exp(complex(zr, zi)); per output, the sum
+    from 0.0 over the terms with a nonzero coefficient there, in term order,
+    of each product written in float parts.
+    """
+    logs = [float(t)]
+    for _ in range(p.depth + 1):
+        logs.append(math.log(logs[-1]))
+    exps = []
+    for alpha in p.alphas.tolist():
+        zr = zi = 0.0
+        for a, x in zip(alpha, logs):
+            if a.real:
+                zr += a.real * x
+            if a.imag:
+                zi += a.imag * x
+        real = not any(a.imag for a in alpha)
+        exps.append(math.exp(zr) if real else cmath.exp(complex(zr, zi)))
+    out = []
+    for column in p.xis.T.tolist():
+        re = im = 0.0
+        for e, x in zip(exps, column):
+            if not x:
+                continue
+            if isinstance(e, float):
+                re += x.real * e
+                im += x.imag * e
+            else:
+                re += x.real * e.real - x.imag * e.imag
+                im += x.real * e.imag + x.imag * e.real
+        out.append(complex(re, im))
+    return out
+
+
 def linear_map(A: np.ndarray) -> MultiLinearMap:
     """y -> A y as an arity-1 map of A's nonzero entries."""
     return MultiLinearMap(1, A.shape[0], tuple((i, (j,), A[i, j]) for i, j in zip(*np.nonzero(A))))
@@ -700,8 +738,9 @@ def rhs_oracle(spec):
     order, as a list of Python complex numbers.
 
     -A y and the multilinear terms come from ``dense_apply``, not
-    ``G(...)``, so a fault in a map's generated kernel shows against this
-    oracle.
+    ``G(...)``, and power/log forcing from ``kernel_logpower_oracle``, not
+    ``LogPowerSum.kernel``, so a fault in a generated kernel shows against
+    this oracle.
     """
     neg_A = linear_map(-spec.matrix)
 
@@ -711,7 +750,7 @@ def rhs_oracle(spec):
             out += dense_apply(g, [y] * g.arity)
         for _, term in spec.forcing:
             if isinstance(term, LogPowerSum):
-                out += eval_logpower_oracle(term, t)
+                out += kernel_logpower_oracle(term, t)
             else:
                 out += eval_exp_horner_oracle(term, t)
         return out.tolist()

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,10 @@ from odexpand import (
     time_derivative,
     weight_op,
 )
+from odexpand import logpower
+from odexpand.cli import build_problem
 from odexpand.expsum import EXPONENT_GRID, snap_float, snap_scalar
+from odexpand.ladder import ladder_eval
 from odexpand.logpower import (
     exponent_in_class,
     mul_apply_logpower,
@@ -30,6 +34,7 @@ from helpers import (
     apply_matrix_oracle,
     assert_arrays_bitwise_equal,
     assert_bitwise_equal,
+    bench_module,
     build_logpower_oracle,
     coeff_distance_logpower,
     conjugate_oracle,
@@ -37,6 +42,7 @@ from helpers import (
     descent_op_oracle,
     embed_oracle,
     eval_logpower_oracle,
+    kernel_logpower_oracle,
     mul_apply_logpower_oracle,
     random_alpha,
     random_logpower,
@@ -134,6 +140,122 @@ def test_eval_matches_naive_product():
                 factor *= np.exp(a * math.log(comp)) if j else np.exp(a * t)
             naive += xi * factor
         np.testing.assert_allclose(p.eval(t), naive, rtol=1e-10, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the generated kernel: the integrator's evaluator on lists of times
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _forcing_terms(case: str) -> list:
+    """(t_span, forcing terms) of a shipped config or a benchmark pool problem,
+    or Burgers n = 8's forcing t^-1 / k on [10, 30]."""
+    if case == "burgers:8":
+        vec = 1.0 / np.arange(1, 9)
+        return (10.0, 30.0), [LogPowerSum.build(8, 0, [((0.0, -1.0), vec)])]
+    if ":" in case:
+        workload, index = case.split(":")
+        cfg = bench_module("workloads").problem(workload, int(index)).config
+    else:
+        cfg = json.loads((CONFIGS / f"{case}.json").read_text())
+    return cfg["verification"]["t_span"], [term for _, term in build_problem(cfg).forcing]
+
+
+@pytest.mark.parametrize("case", ["riccati", "burgers:8"] + [f"verify-long:{i}" for i in range(32)])
+def test_kernel_matches_eval_bitwise_on_the_integrated_forcings(case):
+    # one term with real exponents: the kernel's math.exp and float-part
+    # product give eval's bits, zeros' signs included
+    rng = np.random.default_rng(list(case.encode()))
+    (t0, t1), terms = _forcing_terms(case)
+    times = [t0, *np.sort(rng.uniform(t0, t1, 200)).tolist(), t1]
+    times += _hard_ladder_times(rng, 0, t0, t1)[:20].tolist()
+    for term in terms:
+        got = np.array(term.kernel(times), dtype=complex)
+        assert_arrays_bitwise_equal(got, term.eval(np.array(times)))
+
+
+def _random_kernel_sum(rng, dim: int, depth: int, n_terms: int) -> LogPowerSum:
+    """Complex exponents with Re a(-1) = 0, about a third of the terms all real."""
+    raw = []
+    for _ in range(n_terms):
+        a = rng.uniform(-1.5, 1.5, depth + 2) + 1j * rng.uniform(-1.5, 1.5, depth + 2)
+        a[0] = 1j * a[0].imag
+        if rng.random() < 0.3:
+            a = a.real + 0j
+        raw.append((tuple(a.tolist()), cvec(rng, dim)))
+    return LogPowerSum.build(dim, depth, raw)
+
+
+def _kernel_scale(p: LogPowerSum, times) -> np.ndarray:
+    """sum_k |xi_k| |e_k| (1 + sum_j |a_kj| |l_j|) per time and component: the
+    size of a sum whose exponents carry one rounding each."""
+    logs = ladder_eval(p.depth, np.array(times))
+    e = np.abs(np.exp(logs @ p.alphas.T)) * (1.0 + np.abs(logs) @ np.abs(p.alphas.T))
+    return e @ np.abs(p.xis)
+
+
+def test_kernel_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
+    # eval's BLAS products may fuse or reorder, so rows differ in the last
+    # bits.  Measured over these 180 sums: at most 1.00 eps of the scale
+    # above; the bound is 4 eps.
+    rng = np.random.default_rng(2108)
+    eps = np.finfo(float).eps
+    for _ in range(180):
+        depth, dim = int(rng.integers(0, 4)), int(rng.integers(1, 4))
+        p = _random_kernel_sum(rng, dim, depth, int(rng.integers(1, 9)))
+        gate = exp_zero(depth + 1)
+        times = (gate * (1.0 + rng.uniform(1e-3, 3.0 if depth == 3 else 20.0, 6))).tolist()
+        got = np.array(p.kernel(times), dtype=complex)
+        for t, row in zip(times, got):
+            assert_arrays_bitwise_equal(row, np.array(kernel_logpower_oracle(p, t)))
+        assert (np.abs(got - p.eval(np.array(times))) <= 4 * eps * _kernel_scale(p, times)).all()
+
+
+def test_kernel_agrees_with_eval_on_a_real_trig_ladder_forcing():
+    cfg = json.loads((CONFIGS / "oscillatory_log.json").read_text())
+    (_, p), = build_problem(cfg).forcing
+    assert np.iscomplexobj(p.alphas) and p.term_count() > 1
+    gate = exp_zero(p.depth + 1)
+    times = np.linspace(1.001 * gate, 50.0 * gate, 400).tolist()
+    got = np.array(p.kernel(times), dtype=complex)
+    eps = np.finfo(float).eps
+    assert (np.abs(got - p.eval(np.array(times))) <= 4 * eps * _kernel_scale(p, times)).all()
+
+
+def test_kernel_of_a_2000_term_sum_compiles_and_agrees():
+    rng = np.random.default_rng(2000)
+    p = _random_kernel_sum(rng, 2, 1, 2000)
+    assert p.term_count() == 2000
+    times = [20.0, 35.5, 80.0]
+    got = np.array(p.kernel(times), dtype=complex)
+    eps = np.finfo(float).eps
+    assert (np.abs(got - p.eval(np.array(times))) <= 4 * eps * _kernel_scale(p, times)).all()
+
+
+def test_kernel_is_generated_once_per_sum(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(
+        logpower, "compile", lambda *args: compiled.append(1) or compile(*args), raising=False
+    )
+    p = LogPowerSum.build(2, 1, [((0.5j, -1.0, 0.25j), [1.0, 2j]), ((0.0, -2.0, 0.0), [0.5, 0.0])])
+    k = p.kernel
+    for times in ([10.0], [10.0, 11.0, 12.5], []):
+        assert p.kernel is k
+        assert len(k(times)) == len(times)
+    assert compiled == [1]
+    assert LogPowerSum.build(2, 1, p.items()).kernel is not k
+
+
+def test_an_overflowing_kernel_term_gives_evals_inf_without_raising():
+    # t^-1 (log t)^400 overflows at t = 1e4; math.exp would raise
+    p = LogPowerSum.build(1, 1, [((0.0, -1.0, 400.0), [1.0])])
+    times = [1e4, 1.5e4]
+    with np.errstate(all="ignore"):
+        want = p.eval(np.array(times))
+        got = np.array(p.kernel(times), dtype=complex)
+    assert not np.isfinite(got).any()
+    assert_arrays_bitwise_equal(got, want)
 
 
 def test_build_merges_and_cancels():

@@ -122,6 +122,21 @@ def _config(case: str) -> dict:
                 "y0": [0.0] * n, "t_span": [10.0, 30.0], "rel_tol": 1e-10, "abs_tol": 1e-12,
             },
         }
+    if case == "riccati-log-oscillation":
+        # riccati plus 0.25 t^-2 ((log t)^i + (log t)^-i) at rate 2: a depth-1
+        # record of two complex-exponent terms
+        cfg = _config("riccati")
+        cfg["problem"]["forcing"].append(
+            {
+                "rate": 2.0,
+                "type": "log_power",
+                "depth": 1,
+                "terms": [
+                    {"alpha": [0.0, -2.0, [0.0, s]], "vector": [0.25]} for s in (1.0, -1.0)
+                ],
+            }
+        )
+        return cfg
     if case == "two-records":
         cfg = copy.deepcopy(_config("verify-long:0"))
         cfg["problem"]["forcing"].append(
@@ -158,6 +173,7 @@ INTEGRATION_CASES = [
     "exp-resonant:3",
     "exp-resonant:15",
     "two-records",
+    "riccati-log-oscillation",
     "burgers:8",
     "dim3-two-records",
     "dim3-unforced",
@@ -170,7 +186,7 @@ def _integration_run(case: str):
     spec = build_problem(cfg)
     if case == "dim3-unforced":
         spec = dataclasses.replace(spec, forcing=())
-    assert not case.endswith("two-records") or len(spec.forcing) == 2
+    assert not case.endswith(("two-records", "oscillation")) or len(spec.forcing) == 2
     ver = cfg["verification"]
     y0 = [complex(x) for x in ver["y0"]]
     args = (y0, ver["t_span"], ver["rel_tol"], ver["abs_tol"])
@@ -209,9 +225,9 @@ def test_integrate_calls_the_hooks_it_looks_up(monkeypatch):
     # numerics.integrate_rhs, each looked up when integrate runs
     spec = build_problem(_config("two-records"))
     ver = _config("two-records")["verification"]
-    field_calls, forcing_lengths, runs = [], [], []
+    field_calls, forcing_lengths, gates, runs = [], [], [], []
     make_rhs, integrate_rhs = numerics.make_rhs, numerics.integrate_rhs
-    eval_ = LogPowerSum.eval
+    eval_, kernel_ = LogPowerSum.eval, LogPowerSum.kernel
 
     def counted_make_rhs(spec):
         field = make_rhs(spec)
@@ -222,17 +238,24 @@ def test_integrate_calls_the_hooks_it_looks_up(monkeypatch):
         return runs[-1]
 
     def counted_eval(self, t):
-        forcing_lengths.append(len(t))
+        gates.append(t)
         return eval_(self, t)
+
+    def counted_kernel(self):
+        kernel = kernel_.__get__(self, LogPowerSum)
+        return lambda ts: forcing_lengths.append(len(ts)) or kernel(ts)
 
     monkeypatch.setattr(numerics, "make_rhs", counted_make_rhs)
     monkeypatch.setattr(numerics, "integrate_rhs", counted_integrate_rhs)
     monkeypatch.setattr(LogPowerSum, "eval", counted_eval)
+    monkeypatch.setattr(LogPowerSum, "kernel", property(counted_kernel))
     traj = numerics.integrate(spec, ver["y0"], (10.0, 60.0), ver["rel_tol"], ver["abs_tol"])
     assert runs == [traj]
     attempts = traj.meta["steps"] + traj.meta["rejected"]
     assert len(field_calls) == traj.meta["rhs_evals"] == 2 + 6 * attempts
-    # one eval per record per forcing call
+    # one domain gate per record at t0, then one kernel call per record per
+    # forcing call
+    assert gates == [10.0, 10.0]
     assert forcing_lengths == [n for n in [1, 1] + [6] * attempts for _ in range(2)]
 
 
@@ -243,6 +266,24 @@ def test_integrate_from_the_forcing_threshold_raises_the_forcings_error():
     spec = build_problem(cfg)
     with pytest.raises(ValueError, match="t = 1.0 below the depth-0 evaluation threshold"):
         numerics.integrate(spec, cfg["verification"]["y0"], (1.0, 100.0))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_an_overflowing_forcing_stops_at_the_initial_point_with_a_value_error():
+    # t^-1 (log t)^400 overflows on [1e4, 2e4]: the kernel gives eval's inf,
+    # and the integrator's finiteness check raises, not an OverflowError
+    cfg = _config("riccati")
+    cfg["problem"]["forcing"] = [
+        {
+            "rate": 1.0,
+            "type": "log_power",
+            "depth": 1,
+            "terms": [{"alpha": [0.0, -1.0, 400.0], "vector": [1.0]}],
+        }
+    ]
+    spec = build_problem(cfg)
+    with pytest.raises(ValueError, match="right-hand side not finite at the initial point"):
+        numerics.integrate(spec, [0.1], (1e4, 2e4))
 
 
 # ---------------------------------------------------------------------------

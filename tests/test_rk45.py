@@ -86,13 +86,22 @@ def test_sample_outside_span_and_bad_span():
         integrate_rhs(on_lists(lambda y: -y), unforced, np.array([1.0]), (1.0, 0.0))
 
 
+@pytest.mark.parametrize("t_span", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_a_span_with_an_infinite_or_nan_end_raises_at_once(t_span):
+    # (0, inf) passes t1 > t0 and would spend the whole step budget
+    calls = []
+    with pytest.raises(ValueError, match="t_span must be finite"):
+        integrate_rhs(lambda y: calls.append(1) or [-v for v in y], unforced, [1.0], t_span)
+    assert calls == []
+
+
 def test_nonfinite_initial_rhs():
     with pytest.raises(ValueError, match="right-hand side not finite at the initial point"):
         integrate_rhs(lambda y: [math.inf], unforced, np.array([1.0]), (0.0, 1.0))
     with pytest.raises(ValueError, match="right-hand side not finite at the initial point"):
         integrate_rhs(
             on_lists(lambda y: -y),
-            lambda ts: [np.full((len(ts), 1), math.nan)],
+            lambda ts: [[[math.nan]] * len(ts)],
             np.array([1.0]),
             (0.0, 1.0),
         )
@@ -142,7 +151,8 @@ class Counting:
 
 def decaying_forcing(ts):
     # two records, so each stage sums the records in order
-    return [0.3 * np.exp(-ts)[:, None], (0.1j / (1.0 + ts))[:, None]]
+    ts = np.array(ts)
+    return [(0.3 * np.exp(-ts))[:, None].tolist(), (0.1j / (1.0 + ts))[:, None].tolist()]
 
 
 def test_rhs_evals_counts_every_call():
@@ -181,9 +191,10 @@ def real_pair_field(y):
 
 
 def real_pair_forcing(ts):
+    ts = np.array(ts)
     return [
-        0.3 * np.exp(-ts)[:, None] * np.array([1.0, -0.5]),
-        (0.2 / (1.0 + ts))[:, None] * np.array([0.0, 1.0]),
+        (0.3 * np.exp(-ts)[:, None] * np.array([1.0, -0.5])).tolist(),
+        ((0.2 / (1.0 + ts))[:, None] * np.array([0.0, 1.0])).tolist(),
     ]
 
 
@@ -306,7 +317,7 @@ HANGING_CALL = (
     "from odexpand import StepUnderflow, integrate_rhs, rk45\n"
     "{setup}"
     "try:\n"
-    "    integrate_rhs(lambda y: [-2*v + v*v for v in y], lambda ts: [np.exp(-ts)[:, None]], [0.01],\n"
+    "    integrate_rhs(lambda y: [-2*v + v*v for v in y], lambda ts: [[[np.exp(-t)] for t in ts]], [0.01],\n"
     "                  (0.0, 14.0), {tols})\n"
     "except (ValueError, StepUnderflow) as e:\n"
     "    print(type(e).__name__)\n"
