@@ -253,10 +253,65 @@ class ExpPolySum:
             out += p[:, k]
         return out if ts.ndim else out[0]
 
-    def kernel(self, ts: list) -> list:
-        """``eval`` at a list of Python floats, as a list of rows of Python
-        complex numbers: the integrator's forcing contract, with eval's bits."""
-        return self.eval(np.array(ts, dtype=float)).tolist()
+    @cached_property
+    def kernel(self):
+        """The sum as a straight-line Python function, generated once per sum.
+
+        ``kernel(ts)`` takes a list of Python floats and returns one list of
+        dim Python complex numbers per time: the integrator's forcing
+        contract.  For each time t, e_k = cmath.exp(nu_k * t) for every
+        term k.  For component i, Horner's rule runs over the term's rows
+        from the last, p = r_last and then p = p * t + r_j, and the output
+        is the running sum from 0j of p * e_k in canonical term order,
+        leaving out the terms whose rows are all zero in component i.
+
+        That is eval's arithmetic up to the signs of zeros.  eval starts
+        Horner from 0j over zero-padded rows, adds every term and promotes
+        the times to complex, where Python multiplies a complex by a float
+        directly on 3.14 and later.  Each of these changes at most the sign
+        of a zero in an intermediate value, and so does every product or sum
+        of finite such values; the running sum from 0j absorbs them, since
+        it never holds -0.0.  So the kernel gives eval's bits wherever numpy
+        rounds each complex product once, as it does on real coefficient
+        rows; on complex rows its vectorised product may fuse multiply-adds
+        and differ in the last bits.  An
+        exponent that overflows makes the call return eval's rows for its
+        times instead, so an overflow gives np.exp's inf and never raises.
+
+        One statement per Horner step keeps the source flat for any number
+        of terms; exponents and rows are bound by name in the namespace the
+        source runs in, never written into it.
+        """
+        import cmath
+
+        namespace = {"cexp": cmath.exp}
+        namespace["overflow"] = lambda ts: self.eval(np.array(ts, dtype=float)).tolist()
+        exps = []
+        for k, nu in enumerate(self.nus.tolist()):
+            namespace[f"nu{k}"] = nu
+            exps.append(f"e{k} = cexp(nu{k} * t)")
+        sums = []
+        terms = [rows.tolist() for _, rows in self.items()]
+        for i in range(self.dim):
+            sums.append(f"o{i} = 0j")
+            for k, rows in enumerate(terms):
+                if not any(row[i] for row in rows):
+                    continue
+                names = []
+                for j, row in enumerate(rows):
+                    names.append(f"r{k}_{j}_{i}")
+                    namespace[names[-1]] = row[i]
+                sums.append(f"p = {names[-1]}")
+                sums += [f"p = p * t + {r}" for r in reversed(names[:-1])]
+                sums.append(f"o{i} += p * e{k}")
+        outs = ", ".join(f"o{i}" for i in range(self.dim))
+        lines = ["def kernel(ts):", "    rows = []", "    for t in ts:", "        try:"]
+        lines += [f"            {x}" for x in exps or ["pass"]]
+        lines += ["        except (OverflowError, ValueError):", "            return overflow(ts)"]
+        lines += [f"        {x}" for x in sums]
+        lines += [f"        rows.append([{outs}])", "    return rows"]
+        exec(compile("\n".join(lines), "<ExpPolySum.kernel>", "exec"), namespace)
+        return namespace["kernel"]
 
     # -- serialization ---------------------------------------------------
 

@@ -24,10 +24,13 @@ the two products with numpy; it serves grids (remainders, kernel fits, the
 realify residue).  ``kernel`` is a straight-line Python function generated
 once per sum, on lists of Python floats, with no check and no numpy call;
 the integrator calls it at the six stage times of every attempted step,
-after one ``eval`` at the start of the span has checked the domain.  Both
-take the ladder from the same math.log chain.  On one term with real
-exponents they agree bit for bit; elsewhere eval's BLAS products may fuse
-or reorder and differ in the last bits.
+after one ``eval`` at the start of the span has checked the domain.
+``ExpPolySum.kernel`` is its exponential-mode counterpart, and the ODE
+field (``numerics.make_rhs``) is generated the same way, so a step makes
+no numpy call in any mode.  Both evaluators take the ladder from the same
+math.log chain.  On one term with real exponents they agree bit for bit;
+elsewhere eval's BLAS products may fuse or reorder and differ in the last
+bits.
 
 Three linear operators drive the power/log recursions:
 

@@ -13,7 +13,8 @@ product call per (order, map).  Exponential mode still sums ``G`` over
 every distinct ordering.
 
 Two evaluators share the entry table.  ``__call__`` applies the map to
-single vectors, and the ODE right-hand side calls it on every evaluation.
+single vectors, and the ODE field (``numerics.make_rhs``) calls it once
+per map on every evaluation.
 It runs ``kernel``, a straight-line Python function generated once per map
 from the entry table: one statement ``o{i} += v{e}*x0[j0]*x1[j1]...`` per
 entry, in table order, on lists of Python complex numbers.  Python's
@@ -228,8 +229,3 @@ class MultiLinearMap:
     def is_real(self, tol: float = 0.0) -> bool:
         """True when every entry value has |imag| <= tol."""
         return all(abs(v.imag) <= tol for _, _, v in self.entries)
-
-    @classmethod
-    def scalar_power(cls, arity: int) -> "MultiLinearMap":
-        """The 1-d map (x1, ..., xm) -> x1*...*xm, i.e. G(y) = y**m."""
-        return cls(arity=arity, dim=1, entries=((0, (0,) * arity, 1.0),))

@@ -4,10 +4,13 @@ Everything here treats the symbolic layer as a black box that can be
 evaluated on a grid of times.  The checks are deliberately independent of
 the construction: trajectories come from an adaptive Runge-Kutta run and
 decay rates from least-squares fits in the appropriate log coordinates.
-The remainder check samples the trajectory once on the grid, and
-``remainder_series`` returns |y - S_N| for every N as one table.  The kernel
-fit takes its own 64 samples in its window; the fitted constants enter the
-table as values added to the partial sums, never as symbolic terms.
+The run's field is one straight-line function generated per problem
+(``make_rhs``) and its forcing the terms' generated kernels, so an
+attempted step makes no numpy call.  The remainder check samples the
+trajectory once on the grid, and ``remainder_series`` returns |y - S_N|
+for every N as one table.  The kernel fit takes its own 64 samples in its
+window; the fitted constants enter the table as values added to the
+partial sums, never as symbolic terms.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .engine import Expansion, ProblemSpec, eval_partial_sum
 from .expsum import snap_float
 from .ladder import ladder_eval
 from .logpower import LogPowerSum, row_norms
-from .multilinear import MultiLinearMap
 from .rk45 import Trajectory, integrate_rhs
 
 __all__ = [
@@ -48,24 +50,37 @@ def make_rhs(spec: ProblemSpec):
     The forcing is not part of it; ``integrate`` evaluates it once per step
     at all stage times.  ``y`` is a list of n Python complex numbers, as
     ``integrate_rhs`` passes it, and the field returns a new such list.
-    -A is applied as an arity-1 ``MultiLinearMap`` built from A's nonzero
-    entries, so every term goes through a map's ``__call__`` and its
-    generated kernel; the terms are added in the order -A y, then each map
-    of ``spec.maps``.
+
+    The field is one straight-line Python function, generated per call.
+    It unpacks y into locals and forms -A y row by row: ``a{i} = 0j``,
+    then one statement ``a{i} += n{i}_{j}*y{j}`` per nonzero entry of -A
+    in row-major order, the arithmetic of an arity-1 ``MultiLinearMap`` of
+    those entries.  (Such a map stores 0j + -A[i, j], which can differ in
+    the sign of a zero part; the products then differ at most in the sign
+    of a zero, which the running sum from 0j absorbs.)  Each map of
+    ``spec.maps`` is called once through its ``__call__`` on the list y,
+    and component i of the result is ``a{i} + g0[i] + g1[i] ...``, the
+    maps' outputs added in ``spec.maps`` order.  Values and maps are bound
+    by name in the namespace the source runs in.
     """
+    n = spec.dim
     neg_A = -spec.matrix
-    linear = MultiLinearMap(
-        1, spec.dim, tuple((i, (j,), neg_A[i, j]) for i, j in zip(*np.nonzero(neg_A)))
+    namespace = {}
+    ys = ", ".join(f"y{j}" for j in range(n))
+    lines = ["def field(y):", f"    {ys}, = y"]
+    lines += [f"    a{i} = 0j" for i in range(n)]
+    for i, j in zip(*np.nonzero(neg_A)):
+        namespace[f"n{i}_{j}"] = complex(neg_A[i, j])
+        lines.append(f"    a{i} += n{i}_{j}*y{j}")
+    for k, g in enumerate(spec.maps):
+        namespace[f"m{k}"] = g
+        lines.append(f"    g{k} = m{k}({', '.join(['y'] * g.arity)})")
+    outs = ", ".join(
+        "".join([f"a{i}"] + [f" + g{k}[{i}]" for k in range(len(spec.maps))]) for i in range(n)
     )
-    maps = spec.maps
-
-    def field(y):
-        out = linear(y)
-        for g in maps:
-            out = [a + b for a, b in zip(out, g(*([y] * g.arity)))]
-        return out
-
-    return field
+    lines.append(f"    return [{outs}]")
+    exec(compile("\n".join(lines), "<numerics.make_rhs>", "exec"), namespace)
+    return namespace["field"]
 
 
 def integrate(

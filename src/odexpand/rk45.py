@@ -19,8 +19,10 @@ numbers.  On the small systems this package integrates, a numpy call costs
 more than the arithmetic it does, so an attempted step makes none: the
 forcing gets the six stage times as a list of floats and returns its
 records as lists (``numerics.integrate`` passes each forcing term's
-generated kernel), and the rest of the step is one straight-line Python
-function, generated from the tableau for each
+generated kernel, ``LogPowerSum.kernel`` or ``ExpPolySum.kernel``), the
+field is the problem's generated straight-line function
+(``numerics.make_rhs``), and the rest of the step is one straight-line
+Python function, generated from the tableau for each
 (n, number of forcing records) the first time ``integrate_rhs`` meets that
 shape, and cached.  It unpacks the state, the previous derivative and each
 record's six rows into local names, and gives every component of every

@@ -146,6 +146,11 @@ def random_multilinear(
     return MultiLinearMap(arity, dim, tuple(entries))
 
 
+def scalar_power(arity: int) -> MultiLinearMap:
+    """The 1-d map (x1, ..., xm) -> x1*...*xm, i.e. G(y) = y**m."""
+    return MultiLinearMap(arity=arity, dim=1, entries=((0, (0,) * arity, 1.0),))
+
+
 def dense_apply(G: MultiLinearMap, args) -> np.ndarray:
     """Apply a multilinear map by brute force over its entry list.
 
@@ -212,6 +217,27 @@ def eval_expsum_oracle(s: ExpPolySum, t: float) -> np.ndarray:
     for nu, rows in s.items():
         for j, row in enumerate(rows):
             out += row * (t**j) * np.exp(nu * t)
+    return out
+
+
+def kernel_exp_oracle(s: ExpPolySum, t: float) -> list:
+    """One time, in plain Python loops: eval's arithmetic on Python complex
+    numbers, which ``ExpPolySum.kernel`` must match bit for bit.
+
+    tc = complex(t); per term, e = cmath.exp(nu * tc); per output, the sum
+    from 0j in term order of p * e, p from Horner's rule from 0j over every
+    row of the term.  No step is skipped or folded, and every product is a
+    complex one.
+    """
+    tc = complex(t)
+    out = [0j] * s.dim
+    for nu, rows in s.items():
+        e = cmath.exp(nu * tc)
+        for i in range(s.dim):
+            p = 0j
+            for row in rows.tolist()[::-1]:
+                p = p * tc + row[i]
+            out[i] += p * e
     return out
 
 
@@ -731,6 +757,23 @@ def kernel_logpower_oracle(p: LogPowerSum, t: float) -> list:
 def linear_map(A: np.ndarray) -> MultiLinearMap:
     """y -> A y as an arity-1 map of A's nonzero entries."""
     return MultiLinearMap(1, A.shape[0], tuple((i, (j,), A[i, j]) for i, j in zip(*np.nonzero(A))))
+
+
+def field_oracle(spec):
+    """The autonomous field y -> -A y + multilinear terms, composed as
+    ``numerics.make_rhs`` composed it before it was generated: -A y through
+    an arity-1 ``MultiLinearMap`` of A's nonzero entries, then each map of
+    ``spec.maps`` applied to the list y and added componentwise as a list,
+    in order."""
+    linear = linear_map(-spec.matrix)
+
+    def field(y):
+        out = linear(y)
+        for g in spec.maps:
+            out = [a + b for a, b in zip(out, g(*([y] * g.arity)))]
+        return out
+
+    return field
 
 
 def rhs_oracle(spec):

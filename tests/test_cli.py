@@ -397,6 +397,21 @@ def test_t_span_outside_the_forcing_domain_exits_two_before_expanding(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_of_an_overflowing_exponential_forcing_exits_three(tmp_path, capsys):
+    # resonant's e^-t overflows at t = -800: the forcing kernel falls back
+    # to eval's inf, and the integrator's finiteness check stops the run
+    cfg = json.loads((CONFIGS / "resonant.json").read_text())
+    cfg["verification"]["t_span"] = [-800.0, 14.0]
+    cfg["verification"]["grid"]["count"] = 16000
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.endswith(
+        "runtime error: ValueError: right-hand side not finite at the initial point\n"
+    )
+
+
 def test_kernel_fit_at_an_order_without_kernel_modes_exits_two_before_integrating(
     tmp_path, monkeypatch, capsys
 ):

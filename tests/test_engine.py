@@ -39,6 +39,7 @@ from helpers import (
     peak_bytes,
     rate_rhs_per_multiset_oracle,
     rates_upto,
+    scalar_power,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -47,7 +48,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "bench" / "reference"
 # above the measured peak; see test_power_expand_peak_memory_is_bounded.
 PEAK_BOUND = 1_300_000
 
-SQ = MultiLinearMap.scalar_power(2)
+SQ = scalar_power(2)
 
 
 def exp_forcing(rate: float, rows) -> tuple[float, ExpPolySum]:

@@ -2,13 +2,15 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap
+from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, expsum
+from odexpand.cli import build_problem
 from odexpand.expsum import (
     mul_apply_exp,
     snap_float,
@@ -22,6 +24,7 @@ from helpers import (
     apply_matrix_exp_oracle,
     assert_arrays_bitwise_equal,
     assert_bitwise_equal,
+    bench_module,
     build_exp_oracle,
     coeff_distance_exp,
     conjugate_exp_oracle,
@@ -29,6 +32,7 @@ from helpers import (
     derivative_exp_oracle,
     eval_exp_horner_oracle,
     exp_oracle_terms,
+    kernel_exp_oracle,
     ladder_view_oracle,
     ladder_view_raw_oracle,
     mul_apply_exp_oracle,
@@ -36,6 +40,7 @@ from helpers import (
     peak_bytes,
     random_expsum,
     random_multilinear,
+    scalar_power,
     scale_exp_oracle,
     trim_small_exp_oracle,
 )
@@ -153,7 +158,7 @@ def test_derivative_of_zero_is_zero():
 
 
 def test_mul_apply_squares_single_exponentials():
-    sq = MultiLinearMap.scalar_power(2)
+    sq = scalar_power(2)
     e1 = ExpPolySum.build(1, [(-1.0, [[1.0]])])
     out = mul_apply_exp(sq, [e1, e1])
     assert out.exponents() == [-2.0 + 0j]
@@ -161,7 +166,7 @@ def test_mul_apply_squares_single_exponentials():
 
 
 def test_mul_apply_adds_degrees_and_exponents():
-    sq = MultiLinearMap.scalar_power(2)
+    sq = scalar_power(2)
     te = ExpPolySum.build(1, [(-1.0, [[0.0], [1.0]])])
     e2 = ExpPolySum.build(1, [(-2.0, [[1.0]])])
     out = mul_apply_exp(sq, [te, e2])
@@ -361,7 +366,7 @@ def test_mul_apply_keeps_exact_cancellations_and_signed_zeros_bitwise():
     # (1 + t) e^-t times (1 - t) e^-t through x*y: the t rows cancel to an
     # exact zero inside the 1 - t^2 polynomial; times a lone (1, -0.0)
     # row, the zero components carry the signs the term loop gives them
-    G = MultiLinearMap.scalar_power(2)
+    G = scalar_power(2)
     p = ExpPolySum.build(1, [(-1.0, [[1.0], [1.0]])])
     q = ExpPolySum.build(1, [(-1.0, [[1.0], [-1.0]]), (-3.0, [[2.0]])])
     got = _assert_mul_apply_matches_both_oracles(G, [p, q])
@@ -399,7 +404,7 @@ def test_mul_apply_peak_memory_stays_below_the_padded_oracle():
 def test_mul_apply_trims_near_cancellation_like_the_oracle():
     # (e^-t + c t e^-2t) * (t e^-2t + d e^-t): the two t e^-3t cross terms
     # cancel down to eps of the unit product, next to rows of size c*d.
-    G = MultiLinearMap.scalar_power(2)
+    G = scalar_power(2)
     for c in (0.3, 1.7, -2.2):
         for eps in (0.0, 1e-16, 3e-14, 9e-14, 1.1e-13, 5e-13, 1e-11):
             p = ExpPolySum.build(1, [(-1.0, [[1.0]]), (-2.0, [[0.0], [c]])])
@@ -437,6 +442,124 @@ def test_eval_over_a_time_array_matches_scalar_eval_bitwise():
             for t, row in zip(stack.tolist(), got):
                 assert_arrays_bitwise_equal(row, s.eval(t))
                 assert_arrays_bitwise_equal(row, eval_exp_horner_oracle(s, t))
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _exp_forcings(case: str):
+    """(t_span, exponential forcing terms) of a shipped config or an
+    exp-resonant pool problem; certificate, which has no verification
+    section, on [0, 20]."""
+    if ":" in case:
+        workload, index = case.split(":")
+        cfg = bench_module("workloads").problem(workload, int(index)).config
+    else:
+        cfg = json.loads((CONFIGS / f"{case}.json").read_text())
+    t_span = cfg.get("verification", {}).get("t_span", [0.0, 20.0])
+    return t_span, [term for _, term in build_problem(cfg).forcing]
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["resonant", "jordan_resonant", "certificate"] + [f"exp-resonant:{i}" for i in range(32)],
+)
+def test_kernel_matches_eval_bitwise_on_the_integrated_forcings(case):
+    # real coefficient rows: every product eval forms rounds once however
+    # numpy computes it, so the kernel gives eval's bits
+    rng = np.random.default_rng(list(case.encode()))
+    (t0, t1), terms = _exp_forcings(case)
+    times = [t0, *np.sort(rng.uniform(t0, t1, 400)).tolist(), t1]
+    for term in terms:
+        assert isinstance(term, ExpPolySum) and not term.rows.imag.any()
+        got = np.array(term.kernel(times), dtype=complex)
+        assert_arrays_bitwise_equal(got, term.eval(np.array(times)))
+
+
+def _exp_kernel_scale(s: ExpPolySum, times) -> np.ndarray:
+    """sum_k |e_k| sum_j |r_kj| |t|^j per time and component: the size of
+    the terms a Horner sum rounds."""
+    ts = np.abs(np.array(times))
+    e = np.abs(np.exp(np.outer(times, s.nus)))
+    powers = ts[:, None] ** np.arange(s.rows.shape[1])
+    return np.einsum("tk,td,kdi->ti", e, powers, np.abs(s.rows))
+
+
+def test_kernel_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
+    # complex rows: numpy's vectorised complex product may fuse its
+    # multiply-adds, so eval's rows differ in the last bits.  Measured over
+    # these 200 sums with numpy 2.4 on an AVX-512 x86-64 CPU: 1,492 of 4,419
+    # values differ, by at most 1.04 eps of the scale above; the bound is
+    # 4 eps.
+    rng = np.random.default_rng(2108)
+    eps = np.finfo(float).eps
+    for _ in range(200):
+        dim = int(rng.integers(1, 5))
+        raw = []
+        for _ in range(int(rng.integers(1, 6))):
+            nu = complex(rng.uniform(-3.0, -0.2), rng.uniform(-2.0, 2.0))
+            raw.append((nu, cvec(rng, int(rng.integers(1, 4)) * dim).reshape(-1, dim)))
+        s = ExpPolySum.build(dim, raw)
+        times = [0.0, -0.0, -1.5, *rng.uniform(0.0, 12.0, 6).tolist()]
+        got = np.array(s.kernel(times), dtype=complex)
+        for t, row in zip(times, got):
+            assert_arrays_bitwise_equal(row, np.array(kernel_exp_oracle(s, t)))
+        assert (np.abs(got - s.eval(np.array(times))) <= 4 * eps * _exp_kernel_scale(s, times)).all()
+
+
+def test_kernel_matches_its_scalar_oracle_on_signed_zeros():
+    # coefficient parts and times drawn with many signed zeros: the kernel
+    # skips all-zero components and starts Horner at the last row, the
+    # oracle runs every step from 0j, and the results must keep one bit
+    # pattern, zeros' signs included
+    rng = np.random.default_rng(85)
+    parts = [0.0, -0.0, 0.0, -0.0, 1.0, -0.5, 0.3]
+    times = [-1.5, -0.0, 0.0, 0.7, 2.0]
+    for _ in range(300):
+        dim = int(rng.integers(1, 4))
+        raw = []
+        for _ in range(int(rng.integers(1, 4))):
+            nu = complex(rng.choice([-1.0, -2.0]), rng.choice([0.0, -0.0, 1.0, -0.5]))
+            rows = rng.choice(parts, (int(rng.integers(1, 4)), dim, 2))
+            raw.append((nu, rows.view(complex)[..., 0]))
+        s = ExpPolySum.build(dim, raw)
+        got = np.array(s.kernel(times), dtype=complex).reshape(len(times), dim)
+        for t, row in zip(times, got):
+            assert_arrays_bitwise_equal(row, np.array(kernel_exp_oracle(s, t)))
+
+
+def test_kernel_is_generated_once_per_sum(monkeypatch):
+    compiled = []
+    monkeypatch.setattr(
+        expsum, "compile", lambda *args: compiled.append(1) or compile(*args), raising=False
+    )
+    s = ExpPolySum.build(2, [(-1.0 + 2.0j, [[1.0, 2j], [0.5, 0.0]]), (-1.0, [[0.25, 1.0]])])
+    k = s.kernel
+    for times in ([0.0], [1.0, 2.0, 3.5], []):
+        assert s.kernel is k
+        assert len(k(times)) == len(times)
+    assert compiled == [1]
+    assert ExpPolySum.build(2, s.items()).kernel is not k
+
+
+def test_kernel_of_the_zero_sum_gives_zero_rows():
+    z = ExpPolySum.zero(3)
+    got = z.kernel([0.0, -1.0, 2.5])
+    assert got == [[0j] * 3] * 3
+    assert_arrays_bitwise_equal(np.array(got), z.eval(np.array([0.0, -1.0, 2.5])))
+    assert z.kernel([]) == []
+
+
+def test_an_overflowing_kernel_term_gives_evals_rows_without_raising():
+    # resonant's e^-t at t = -800: cmath.exp raises OverflowError, np.exp
+    # gives inf
+    (_, s), = build_problem(json.loads((CONFIGS / "resonant.json").read_text())).forcing
+    times = [-800.0, 0.0, 1.0]
+    with np.errstate(all="ignore"):
+        want = s.eval(np.array(times))
+        got = np.array(s.kernel(times), dtype=complex)
+    assert not np.isfinite(got[0]).all()
+    assert_arrays_bitwise_equal(got, want)
 
 
 def test_build_matches_dict_oracle_bitwise():

@@ -48,6 +48,7 @@ from helpers import (
     random_logpower,
     random_matrix,
     random_multilinear,
+    scalar_power,
     scale_oracle,
     shifted_inverse_oracle,
     weight_op_oracle,
@@ -462,14 +463,14 @@ def _product(G: MultiLinearMap, args, weight: float = 1.0) -> LogPowerSum:
 
 
 def test_mul_apply_square_of_inverse_power():
-    sq = MultiLinearMap.scalar_power(2)
+    sq = scalar_power(2)
     p = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
     out = _product(sq, [p, p])
     assert out.items()[0][0] == (0.0, -2.0)
 
 
 def test_mul_apply_binomial_expansion():
-    sq = MultiLinearMap.scalar_power(2)
+    sq = scalar_power(2)
     p = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0]), ((0.0, -2.0), [1.0])])
     out = _product(sq, [p, p])
     got = {alpha: complex(xi[0]) for alpha, xi in out.items()}
@@ -481,7 +482,7 @@ def test_mul_apply_binomial_expansion():
 
 
 def test_mul_apply_embeds_mixed_depths():
-    sq = MultiLinearMap.scalar_power(2)
+    sq = scalar_power(2)
     a = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
     b = LogPowerSum.build(1, 1, [((0.0, 0.0, -1.0), [1.0])])
     out = _product(sq, [a, b])
@@ -599,7 +600,7 @@ def test_mul_apply_matches_term_by_term_oracle_bitwise():
 def test_mul_apply_trims_near_cancellation_like_the_oracle():
     # x*y over p = e^a + c e^b and q = e^b + d e^a: the two cross terms land
     # on a+b and cancel down to eps of the unit product.
-    G = MultiLinearMap.scalar_power(2)
+    G = scalar_power(2)
     a, b = (0.0, -1.0), (0.0, -1.5)
     for c in (0.3, 1.7, -2.2):
         for eps in (0.0, 1e-16, 3e-14, 9e-14, 1.1e-13, 5e-13, 1e-11):
@@ -744,7 +745,7 @@ def test_stacked_mul_apply_matches_its_term_loop_bitwise():
 
 
 def test_stacked_mul_apply_checks_its_arguments():
-    G = MultiLinearMap.scalar_power(2)
+    G = scalar_power(2)
     p = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
     with pytest.raises(ValueError, match="map arity 2 != argument count 3"):
         mul_apply_logpower(G, [p], [(0, 0, 0)])

@@ -19,6 +19,7 @@ from helpers import (
     dense_apply,
     peak_bytes,
     random_multilinear,
+    scalar_power,
 )
 
 
@@ -183,7 +184,7 @@ def test_call_is_multilinear_in_each_slot():
 
 
 def test_scalar_power_is_plain_power():
-    cube = MultiLinearMap.scalar_power(3)
+    cube = scalar_power(3)
     assert cube.arity == 3 and cube.dim == 1
     v = np.array([1.5 + 0.5j])
     np.testing.assert_allclose(cube(v, v, v), v**3)
@@ -224,7 +225,7 @@ def test_real_map_commutes_with_conjugation():
 
 
 def test_call_arity_mismatch():
-    G = MultiLinearMap.scalar_power(2)
+    G = scalar_power(2)
     v = np.array([1.0 + 0j])
     with pytest.raises((TypeError, ValueError)):
         G(v)
@@ -303,7 +304,7 @@ def test_batch_single_vectors_match_call():
 
 
 def test_batch_validates_arguments():
-    G = MultiLinearMap.scalar_power(2)
+    G = scalar_power(2)
     with pytest.raises(ValueError):
         G.batch(np.ones((3, 1), dtype=complex))
     with pytest.raises(ValueError):
@@ -482,7 +483,7 @@ def test_symmetrized_empty_map_stays_empty(arity, dim):
 
 def test_symmetrized_scalar_power_is_exact_and_computed_once():
     for m in (2, 3):
-        G = MultiLinearMap.scalar_power(m)
+        G = scalar_power(m)
         assert G.symmetrized.entries == ((0, (0,) * m, complex(math.factorial(m))),)
         assert G.symmetrized is G.symmetrized
     # the worked quadratic case: x0*x1 gains its mirror image

@@ -12,15 +12,16 @@ from helpers import (
     assert_arrays_bitwise_equal,
     bench_module,
     burgers_galerkin_map,
+    field_oracle,
     integrate_rhs_oracle,
     integrate_rhs_scalar_oracle,
     remainder_series_oracle,
     rhs_oracle,
     sample_oracle,
 )
-from odexpand import LogPowerSum, numerics
+from odexpand import LogPowerSum, MultiLinearMap, numerics
 from odexpand.cli import _sample_grid, build_problem
-from odexpand.engine import eval_partial_sum, expand
+from odexpand.engine import ProblemSpec, eval_partial_sum, expand
 from odexpand.numerics import (
     _kronecker_directions,
     decay_envelope_constant,
@@ -218,6 +219,72 @@ def test_trajectory_agrees_with_the_numpy_loop(case):
     ts = np.linspace(got.ts[0], min(got.ts[-1], want.ts[-1]), 4001)
     scale = args[2] * np.abs(want.states).max() + args[3]
     assert np.abs(got.sample(ts) - want.sample(ts)).max() <= 4 * scale
+
+
+def _field_states(rng, n: int, count: int = 20) -> list[list[complex]]:
+    """Random states, the first few with signed zeros in some components."""
+    states = []
+    for s in range(count):
+        y = (rng.standard_normal(n) + 1j * rng.standard_normal(n)).tolist()
+        if s < 4:
+            for j in rng.choice(n, size=max(1, n // 2), replace=False).tolist():
+                y[j] = complex(*rng.choice([0.0, -0.0], 2).tolist())
+        states.append(y)
+    return states
+
+
+@pytest.mark.parametrize("case", INTEGRATION_CASES + ["burgers:16", "burgers:32"])
+def test_generated_field_matches_the_composed_field_bitwise(case):
+    spec = build_problem(_config(case))
+    got, want = numerics.make_rhs(spec), field_oracle(spec)
+    for y in _field_states(np.random.default_rng(list(case.encode())), spec.dim):
+        assert_arrays_bitwise_equal(np.array(got(y)), np.array(want(y)))
+
+
+_QUADRATIC = MultiLinearMap(2, 2, ((0, (0, 1), 0.5), (1, (1, 1), -1.25j), (1, (0, 0), 0.75)))
+EDGE_FIELDS = {
+    "no-maps": ProblemSpec(np.array([[2.0, -1.0], [0.5, 3.0]]), (), (), "power"),
+    "zero-row": ProblemSpec(np.array([[1.5, 0.3], [0.0, 0.0]]), (_QUADRATIC,), (), "power"),
+    # entries with a zero real or imaginary part, so -A has -0.0 parts
+    "complex": ProblemSpec(MATRICES["complex"], (_QUADRATIC,), (), "exponential"),
+    "arity-1-map": ProblemSpec(
+        np.array([[1.0, 0.0], [0.2, 2.0]]),
+        (MultiLinearMap(1, 2, ((0, (1,), 0.5j), (1, (0,), -1.0))), _QUADRATIC),
+        (),
+        "power",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_FIELDS))
+def test_generated_field_matches_the_composed_field_on_edge_specs(name):
+    spec = EDGE_FIELDS[name]
+    got, want = numerics.make_rhs(spec), field_oracle(spec)
+    for y in _field_states(np.random.default_rng(list(name.encode())), spec.dim):
+        out = got(y)
+        assert isinstance(out, list)
+        assert_arrays_bitwise_equal(np.array(out), np.array(want(y)))
+
+
+@pytest.mark.parametrize("name", ["arity-1-map", "exp-resonant:0", "no-maps"])
+def test_the_field_calls_each_map_once_per_evaluation_on_the_state_list(name, monkeypatch):
+    spec = EDGE_FIELDS[name] if name in EDGE_FIELDS else build_problem(_config(name))
+    calls = []
+    call = MultiLinearMap.__call__
+
+    def counted_call(self, *args):
+        calls.append((self, args))
+        return call(self, *args)
+
+    monkeypatch.setattr(MultiLinearMap, "__call__", counted_call)
+    field = numerics.make_rhs(spec)
+    assert calls == []
+    for y in _field_states(np.random.default_rng(0), spec.dim, 3):
+        field(y)
+        assert [id(g) for g, _ in calls] == [id(g) for g in spec.maps]
+        for g, args in calls:
+            assert len(args) == g.arity and all(a is y for a in args)
+        calls.clear()
 
 
 def test_integrate_calls_the_hooks_it_looks_up(monkeypatch):
