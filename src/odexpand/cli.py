@@ -19,6 +19,7 @@ rejected with their path.  The sections and their keys:
     certificate   probe_radius (required by certificate), samples.
     output        dir (overridden by --out).
 
+Flow: load the config, build the problem once, run the subcommand on it.
 Exit codes: 0 pass, 1 verification fail, 2 validation error, 3 runtime
 error.
 """
@@ -40,7 +41,6 @@ from .engine import (
     expand,
 )
 from .expsum import ExpPolySum, snap_float
-from .ladder import exp_zero
 from .logpower import LogPowerSum
 from .multilinear import MultiLinearMap
 from .numerics import (
@@ -51,6 +51,7 @@ from .numerics import (
     smallness_certificate,
 )
 from .realify import (
+    _ladder_view,
     asymmetry_witness,
     from_trig_ladder,
     imag_residue,
@@ -234,21 +235,19 @@ def _forcing_record(rec, dim: int, path: str):
     return rate, from_trig_ladder(dim, depth, raw)
 
 
-_TOP_KEYS = {"problem", "expansion", "verification", "certificate", "output"}
-_PROBLEM_KEYS = {"matrix", "nonlinearity", "forcing", "mode", "scale_index"}
-_EXPANSION_KEYS = {"order"}
-_VERIFICATION_KEYS = {
-    "y0",
-    "t_span",
-    "rel_tol",
-    "abs_tol",
-    "margin",
-    "fit_window",
-    "grid",
-    "fit_resonant",
+# The known keys of each config section, by section path; parents come
+# before their subsections, which are checked in this order.
+_SECTION_KEYS = {
+    "problem": {"matrix", "nonlinearity", "forcing", "mode", "scale_index"},
+    "expansion": {"order"},
+    "verification": {
+        "y0", "t_span", "rel_tol", "abs_tol", "margin", "fit_window", "grid", "fit_resonant"
+    },
+    "verification.grid": {"kind", "count"},
+    "verification.fit_resonant": {"order", "window"},
+    "certificate": {"probe_radius", "samples"},
+    "output": {"dir"},
 }
-_CERTIFICATE_KEYS = {"probe_radius", "samples"}
-_OUTPUT_KEYS = {"dir"}
 
 
 def load_config(path) -> dict:
@@ -260,28 +259,19 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    _check_keys(cfg, _TOP_KEYS, "config")
+    _check_keys(cfg, {name for name in _SECTION_KEYS if "." not in name}, "config")
     if "problem" not in cfg:
         raise ConfigError("config.problem: required section missing")
-    _check_keys(cfg["problem"], _PROBLEM_KEYS, "problem")
-    if "expansion" in cfg:
-        _check_keys(cfg["expansion"], _EXPANSION_KEYS, "expansion")
-    if "verification" in cfg:
-        _check_keys(cfg["verification"], _VERIFICATION_KEYS, "verification")
-        if "grid" in cfg["verification"]:
-            _check_keys(cfg["verification"]["grid"], {"kind", "count"}, "verification.grid")
-        if "fit_resonant" in cfg["verification"]:
-            _check_keys(
-                cfg["verification"]["fit_resonant"],
-                {"order", "window"},
-                "verification.fit_resonant",
-            )
-    if "certificate" in cfg:
-        _check_keys(cfg["certificate"], _CERTIFICATE_KEYS, "certificate")
-    if "output" in cfg:
-        _check_keys(cfg["output"], _OUTPUT_KEYS, "output")
-        if not isinstance(cfg["output"].get("dir", ""), str):
-            raise ConfigError("output.dir: expected a string")
+    for name, allowed in _SECTION_KEYS.items():
+        section = cfg
+        for key in name.split("."):
+            if key not in section:
+                break
+            section = section[key]
+        else:
+            _check_keys(section, allowed, name)
+    if not isinstance(cfg.get("output", {}).get("dir", ""), str):
+        raise ConfigError("output.dir: expected a string")
     return cfg
 
 
@@ -400,8 +390,7 @@ def _ladder_term_string(rows) -> str:
 # Serialization
 
 
-def _order_record(expansion: Expansion, k: int) -> dict:
-    order = expansion.orders[k - 1]
+def _order_record(k: int, order) -> dict:
     rec: dict = {"order": k, "rate": float(order.mu)}
     term = order.term
     if isinstance(term, ExpPolySum):
@@ -421,9 +410,7 @@ def expansion_records(expansion: Expansion) -> dict:
         "scale_index": expansion.spec.scale_index,
         "dim": expansion.spec.dim,
         "rates": [float(mu) for mu in expansion.rates],
-        "orders": [
-            _order_record(expansion, k) for k in range(1, expansion.order_count() + 1)
-        ],
+        "orders": [_order_record(k, order) for k, order in enumerate(expansion.orders, 1)],
     }
 
 
@@ -439,26 +426,16 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 
 def _term_table(expansion: Expansion) -> str:
     lines = []
-    for k in range(1, expansion.order_count() + 1):
-        order = expansion.orders[k - 1]
-        term = order.term
-        if isinstance(term, ExpPolySum):
-            s = _ladder_term_string(
-                (((nu, d), ()), row)
-                for nu, rows in term.items()
-                for d, row in enumerate(rows)
-                if row.any()
-            )
-            if order.kernel:
-                s += f"   [{len(order.kernel)} free kernel mode(s)]"
-        else:
-            s = _ladder_term_string(((alpha, ()), vec) for alpha, vec in term.items())
+    for k, order in enumerate(expansion.orders, 1):
+        view = _ladder_view(order.term)
+        s = _ladder_term_string(((alpha, ()), vec) for alpha, vec in view.items())
+        if order.kernel:
+            s += f"   [{len(order.kernel)} free kernel mode(s)]"
         lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
     return "\n".join(lines)
 
 
-def cmd_expand(cfg: dict, args) -> int:
-    spec = build_problem(cfg, args.order)
+def cmd_expand(cfg: dict, spec: ProblemSpec, args) -> int:
     expansion = expand(spec)
     print(f"mode: {expansion.mode}, orders: {expansion.order_count()}")
     print(_term_table(expansion))
@@ -493,8 +470,7 @@ def _sample_grid(spec: ProblemSpec, t_span, ver: dict) -> np.ndarray:
     raise ConfigError("verification.grid.kind: expected 'linear' or 'geometric'")
 
 
-def cmd_verify(cfg: dict, args) -> int:
-    spec = build_problem(cfg, args.order)
+def cmd_verify(cfg: dict, spec: ProblemSpec, args) -> int:
     ver = _verification_cfg(cfg)
     if not isinstance(ver["y0"], list) or len(ver["y0"]) != spec.dim:
         raise ConfigError(f"verification.y0: expected a list of {spec.dim} numbers")
@@ -520,9 +496,10 @@ def cmd_verify(cfg: dict, args) -> int:
     # the decay fit needs three samples in its window; check before integrating
     if window is not None and np.count_nonzero((grid >= window[0]) & (grid <= window[1])) < 3:
         raise ConfigError("verification.fit_window: holds fewer than 3 points of the sample grid")
-    # a ladder-power forcing term of depth d is defined for t > exp_zero(d + 1)
-    depths = [term.depth for _, term in spec.forcing if isinstance(term, LogPowerSum)]
-    lo = exp_zero(max(depths) + 1) if depths else -math.inf
+    lo = max(
+        (term.domain_start for _, term in spec.forcing if isinstance(term, LogPowerSum)),
+        default=-math.inf,
+    )
     if t_span[0] <= lo:
         raise ConfigError(
             f"verification.t_span: starts at {t_span[0]}, but the forcing is only "
@@ -548,10 +525,7 @@ def cmd_verify(cfg: dict, args) -> int:
     # the config otherwise (the expansion is still built to order 1 so the
     # target rate exists).
     requested = cfg.get("expansion", {}).get("order") if args.order is None else args.order
-    if requested == 0:
-        n_values = [0]
-    else:
-        n_values = list(range(1, expansion.order_count() + 1))
+    n_values = [0] if requested == 0 else list(range(1, expansion.order_count() + 1))
     report_lines = []
     table = remainder_series(traj, expansion, n_values[-1], grid, kernel)
     for n in n_values:
@@ -570,9 +544,7 @@ def cmd_verify(cfg: dict, args) -> int:
         columns.append((f"remainder_N{n}", rem))
     out = _out_dir(cfg, args)
     header = ",".join(name for name, _ in columns)
-    rows = [
-        ",".join(_fmt(col[i]) for _, col in columns) for i in range(len(grid))
-    ]
+    rows = [",".join(_fmt(col[i]) for _, col in columns) for i in range(len(grid))]
     _write(out, "remainders.csv", header + "\n" + "\n".join(rows) + "\n")
     _write(out, "verify.txt", "\n".join(report_lines) + "\n")
     return 0 if all_pass else 1
@@ -581,26 +553,19 @@ def cmd_verify(cfg: dict, args) -> int:
 def _realify_grid(expansion: Expansion, spec: ProblemSpec) -> np.ndarray:
     if spec.mode == "exponential":
         return np.linspace(0.0, 40.0 / max(spec.slowest_rate(), 0.1), 33)
-    depth = max(
-        [t.depth for _, t in spec.forcing if isinstance(t, LogPowerSum)]
-        + [
-            o.term.depth
-            for o in expansion.orders
-            if isinstance(o.term, LogPowerSum)
-        ]
-    )
-    lo = exp_zero(depth + 1)
+    sums = [t for _, t in spec.forcing] + [o.term for o in expansion.orders]
+    deepest = max(sums, key=lambda t: t.depth)
+    lo = deepest.domain_start
     if not math.isfinite(lo):
         raise ValidationError(
-            f"realify: a depth-{depth} sum has no finite sample grid "
+            f"realify: a depth-{deepest.depth} sum has no finite sample grid "
             f"(evaluation threshold {lo})"
         )
     start = max(2.0 * lo, 10.0)
     return np.geomspace(start, start * 1e3, 33)
 
 
-def cmd_realify(cfg: dict, args) -> int:
-    spec = build_problem(cfg, args.order)
+def cmd_realify(cfg: dict, spec: ProblemSpec, args) -> int:
     if not np.all(np.isreal(spec.matrix)):
         raise ValidationError("realify needs a real matrix")
     for g in spec.maps:
@@ -617,8 +582,7 @@ def cmd_realify(cfg: dict, args) -> int:
     grid = _realify_grid(expansion, spec)
     worst = 0.0
     lines = []
-    for k in range(1, expansion.order_count() + 1):
-        order = expansion.orders[k - 1]
+    for k, order in enumerate(expansion.orders, 1):
         term = order.term
         if term.is_zero():
             lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   0")
@@ -638,8 +602,7 @@ def cmd_realify(cfg: dict, args) -> int:
     return 0
 
 
-def cmd_certificate(cfg: dict, args) -> int:
-    spec = build_problem(cfg, args.order)
+def cmd_certificate(cfg: dict, spec: ProblemSpec, args) -> int:
     cert_cfg = cfg.get("certificate")
     if cert_cfg is None or "probe_radius" not in cert_cfg:
         raise ConfigError("certificate.probe_radius: required for this subcommand")
@@ -674,6 +637,15 @@ def _out_dir(cfg: dict, args) -> Path:
     return Path(cfg.get("output", {}).get("dir", "."))
 
 
+# name -> (help, handler); main builds the problem and passes it on
+_COMMANDS = {
+    "expand": ("build expansion terms and serialize them", cmd_expand),
+    "verify": ("integrate the ODE and fit remainder decay rates", cmd_verify),
+    "realify": ("convert a conjugation-symmetric expansion to real form", cmd_realify),
+    "certificate": ("compute small-data decay constants", cmd_certificate),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="odexpand",
@@ -681,27 +653,17 @@ def main(argv=None) -> int:
         "for dissipative ODE systems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("expand", "build expansion terms and serialize them"),
-        ("verify", "integrate the ODE and fit remainder decay rates"),
-        ("realify", "convert a conjugation-symmetric expansion to real form"),
-        ("certificate", "compute small-data decay constants"),
-    ):
+    for name, (help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to a JSON config")
         p.add_argument("--order", type=int, default=None, help="override expansion.order")
         p.add_argument("--out", default=None, help="output directory")
 
     args = parser.parse_args(argv)
-    handlers = {
-        "expand": cmd_expand,
-        "verify": cmd_verify,
-        "realify": cmd_realify,
-        "certificate": cmd_certificate,
-    }
     try:
         cfg = load_config(args.config)
-        return handlers[args.command](cfg, args)
+        spec = build_problem(cfg, args.order)
+        return _COMMANDS[args.command][1](cfg, spec, args)
     except (ConfigError, ValidationError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return 2

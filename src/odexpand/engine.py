@@ -473,17 +473,14 @@ def _solve_rate(spec: ProblemSpec, mu: float, rhs, cache):
     return term, tuple(m for nu in on_rate for m in homogeneous_modes(spec.matrix, nu))
 
 
-def expand(spec: ProblemSpec, order: int | None = None) -> Expansion:
-    """Construct the expansion up to the given truncation (spec.order if None)."""
+def expand(spec: ProblemSpec) -> Expansion:
+    """Construct the expansion up to the truncation spec.order."""
     spec.validate()
-    upto = spec.order if order is None else int(order)
-    if upto < 1:
-        raise ValidationError("truncation order must be >= 1")
-    mus = spec.make_ladder().take(upto)
+    mus = spec.make_ladder().take(spec.order)
     _arity_cap_warning(spec, mus)
     orders, terms = [], []
     cache = ShiftedInverseCache(spec.matrix) if spec.mode != "exponential" else None
-    for k in range(upto):
+    for k in range(spec.order):
         rhs = _rate_rhs(spec, mus, terms, k)
         term, kernel = _solve_rate(spec, mus[k], rhs, cache)
         if not _in_rate_class(spec, term, mus[k]):

@@ -127,7 +127,8 @@ class LogPowerSum:
 
     ``alphas`` (K, depth+2) holds the exponent vectors and ``xis`` (K, dim)
     the coefficients, both complex and in canonical order; every instance
-    comes out of from_arrays.
+    comes out of from_arrays, except realify's view of an exponential sum,
+    which wraps its stored rows (already canonical) as they are.
     """
 
     dim: int
@@ -275,10 +276,16 @@ class LogPowerSum:
         alphas = np.pad(self.alphas, ((0, 0), (0, depth - self.depth)))
         return LogPowerSum.from_arrays(self.dim, depth, alphas, self.xis)
 
+    @property
+    def domain_start(self) -> float:
+        """The sum is defined for t > domain_start = exp_zero(depth + 1),
+        where every ladder component through L_depth is positive."""
+        return exp_zero(self.depth + 1)
+
     def eval(self, t) -> np.ndarray:
         """Value at time t, or at each time of a 1-D array (one row per time).
 
-        Every time must lie above the depth+1 ladder threshold.  The guard
+        Every time must lie above ``domain_start``.  The guard
         keeps every component comfortably inside the positive range so
         principal-branch powers are safe; exp(t) itself is never
         materialized (the a(-1) power contributes a(-1)*t to the log).
@@ -288,7 +295,7 @@ class LogPowerSum:
         """
         ts = np.asarray(t, dtype=float)
         times = ts.reshape(-1)
-        gate = exp_zero(self.depth + 1)
+        gate = self.domain_start
         for x in times.tolist():
             if not x > gate:
                 raise ValueError(
@@ -305,7 +312,7 @@ class LogPowerSum:
 
         ``kernel(ts)`` takes a list of Python floats and returns one list of
         dim Python complex numbers per time.  The times are not checked:
-        each must lie above eval's threshold.  For each time the ladder is
+        each must lie above ``domain_start``.  For each time the ladder is
         ladder_eval's chain, l0 = t and l{j+1} = math.log(l{j}).  For term k,
         zr and zi sum Re a(j) * l{j} and Im a(j) * l{j} over the nonzero
         parts, left to right, and e_k is math.exp(zr) when every exponent

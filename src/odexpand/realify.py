@@ -45,14 +45,19 @@ __all__ = [
 COS, SIN = "cos", "sin"
 
 
-def _ladder_view(s: ExpPolySum) -> LogPowerSum:
-    """s as a depth-0 ladder sum: one term per nonzero row, alpha = (nu, j).
-
-    The rows are taken term by term, j ascending within a term.
+def _ladder_view(s) -> LogPowerSum:
+    """s as a ladder sum: a LogPowerSum as it is, an ExpPolySum as the
+    depth-0 sum of its nonzero stored rows, alpha = (nu, j), term by term
+    with j ascending (canonical order).  The rows are wrapped, not
+    canonicalized again, so the view keeps every stored row.
     """
+    if isinstance(s, LogPowerSum):
+        return s
+    if not isinstance(s, ExpPolySum):
+        raise TypeError(f"unsupported operand type {type(s).__name__}")
     k, j = np.nonzero((s.rows != 0).any(axis=2))
     alphas = np.stack([s.nus[k], j.astype(complex)], axis=1)
-    return LogPowerSum.from_arrays(s.dim, 0, alphas, s.rows[k, j])
+    return LogPowerSum(s.dim, 0, alphas, s.rows[k, j])
 
 
 def asymmetry_witness(p, tol: float = 1e-12):
@@ -63,10 +68,7 @@ def asymmetry_witness(p, tol: float = 1e-12):
     An ExpPolySum is checked through its depth-0 ladder view, so its
     witness is a (nu, j) key.
     """
-    if isinstance(p, ExpPolySum):
-        p = _ladder_view(p)
-    if not isinstance(p, LogPowerSum):
-        raise TypeError(f"unsupported operand type {type(p).__name__}")
+    p = _ladder_view(p)
     scale = max(p.sup_norm(), 1.0)
     for alpha, xi in p.items():
         key = tuple(snap_scalar(a.conjugate()) for a in alpha)

@@ -486,7 +486,11 @@ def ladder_view_raw_oracle(s: ExpPolySum) -> list:
 
 
 def ladder_view_oracle(s: ExpPolySum) -> LogPowerSum:
-    return build_logpower_oracle(s.dim, 0, ladder_view_raw_oracle(s))
+    """The stored nonzero rows themselves, with no re-trim against the sum."""
+    raw = ladder_view_raw_oracle(s)
+    alphas = np.array([a for a, _ in raw], dtype=complex).reshape(-1, 2)
+    xis = np.array([v for _, v in raw], dtype=complex).reshape(-1, s.dim)
+    return LogPowerSum(s.dim, 0, alphas, xis)
 
 
 def to_trig_ladder_oracle(p: LogPowerSum, tol: float = 1e-12) -> list:

@@ -9,6 +9,7 @@ output with ``golden/certificate.certificate.csv``, and ``realify``
 output with ``golden/<config>.real_terms.txt`` byte for byte.
 """
 
+import dataclasses
 import json
 import os
 import re
@@ -21,8 +22,9 @@ import pytest
 
 from odexpand import cli
 from odexpand.cli import main
+from odexpand.realify import _ladder_view, asymmetry_witness
 
-from helpers import bench_module
+from helpers import assert_bitwise_equal, bench_module, ladder_view_oracle
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -196,6 +198,27 @@ def test_exponential_realify_keeps_the_decay(tmp_path, capsys):
     assert "rate        1   1·e^(-1t)·t\n" in capsys.readouterr().out
     assert main(["expand", "--config", config, "--out", str(tmp_path)]) == 0
     assert "rate        1   1·e^(-1t)·t   [1 free kernel mode(s)]\n" in capsys.readouterr().out
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+def test_exponential_realify_keeps_every_stored_row_at_a_deep_order(tmp_path, monkeypatch, capsys):
+    # At order 12 the exp-resonant pool stores rows far below the largest row
+    # of their order (rates 10-12).  expand prints them, so the real form must
+    # keep them too: re-canonicalizing the ladder view dropped them at 60
+    # orders of the 32 problems.
+    workloads = bench_module("workloads")
+    built = []
+    expand = cli.expand
+    monkeypatch.setattr(cli, "expand", lambda spec: built.append(expand(spec)) or built[-1])
+    config = tmp_path / "config.json"
+    for index in range(workloads.POOL_SIZE):
+        config.write_text(workloads.problem("exp-resonant", index).config_text())
+        argv = ["realify", "--config", str(config), "--order", "12", "--out", str(tmp_path)]
+        assert main(argv) == 0, index
+        for order in built.pop().orders:
+            assert_bitwise_equal(_ladder_view(order.term), ladder_view_oracle(order.term))
+            assert asymmetry_witness(order.term) is None, (index, order.mu)
+    capsys.readouterr()
 
 
 def test_realify_without_a_real_form_exits_two(tmp_path, monkeypatch, capsys):
@@ -572,6 +595,26 @@ def test_certificate_computes_the_eigenvalues_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     got = (tmp_path / "certificate.csv").read_bytes()
     assert got == (GOLDEN / "certificate.certificate.csv").read_bytes()
+
+
+@pytest.mark.xfail(strict=True, reason="the decay gate passes a wrong expansion (ROADMAP item 1)")
+def test_verify_rejects_a_scaled_first_term(tmp_path, monkeypatch, capsys):
+    # riccati with u_1 scaled by 1.5: y - S_1 then decays like t^-1, not
+    # like u_2 = 2 t^-2, yet the N=1 fit (exponent 0.9995) clears its
+    # target of 0.90
+    expand = cli.expand
+
+    def tampered(spec):
+        expansion = expand(spec)
+        first = expansion.orders[0]
+        first = dataclasses.replace(first, term=first.term.scale(1.5))
+        return dataclasses.replace(expansion, orders=(first,) + expansion.orders[1:])
+
+    monkeypatch.setattr(cli, "expand", tampered)
+    config = str(CONFIGS / "riccati.json")
+    code = main(["verify", "--config", config, "--order", "1", "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 1
 
 
 def test_verify_order_option_overrides_the_config(tmp_path, capsys):

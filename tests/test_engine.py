@@ -332,7 +332,7 @@ def test_lower_truncation_is_a_bitwise_prefix(name):
     # construction is order by order, so building to order 2 gives exactly
     # the first two orders of the order-5 build, kernels included
     spec = build_problem(load_config(CONFIGS / f"{name}.json"))
-    short, full = expand(spec, 2), expand(spec, 5)
+    short, full = (expand(dataclasses.replace(spec, order=k)) for k in (2, 5))
     assert full.order_count() == 5 and short.rates == full.rates[:2]
     for got, want in zip(short.orders, full.orders[:2]):
         assert_bitwise_equal(got.term, want.term)
@@ -437,7 +437,7 @@ def test_one_eigen_decomposition_per_problem(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(1) or eigvals(a))
     expand(_exp_spec(JORDAN, [(1.0, [(-1.0, [[0.01, 0.02, -0.01]])])], 5))
     assert len(calls) == 1
-    expand(build_problem(load_config(CONFIGS / "jordan_resonant.json")), 3)
+    expand(build_problem(load_config(CONFIGS / "jordan_resonant.json"), 3))
     assert len(calls) == 2
 
 
@@ -453,10 +453,10 @@ def _spec(case: str) -> ProblemSpec:
     return build_problem(load_config(CONFIGS / f"{case}.json"))
 
 
-def _expand_per_ordering(monkeypatch, spec, order):
+def _expand_per_ordering(monkeypatch, spec):
     with monkeypatch.context() as m:
         m.setattr(engine, "_interaction_sum", interaction_sum_oracle)
-        return expand(spec, order)
+        return expand(spec)
 
 
 @pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
@@ -465,10 +465,10 @@ def _expand_per_ordering(monkeypatch, spec, order):
     [("power-expand:0", 12), ("power-expand:3", 12), ("power-expand:15", 12), ("oscillatory_log", 7)],
 )
 def test_symmetrized_interactions_match_the_per_ordering_sum(case, order, monkeypatch):
-    spec = _spec(case)
+    spec = dataclasses.replace(_spec(case), order=order)
     assert spec.mode in ("power", "log")
-    got = expand(spec, order)
-    want = _expand_per_ordering(monkeypatch, spec, order)
+    got = expand(spec)
+    want = _expand_per_ordering(monkeypatch, spec)
     assert got.rates == want.rates
     for g, w in zip(got.orders, want.orders):
         scale = float(abs(w.term.xis).max(initial=0.0))
@@ -480,9 +480,9 @@ def test_symmetrized_scalar_square_is_bit_identical(monkeypatch):
     # riccati's y^2: the symmetrized map is 2 and the (a, a) weight 1/2, both
     # exact, and with a unit coefficient the two orderings of (a, b) round
     # alike, so the multiset sum reproduces the per-ordering sum bit for bit
-    spec = _spec("riccati")
-    got = expand(spec, 12)
-    want = _expand_per_ordering(monkeypatch, spec, 12)
+    spec = dataclasses.replace(_spec("riccati"), order=12)
+    got = expand(spec)
+    want = _expand_per_ordering(monkeypatch, spec)
     for g, w in zip(got.orders, want.orders):
         assert_bitwise_equal(g.term, w.term)
 
@@ -502,11 +502,11 @@ def test_one_canonicalization_per_order_matches_the_per_multiset_sum(case, order
     # stacking each order's products and canonicalizing its right-hand side
     # once only regroups the sums: every order keeps its terms, and the
     # coefficients move by rounding alone
-    spec = _spec(case)
-    got = expand(spec, order)
+    spec = dataclasses.replace(_spec(case), order=order)
+    got = expand(spec)
     with monkeypatch.context() as m:
         m.setattr(engine, "_rate_rhs", rate_rhs_per_multiset_oracle)
-        want = expand(spec, order)
+        want = expand(spec)
     assert got.rates == want.rates
     for g, w in zip(got.orders, want.orders):
         assert g.term.depth == w.term.depth
@@ -535,9 +535,9 @@ def test_power_expand_peak_memory_is_bounded():
     # an order's products are gathered in blocks of rows: the traced peak
     # is 1.02 MB on numpy 2.4, and stacking a whole order's argument rows
     # at once takes it to 1.92 MB
-    spec = _spec("power-expand:0")
-    expand(spec, 10)  # builds the symmetrized maps once
-    assert peak_bytes(lambda: expand(spec, 10)) <= PEAK_BOUND
+    spec = dataclasses.replace(_spec("power-expand:0"), order=10)
+    expand(spec)  # builds the symmetrized maps once
+    assert peak_bytes(lambda: expand(spec)) <= PEAK_BOUND
 
 
 @pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
@@ -555,10 +555,12 @@ def test_expansion_is_bit_identical_under_the_per_entry_batch_oracle(case, order
     # the exponential-mode resonant recursion amplifies last-bit changes, so
     # the slot-wise kernel must not move a single bit of any order
     spec = _spec(case)
-    got = expand(spec, order)
+    if order is not None:
+        spec = dataclasses.replace(spec, order=order)
+    got = expand(spec)
     with monkeypatch.context() as m:
         m.setattr(MultiLinearMap, "batch", batch_oracle)
-        want = expand(spec, order)
+        want = expand(spec)
     assert got.rates == want.rates
     for g, w in zip(got.orders, want.orders):
         assert_bitwise_equal(g.term, w.term)
@@ -570,11 +572,11 @@ def test_expansion_is_bit_identical_under_the_per_entry_batch_oracle(case, order
 def test_exp_resonant_expansion_is_bit_identical_under_the_padded_product(monkeypatch):
     # ragged stacks leave out only padding products, which added exact
     # zeros; nine orders of resonant recursion must not move a single bit
-    spec = _spec("exp-resonant:0")
-    got = expand(spec, 9)
+    spec = dataclasses.replace(_spec("exp-resonant:0"), order=9)
+    got = expand(spec)
     with monkeypatch.context() as m:
         m.setattr(engine, "mul_apply_exp", mul_apply_exp_padded_oracle)
-        want = expand(spec, 9)
+        want = expand(spec)
     assert got.rates == want.rates and len(got.orders) == 9
     assert any(g.kernel for g in got.orders)
     for g, w in zip(got.orders, want.orders):
@@ -598,7 +600,7 @@ def _count_mul_apply(monkeypatch) -> dict[str, int]:
 @pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
 def test_power_mode_applies_each_map_once_per_order(monkeypatch):
     counts = _count_mul_apply(monkeypatch)
-    expand(_spec("power-expand:0"), 10)
+    expand(dataclasses.replace(_spec("power-expand:0"), order=10))
     # one call per (order, map) with a multiset of that arity: the quadratic
     # map at orders 2-10 and the cubic map at orders 3-10.  One call per
     # (multiset, map) made 56, and one per ordering 165
@@ -611,14 +613,14 @@ def test_exponential_mode_applies_each_map_once_per_ordering(monkeypatch):
     # exponential-mode check pins one rounding pattern, so this mode keeps
     # summing over orderings
     counts = _count_mul_apply(monkeypatch)
-    expand(_spec("resonant"), 6)
+    expand(dataclasses.replace(_spec("resonant"), order=6))
     assert counts == {"mul_apply_logpower": 0, "mul_apply_exp": 15}
 
 
 def test_arity_warning_names_the_caller_of_expand():
-    spec = _spec("resonant")
+    spec = dataclasses.replace(_spec("resonant"), order=4)
     with pytest.warns(RuntimeWarning, match="the remainder analysis") as record:
-        expand(spec, 4)
+        expand(spec)
     assert [Path(w.filename) for w in record] == [Path(__file__)]
 
 

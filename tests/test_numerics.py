@@ -450,7 +450,7 @@ def test_fitted_kernel_is_added_to_partial_sums_from_its_order_on():
     cfg = _config("resonant")
     ver = cfg["verification"]
     spec = build_problem(cfg)
-    expansion = expand(spec, 3)
+    expansion = expand(dataclasses.replace(spec, order=3))
     traj = numerics.integrate(spec, ver["y0"], ver["t_span"], ver["rel_tol"], ver["abs_tol"])
     coeffs = fit_kernel_constants(traj, expansion, 2, (10.0, 14.0))
     assert coeffs.shape == (1,)
