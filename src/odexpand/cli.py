@@ -41,9 +41,10 @@ from .engine import (
     expand,
 )
 from .expsum import ExpPolySum, snap_float
-from .logpower import LogPowerSum
+from .logpower import LogPowerSum, row_norms
 from .multilinear import MultiLinearMap
 from .numerics import (
+    SparseFitWindow,
     fit_decay,
     fit_kernel_constants,
     integrate,
@@ -342,20 +343,6 @@ def _slot_name(j: int) -> str:
     return f"ln_{j} t"
 
 
-def _vec_str(vec) -> str:
-    # Real and imaginary parts below PRINT_DUST_REL of the vector's norm are
-    # rounding dust: printed, they would change with every last-bit change
-    # of a solve.  The output files keep every digit.
-    vec = np.atleast_1d(np.asarray(vec, dtype=complex))
-    tol = PRINT_DUST_REL * np.linalg.norm(vec)
-    re = np.where(abs(vec.real) < tol, 0.0, vec.real)
-    im = np.where(abs(vec.imag) < tol, 0.0, vec.imag)
-    vals = [_fmt_complex(complex(r, i)) for r, i in zip(re, im)]
-    if len(vals) == 1:
-        return vals[0]
-    return "(" + ",".join(vals) + ")"
-
-
 def _power_factor(j: int, a: complex) -> str | None:
     if a == 0:
         return None
@@ -369,13 +356,27 @@ def _power_factor(j: int, a: complex) -> str | None:
     return f"{name}^{_fmt_complex(a)}"
 
 
-def _ladder_term_string(rows) -> str:
-    """Human form of ((alpha, trig factors), vec) ladder rows, the shape of a
-    real form, e.g. 2·t^-2; an exponential row vec·t^d·e^(nu t) is the row
-    (((nu, d), ()), vec)."""
+def _ladder_term_string(keys, vecs) -> str:
+    """Human form of ladder rows, e.g. 2·t^-2: row k is vecs[k] times the
+    ladder power and trig factors of keys[k] = (alpha, factors), the shape
+    of a real form; an exponential row vec·t^d·e^(nu t) has the key
+    ((nu, d), ()).
+
+    Real and imaginary parts below PRINT_DUST_REL of their row's norm are
+    rounding dust: printed, they would change with every last-bit change of
+    a solve.  They are zeroed for all rows at once; the output files keep
+    every digit.
+    """
+    if not keys:
+        return "0"
+    vecs = np.asarray(vecs, dtype=complex).reshape(len(keys), -1)
+    tol = PRINT_DUST_REL * row_norms(vecs)[:, None]
+    re = np.where(abs(vecs.real) < tol, 0.0, vecs.real).tolist()
+    im = np.where(abs(vecs.imag) < tol, 0.0, vecs.imag).tolist()
     parts = []
-    for (alpha, factors), vec in rows:
-        bits = [_vec_str(vec)]
+    for (alpha, factors), row_re, row_im in zip(keys, re, im):
+        vals = [_fmt_complex(complex(r, i)) for r, i in zip(row_re, row_im)]
+        bits = [vals[0] if len(vals) == 1 else "(" + ",".join(vals) + ")"]
         for i, a in enumerate(alpha):
             f = _power_factor(i - 1, complex(a))
             if f is not None:
@@ -383,7 +384,7 @@ def _ladder_term_string(rows) -> str:
         for j, omega, phase in factors:
             bits.append(f"{phase}({_num(omega)}·{_slot_name(j)})")
         parts.append("·".join(bits))
-    return " + ".join(parts) or "0"
+    return " + ".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +429,7 @@ def _term_table(expansion: Expansion) -> str:
     lines = []
     for k, order in enumerate(expansion.orders, 1):
         view = _ladder_view(order.term)
-        s = _ladder_term_string(((alpha, ()), vec) for alpha, vec in view.items())
+        s = _ladder_term_string([(alpha, ()) for alpha in view.alphas.tolist()], view.xis)
         if order.kernel:
             s += f"   [{len(order.kernel)} free kernel mode(s)]"
         lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
@@ -531,14 +532,20 @@ def cmd_verify(cfg: dict, spec: ProblemSpec, args) -> int:
     for n in n_values:
         rem = table[n]
         target = rates[0] if n == 0 else rates[n - 1]
-        fit = fit_decay(grid, rem, spec.mode, spec.scale_index, window)
-        ok = fit.exponent >= target - margin
-        all_pass &= ok
-        verdict = "PASS" if ok else "FAIL"
-        line = (
-            f"N={n}: exponent={fit.exponent:.6f} target>={target - margin:.6f} "
-            f"R2={fit.r_squared:.8f} window=[{fit.window[0]:.6g},{fit.window[1]:.6g}] {verdict}"
-        )
+        try:
+            fit = fit_decay(grid, rem, spec.mode, spec.scale_index, window)
+        except SparseFitWindow as e:
+            # a remainder at the noise floor has no measurable decay
+            all_pass = False
+            line = f"N={n}: no exponent ({e}) target>={target - margin:.6f} FAIL"
+        else:
+            ok = fit.exponent >= target - margin
+            all_pass &= ok
+            line = (
+                f"N={n}: exponent={fit.exponent:.6f} target>={target - margin:.6f} "
+                f"R2={fit.r_squared:.8f} window=[{fit.window[0]:.6g},{fit.window[1]:.6g}] "
+                + ("PASS" if ok else "FAIL")
+            )
         print(line)
         report_lines.append(line)
         columns.append((f"remainder_N{n}", rem))
@@ -593,7 +600,8 @@ def cmd_realify(cfg: dict, spec: ProblemSpec, args) -> int:
             rows = convert(term)
         except ValueError as e:  # the term has no real form
             raise ValidationError(f"order {k}: {e}") from e
-        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {_ladder_term_string(rows)}")
+        s = _ladder_term_string([key for key, _ in rows], [vec for _, vec in rows])
+        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
     table = "\n".join(lines)
     print(table)
     print(f"max imaginary residue on the sample grid: {worst:.3e}")

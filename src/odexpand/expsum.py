@@ -14,6 +14,7 @@ what the engine's symbolic identity checks rely on.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -40,6 +41,15 @@ EXPONENT_GRID = 1e-12
 # a polynomial row against its term here, a term against its sum in the
 # ladder-power sums.
 TRIM_REL = 1e-13
+
+
+def running_sum(name: str, zero: str, products: list[str]) -> list[str]:
+    """Generated statements that sum the products into name from zero, left
+    to right: ``name = zero + q1``, then ``name += q`` for each later one.
+    Separate statements keep the source flat however many products there
+    are; CPython's compiler recurses into one long sum expression."""
+    head = "".join(f" + {q}" for q in products[:1])
+    return [f"{name} = {zero}{head}"] + [f"{name} += {q}" for q in products[1:]]
 
 
 def snap_float(x: float) -> float:
@@ -253,17 +263,16 @@ class ExpPolySum:
             out += p[:, k]
         return out if ts.ndim else out[0]
 
-    @cached_property
-    def kernel(self):
-        """The sum as a straight-line Python function, generated once per sum.
+    def emit(self, t: str, p: str, namespace: dict) -> list[str]:
+        """Python statements that set {p}0 ... {p}{dim-1} to the value at t.
 
-        ``kernel(ts)`` takes a list of Python floats and returns one list of
-        dim Python complex numbers per time: the integrator's forcing
-        contract.  For each time t, e_k = cmath.exp(nu_k * t) for every
-        term k.  For component i, Horner's rule runs over the term's rows
-        from the last, p = r_last and then p = p * t + r_j, and the output
-        is the running sum from 0j of p * e_k in canonical term order,
-        leaving out the terms whose rows are all zero in component i.
+        ``t`` names a Python float; every name the statements set starts
+        with ``p``, and every value they read is bound in ``namespace``
+        under such a name.  {p}e{k} = cmath.exp(nu_k * t) for every term k.
+        For component i, Horner's rule runs over the term's rows from the
+        last, h = r_last and then h = h * t + r_j, and the output is the
+        running sum from 0j of h * e_k in canonical term order, leaving out
+        the terms whose rows are all zero in component i (``running_sum``).
 
         That is eval's arithmetic up to the signs of zeros.  eval starts
         Horner from 0j over zero-padded rows, adds every term and promotes
@@ -271,47 +280,44 @@ class ExpPolySum:
         directly on 3.14 and later.  Each of these changes at most the sign
         of a zero in an intermediate value, and so does every product or sum
         of finite such values; the running sum from 0j absorbs them, since
-        it never holds -0.0.  So the kernel gives eval's bits wherever numpy
-        rounds each complex product once, as it does on real coefficient
-        rows; on complex rows its vectorised product may fuse multiply-adds
-        and differ in the last bits.  An
-        exponent that overflows makes the call return eval's rows for its
-        times instead, so an overflow gives np.exp's inf and never raises.
+        it never holds -0.0.  So the statements give eval's bits wherever
+        numpy rounds each complex product once, as it does on real
+        coefficient rows; on complex rows its vectorised product may fuse
+        multiply-adds and differ in the last bits.  An exponent that
+        overflows gives the outputs ``eval(t)`` instead, so an overflow
+        gives np.exp's inf and never raises.
 
         One statement per Horner step keeps the source flat for any number
-        of terms; exponents and rows are bound by name in the namespace the
-        source runs in, never written into it.
+        of terms; exponents and rows are bound by name, never written into
+        the source.
         """
-        import cmath
-
-        namespace = {"cexp": cmath.exp}
-        namespace["overflow"] = lambda ts: self.eval(np.array(ts, dtype=float)).tolist()
+        namespace["cexp"] = cmath.exp
+        namespace[f"{p}eval"] = lambda x: self.eval(x).tolist()
         exps = []
         for k, nu in enumerate(self.nus.tolist()):
-            namespace[f"nu{k}"] = nu
-            exps.append(f"e{k} = cexp(nu{k} * t)")
+            namespace[f"{p}nu{k}"] = nu
+            exps.append(f"{p}e{k} = cexp({p}nu{k} * {t})")
         sums = []
         terms = [rows.tolist() for _, rows in self.items()]
         for i in range(self.dim):
-            sums.append(f"o{i} = 0j")
+            products = []
             for k, rows in enumerate(terms):
                 if not any(row[i] for row in rows):
                     continue
                 names = []
                 for j, row in enumerate(rows):
-                    names.append(f"r{k}_{j}_{i}")
+                    names.append(f"{p}r{k}_{j}_{i}")
                     namespace[names[-1]] = row[i]
-                sums.append(f"p = {names[-1]}")
-                sums += [f"p = p * t + {r}" for r in reversed(names[:-1])]
-                sums.append(f"o{i} += p * e{k}")
-        outs = ", ".join(f"o{i}" for i in range(self.dim))
-        lines = ["def kernel(ts):", "    rows = []", "    for t in ts:", "        try:"]
-        lines += [f"            {x}" for x in exps or ["pass"]]
-        lines += ["        except (OverflowError, ValueError):", "            return overflow(ts)"]
-        lines += [f"        {x}" for x in sums]
-        lines += [f"        rows.append([{outs}])", "    return rows"]
-        exec(compile("\n".join(lines), "<ExpPolySum.kernel>", "exec"), namespace)
-        return namespace["kernel"]
+                h = names.pop()
+                for r in reversed(names):
+                    sums.append(f"{p}h{k} = {h} * {t} + {r}")
+                    h = f"{p}h{k}"
+                products.append(f"{h} * {p}e{k}")
+            sums += running_sum(f"{p}{i}", "0j", products)
+        outs = "".join(f"{p}{i}, " for i in range(self.dim))
+        lines = ["try:"] + [f"    {x}" for x in exps or ["pass"]]
+        lines += ["except (OverflowError, ValueError):", f"    {outs}= {p}eval({t})", "else:"]
+        return lines + [f"    {x}" for x in sums]
 
     # -- serialization ---------------------------------------------------
 

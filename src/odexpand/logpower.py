@@ -17,20 +17,20 @@ With logs = ladder_eval(k, t) = (t, log t, ..., log L_k(t)) the value is
 the one product exp(alphas @ logs) @ xis, which is why evaluation requires
 every ladder component to be strictly positive.
 
-Two evaluators share that arithmetic, split by traffic as
+That arithmetic runs in two forms, split by traffic as
 ``MultiLinearMap``'s ``batch`` and ``kernel`` are.  ``eval`` takes a time
 or an array of times, checks each against the domain threshold and forms
 the two products with numpy; it serves grids (remainders, kernel fits, the
-realify residue).  ``kernel`` is a straight-line Python function generated
-once per sum, on lists of Python floats, with no check and no numpy call;
-the integrator calls it at the six stage times of every attempted step,
-after one ``eval`` at the start of the span has checked the domain.
-``ExpPolySum.kernel`` is its exponential-mode counterpart, and the ODE
-field (``numerics.make_rhs``) is generated the same way, so a step makes
-no numpy call in any mode.  Both evaluators take the ladder from the same
-math.log chain.  On one term with real exponents they agree bit for bit;
-elsewhere eval's BLAS products may fuse or reorder and differ in the last
-bits.
+realify residue).  ``emit`` writes the sum at one time as straight-line
+Python statements on floats, with no check and no numpy call; the ODE's
+generated right-hand side (``numerics.make_rhs``) splices them in, so the
+integrator evaluates the forcing at every stage time inside its one
+rhs(t, y) call, after one ``eval`` at the start of the span has checked
+the domain.  ``ExpPolySum.emit`` is the exponential-mode counterpart, so a
+step makes no numpy call in any mode.  Both forms take the ladder from the
+same math.log chain.  On one term with real exponents they agree bit for
+bit; elsewhere eval's BLAS products may fuse or reorder and differ in the
+last bits.
 
 Three linear operators drive the power/log recursions:
 
@@ -52,7 +52,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expsum import TRIM_REL, group_keys, snap_scalar
+from .expsum import TRIM_REL, group_keys, running_sum, snap_scalar
 from .ladder import exp_zero, ladder_eval
 from .multilinear import MultiLinearMap
 
@@ -306,34 +306,32 @@ class LogPowerSum:
         out = np.matmul(self.xis.T, e)[:, :, 0]
         return out if ts.ndim else out[0]
 
-    @cached_property
-    def kernel(self):
-        """The sum as a straight-line Python function, generated once per sum.
+    def emit(self, t: str, p: str, namespace: dict) -> list[str]:
+        """Python statements that set {p}0 ... {p}{dim-1} to the value at t.
 
-        ``kernel(ts)`` takes a list of Python floats and returns one list of
-        dim Python complex numbers per time.  The times are not checked:
-        each must lie above ``domain_start``.  For each time the ladder is
-        ladder_eval's chain, l0 = t and l{j+1} = math.log(l{j}).  For term k,
-        zr and zi sum Re a(j) * l{j} and Im a(j) * l{j} over the nonzero
-        parts, left to right, and e_k is math.exp(zr) when every exponent
-        of the term is real, else cmath.exp(complex(zr, zi)).  Each output
-        component is the running sum of xi_k * e_k over the terms with a
-        nonzero coefficient there, in term order, with each product written
-        in float parts: (xr*er - xi*ei, xr*ei + xi*er), or (xr*e, xi*e)
-        for a real e_k.  An exponent that overflows makes the call return
-        eval's rows for its times instead, so an overflow gives np.exp's
-        inf and never raises.
+        ``t`` names a Python float above ``domain_start``, which the
+        statements do not check; every name they set starts with ``p``,
+        and every value they read is bound in ``namespace`` under such a
+        name.  The ladder is ladder_eval's chain, l0 = t and
+        l{j+1} = log(l{j}).  For term k, {p}zr and {p}zi sum
+        Re a(j) * l{j} and Im a(j) * l{j} over the nonzero parts, left to
+        right, and {p}e{k} is math.exp(zr) when every exponent of the term
+        is real, else cmath.exp(complex(zr, zi)).  Each output component is
+        complex(re, im) of the running sums from 0.0 of xi_k * e_k over the
+        terms with a nonzero coefficient there, in term order, each product
+        written in float parts: (xr*er - xi*ei, xr*ei + xi*er), or
+        (xr*e, xi*e) for a real e_k.  An exponent that overflows gives the
+        outputs ``eval(t)`` instead, so an overflow gives np.exp's inf and
+        never raises.
 
         One statement per (term, component) keeps the source flat for any
-        number of terms; coefficients are bound by name in the namespace
-        the source runs in, never written into it.
+        number of terms; coefficients are bound by name, never written into
+        the source.
         """
-        namespace = {"log": math.log, "exp": math.exp, "cexp": cmath.exp}
-        namespace["overflow"] = lambda ts: self.eval(np.array(ts, dtype=float)).tolist()
+        namespace.update(log=math.log, exp=math.exp, cexp=cmath.exp)
+        namespace[f"{p}eval"] = lambda x: self.eval(x).tolist()
 
-        def running_sum(name: str, products: list[str]) -> list[str]:
-            return [f"{name} = 0.0"] + [f"{name} += {p}" for p in products]
-
+        ladder = [t] + [f"{p}l{j}" for j in range(1, self.depth + 2)]
         exps, real = [], []
         for k, alpha in enumerate(self.alphas.tolist()):
             real.append(not any(a.imag for a in alpha))
@@ -341,37 +339,36 @@ class LogPowerSum:
                 products = []
                 for j, a in enumerate(alpha):
                     if getattr(a, part):
-                        namespace[f"a{k}_{j}{part[0]}"] = getattr(a, part)
-                        products.append(f"a{k}_{j}{part[0]} * l{j}")
-                exps += running_sum(f"z{part[0]}", products)
+                        name = f"{p}a{k}_{j}{part[0]}"
+                        namespace[name] = getattr(a, part)
+                        products.append(f"{name} * {ladder[j]}")
+                exps += running_sum(f"{p}z{part[0]}", "0.0", products)
+            e = f"{p}e{k}"
             if real[k]:
-                exps.append(f"e{k} = exp(zr)")
+                exps.append(f"{e} = exp({p}zr)")
             else:
-                exps += [f"e{k} = cexp(complex(zr, zi))", f"e{k}r, e{k}i = e{k}.real, e{k}.imag"]
+                exps += [f"{e} = cexp(complex({p}zr, {p}zi))", f"{e}r, {e}i = {e}.real, {e}.imag"]
         sums = []
         for i in range(self.dim):
             re, im = [], []
             for k, xi in enumerate(self.xis[:, i].tolist()):
                 if not xi:
                     continue
-                xr, xm = f"x{k}_{i}r", f"x{k}_{i}i"
+                xr, xm, e = f"{p}x{k}_{i}r", f"{p}x{k}_{i}i", f"{p}e{k}"
                 namespace[xr], namespace[xm] = xi.real, xi.imag
                 if real[k]:
-                    re.append(f"{xr} * e{k}")
-                    im.append(f"{xm} * e{k}")
+                    re.append(f"{xr} * {e}")
+                    im.append(f"{xm} * {e}")
                 else:
-                    re.append(f"({xr} * e{k}r - {xm} * e{k}i)")
-                    im.append(f"({xr} * e{k}i + {xm} * e{k}r)")
-            sums += running_sum(f"o{i}r", re) + running_sum(f"o{i}i", im)
-        outs = ", ".join(f"complex(o{i}r, o{i}i)" for i in range(self.dim))
-        lines = ["def kernel(ts):", "    rows = []", "    for l0 in ts:"]
-        lines += [f"        l{j + 1} = log(l{j})" for j in range(self.depth + 1)]
-        lines += ["        try:"] + [f"            {x}" for x in exps]
-        lines += ["        except (OverflowError, ValueError):", "            return overflow(ts)"]
-        lines += [f"        {x}" for x in sums]
-        lines += [f"        rows.append([{outs}])", "    return rows"]
-        exec(compile("\n".join(lines), "<LogPowerSum.kernel>", "exec"), namespace)
-        return namespace["kernel"]
+                    re.append(f"({xr} * {e}r - {xm} * {e}i)")
+                    im.append(f"({xr} * {e}i + {xm} * {e}r)")
+            sums += running_sum(f"{p}o{i}r", "0.0", re) + running_sum(f"{p}o{i}i", "0.0", im)
+            sums.append(f"{p}{i} = complex({p}o{i}r, {p}o{i}i)")
+        outs = "".join(f"{p}{i}, " for i in range(self.dim))
+        lines = [f"{b} = log({a})" for a, b in zip(ladder, ladder[1:])]
+        lines += ["try:"] + [f"    {x}" for x in exps or ["pass"]]
+        lines += ["except (OverflowError, ValueError):", f"    {outs}= {p}eval({t})", "else:"]
+        return lines + [f"    {x}" for x in sums]
 
     # -- serialization ---------------------------------------------------
 

@@ -13,15 +13,16 @@ product call per (order, map).  Exponential mode still sums ``G`` over
 every distinct ordering.
 
 Two evaluators share the entry table.  ``__call__`` applies the map to
-single vectors, and the ODE field (``numerics.make_rhs``) calls it once
-per map on every evaluation.
-It runs ``kernel``, a straight-line Python function generated once per map
+single vectors: the ODE's generated right-hand side (``numerics.make_rhs``,
+one rhs(t, y) per problem, forcing included) calls it once per map on
+every evaluation, with the state list; the entries are not inlined into
+that function.  It runs ``kernel``, a straight-line Python function generated once per map
 from the entry table: one statement ``o{i} += v{e}*x0[j0]*x1[j1]...`` per
 entry, in table order, on lists of Python complex numbers.  Python's
 complex arithmetic on list items costs a fraction of numpy's scalar
 operations, and fixed statements need no loop over the table or index
 lookups at run time.  Given lists, ``__call__`` returns the kernel's list
-with no conversion, which is how the ODE field calls it; given arrays, it
+with no conversion, which is how the right-hand side calls it; given arrays, it
 converts them to lists and the result back to an array.  Its source is
 compiled on the first call, at roughly 25 microseconds per entry, so only
 maps that are applied to single vectors pay for it.  The statements are
@@ -119,7 +120,7 @@ class MultiLinearMap:
 
         When every argument is a list, the lists are passed to ``kernel`` as
         they are and its list of dim Python complex numbers comes back; the
-        ODE field works this way.  Otherwise each non-list argument is
+        ODE's right-hand side works this way.  Otherwise each non-list argument is
         converted with ``np.asarray(a, complex).tolist()`` and the result is
         a complex ndarray.  List arguments hold Python numbers, as ``tolist``
         of an array gives.

@@ -4,9 +4,9 @@ Everything here treats the symbolic layer as a black box that can be
 evaluated on a grid of times.  The checks are deliberately independent of
 the construction: trajectories come from an adaptive Runge-Kutta run and
 decay rates from least-squares fits in the appropriate log coordinates.
-The run's field is one straight-line function generated per problem
-(``make_rhs``) and its forcing the terms' generated kernels, so an
-attempted step makes no numpy call.  The remainder check samples the
+The run's right-hand side, forcing included, is one straight-line
+function rhs(t, y) generated per problem (``make_rhs``), so an attempted
+step makes no numpy call.  The remainder check samples the
 trajectory once on the grid, and ``remainder_series`` returns |y - S_N|
 for every N as one table.  The kernel fit takes its own 64 samples in its
 window; the fitted constants enter the table as values added to the
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import Expansion, ProblemSpec, eval_partial_sum
-from .expsum import snap_float
+from .expsum import running_sum, snap_float
 from .ladder import ladder_eval
 from .logpower import LogPowerSum, row_norms
 from .rk45 import Trajectory, integrate_rhs
@@ -29,6 +29,7 @@ from .rk45 import Trajectory, integrate_rhs
 __all__ = [
     "DecayFit",
     "SmallnessCertificate",
+    "SparseFitWindow",
     "decay_envelope_constant",
     "fit_decay",
     "fit_kernel_constants",
@@ -45,42 +46,53 @@ __all__ = [
 
 
 def make_rhs(spec: ProblemSpec):
-    """Callable y -> -A y + sum of multilinear terms: the autonomous field.
+    """Callable (t, y) -> -A y + sum of multilinear terms + forcing at t.
 
-    The forcing is not part of it; ``integrate`` evaluates it once per step
-    at all stage times.  ``y`` is a list of n Python complex numbers, as
-    ``integrate_rhs`` passes it, and the field returns a new such list.
+    ``t`` is a Python float and ``y`` a list of n Python complex numbers,
+    as ``integrate_rhs`` passes them; the result is a new such list.
 
-    The field is one straight-line Python function, generated per call.
-    It unpacks y into locals and forms -A y row by row: ``a{i} = 0j``,
-    then one statement ``a{i} += n{i}_{j}*y{j}`` per nonzero entry of -A
-    in row-major order, the arithmetic of an arity-1 ``MultiLinearMap`` of
-    those entries.  (Such a map stores 0j + -A[i, j], which can differ in
-    the sign of a zero part; the products then differ at most in the sign
-    of a zero, which the running sum from 0j absorbs.)  Each map of
-    ``spec.maps`` is called once through its ``__call__`` on the list y,
-    and component i of the result is ``a{i} + g0[i] + g1[i] ...``, the
-    maps' outputs added in ``spec.maps`` order.  Values and maps are bound
-    by name in the namespace the source runs in.
+    The right-hand side is one straight-line Python function, generated
+    per call.  It unpacks y into locals and forms -A y row by row, as
+    the running sum ``a{i}`` from 0j of ``n{i}_{j}*y{j}`` over the nonzero
+    entries of -A in row-major order, the arithmetic of an arity-1
+    ``MultiLinearMap`` of those entries.  (Such a map stores 0j + -A[i, j],
+    which can differ in the sign of a zero part; the products then differ
+    at most in the sign of a zero, which the running sum from 0j absorbs.)
+    Each map of ``spec.maps`` is called once through its ``__call__`` on
+    the list y.  Each forcing term's statements for the time t follow
+    (``LogPowerSum.emit``, ``ExpPolySum.emit``); they do not check t.
+    Component i of the result is ``a{i} + g0[i] + g1[i] ... + f0_i +
+    f1_i ...``: the maps' outputs in ``spec.maps`` order, then the forcing
+    terms in ``spec.forcing`` order.  Values and maps are bound by name in
+    the namespace the source runs in.
     """
     n = spec.dim
     neg_A = -spec.matrix
     namespace = {}
     ys = ", ".join(f"y{j}" for j in range(n))
-    lines = ["def field(y):", f"    {ys}, = y"]
-    lines += [f"    a{i} = 0j" for i in range(n)]
+    lines = ["def rhs(t, y):", f"    {ys}, = y"]
+    products = [[] for _ in range(n)]
     for i, j in zip(*np.nonzero(neg_A)):
         namespace[f"n{i}_{j}"] = complex(neg_A[i, j])
-        lines.append(f"    a{i} += n{i}_{j}*y{j}")
+        products[i].append(f"n{i}_{j}*y{j}")
+    for i in range(n):
+        lines += [f"    {x}" for x in running_sum(f"a{i}", "0j", products[i])]
     for k, g in enumerate(spec.maps):
         namespace[f"m{k}"] = g
         lines.append(f"    g{k} = m{k}({', '.join(['y'] * g.arity)})")
+    for r, (_, term) in enumerate(spec.forcing):
+        lines += [f"    {x}" for x in term.emit("t", f"f{r}_", namespace)]
     outs = ", ".join(
-        "".join([f"a{i}"] + [f" + g{k}[{i}]" for k in range(len(spec.maps))]) for i in range(n)
+        "".join(
+            [f"a{i}"]
+            + [f" + g{k}[{i}]" for k in range(len(spec.maps))]
+            + [f" + f{r}_{i}" for r in range(len(spec.forcing))]
+        )
+        for i in range(n)
     )
     lines.append(f"    return [{outs}]")
     exec(compile("\n".join(lines), "<numerics.make_rhs>", "exec"), namespace)
-    return namespace["field"]
+    return namespace["rhs"]
 
 
 def integrate(
@@ -92,23 +104,16 @@ def integrate(
 ) -> Trajectory:
     """Integrate the problem's ODE over t_span.
 
-    The field comes from ``make_rhs``; the forcing records are the
-    problem's forcing terms, each evaluated by its ``kernel`` on the list
-    of a step's stage times.  The kernels do not check their times, so each
-    power/log term's domain gate runs once per integration, as an ``eval``
-    at t_span[0]: a t_span that starts outside a term's domain raises that
-    term's own ValueError there, and the stage times never fall below
-    t_span[0].
+    The right-hand side comes from ``make_rhs``.  Its forcing statements
+    do not check their times, so each power/log term's domain gate runs
+    once per integration, as an ``eval`` at t_span[0]: a t_span that starts
+    outside a term's domain raises that term's own ValueError there, and
+    the stage times never fall below t_span[0].
     """
     for _, term in spec.forcing:
         if isinstance(term, LogPowerSum):
             term.eval(t_span[0])
-    kernels = [term.kernel for _, term in spec.forcing]
-
-    def forcing(ts):
-        return [k(ts) for k in kernels]
-
-    return integrate_rhs(make_rhs(spec), forcing, y0, t_span, rel_tol, abs_tol)
+    return integrate_rhs(make_rhs(spec), y0, t_span, rel_tol, abs_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +330,10 @@ class DecayFit:
     window: tuple
 
 
+class SparseFitWindow(ValueError):
+    """The fit window holds fewer than 3 samples above the noise floor."""
+
+
 def fit_decay(
     ts,
     values,
@@ -340,8 +349,8 @@ def fit_decay(
     default window is the trailing 40% of the span.  Either window keeps
     only samples above the noise floor: 100 machine epsilons relative to
     the first sample, which stands in for the size of the quantity whose
-    cancellation produced the remainder.  A non-finite value anywhere
-    raises ValueError.
+    cancellation produced the remainder.  Fewer than 3 such samples raise
+    SparseFitWindow; a non-finite value anywhere raises ValueError.
     """
     ts = np.asarray(ts, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -353,7 +362,7 @@ def fit_decay(
     lo, hi = window if window is not None else (ts[0] + 0.6 * (ts[-1] - ts[0]), ts[-1])
     mask = (ts >= lo) & (ts <= hi) & (values > floor) & (values > 0)
     if int(mask.sum()) < 3:
-        raise ValueError("fewer than 3 usable samples in the fit window")
+        raise SparseFitWindow("fewer than 3 usable samples in the fit window")
     tw = ts[mask]
     if mode == "exponential":
         x = tw

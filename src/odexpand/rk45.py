@@ -1,49 +1,36 @@
 """Adaptive Dormand-Prince 5(4) integrator with PI step control.
 
-The right-hand side comes in two parts, y' = field(y) + sum of forcing(t)
-records.  ``field`` is autonomous: it sees the state alone.  ``forcing``
-depends on t alone, so it is evaluated once per attempted step, at all six
-stage times t + c_i h at once, before the first stage runs.  Each stage adds
-the forcing records to its field value one after another, in record order,
-which is the sum a pointwise right-hand side field(y) + f_1(t) + f_2(t) + ...
-would form.
+The right-hand side is one function rhs(t, y), called once per stage at
+the stage time t + c_i h, as in Hairer, Norsett & Wanner's DOPRI5.  The
+pair is Dormand & Prince's (J. Comput. Appl. Math. 6, 1980), written out
+stage by stage.  It advances with the 5th-order solution and controls the
+step from the embedded 4th-order error estimate; the last stage doubles as
+the first stage of the next step (FSAL).
 
-The pair is Dormand & Prince's (J. Comput. Appl. Math. 6, 1980), written
-out stage by stage as in Hairer, Norsett & Wanner's DOPRI5.  It advances
-with the 5th-order solution and controls the step from the embedded
-4th-order error estimate; the last stage doubles as the first stage of the
-next step (FSAL).
-
-The state, the stages and the forcing records are lists of Python
-numbers.  On the small systems this package integrates, a numpy call costs
-more than the arithmetic it does, so an attempted step makes none: the
-forcing gets the six stage times as a list of floats and returns its
-records as lists (``numerics.integrate`` passes each forcing term's
-generated kernel, ``LogPowerSum.kernel`` or ``ExpPolySum.kernel``), the
-field is the problem's generated straight-line function
-(``numerics.make_rhs``), and the rest of the step is one straight-line
-Python function, generated from the tableau for each
-(n, number of forcing records) the first time ``integrate_rhs`` meets that
-shape, and cached.  It unpacks the state, the previous derivative and each
-record's six rows into local names, and gives every component of every
-stage its own statement: the stage input u_j + h * (a_1 k1_j + ... ) with
-the tableau's zero entries left out, then the field value plus the forcing
-rows in record order, then a finiteness check that raises at the first
-non-finite stage.  The field is called once per stage on a list of the
-stage's components.  The error norm is the RMS over the 2n real and
-imaginary components, each scaled by abs_tol + rel_tol * max(|u|, |u_new|)
-of its own component, summed one component at a time.
+The state and the stages are lists of Python numbers.  On the small
+systems this package integrates, a numpy call costs more than the
+arithmetic it does, so an attempted step makes none: the right-hand side
+is the problem's generated straight-line function (``numerics.make_rhs``),
+and the rest of the step is one straight-line Python function, generated
+from the tableau for each state length n the first time ``integrate_rhs``
+meets it, and cached.  It unpacks the state and the previous derivative
+into local names and gives every component of every stage its own
+statement: the stage input u_j + h * (a_1 k1_j + ... ) with the tableau's
+zero entries left out, then one rhs call on a list of the stage's
+components, then a finiteness check that raises at the first non-finite
+stage.  The error norm is the RMS over the 2n real and imaginary
+components, each scaled by abs_tol + rel_tol * max(|u|, |u_new|) of its
+own component, summed one component at a time.
 
 Separate statements, not one expression per stage over all components,
 keep the source flat: CPython's compiler recurses into nested expressions
 and fails on very long ones.  However large n is, an expression sums at
-most seven terms (or one per forcing record), and the n-long parts are
-flat lists of names.  The generated code does the arithmetic of a loop
-over the components with the same expressions, the same grouping and the
-same order, so the trajectory is bit for bit what that loop gives
-(``tests/helpers.py`` keeps such a loop as the oracle); only the
-interpreter's work around the arithmetic (loops, ``zip`` tuples, calls) is
-gone.
+most seven terms, and the n-long parts are flat lists of names.  The
+generated code does the arithmetic of a loop over the components with the
+same expressions, the same grouping and the same order, so the trajectory
+is bit for bit what that loop gives (``tests/helpers.py`` keeps such a loop
+as the oracle); only the interpreter's work around the arithmetic (loops,
+``zip`` tuples, calls) is gone.
 
 Dense output between accepted points is cubic Hermite interpolation from
 the stored endpoint derivatives; the trajectory's arrays are built once,
@@ -64,7 +51,7 @@ __all__ = ["Trajectory", "StepUnderflow", "integrate_rhs"]
 
 # Dormand-Prince 5(4) tableau.  Row 7 of A is the 5th-order weights (FSAL),
 # and E = b5 - b4 weighs the error estimate; a72 = b2 = E2 = 0.
-_C_STAGES = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)  # c2..c7, fractions of h
+_C2, _C3, _C4, _C5, _C6, _C7 = 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0  # fractions of h
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -136,21 +123,8 @@ class Trajectory:
         return out if np.ndim(t) else out[0]
 
 
-def _derivative(field, y, rows) -> list:
-    """field(y) plus each forcing row of rows, added in record order."""
-    k = field(y)
-    for row in rows:
-        k = [a + b for a, b in zip(k, row)]
-    return k
-
-
-def _rows_at(forcing, t: float) -> list:
-    """The forcing records at the one time t, each a list of n numbers."""
-    return [rec[0] for rec in forcing([t])]
-
-
 class _NonFinite(Exception):
-    """A stage came out non-finite; args[0] is the number of field calls made."""
+    """A stage came out non-finite; args[0] is the number of rhs calls made."""
 
 
 # Row i of the tableau weighs k1, k2, ... for stage i + 2's input; row 5
@@ -172,37 +146,30 @@ def _weighted(row, j: int) -> str:
 
 
 @lru_cache(maxsize=None)
-def _generated_attempt(n: int, records: int):
-    """The attempt function for n components and ``records`` forcing records.
+def _generated_attempt(n: int):
+    """The attempt function for n components.
 
-    ``attempt(field, u, k1, h, rel_tol, abs_tol, f0, ...)`` takes one
-    forcing record per parameter f{r}, as the forcing returns it: six rows
-    of n numbers, one per stage time.  It returns the 5th-order solution, its
+    ``attempt(rhs, t, u, k1, h, rel_tol, abs_tol)`` calls rhs once per
+    stage, at t + c_i * h.  It returns the 5th-order solution, its
     derivative (stage 7, the next step's k1) and the error norm, or raises
     _NonFinite at the first non-finite stage; no later stage runs.  The
     tableau entries are read by name from this module.
     """
-    recs = [f"f{r}" for r in range(records)]
 
     def names(fmt: str) -> str:
         return ", ".join(fmt.format(j) for j in range(n))
 
     lines = [
-        f"def attempt(field, u, k1, h, rel_tol, abs_tol{''.join(', ' + f for f in recs)}):",
+        "def attempt(rhs, t, u, k1, h, rel_tol, abs_tol):",
         f"    {names('u{}')}, = u",
         f"    {names('k1_{}')}, = k1",
     ]
-    lines += [f"    {', '.join(f'{f}_{i}' for i in range(2, 8))} = {f}" for f in recs]
     for i, row in enumerate(_STAGE_ROWS, start=2):
         lines += [f"    y{i}_{j} = u{j} + h * ({_weighted(row, j)})" for j in range(n)]
-        lines += [f"    y{i} = [{names(f'y{i}_{{}}')}]", f"    {names('g{}')}, = field(y{i})"]
+        lines.append(f"    y{i} = [{names(f'y{i}_{{}}')}]")
+        lines.append(f"    {names(f'k{i}_{{}}')}, = rhs(t + _C{i} * h, y{i})")
         for j in range(n):
-            forced = "".join(f" + {f}_{i}[{j}]" for f in recs)
-            lines += [
-                f"    k{i}_{j} = g{j}{forced}",
-                f"    if not isfinite(k{i}_{j}):",
-                f"        raise _NonFinite({i - 1})",
-            ]
+            lines += [f"    if not isfinite(k{i}_{j}):", f"        raise _NonFinite({i - 1})"]
     lines.append("    acc = 0.0")
     for j in range(n):
         lines.append(f"    d = h * ({_weighted(_ERROR_ROW, j)})")
@@ -214,7 +181,7 @@ def _generated_attempt(n: int, records: int):
         lines.append("    acc += wr * wr + wi * wi")
     lines.append(f"    return y7, [{names('k7_{}')}], math.sqrt(acc / {2 * n})")
     namespace = {}
-    exec(compile("\n".join(lines), f"<rk45 attempt n={n} records={records}>", "exec"), globals(), namespace)
+    exec(compile("\n".join(lines), f"<rk45 attempt n={n}>", "exec"), globals(), namespace)
     return namespace["attempt"]
 
 
@@ -227,7 +194,7 @@ def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v) / len(v))
 
 
-def _initial_step(field, forcing, t0, y0, f0, rel_tol, abs_tol, t_max):
+def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
     """Hairer-style starting step guess on the stacked real components."""
     u0, g0 = _parts(y0), _parts(f0)
     sc = [abs_tol + rel_tol * abs(x) for x in u0]
@@ -236,7 +203,7 @@ def _initial_step(field, forcing, t0, y0, f0, rel_tol, abs_tol, t_max):
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, t_max - t0)
     y1 = [y + h0 * f for y, f in zip(y0, f0)]
-    f1 = _parts(_derivative(field, y1, _rows_at(forcing, t0 + h0)))
+    f1 = _parts(rhs(t0 + h0, y1))
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, g0, sc)]) / h0
     if not math.isfinite(d2):
         # as for a non-finite stage: a quarter of the trial step
@@ -248,27 +215,21 @@ def _initial_step(field, forcing, t0, y0, f0, rel_tol, abs_tol, t_max):
     return min(100 * h0, h1, t_max - t0)
 
 
-def integrate_rhs(
-    field, forcing, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12
-) -> Trajectory:
-    """Integrate y' = field(y) + sum(forcing(t)) over t_span with adaptive steps.
+def integrate_rhs(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> Trajectory:
+    """Integrate y' = rhs(t, y) over t_span with adaptive steps.
 
-    ``field(y)`` receives the state as a list of n Python complex numbers
-    and returns a sequence of n real or complex numbers; it must not
-    change the list.  ``forcing(ts)`` receives a list of Python floats
-    and returns a sequence of forcing records, each a list of len(ts) rows
-    of n numbers whose row i is that record at ts[i], and the same number
-    of records on every call; an unforced problem returns an empty
-    sequence.  Every attempted step makes one forcing call
-    for its six stage times and up to six field calls: the first stage
-    that is not finite ends the attempt, which is retried with a quarter of
-    the step.  The start makes one call of each for the initial point and
-    for the starting step guess; a guess whose trial derivative is not
-    finite starts with a quarter of the trial step.  Both ends of t_span
-    must be finite, so every time passed to the forcing is a finite float
-    no smaller than t_span[0].  The step that reaches t_span[1] lands on it
-    exactly.  ``rel_tol`` must be finite and >= 0 and ``abs_tol`` finite
-    and > 0.  Raises StepUnderflow when error control cannot proceed.
+    ``rhs(t, y)`` receives a Python float t and the state as a list of n
+    Python complex numbers, and returns a sequence of n real or complex
+    numbers; it must not change the list.  Every attempted step makes up
+    to six rhs calls, one per stage at t + c_i h: the first stage that is
+    not finite ends the attempt, which is retried with a quarter of the
+    step.  The start makes one call at the initial point and one for the
+    starting step guess; a guess whose trial derivative is not finite
+    starts with a quarter of the trial step.  Both ends of t_span must be
+    finite, so every time passed to rhs is a finite float no smaller than
+    t_span[0].  The step that reaches t_span[1] lands on it exactly.
+    ``rel_tol`` must be finite and >= 0 and ``abs_tol`` finite and > 0.
+    Raises StepUnderflow when error control cannot proceed.
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if not (math.isfinite(t0) and math.isfinite(t1)):
@@ -278,12 +239,11 @@ def integrate_rhs(
     if not (math.isfinite(rel_tol) and rel_tol >= 0.0 and math.isfinite(abs_tol) and abs_tol > 0.0):
         raise ValueError(f"need finite rel_tol >= 0 and abs_tol > 0, got {rel_tol!r}, {abs_tol!r}")
     u = np.array(y0, dtype=complex).reshape(-1).tolist()
-    rows = _rows_at(forcing, t0)
-    attempt = _generated_attempt(len(u), len(rows))
-    k1 = _derivative(field, u, rows)
+    attempt = _generated_attempt(len(u))
+    k1 = rhs(t0, u)
     if not all(map(isfinite, k1)):
         raise ValueError("right-hand side not finite at the initial point")
-    h = _initial_step(field, forcing, t0, u, k1, rel_tol, abs_tol, t1)
+    h = _initial_step(rhs, t0, u, k1, rel_tol, abs_tol, t1)
     t = t0
     ts, states, derivs = [t0], [u], [k1]
     err_prev = 1.0
@@ -300,9 +260,8 @@ def integrate_rhs(
         # written so that a NaN step raises too
         if not h > _TINY * max(abs(t), 1.0):
             raise StepUnderflow(f"step size underflow at t = {t}")
-        records = forcing([t + c * h for c in _C_STAGES])
         try:
-            u_new, k7, err = attempt(field, u, k1, h, rel_tol, abs_tol, *records)
+            u_new, k7, err = attempt(rhs, t, u, k1, h, rel_tol, abs_tol)
         except _NonFinite as stop:
             n_evals += stop.args[0]
             h *= 0.25

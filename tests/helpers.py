@@ -222,7 +222,7 @@ def eval_expsum_oracle(s: ExpPolySum, t: float) -> np.ndarray:
 
 def kernel_exp_oracle(s: ExpPolySum, t: float) -> list:
     """One time, in plain Python loops: eval's arithmetic on Python complex
-    numbers, which ``ExpPolySum.kernel`` must match bit for bit.
+    numbers, which ``ExpPolySum.emit``'s statements must match bit for bit.
 
     tc = complex(t); per term, e = cmath.exp(nu * tc); per output, the sum
     from 0j in term order of p * e, p from Horner's rule from 0j over every
@@ -721,7 +721,7 @@ def eval_logpower_oracle(p: LogPowerSum, t: float) -> np.ndarray:
 
 
 def kernel_logpower_oracle(p: LogPowerSum, t: float) -> list:
-    """One time, in plain Python loops: the arithmetic of ``LogPowerSum.kernel``.
+    """One time, in plain Python loops: the arithmetic of ``LogPowerSum.emit``.
 
     A math.log ladder; per term, zr and zi summed from 0.0 over the nonzero
     real and imaginary exponent parts, left to right, and math.exp(zr) for
@@ -758,6 +758,22 @@ def kernel_logpower_oracle(p: LogPowerSum, t: float) -> list:
     return out
 
 
+def emitted(term, prefix: str = "v_", namespace: dict | None = None):
+    """t -> [value of each component at t], from the term's ``emit``
+    statements alone, compiled into one function of a float."""
+    namespace = {} if namespace is None else namespace
+    lines = ["def value(t):"] + [f"    {x}" for x in term.emit("t", prefix, namespace)]
+    lines.append(f"    return [{''.join(f'{prefix}{i}, ' for i in range(term.dim))}]")
+    exec(compile("\n".join(lines), "<emitted>", "exec"), namespace)
+    return namespace["value"]
+
+
+def emitted_rows(term, times) -> np.ndarray:
+    """One row per time of the term's emitted statements, as a complex array."""
+    value = emitted(term)
+    return np.array([value(t) for t in times], dtype=complex).reshape(len(times), term.dim)
+
+
 def linear_map(A: np.ndarray) -> MultiLinearMap:
     """y -> A y as an arity-1 map of A's nonzero entries."""
     return MultiLinearMap(1, A.shape[0], tuple((i, (j,), A[i, j]) for i, j in zip(*np.nonzero(A))))
@@ -786,8 +802,8 @@ def rhs_oracle(spec):
 
     -A y and the multilinear terms come from ``dense_apply``, not
     ``G(...)``, and power/log forcing from ``kernel_logpower_oracle``, not
-    ``LogPowerSum.kernel``, so a fault in a generated kernel shows against
-    this oracle.
+    ``LogPowerSum.emit``, so a fault in generated code shows against this
+    oracle.
     """
     neg_A = linear_map(-spec.matrix)
 

@@ -94,10 +94,16 @@ def test_expand_prints_no_rounding_dust(tmp_path, capsys):
 
 
 def test_printed_vectors_drop_parts_below_the_dust_line():
-    assert cli._vec_str(np.array([-0.0834422 + 9.26952e-20j])) == "-0.0834422"
-    assert cli._vec_str(np.array([1.0, 3e-14j, 2e-13j])) == "(1,0,2e-13i)"
-    assert cli._vec_str(np.array([1.0 + 2e-13j, 1.5e-13])) == "((1+2e-13i),1.5e-13)"
-    assert cli._vec_str(np.zeros(2, dtype=complex)) == "(0,0)"
+    def printed(*vecs):
+        return cli._ladder_term_string([((0j, 0j), ())] * len(vecs), np.array(vecs))
+
+    assert printed([-0.0834422 + 9.26952e-20j]) == "-0.0834422"
+    assert printed([1.0, 3e-14j, 2e-13j]) == "(1,0,2e-13i)"
+    assert printed([1.0 + 2e-13j, 1.5e-13]) == "((1+2e-13i),1.5e-13)"
+    assert printed(np.zeros(2, dtype=complex)) == "(0,0)"
+    # each row against its own norm
+    assert printed([1.0, 3e-14j], [1e-14, 2e-27j]) == "(1,0) + (1e-14,2e-27i)"
+    assert cli._ladder_term_string([], np.zeros((0, 2))) == "0"
     # exponents and fitted constants are printed in full
     assert cli._fmt_complex(1.0 + 1e-20j) == "(1+1e-20i)"
 
@@ -631,6 +637,29 @@ def test_verify_order_option_overrides_the_config(tmp_path, capsys):
         verdicts, _, _ = _verify_results(capsys.readouterr().out)
         assert code == 0
         assert [n for n, _ in verdicts] == want, (config_order, option)
+
+
+def test_verify_of_an_order_whose_remainder_sits_at_the_noise_floor_fails(tmp_path, capsys):
+    # riccati at order 12: from N=4 on, |y - S_N| in the default window lies
+    # below fit_decay's noise floor, so there is no decay to measure.  Each
+    # such N fails with its own line, and both output files are written.
+    config = str(CONFIGS / "riccati.json")
+    code = main(["verify", "--config", config, "--order", "12", "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    verdicts, _, _ = _verify_results(out)
+    assert verdicts == [(1, "PASS"), (2, "PASS"), (3, "PASS")]
+    sparse = [
+        f"N={n}: no exponent (fewer than 3 usable samples in the fit window) "
+        for n in range(4, 13)
+    ]
+    lines = out.splitlines()[-9:]
+    assert [line[: len(want)] for line, want in zip(lines, sparse)] == sparse
+    assert all(line.endswith(" FAIL") for line in lines)
+    report = (tmp_path / "verify.txt").read_text().splitlines()
+    assert report == out.splitlines()
+    header = (tmp_path / "remainders.csv").read_text().splitlines()[0]
+    assert header == "t," + ",".join(f"remainder_N{n}" for n in range(1, 13))
 
 
 # Modules a fresh interpreter must not load, per run: the power/log path

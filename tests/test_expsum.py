@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odexpand import ExpPolySum, MultiLinearMap, expsum
+from odexpand import ExpPolySum, MultiLinearMap
 from odexpand.cli import build_problem
 from odexpand.expsum import (
     mul_apply_exp,
@@ -20,6 +20,8 @@ from odexpand.expsum import (
 from odexpand.realify import _ladder_view
 
 from helpers import (
+    emitted,
+    emitted_rows,
     add_exp_oracle,
     apply_matrix_exp_oracle,
     assert_arrays_bitwise_equal,
@@ -464,15 +466,15 @@ def _exp_forcings(case: str):
     "case",
     ["resonant", "jordan_resonant", "certificate"] + [f"exp-resonant:{i}" for i in range(32)],
 )
-def test_kernel_matches_eval_bitwise_on_the_integrated_forcings(case):
+def test_emitted_value_matches_eval_bitwise_on_the_integrated_forcings(case):
     # real coefficient rows: every product eval forms rounds once however
-    # numpy computes it, so the kernel gives eval's bits
+    # numpy computes it, so the statements give eval's bits
     rng = np.random.default_rng(list(case.encode()))
     (t0, t1), terms = _exp_forcings(case)
     times = [t0, *np.sort(rng.uniform(t0, t1, 400)).tolist(), t1]
     for term in terms:
         assert isinstance(term, ExpPolySum) and not term.rows.imag.any()
-        got = np.array(term.kernel(times), dtype=complex)
+        got = emitted_rows(term, times)
         assert_arrays_bitwise_equal(got, term.eval(np.array(times)))
 
 
@@ -485,7 +487,7 @@ def _exp_kernel_scale(s: ExpPolySum, times) -> np.ndarray:
     return np.einsum("tk,td,kdi->ti", e, powers, np.abs(s.rows))
 
 
-def test_kernel_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
+def test_emitted_value_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
     # complex rows: numpy's vectorised complex product may fuse its
     # multiply-adds, so eval's rows differ in the last bits.  Measured over
     # these 200 sums with numpy 2.4 on an AVX-512 x86-64 CPU: 1,492 of 4,419
@@ -501,15 +503,15 @@ def test_kernel_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
             raw.append((nu, cvec(rng, int(rng.integers(1, 4)) * dim).reshape(-1, dim)))
         s = ExpPolySum.build(dim, raw)
         times = [0.0, -0.0, -1.5, *rng.uniform(0.0, 12.0, 6).tolist()]
-        got = np.array(s.kernel(times), dtype=complex)
+        got = emitted_rows(s, times)
         for t, row in zip(times, got):
             assert_arrays_bitwise_equal(row, np.array(kernel_exp_oracle(s, t)))
         assert (np.abs(got - s.eval(np.array(times))) <= 4 * eps * _exp_kernel_scale(s, times)).all()
 
 
-def test_kernel_matches_its_scalar_oracle_on_signed_zeros():
-    # coefficient parts and times drawn with many signed zeros: the kernel
-    # skips all-zero components and starts Horner at the last row, the
+def test_emitted_value_matches_its_scalar_oracle_on_signed_zeros():
+    # coefficient parts and times drawn with many signed zeros: the statements
+    # skip all-zero components and starts Horner at the last row, the
     # oracle runs every step from 0j, and the results must keep one bit
     # pattern, zeros' signs included
     rng = np.random.default_rng(85)
@@ -523,41 +525,40 @@ def test_kernel_matches_its_scalar_oracle_on_signed_zeros():
             rows = rng.choice(parts, (int(rng.integers(1, 4)), dim, 2))
             raw.append((nu, rows.view(complex)[..., 0]))
         s = ExpPolySum.build(dim, raw)
-        got = np.array(s.kernel(times), dtype=complex).reshape(len(times), dim)
+        got = emitted_rows(s, times)
         for t, row in zip(times, got):
             assert_arrays_bitwise_equal(row, np.array(kernel_exp_oracle(s, t)))
 
 
-def test_kernel_is_generated_once_per_sum(monkeypatch):
-    compiled = []
-    monkeypatch.setattr(
-        expsum, "compile", lambda *args: compiled.append(1) or compile(*args), raising=False
-    )
+def test_emit_binds_its_values_under_its_prefix():
+    # make_rhs splices several records into one function and one namespace
     s = ExpPolySum.build(2, [(-1.0 + 2.0j, [[1.0, 2j], [0.5, 0.0]]), (-1.0, [[0.25, 1.0]])])
-    k = s.kernel
-    for times in ([0.0], [1.0, 2.0, 3.5], []):
-        assert s.kernel is k
-        assert len(k(times)) == len(times)
-    assert compiled == [1]
-    assert ExpPolySum.build(2, s.items()).kernel is not k
+    r = ExpPolySum.build(2, [(-2.0, [[0.0, 1.5], [0.0, -0.5], [0.0, 0.25]])])
+    namespace = {}
+    both = [emitted(s, "s_", namespace), emitted(r, "r_", namespace)]
+    shared = {"cexp", "value", "__builtins__"}
+    assert all(k.startswith(("s_", "r_")) for k in set(namespace) - shared)
+    for t in (0.0, 1.0, 2.0, 3.5):
+        for x, value in zip((s, r), both):
+            assert_arrays_bitwise_equal(np.array(value(t)), np.array(kernel_exp_oracle(x, t)))
 
 
-def test_kernel_of_the_zero_sum_gives_zero_rows():
+def test_emitted_value_of_the_zero_sum_is_zero():
     z = ExpPolySum.zero(3)
-    got = z.kernel([0.0, -1.0, 2.5])
-    assert got == [[0j] * 3] * 3
-    assert_arrays_bitwise_equal(np.array(got), z.eval(np.array([0.0, -1.0, 2.5])))
-    assert z.kernel([]) == []
+    times = [0.0, -1.0, 2.5]
+    got = emitted_rows(z, times)
+    assert got.tolist() == [[0j] * 3] * 3
+    assert_arrays_bitwise_equal(got, z.eval(np.array(times)))
 
 
-def test_an_overflowing_kernel_term_gives_evals_rows_without_raising():
+def test_an_overflowing_term_gives_evals_rows_without_raising():
     # resonant's e^-t at t = -800: cmath.exp raises OverflowError, np.exp
     # gives inf
     (_, s), = build_problem(json.loads((CONFIGS / "resonant.json").read_text())).forcing
     times = [-800.0, 0.0, 1.0]
     with np.errstate(all="ignore"):
         want = s.eval(np.array(times))
-        got = np.array(s.kernel(times), dtype=complex)
+        got = emitted_rows(s, times)
     assert not np.isfinite(got[0]).all()
     assert_arrays_bitwise_equal(got, want)
 

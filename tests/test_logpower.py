@@ -20,7 +20,6 @@ from odexpand import (
     time_derivative,
     weight_op,
 )
-from odexpand import logpower
 from odexpand.cli import build_problem
 from odexpand.expsum import EXPONENT_GRID, snap_float, snap_scalar
 from odexpand.ladder import ladder_eval
@@ -31,6 +30,8 @@ from odexpand.logpower import (
 )
 
 from helpers import (
+    emitted,
+    emitted_rows,
     apply_matrix_oracle,
     assert_arrays_bitwise_equal,
     assert_bitwise_equal,
@@ -144,7 +145,7 @@ def test_eval_matches_naive_product():
 
 
 # ---------------------------------------------------------------------------
-# the generated kernel: the integrator's evaluator on lists of times
+# the emitted statements: the forcing's per-time evaluator in the generated rhs
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -164,15 +165,15 @@ def _forcing_terms(case: str) -> list:
 
 
 @pytest.mark.parametrize("case", ["riccati", "burgers:8"] + [f"verify-long:{i}" for i in range(32)])
-def test_kernel_matches_eval_bitwise_on_the_integrated_forcings(case):
-    # one term with real exponents: the kernel's math.exp and float-part
+def test_emitted_value_matches_eval_bitwise_on_the_integrated_forcings(case):
+    # one term with real exponents: the statements' math.exp and float-part
     # product give eval's bits, zeros' signs included
     rng = np.random.default_rng(list(case.encode()))
     (t0, t1), terms = _forcing_terms(case)
     times = [t0, *np.sort(rng.uniform(t0, t1, 200)).tolist(), t1]
     times += _hard_ladder_times(rng, 0, t0, t1)[:20].tolist()
     for term in terms:
-        got = np.array(term.kernel(times), dtype=complex)
+        got = emitted_rows(term, times)
         assert_arrays_bitwise_equal(got, term.eval(np.array(times)))
 
 
@@ -196,7 +197,7 @@ def _kernel_scale(p: LogPowerSum, times) -> np.ndarray:
     return e @ np.abs(p.xis)
 
 
-def test_kernel_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
+def test_emitted_value_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
     # eval's BLAS products may fuse or reorder, so rows differ in the last
     # bits.  Measured over these 180 sums: at most 1.00 eps of the scale
     # above; the bound is 4 eps.
@@ -207,54 +208,53 @@ def test_kernel_agrees_with_eval_and_matches_its_scalar_oracle_on_random_sums():
         p = _random_kernel_sum(rng, dim, depth, int(rng.integers(1, 9)))
         gate = exp_zero(depth + 1)
         times = (gate * (1.0 + rng.uniform(1e-3, 3.0 if depth == 3 else 20.0, 6))).tolist()
-        got = np.array(p.kernel(times), dtype=complex)
+        got = emitted_rows(p, times)
         for t, row in zip(times, got):
             assert_arrays_bitwise_equal(row, np.array(kernel_logpower_oracle(p, t)))
         assert (np.abs(got - p.eval(np.array(times))) <= 4 * eps * _kernel_scale(p, times)).all()
 
 
-def test_kernel_agrees_with_eval_on_a_real_trig_ladder_forcing():
+def test_emitted_value_agrees_with_eval_on_a_real_trig_ladder_forcing():
     cfg = json.loads((CONFIGS / "oscillatory_log.json").read_text())
     (_, p), = build_problem(cfg).forcing
     assert np.iscomplexobj(p.alphas) and p.term_count() > 1
     gate = exp_zero(p.depth + 1)
     times = np.linspace(1.001 * gate, 50.0 * gate, 400).tolist()
-    got = np.array(p.kernel(times), dtype=complex)
+    got = emitted_rows(p, times)
     eps = np.finfo(float).eps
     assert (np.abs(got - p.eval(np.array(times))) <= 4 * eps * _kernel_scale(p, times)).all()
 
 
-def test_kernel_of_a_2000_term_sum_compiles_and_agrees():
+def test_emitted_statements_of_a_2000_term_sum_compile_and_agree():
     rng = np.random.default_rng(2000)
     p = _random_kernel_sum(rng, 2, 1, 2000)
     assert p.term_count() == 2000
     times = [20.0, 35.5, 80.0]
-    got = np.array(p.kernel(times), dtype=complex)
+    got = emitted_rows(p, times)
     eps = np.finfo(float).eps
     assert (np.abs(got - p.eval(np.array(times))) <= 4 * eps * _kernel_scale(p, times)).all()
 
 
-def test_kernel_is_generated_once_per_sum(monkeypatch):
-    compiled = []
-    monkeypatch.setattr(
-        logpower, "compile", lambda *args: compiled.append(1) or compile(*args), raising=False
-    )
+def test_emit_binds_its_values_under_its_prefix():
+    # make_rhs splices several records into one function and one namespace
     p = LogPowerSum.build(2, 1, [((0.5j, -1.0, 0.25j), [1.0, 2j]), ((0.0, -2.0, 0.0), [0.5, 0.0])])
-    k = p.kernel
-    for times in ([10.0], [10.0, 11.0, 12.5], []):
-        assert p.kernel is k
-        assert len(k(times)) == len(times)
-    assert compiled == [1]
-    assert LogPowerSum.build(2, 1, p.items()).kernel is not k
+    q = LogPowerSum.build(2, 0, [((0.0, -1.5), [0.3, -0.7])])
+    namespace = {}
+    both = [emitted(p, "p_", namespace), emitted(q, "q_", namespace)]
+    shared = {"log", "exp", "cexp", "value", "__builtins__"}
+    assert all(k.startswith(("p_", "q_")) for k in set(namespace) - shared)
+    for t in (10.0, 11.0, 12.5):
+        for s, value in zip((p, q), both):
+            assert_arrays_bitwise_equal(np.array(value(t)), np.array(kernel_logpower_oracle(s, t)))
 
 
-def test_an_overflowing_kernel_term_gives_evals_inf_without_raising():
+def test_an_overflowing_term_gives_evals_inf_without_raising():
     # t^-1 (log t)^400 overflows at t = 1e4; math.exp would raise
     p = LogPowerSum.build(1, 1, [((0.0, -1.0, 400.0), [1.0])])
     times = [1e4, 1.5e4]
     with np.errstate(all="ignore"):
         want = p.eval(np.array(times))
-        got = np.array(p.kernel(times), dtype=complex)
+        got = emitted_rows(p, times)
     assert not np.isfinite(got).any()
     assert_arrays_bitwise_equal(got, want)
 

@@ -15,11 +15,13 @@ from helpers import (
     field_oracle,
     integrate_rhs_oracle,
     integrate_rhs_scalar_oracle,
+    kernel_exp_oracle,
+    kernel_logpower_oracle,
     remainder_series_oracle,
     rhs_oracle,
     sample_oracle,
 )
-from odexpand import LogPowerSum, MultiLinearMap, numerics
+from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, numerics
 from odexpand.cli import _sample_grid, build_problem
 from odexpand.engine import ProblemSpec, eval_partial_sum, expand
 from odexpand.numerics import (
@@ -89,7 +91,7 @@ def test_kronecker_directions_match_the_ndtri_formula(dim2):
 
 
 # ---------------------------------------------------------------------------
-# integration: the forcing is evaluated once per step at all six stage times
+# integration: one generated rhs(t, y) per problem, called at each stage time
 
 
 def _config(case: str) -> dict:
@@ -181,12 +183,15 @@ INTEGRATION_CASES = [
 ]
 
 
+def _case_spec(case: str, cfg: dict) -> ProblemSpec:
+    spec = build_problem(cfg)
+    return dataclasses.replace(spec, forcing=()) if case == "dim3-unforced" else spec
+
+
 def _integration_run(case: str):
     """A case's problem, its integration arguments and the package's trajectory."""
     cfg = _config(case)
-    spec = build_problem(cfg)
-    if case == "dim3-unforced":
-        spec = dataclasses.replace(spec, forcing=())
+    spec = _case_spec(case, cfg)
     assert not case.endswith(("two-records", "oscillation")) or len(spec.forcing) == 2
     ver = cfg["verification"]
     y0 = [complex(x) for x in ver["y0"]]
@@ -233,12 +238,36 @@ def _field_states(rng, n: int, count: int = 20) -> list[list[complex]]:
     return states
 
 
+def _rhs_oracle_sum(spec):
+    """t, y -> field_oracle(y) plus each forcing record's oracle value at t,
+    added componentwise in record order: the sum the integrator formed when
+    the forcing was a separate contract."""
+    field = field_oracle(spec)
+
+    def rhs(t, y):
+        out = field(y)
+        for _, term in spec.forcing:
+            if isinstance(term, LogPowerSum):
+                value = kernel_logpower_oracle(term, t)
+            else:
+                value = kernel_exp_oracle(term, t)
+            out = [a + b for a, b in zip(out, value)]
+        return out
+
+    return rhs
+
+
 @pytest.mark.parametrize("case", INTEGRATION_CASES + ["burgers:16", "burgers:32"])
-def test_generated_field_matches_the_composed_field_bitwise(case):
-    spec = build_problem(_config(case))
-    got, want = numerics.make_rhs(spec), field_oracle(spec)
-    for y in _field_states(np.random.default_rng(list(case.encode())), spec.dim):
-        assert_arrays_bitwise_equal(np.array(got(y)), np.array(want(y)))
+def test_generated_rhs_matches_the_field_plus_the_record_oracles_bitwise(case):
+    cfg = _config(case)
+    spec = _case_spec(case, cfg)
+    got, want = numerics.make_rhs(spec), _rhs_oracle_sum(spec)
+    rng = np.random.default_rng(list(case.encode()))
+    ts = rng.uniform(*cfg["verification"]["t_span"], 20).tolist()
+    for t, y in zip(ts, _field_states(rng, spec.dim)):
+        out = got(t, y)
+        assert isinstance(out, list)
+        assert_arrays_bitwise_equal(np.array(out), np.array(want(t, y)))
 
 
 _QUADRATIC = MultiLinearMap(2, 2, ((0, (0, 1), 0.5), (1, (1, 1), -1.25j), (1, (0, 0), 0.75)))
@@ -253,21 +282,49 @@ EDGE_FIELDS = {
         (),
         "power",
     ),
+    # a record with complex exponents, a zero record and a record that is
+    # zero in one component; then the exponential counterparts
+    "zero-records": ProblemSpec(
+        np.array([[1.0, 0.5], [0.0, 2.0]]),
+        (_QUADRATIC,),
+        (
+            (
+                1.0,
+                LogPowerSum.build(
+                    2, 1, [((0.0, -1.0, s * 0.5j), [0.25, -s * 0.5j]) for s in (1.0, -1.0)]
+                ),
+            ),
+            (1.0, LogPowerSum.zero(2, 0)),
+            (2.0, LogPowerSum.build(2, 0, [((0.0, -2.0), [0.0, 1.5])])),
+        ),
+        "power",
+    ),
+    "zero-exp-records": ProblemSpec(
+        MATRICES["complex"],
+        (_QUADRATIC,),
+        (
+            (1.0, ExpPolySum.build(2, [(-1.0 + 2.0j, [[0.0, 0.5 - 1.0j], [0.0, 0.25]])])),
+            (2.0, ExpPolySum.build(2, [])),
+        ),
+        "exponential",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(EDGE_FIELDS))
-def test_generated_field_matches_the_composed_field_on_edge_specs(name):
+def test_generated_rhs_matches_the_field_plus_the_record_oracles_on_edge_specs(name):
     spec = EDGE_FIELDS[name]
-    got, want = numerics.make_rhs(spec), field_oracle(spec)
-    for y in _field_states(np.random.default_rng(list(name.encode())), spec.dim):
-        out = got(y)
+    got, want = numerics.make_rhs(spec), _rhs_oracle_sum(spec)
+    rng = np.random.default_rng(list(name.encode()))
+    ts = rng.uniform(3.0, 30.0, 20).tolist()
+    for t, y in zip(ts, _field_states(rng, spec.dim)):
+        out = got(t, y)
         assert isinstance(out, list)
-        assert_arrays_bitwise_equal(np.array(out), np.array(want(y)))
+        assert_arrays_bitwise_equal(np.array(out), np.array(want(t, y)))
 
 
-@pytest.mark.parametrize("name", ["arity-1-map", "exp-resonant:0", "no-maps"])
-def test_the_field_calls_each_map_once_per_evaluation_on_the_state_list(name, monkeypatch):
+@pytest.mark.parametrize("name", ["arity-1-map", "exp-resonant:0", "no-maps", "two-records"])
+def test_the_rhs_calls_each_map_once_per_evaluation_on_the_state_list(name, monkeypatch):
     spec = EDGE_FIELDS[name] if name in EDGE_FIELDS else build_problem(_config(name))
     calls = []
     call = MultiLinearMap.__call__
@@ -277,10 +334,10 @@ def test_the_field_calls_each_map_once_per_evaluation_on_the_state_list(name, mo
         return call(self, *args)
 
     monkeypatch.setattr(MultiLinearMap, "__call__", counted_call)
-    field = numerics.make_rhs(spec)
+    rhs = numerics.make_rhs(spec)
     assert calls == []
     for y in _field_states(np.random.default_rng(0), spec.dim, 3):
-        field(y)
+        rhs(20.0, y)
         assert [id(g) for g, _ in calls] == [id(g) for g in spec.maps]
         for g, args in calls:
             assert len(args) == g.arity and all(a is y for a in args)
@@ -288,17 +345,18 @@ def test_the_field_calls_each_map_once_per_evaluation_on_the_state_list(name, mo
 
 
 def test_integrate_calls_the_hooks_it_looks_up(monkeypatch):
-    # the field comes from numerics.make_rhs and the run from
+    # the right-hand side comes from numerics.make_rhs and the run from
     # numerics.integrate_rhs, each looked up when integrate runs
     spec = build_problem(_config("two-records"))
     ver = _config("two-records")["verification"]
-    field_calls, forcing_lengths, gates, runs = [], [], [], []
+    made, rhs_calls, gates, runs = [], [], [], []
     make_rhs, integrate_rhs = numerics.make_rhs, numerics.integrate_rhs
-    eval_, kernel_ = LogPowerSum.eval, LogPowerSum.kernel
+    eval_ = LogPowerSum.eval
 
     def counted_make_rhs(spec):
-        field = make_rhs(spec)
-        return lambda y: field_calls.append(1) or field(y)
+        made.append(spec)
+        rhs = make_rhs(spec)
+        return lambda t, y: rhs_calls.append(t) or rhs(t, y)
 
     def counted_integrate_rhs(*args):
         runs.append(integrate_rhs(*args))
@@ -308,22 +366,16 @@ def test_integrate_calls_the_hooks_it_looks_up(monkeypatch):
         gates.append(t)
         return eval_(self, t)
 
-    def counted_kernel(self):
-        kernel = kernel_.__get__(self, LogPowerSum)
-        return lambda ts: forcing_lengths.append(len(ts)) or kernel(ts)
-
     monkeypatch.setattr(numerics, "make_rhs", counted_make_rhs)
     monkeypatch.setattr(numerics, "integrate_rhs", counted_integrate_rhs)
     monkeypatch.setattr(LogPowerSum, "eval", counted_eval)
-    monkeypatch.setattr(LogPowerSum, "kernel", property(counted_kernel))
     traj = numerics.integrate(spec, ver["y0"], (10.0, 60.0), ver["rel_tol"], ver["abs_tol"])
-    assert runs == [traj]
+    assert made == [spec] and runs == [traj]
     attempts = traj.meta["steps"] + traj.meta["rejected"]
-    assert len(field_calls) == traj.meta["rhs_evals"] == 2 + 6 * attempts
-    # one domain gate per record at t0, then one kernel call per record per
-    # forcing call
+    assert len(rhs_calls) == traj.meta["rhs_evals"] == 2 + 6 * attempts
+    assert rhs_calls[0] == 10.0 and min(rhs_calls) == 10.0
+    # one domain gate per power/log record, at t0, and no other eval
     assert gates == [10.0, 10.0]
-    assert forcing_lengths == [n for n in [1, 1] + [6] * attempts for _ in range(2)]
 
 
 def test_integrate_from_the_forcing_threshold_raises_the_forcings_error():
@@ -373,8 +425,7 @@ def _verify_run(case: str):
 def test_array_sample_matches_the_scalar_oracle():
     # a decaying oscillation integrated in few long steps, sampled densely
     traj = numerics.integrate_rhs(
-        lambda y: [-0.5 * y[0] + 3j * y[0], -y[0] - 2.0 * y[1]],
-        lambda ts: [],
+        lambda t, y: [-0.5 * y[0] + 3j * y[0], -y[0] - 2.0 * y[1]],
         [1.0, 0.5j],
         (0.0, 20.0),
         rel_tol=1e-6,
