@@ -23,6 +23,7 @@ from .logpower import (
     LogPowerSum,
     ShiftedInverseCache,
     descent_op,
+    ladder_view,
     shifted_inverse,
     time_derivative,
     weight_op,
@@ -79,6 +80,7 @@ __all__ = [
     "iter_exp",
     "iter_log",
     "ladder_eval",
+    "ladder_view",
     "matrix_exp_norm",
     "remainder_series",
     "resolvent_defect",

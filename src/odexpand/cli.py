@@ -41,10 +41,11 @@ from .engine import (
     expand,
 )
 from .expsum import ExpPolySum, snap_float
-from .logpower import LogPowerSum, row_norms
+from .logpower import LogPowerSum, ladder_view, row_norms
 from .multilinear import MultiLinearMap
 from .numerics import (
     SparseFitWindow,
+    decay_fit_window,
     fit_decay,
     fit_kernel_constants,
     integrate,
@@ -52,7 +53,6 @@ from .numerics import (
     smallness_certificate,
 )
 from .realify import (
-    _ladder_view,
     asymmetry_witness,
     from_trig_ladder,
     imag_residue,
@@ -428,7 +428,7 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 def _term_table(expansion: Expansion) -> str:
     lines = []
     for k, order in enumerate(expansion.orders, 1):
-        view = _ladder_view(order.term)
+        view = ladder_view(order.term)
         s = _ladder_term_string([(alpha, ()) for alpha in view.alphas.tolist()], view.xis)
         if order.kernel:
             s += f"   [{len(order.kernel)} free kernel mode(s)]"
@@ -495,8 +495,11 @@ def cmd_verify(cfg: dict, spec: ProblemSpec, args) -> int:
             raise ConfigError("verification.fit_resonant.window: must lie inside t_span")
     grid = _sample_grid(spec, t_span, ver)
     # the decay fit needs three samples in its window; check before integrating
-    if window is not None and np.count_nonzero((grid >= window[0]) & (grid <= window[1])) < 3:
-        raise ConfigError("verification.fit_window: holds fewer than 3 points of the sample grid")
+    first, last = decay_fit_window(grid, window)
+    if np.count_nonzero((grid >= first) & (grid <= last)) < 3:
+        where = ("fit_window:" if window is not None
+                 else "grid: the default fit window (the trailing 40% of t_span)")
+        raise ConfigError(f"verification.{where} holds fewer than 3 points of the sample grid")
     lo = max(
         (term.domain_start for _, term in spec.forcing if isinstance(term, LogPowerSum)),
         default=-math.inf,

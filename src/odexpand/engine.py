@@ -490,11 +490,11 @@ def expand(spec: ProblemSpec) -> Expansion:
     return Expansion(orders=tuple(orders), spec=spec)
 
 
-def symbolic_defect(expansion: Expansion, k: int):
+def symbolic_defect(expansion: Expansion, k: int) -> LogPowerSum:
     """Defect of the k-th constructed term (1-based).
 
-    Exponential mode: y_k' + A y_k - rhs_k; power/log modes:
-    (A + weight_op(-1)) q_k - rhs_k.  Zero (canonically) by construction;
+    Exponential mode: y_k' + A y_k - rhs_k on the ladder views; power/log
+    modes: (A + weight_op(-1)) q_k - rhs_k.  Zero (canonically) by construction;
     rounding dust below the solver's residual guarantee is trimmed against
     the scale of the data so the zero element really is zero.
     """
@@ -509,8 +509,7 @@ def symbolic_defect(expansion: Expansion, k: int):
     if spec.mode == "exponential":
         return resolvent_defect(spec.matrix, rhs, q)
     raw = q.apply_matrix(spec.matrix) + weight_op(-1, q) - rhs
-    scale = max(q.sup_norm(), rhs.sup_norm())
-    return raw if scale == 0.0 else trim_small_logpower(raw, scale, RESIDUAL_REL)
+    return trim_small_logpower(raw, max(q.sup_norm(), rhs.sup_norm()), RESIDUAL_REL)
 
 
 def eval_partial_sum(expansion: Expansion, upto: int, t) -> np.ndarray:

@@ -4,12 +4,12 @@ An ``ExpPolySum`` stores g(t) = sum_nu p_nu(t) * exp(nu*t) with complex
 exponents nu and vector polynomial coefficients p_nu.  The sum is two
 arrays in canonical term order: the exponents ``nus`` (K,) and the
 coefficient rows ``rows`` (K, D, dim), row j of a term being the
-coefficient of t^j, zero-padded to the longest term.  Every operator below
-maps them to new raw arrays and canonicalizes once through ``from_arrays``:
-exponents are snapped to a fixed grid and merged, negligible polynomial
-rows are zeroed, and no term has an all-zero polynomial.  Under that
-discipline two sums agree as functions iff their arrays agree, which is
-what the engine's symbolic identity checks rely on.
+coefficient of t^j, zero-padded to the longest term.  ``from_arrays``
+snaps the exponents to a fixed grid and merges them, zeroes negligible rows
+and drops all-zero terms, so two sums agree as functions iff their arrays
+agree.  Sums and products (``mul_apply_exp``) are built here; other algebra
+(d/dt, a matrix on each coefficient, the defect check) runs on the depth-0
+ladder view, ``logpower.ladder_view``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ __all__ = [
     "snap_array",
     "group_keys",
     "mul_apply_exp",
-    "trim_small_exp",
 ]
 
 # Exponent keys live on this grid; equality of snapped keys is exact.
@@ -156,10 +155,6 @@ class ExpPolySum:
     def zero(cls, dim: int) -> "ExpPolySum":
         return cls(dim, np.zeros(0, dtype=complex), np.zeros((0, 1, dim), dtype=complex))
 
-    def _canon(self, nus: np.ndarray, rows: np.ndarray) -> "ExpPolySum":
-        """Canonical sum of raw terms at this sum's dim."""
-        return ExpPolySum.from_arrays(self.dim, nus, rows)
-
     # -- queries ---------------------------------------------------------
 
     @cached_property
@@ -190,9 +185,6 @@ class ExpPolySum:
         """Largest coefficient row norm over all terms."""
         return float(np.sqrt((abs(self.rows) ** 2).sum(axis=2)).max(initial=0.0))
 
-    def exponents(self) -> list[complex]:
-        return self.nus.tolist()
-
     def in_class(self, mu: float, tol: float = 1e-9) -> bool:
         """All exponents have real part mu (the fixed-decay-rate class)."""
         return bool((abs(self.nus.real - mu) <= tol * max(1.0, abs(mu))).all())
@@ -206,42 +198,7 @@ class ExpPolySum:
         rows = np.zeros((k + other.term_count(), width, self.dim), dtype=complex)
         rows[:k, : self.rows.shape[1]] = self.rows
         rows[k:, : other.rows.shape[1]] = other.rows
-        return self._canon(np.concatenate([self.nus, other.nus]), rows)
-
-    def __sub__(self, other: "ExpPolySum") -> "ExpPolySum":
-        return self + other.scale(-1.0)
-
-    def scale(self, a: complex) -> "ExpPolySum":
-        return self._canon(self.nus, a * self.rows)
-
-    def apply_matrix(self, A: np.ndarray) -> "ExpPolySum":
-        """Left-multiply every coefficient row by A (rows are vectors).
-
-        Each term's rows go through ``rows @ A.T`` as one block, as they
-        would term by term: a term of several rows is one matrix product,
-        which its padding rows leave unchanged, and a one-row term is a
-        vector-matrix product, which rounds differently.
-        """
-        AT = np.asarray(A, dtype=complex).T
-        out = self.rows @ AT
-        one = self._lengths == 1
-        out[one, :1] = self.rows[one, :1] @ AT
-        return self._canon(self.nus, out)
-
-    def conjugate(self) -> "ExpPolySum":
-        return self._canon(self.nus.conj(), self.rows.conj())
-
-    def derivative(self) -> "ExpPolySum":
-        """d/dt: each term p*exp(nu t) maps to (p' + nu*p)*exp(nu t).
-
-        Row j gains (j+1) times row j+1 only inside its term, so a term's
-        last row keeps the sign of a zero in nu*p.
-        """
-        out = self.nus[:, None, None] * self.rows
-        steps = np.arange(1, self.rows.shape[1])
-        inside = (steps < self._lengths[:, None])[:, :, None]
-        np.add(out[:, :-1], steps[:, None] * self.rows[:, 1:], out=out[:, :-1], where=inside)
-        return self._canon(self.nus, out)
+        return ExpPolySum.from_arrays(self.dim, np.concatenate([self.nus, other.nus]), rows)
 
     def eval(self, t) -> np.ndarray:
         """Value in C^dim at time t, or at each time of a 1-D array (one row per time).
@@ -370,16 +327,3 @@ def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
     for i in range(G.dim):
         np.add.at(flat[:, i], slot, g[:, i])
     return ExpPolySum.from_arrays(G.dim, nu.reshape(-1), out)
-
-
-def trim_small_exp(s: ExpPolySum, scale: float, rel: float = TRIM_REL) -> ExpPolySum:
-    """Copy of s with coefficient rows below rel*scale zeroed out.
-
-    Canonicalization alone trims rows only against the largest row of
-    their own term, so it cannot tell a term made entirely of rounding
-    dust from a genuine small term.  Residual checks (symbolic defects)
-    have an external scale to measure against and use this instead.
-    """
-    rows = s.rows.copy()
-    rows[np.sqrt((abs(rows) ** 2).sum(axis=2)) < rel * scale] = 0.0
-    return s._canon(s.nus, rows)

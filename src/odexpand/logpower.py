@@ -32,6 +32,10 @@ same math.log chain.  On one term with real exponents they agree bit for
 bit; elsewhere eval's BLAS products may fuse or reorder and differ in the
 last bits.
 
+An exponential sum is the depth-0 ladder sum with alpha = (nu, j).
+``ladder_view`` is the one bridge from ``ExpPolySum``, so realify, the term
+printer and the exponential defect check share the operators below.
+
 Three linear operators drive the power/log recursions:
 
     weight_op(j, p)     multiply each term by its exponent a(j)
@@ -52,12 +56,13 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expsum import TRIM_REL, group_keys, running_sum, snap_scalar
+from .expsum import TRIM_REL, ExpPolySum, group_keys, running_sum, snap_scalar
 from .ladder import exp_zero, ladder_eval
 from .multilinear import MultiLinearMap
 
 __all__ = [
     "LogPowerSum",
+    "ladder_view",
     "exponent_in_class",
     "weight_op",
     "descent_op",
@@ -127,7 +132,7 @@ class LogPowerSum:
 
     ``alphas`` (K, depth+2) holds the exponent vectors and ``xis`` (K, dim)
     the coefficients, both complex and in canonical order; every instance
-    comes out of from_arrays, except realify's view of an exponential sum,
+    comes out of from_arrays, except ``ladder_view`` of an exponential sum,
     which wraps its stored rows (already canonical) as they are.
     """
 
@@ -377,6 +382,21 @@ class LogPowerSum:
             {"alpha": [[a.real, a.imag] for a in alpha], "xi": [[z.real, z.imag] for z in xi]}
             for alpha, xi in self.items()
         ]
+
+
+def ladder_view(s) -> LogPowerSum:
+    """s as a ladder sum: a LogPowerSum as it is, an ExpPolySum as the
+    depth-0 sum of its nonzero stored rows, alpha = (nu, j), term by term
+    with j ascending (canonical order).  The rows are wrapped, not
+    canonicalized again, so the view keeps every stored row.
+    """
+    if isinstance(s, LogPowerSum):
+        return s
+    if not isinstance(s, ExpPolySum):
+        raise TypeError(f"unsupported operand type {type(s).__name__}")
+    k, j = np.nonzero((s.rows != 0).any(axis=2))
+    alphas = np.stack([s.nus[k], j.astype(complex)], axis=1)
+    return LogPowerSum(s.dim, 0, alphas, s.rows[k, j])
 
 
 def weight_op(j: int, p: LogPowerSum) -> LogPowerSum:

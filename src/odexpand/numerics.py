@@ -31,6 +31,7 @@ __all__ = [
     "SmallnessCertificate",
     "SparseFitWindow",
     "decay_envelope_constant",
+    "decay_fit_window",
     "fit_decay",
     "fit_kernel_constants",
     "integrate",
@@ -301,11 +302,14 @@ def remainder_series(
     so row 0 is |y| itself.  ``kernel`` is an optional ``(k, coeffs)`` pair,
     as ``fit_kernel_constants`` returns coeffs for order k: every partial sum
     from order k on then also holds sum_i coeffs[i] * mode_i(t) over order
-    k's kernel modes.  The trajectory is sampled once for all rows.
+    k's kernel modes.  The trajectory is sampled once for all rows; S_N is
+    S_(N-1) + u_N, the additions of ``eval_partial_sum`` in its order.
     """
     ts = np.asarray(ts, dtype=float)
     ys = traj.sample(ts)
-    partials = [eval_partial_sum(expansion, n, ts) for n in range(upto + 1)]
+    partials = [np.zeros(ts.shape + (expansion.spec.dim,), dtype=complex)]
+    for o in expansion.orders[:upto]:
+        partials.append(partials[-1] if o.term.is_zero() else partials[-1] + o.term.eval(ts))
     if kernel is not None:
         k, coeffs = kernel
         modes = expansion.orders[k - 1].kernel
@@ -334,6 +338,11 @@ class SparseFitWindow(ValueError):
     """The fit window holds fewer than 3 samples above the noise floor."""
 
 
+def decay_fit_window(ts: np.ndarray, window: tuple | None = None) -> tuple:
+    """fit_decay's (first, last) time: window, else the trailing 40% of ts's span."""
+    return window if window is not None else (ts[0] + 0.6 * (ts[-1] - ts[0]), ts[-1])
+
+
 def fit_decay(
     ts,
     values,
@@ -346,7 +355,7 @@ def fit_decay(
     Exponential mode regresses on t itself; power and log modes regress
     on the log of the iterated logarithm at scale_index, so the fitted
     exponent is directly comparable with an expansion order's rate.  The
-    default window is the trailing 40% of the span.  Either window keeps
+    default window is ``decay_fit_window``'s.  Either window keeps
     only samples above the noise floor: 100 machine epsilons relative to
     the first sample, which stands in for the size of the quantity whose
     cancellation produced the remainder.  Fewer than 3 such samples raise
@@ -359,7 +368,7 @@ def fit_decay(
     if not np.isfinite(values).all():
         raise ValueError("fit_decay: a sample value is not finite")
     floor = 100.0 * np.finfo(float).eps * values[0]
-    lo, hi = window if window is not None else (ts[0] + 0.6 * (ts[-1] - ts[0]), ts[-1])
+    lo, hi = decay_fit_window(ts, window)
     mask = (ts >= lo) & (ts <= hi) & (values > floor) & (values > 0)
     if int(mask.sum()) < 3:
         raise SparseFitWindow("fewer than 3 usable samples in the fit window")

@@ -18,10 +18,9 @@ cosine/sine of the next ladder component:
 so the real form may need depth k+1; it stays at depth k exactly when no
 term oscillates in the deepest component.
 
-An exponential sum is the depth-0 ladder sum
-p(t) e^(nu t) = sum_j exp(t)^nu t^j p_j with exponent vectors (nu, j), so
-it goes through the same converter: Im nu becomes a cos/sin factor on t,
-and the decay e^(Re nu t) stays a real power of exp(t).
+An exponential sum goes through the same converter, as its depth-0
+ladder view (``logpower.ladder_view``): Im nu becomes a cos/sin factor
+on t, and the decay e^(Re nu t) stays a real power of exp(t).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from .expsum import TRIM_REL, ExpPolySum, snap_float, snap_scalar
-from .logpower import LogPowerSum
+from .logpower import LogPowerSum, ladder_view
 
 __all__ = [
     "asymmetry_witness",
@@ -45,21 +44,6 @@ __all__ = [
 COS, SIN = "cos", "sin"
 
 
-def _ladder_view(s) -> LogPowerSum:
-    """s as a ladder sum: a LogPowerSum as it is, an ExpPolySum as the
-    depth-0 sum of its nonzero stored rows, alpha = (nu, j), term by term
-    with j ascending (canonical order).  The rows are wrapped, not
-    canonicalized again, so the view keeps every stored row.
-    """
-    if isinstance(s, LogPowerSum):
-        return s
-    if not isinstance(s, ExpPolySum):
-        raise TypeError(f"unsupported operand type {type(s).__name__}")
-    k, j = np.nonzero((s.rows != 0).any(axis=2))
-    alphas = np.stack([s.nus[k], j.astype(complex)], axis=1)
-    return LogPowerSum(s.dim, 0, alphas, s.rows[k, j])
-
-
 def asymmetry_witness(p, tol: float = 1e-12):
     """First term breaking conjugation symmetry, or None if symmetric.
 
@@ -68,7 +52,7 @@ def asymmetry_witness(p, tol: float = 1e-12):
     An ExpPolySum is checked through its depth-0 ladder view, so its
     witness is a (nu, j) key.
     """
-    p = _ladder_view(p)
+    p = ladder_view(p)
     scale = max(p.sup_norm(), 1.0)
     for alpha, xi in p.items():
         key = tuple(snap_scalar(a.conjugate()) for a in alpha)
@@ -175,7 +159,7 @@ def to_trig_poly(s: ExpPolySum, tol: float = 1e-12) -> list:
     Each row reads e^(Re nu t) t^j cos/sin(Im nu t); decaying exponents
     are taken as they are.
     """
-    return to_trig_ladder(_ladder_view(s), tol)
+    return to_trig_ladder(ladder_view(s), tol)
 
 
 def from_trig_ladder(dim: int, depth: int, raw) -> LogPowerSum:

@@ -2,6 +2,8 @@
 
 Each forcing term p(t)*exp(nu*t) is solved independently.  Writing
 z = q(t)*exp(nu*t) reduces the ODE to q' + B q = p with B = A + nu*I.
+``resolvent_defect`` checks a solution with the LogPowerSum operators, on
+the depth-0 ladder views of the sums (``logpower.ladder_view``).
 
 Non-resonant (B invertible): q = sum_k (-1)^k B^(-k-1) p^(k), computed by
 back-substitution in the polynomial degree.
@@ -37,7 +39,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expsum import ExpPolySum, trim_small_exp
+from .expsum import ExpPolySum
+from .logpower import LogPowerSum, ladder_view, time_derivative, trim_small_logpower
 
 __all__ = [
     "resolvent_solve_exp",
@@ -217,16 +220,10 @@ def homogeneous_modes(A: np.ndarray, nu: complex) -> list[ExpPolySum]:
     return _kernel_modes(B, nu, n)
 
 
-def resolvent_defect(A: np.ndarray, f: ExpPolySum, z: ExpPolySum) -> ExpPolySum:
-    """z' + A z - f; the canonical zero sum when z solves the ODE.
-
-    Rounding dust below the solver's residual guarantee (RESIDUAL_REL,
-    relative to the data) is trimmed, so a valid solve yields the actual
-    zero element rather than a cloud of 1e-16 terms.
-    """
-    raw = z.derivative() + z.apply_matrix(A) - f
-    scale = max(f.sup_norm(), z.sup_norm())
-    if scale == 0.0:
-        return raw
-    return trim_small_exp(raw, scale, RESIDUAL_REL)
-
+def resolvent_defect(A: np.ndarray, f: ExpPolySum, z: ExpPolySum) -> LogPowerSum:
+    """z' + A z - f on the depth-0 ladder views of z and f: the canonical
+    zero sum, not a cloud of 1e-16 terms, when z solves the ODE, since
+    rounding dust below RESIDUAL_REL of the data's scale is trimmed."""
+    v = ladder_view(z)
+    raw = time_derivative(v) + v.apply_matrix(A) - ladder_view(f)
+    return trim_small_logpower(raw, max(f.sup_norm(), z.sup_norm()), RESIDUAL_REL)

@@ -438,26 +438,14 @@ def mul_apply_exp_padded_oracle(G: MultiLinearMap, args) -> ExpPolySum:
     return ExpPolySum.from_arrays(G.dim, nu.reshape(-1), out.reshape((-1,) + out.shape[m:]))
 
 
-# Term-by-term oracles for the array operators of ExpPolySum: the loops
-# over (exponent, rows) pairs the package ran while its sums were dicts.
-# Each operator must reproduce its loop bit for bit.
-
-
-def scale_exp_oracle(s: ExpPolySum, a: complex) -> ExpPolySum:
-    return build_exp_oracle(s.dim, [(nu, a * c) for nu, c in s.items()])
+# Term-by-term oracles of ExpPolySum's addition and of d/dt: the loops over
+# (exponent, rows) pairs the package ran while its sums were dicts.  Addition
+# must reproduce its loop bit for bit, and so must d/dt, which now runs on
+# the ladder view (time_derivative(ladder_view(s))).
 
 
 def add_exp_oracle(s: ExpPolySum, other: ExpPolySum) -> ExpPolySum:
     return build_exp_oracle(s.dim, s.items() + other.items())
-
-
-def conjugate_exp_oracle(s: ExpPolySum) -> ExpPolySum:
-    return build_exp_oracle(s.dim, [(nu.conjugate(), c.conjugate()) for nu, c in s.items()])
-
-
-def apply_matrix_exp_oracle(s: ExpPolySum, A: np.ndarray) -> ExpPolySum:
-    A = np.asarray(A, dtype=complex)
-    return build_exp_oracle(s.dim, [(nu, c @ A.T) for nu, c in s.items()])
 
 
 def derivative_exp_oracle(s: ExpPolySum) -> ExpPolySum:
@@ -467,16 +455,6 @@ def derivative_exp_oracle(s: ExpPolySum) -> ExpPolySum:
         for j in range(c.shape[0] - 1):
             out[j] += (j + 1) * c[j + 1]
         raw.append((nu, out))
-    return build_exp_oracle(s.dim, raw)
-
-
-def trim_small_exp_oracle(s: ExpPolySum, scale: float, rel: float = EXP_TRIM_REL) -> ExpPolySum:
-    raw = []
-    for nu, rows in s.items():
-        kept = rows.copy()
-        kept[np.sqrt((abs(kept) ** 2).sum(axis=1)) < rel * scale] = 0.0
-        if np.any(kept):
-            raw.append((nu, kept))
     return build_exp_oracle(s.dim, raw)
 
 

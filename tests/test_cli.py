@@ -22,7 +22,8 @@ import pytest
 
 from odexpand import cli
 from odexpand.cli import main
-from odexpand.realify import _ladder_view, asymmetry_witness
+from odexpand.logpower import ladder_view
+from odexpand.realify import asymmetry_witness
 
 from helpers import assert_bitwise_equal, bench_module, ladder_view_oracle
 
@@ -222,7 +223,7 @@ def test_exponential_realify_keeps_every_stored_row_at_a_deep_order(tmp_path, mo
         argv = ["realify", "--config", str(config), "--order", "12", "--out", str(tmp_path)]
         assert main(argv) == 0, index
         for order in built.pop().orders:
-            assert_bitwise_equal(_ladder_view(order.term), ladder_view_oracle(order.term))
+            assert_bitwise_equal(ladder_view(order.term), ladder_view_oracle(order.term))
             assert asymmetry_witness(order.term) is None, (index, order.mu)
     capsys.readouterr()
 
@@ -457,6 +458,31 @@ def test_kernel_fit_at_an_order_without_kernel_modes_exits_two_before_integratin
     assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
         "validation error: verification.fit_resonant.order: order 1 has no kernel modes\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("count", [3, 4])
+def test_grid_too_coarse_for_the_default_fit_window_exits_two_before_integrating(
+    count, tmp_path, monkeypatch, capsys
+):
+    # the default window, the trailing 40% of t_span, holds fewer than 3 of
+    # count grid points; the whole integration used to run before every
+    # order failed
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg["verification"]["t_span"] = [10, 200]
+    cfg["verification"]["grid"] = {"count": count}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("integrate ran")
+
+    monkeypatch.setattr(cli, "integrate", refuse)
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: verification.grid: the default fit window (the trailing 40% "
+        "of t_span) holds fewer than 3 points of the sample grid\n"
     )
     assert not (tmp_path / "out").exists()
 

@@ -21,7 +21,7 @@ from helpers import (
     rhs_oracle,
     sample_oracle,
 )
-from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, numerics
+from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, ladder_view, numerics, time_derivative
 from odexpand.cli import _sample_grid, build_problem
 from odexpand.engine import ProblemSpec, eval_partial_sum, expand
 from odexpand.numerics import (
@@ -609,8 +609,8 @@ def test_fit_kernel_constants_recovers_planted_constants(nodes, rtol):
         derivs = np.zeros((len(ts), 1), dtype=complex)
     else:
         ts = np.linspace(9.0, 15.0, 3001)
-        derivs = sum(o.term.derivative().eval(ts) for o in expansion.orders[:2])
-        derivs = derivs + planted[0] * mode.derivative().eval(ts)
+        derivs = sum(time_derivative(ladder_view(o.term)).eval(ts) for o in expansion.orders[:2])
+        derivs = derivs + planted[0] * time_derivative(ladder_view(mode)).eval(ts)
     states = eval_partial_sum(expansion, 2, ts) + planted[0] * mode.eval(ts)
     traj = Trajectory(ts=ts, states=states, derivs=derivs)
     coeffs = fit_kernel_constants(traj, expansion, 2, (10.0, 14.0))

@@ -104,7 +104,7 @@ def test_defect_vanishes_on_planted_diagonalizable_resonance():
         f = ExpPolySum.build(n, [(nu, cvec(rng, (deg + 1) * n).reshape(deg + 1, n))])
         z, resonant = resolvent_solve_exp(A, f)
         assert resolvent_defect(A, f, z).is_zero()
-        assert resonant == f.exponents()
+        assert resonant == f.nus.tolist()
         modes = homogeneous_modes(A, nu)
         assert len(modes) == 1
         assert mode_degree(modes[0]) == 0
@@ -152,7 +152,7 @@ def test_multi_term_forcing_solved_per_exponent():
     A = random_matrix(rng, 3)
     f = random_expsum(rng, 3, n_terms=4, max_degree=2)
     z, _ = resolvent_solve_exp(A, f)
-    assert z.exponents() == f.exponents()
+    assert z.nus.tolist() == f.nus.tolist()
     assert resolvent_defect(A, f, z).is_zero()
 
 
@@ -173,6 +173,24 @@ def test_corrupted_solution_has_visible_defect():
     d = resolvent_defect(A, f, bad)
     assert not d.is_zero()
     assert 1e-5 < d.sup_norm() < 1.0
+
+
+def test_defect_sees_a_perturbed_t1_row():
+    # only the descent of the t row gives d/dt(delta t e^{nu t}) its delta e^{nu t}
+    rng = np.random.default_rng(131)
+    A = random_matrix(rng, 2)
+    nu = -1.0 + 0.3j
+    f = ExpPolySum.build(2, [(nu, cvec(rng, 4).reshape(2, 2))])
+    z, _ = resolvent_solve_exp(A, f)
+    assert resolvent_defect(A, f, z).is_zero()
+    delta = np.array([1e-3, 0.0])
+    bad = ExpPolySum.from_arrays(2, z.nus, z.rows + np.stack([0.0 * delta, delta])[None])
+    d = resolvent_defect(A, f, bad)
+    assert d.depth == 0
+    assert sorted(round(a[1].real) for a in d.alphas.tolist()) == [0, 1]
+    for t in (1.5, 2.0, 3.0):
+        want = (delta + t * (A + nu * np.eye(2)) @ delta) * np.exp(nu * t)
+        np.testing.assert_allclose(d.eval(t), want, rtol=1e-9)
 
 
 def test_dimension_checks():
@@ -229,7 +247,7 @@ def test_stacked_svd_decides_resonance_as_the_per_term_svd(monkeypatch):
         monkeypatch.setattr(resolvent, name, spy)
     z, resonant = resolvent_solve_exp(A, f)
     want = []
-    for nu in f.exponents():
+    for nu in f.nus.tolist():
         B = A + nu * np.eye(n)
         sv = np.linalg.svd(B, compute_uv=False)
         invertible = sv[-1] > resolvent.SINGULAR_REL * max(sv[0], 1.0)
