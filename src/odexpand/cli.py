@@ -19,9 +19,9 @@ rejected with their path.  The sections and their keys:
     certificate   probe_radius (required by certificate), samples.
     output        dir (overridden by --out).
 
-Flow: load the config, build the problem once, run the subcommand on it.
-Exit codes: 0 pass, 1 verification fail, 2 validation error, 3 runtime
-error.
+Flow: load the config, build the problem once, run the subcommand on it;
+verify's verdicts come from one library call, ``verify`` (a ``VerifyResult``).
+Exit codes: 0 pass, 1 verification fail, 2 validation error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .logpower import LogPowerSum, ladder_view, row_norms
 from .multilinear import MultiLinearMap
 from .numerics import (
     SparseFitWindow,
+    VerifyResult,
     decay_fit_window,
     fit_decay,
     fit_kernel_constants,
@@ -60,7 +61,7 @@ from .realify import (
     to_trig_poly,
 )
 
-__all__ = ["main", "load_config", "build_problem"]
+__all__ = ["main", "load_config", "build_problem", "verify"]
 
 
 class ConfigError(ValueError):
@@ -290,16 +291,16 @@ def build_problem(cfg: dict, order_override: int | None = None) -> ProblemSpec:
         _forcing_record(rec, dim, f"problem.forcing[{i}]")
         for i, rec in enumerate(prob["forcing"])
     )
-    order = cfg.get("expansion", {}).get("order", 4)
+    order, where = cfg.get("expansion", {}).get("order", 4), "expansion.order"
     if order_override is not None:
-        order = order_override
+        order, where = order_override, "--order"
     spec = ProblemSpec(
         matrix=matrix,
         maps=maps,
         forcing=forcing,
         mode=prob["mode"],
         scale_index=_int(prob.get("scale_index", 0), "problem.scale_index", 0),
-        order=max(_int(order, "expansion.order", 0), 1),
+        order=max(_int(order, where, 0), 1),
     )
     spec.validate()
     return spec
@@ -447,32 +448,15 @@ def cmd_expand(cfg: dict, spec: ProblemSpec, args) -> int:
     return 0
 
 
-def _verification_cfg(cfg: dict) -> dict:
+def _verify_options(cfg: dict, spec: ProblemSpec, order: int | None) -> dict:
+    """``verify``'s arguments from the verification section and --order (or None).
+    Every check that needs no expansion runs here, before anything is built."""
     ver = cfg.get("verification")
     if ver is None:
         raise ConfigError("verification: section required for this subcommand")
     for field in ("y0", "t_span"):
         if field not in ver:
             raise ConfigError(f"verification.{field}: required")
-    return ver
-
-
-def _sample_grid(spec: ProblemSpec, t_span, ver: dict) -> np.ndarray:
-    grid_cfg = ver.get("grid", {})
-    # the decay fit needs at least three samples
-    count = _int(grid_cfg.get("count", 200), "verification.grid.count", 3)
-    kind = grid_cfg.get("kind", "linear" if spec.mode == "exponential" else "geometric")
-    if kind == "geometric":
-        if t_span[0] <= 0:
-            raise ConfigError("verification.grid: geometric grid needs t_span > 0")
-        return np.geomspace(t_span[0], t_span[1], count)
-    if kind == "linear":
-        return np.linspace(t_span[0], t_span[1], count)
-    raise ConfigError("verification.grid.kind: expected 'linear' or 'geometric'")
-
-
-def cmd_verify(cfg: dict, spec: ProblemSpec, args) -> int:
-    ver = _verification_cfg(cfg)
     if not isinstance(ver["y0"], list) or len(ver["y0"]) != spec.dim:
         raise ConfigError(f"verification.y0: expected a list of {spec.dim} numbers")
     y0 = [_complex(x, f"verification.y0[{i}]") for i, x in enumerate(ver["y0"])]
@@ -493,7 +477,17 @@ def cmd_verify(cfg: dict, spec: ProblemSpec, args) -> int:
         k_window = _span(fit_res.get("window", list(t_span)), "verification.fit_resonant.window")
         if k_window[0] < t_span[0] or k_window[1] > t_span[1]:
             raise ConfigError("verification.fit_resonant.window: must lie inside t_span")
-    grid = _sample_grid(spec, t_span, ver)
+        fit_res = (k, k_window)
+    grid_cfg = ver.get("grid", {})
+    # the decay fit needs at least three samples
+    count = _int(grid_cfg.get("count", 200), "verification.grid.count", 3)
+    kind = grid_cfg.get("kind", "linear" if spec.mode == "exponential" else "geometric")
+    spacing = {"linear": np.linspace, "geometric": np.geomspace}.get(kind)
+    if spacing is None:
+        raise ConfigError("verification.grid.kind: expected 'linear' or 'geometric'")
+    if kind == "geometric" and t_span[0] <= 0:
+        raise ConfigError("verification.grid: geometric grid needs t_span > 0")
+    grid = spacing(t_span[0], t_span[1], count)
     # the decay fit needs three samples in its window; check before integrating
     first, last = decay_fit_window(grid, window)
     if np.count_nonzero((grid >= first) & (grid <= last)) < 3:
@@ -509,55 +503,64 @@ def cmd_verify(cfg: dict, spec: ProblemSpec, args) -> int:
             f"verification.t_span: starts at {t_span[0]}, but the forcing is only "
             f"defined for t > {lo}"
         )
-    expansion = expand(spec)
-    if fit_res is not None and not expansion.orders[k - 1].kernel:
-        raise ConfigError(f"verification.fit_resonant.order: order {k} has no kernel modes")
+    # an explicit order 0, from --order or else the config, checks N = 0 alone:
+    # the solution against the first rate (the expansion still has order 1)
+    requested = cfg.get("expansion", {}).get("order") if order is None else order
+    orders = [0] if requested == 0 else list(range(1, spec.order + 1))
+    return dict(y0=y0, t_span=t_span, grid=grid, rel_tol=rel_tol, abs_tol=abs_tol,
+                margin=margin, window=window, fit_resonant=fit_res, orders=orders)
+
+
+def verify(spec: ProblemSpec, expansion: Expansion, y0, t_span, grid, *, rel_tol, abs_tol,
+           margin, window, fit_resonant, orders) -> VerifyResult:
+    """Integrate, then gate the decay of |y - S_N| on grid for each N of orders: N
+    passes when its exponent, fitted on window (None: fit_decay's), reaches mu_N - margin
+    (N = 0: the solution against mu_1).  fit_resonant (k, window) adds order k's fitted
+    kernel constants to S_N for N >= k.  It lives in cli, where the bench wraps its steps."""
+    if fit_resonant is not None and not expansion.orders[fit_resonant[0] - 1].kernel:
+        k = fit_resonant[0]
+        raise ValidationError(f"verification.fit_resonant.order: order {k} has no kernel modes")
     traj = integrate(spec, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
     kernel = None
-    if fit_res is not None:
-        coeffs = fit_kernel_constants(traj, expansion, k, k_window)
-        kernel = (k, coeffs)
-        print(
-            f"fitted {len(coeffs)} kernel constant(s) at order {k}: "
-            + ", ".join(_fmt_complex(c) for c in coeffs)
-        )
-    rates = expansion.rates
-    all_pass = True
-    columns = [("t", grid)]
-    # N = 0 measures the solution itself against the first rate; it is
-    # requested by an explicit order 0, from --order when given and from
-    # the config otherwise (the expansion is still built to order 1 so the
-    # target rate exists).
-    requested = cfg.get("expansion", {}).get("order") if args.order is None else args.order
-    n_values = [0] if requested == 0 else list(range(1, expansion.order_count() + 1))
-    report_lines = []
-    table = remainder_series(traj, expansion, n_values[-1], grid, kernel)
-    for n in n_values:
-        rem = table[n]
-        target = rates[0] if n == 0 else rates[n - 1]
+    if fit_resonant is not None:
+        kernel = (fit_resonant[0], fit_kernel_constants(traj, expansion, *fit_resonant))
+    table = remainder_series(traj, expansion, orders[-1], grid, kernel)
+    thresholds = tuple(expansion.rates[max(n - 1, 0)] - margin for n in orders)
+    fits = []
+    for n in orders:
         try:
-            fit = fit_decay(grid, rem, spec.mode, spec.scale_index, window)
-        except SparseFitWindow as e:
-            # a remainder at the noise floor has no measurable decay
-            all_pass = False
-            line = f"N={n}: no exponent ({e}) target>={target - margin:.6f} FAIL"
+            fits.append(fit_decay(grid, table[n], spec.mode, spec.scale_index, window))
+        except SparseFitWindow:  # a remainder at the noise floor has no measurable decay
+            fits.append(None)
+    passed = tuple(f is not None and f.exponent >= x for f, x in zip(fits, thresholds))
+    return VerifyResult(
+        grid=grid, orders=tuple(orders), remainders=table[list(orders)], threshold=thresholds,
+        fit=tuple(fits), passed=passed, kernel=kernel, meta=traj.meta,
+    )
+
+
+def cmd_verify(cfg: dict, spec: ProblemSpec, args) -> int:
+    options = _verify_options(cfg, spec, args.order)  # a bad config fails before expand
+    result = verify(spec, expand(spec), **options)
+    if result.kernel is not None:
+        k, coeffs = result.kernel
+        print(f"fitted {len(coeffs)} kernel constant(s) at order {k}: "
+              + ", ".join(map(_fmt_complex, coeffs)))
+    report = ""
+    for n, threshold, fit, ok in zip(result.orders, result.threshold, result.fit, result.passed):
+        if fit is None:  # the window held fewer than 3 samples above the noise floor
+            got, stats = "no exponent (fewer than 3 usable samples in the fit window)", ""
         else:
-            ok = fit.exponent >= target - margin
-            all_pass &= ok
-            line = (
-                f"N={n}: exponent={fit.exponent:.6f} target>={target - margin:.6f} "
-                f"R2={fit.r_squared:.8f} window=[{fit.window[0]:.6g},{fit.window[1]:.6g}] "
-                + ("PASS" if ok else "FAIL")
-            )
-        print(line)
-        report_lines.append(line)
-        columns.append((f"remainder_N{n}", rem))
+            got = f"exponent={fit.exponent:.6f}"
+            stats = f" R2={fit.r_squared:.8f} window=[{fit.window[0]:.6g},{fit.window[1]:.6g}]"
+        report += f"N={n}: {got} target>={threshold:.6f}{stats} {'PASS' if ok else 'FAIL'}\n"
+    print(report, end="")
+    csv = [["t"] + [f"remainder_N{n}" for n in result.orders]]
+    csv += [map(_fmt, row) for row in np.column_stack([result.grid, result.remainders.T]).tolist()]
     out = _out_dir(cfg, args)
-    header = ",".join(name for name, _ in columns)
-    rows = [",".join(_fmt(col[i]) for _, col in columns) for i in range(len(grid))]
-    _write(out, "remainders.csv", header + "\n" + "\n".join(rows) + "\n")
-    _write(out, "verify.txt", "\n".join(report_lines) + "\n")
-    return 0 if all_pass else 1
+    _write(out, "remainders.csv", "".join(",".join(row) + "\n" for row in csv))
+    _write(out, "verify.txt", report)
+    return 0 if all(result.passed) else 1
 
 
 def _realify_grid(expansion: Expansion, spec: ProblemSpec) -> np.ndarray:

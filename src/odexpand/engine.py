@@ -512,10 +512,14 @@ def symbolic_defect(expansion: Expansion, k: int) -> LogPowerSum:
     return trim_small_logpower(raw, max(q.sup_norm(), rhs.sup_norm()), RESIDUAL_REL)
 
 
+def _partial_sums(expansion: Expansion, upto: int, t):
+    """S_0 = 0, ..., S_upto at t, S_N = S_(N-1) + u_N (a zero u_N skipped)."""
+    zero = np.zeros(np.shape(t) + (expansion.spec.dim,), dtype=complex)
+    def add(s, o):
+        return s if o.term.is_zero() else s + o.term.eval(t)
+    return itertools.accumulate(expansion.orders[:upto], add, initial=zero)
+
+
 def eval_partial_sum(expansion: Expansion, upto: int, t) -> np.ndarray:
     """Value of the first ``upto`` terms at time t, or at each time of a 1-D array."""
-    out = np.zeros(np.shape(t) + (expansion.spec.dim,), dtype=complex)
-    for o in expansion.orders[:upto]:
-        if not o.term.is_zero():
-            out = out + o.term.eval(t)
-    return out
+    return list(_partial_sums(expansion, upto, t))[-1]

@@ -6,11 +6,11 @@ the construction: trajectories come from an adaptive Runge-Kutta run and
 decay rates from least-squares fits in the appropriate log coordinates.
 The run's right-hand side, forcing included, is one straight-line
 function rhs(t, y) generated per problem (``make_rhs``), so an attempted
-step makes no numpy call.  The remainder check samples the
-trajectory once on the grid, and ``remainder_series`` returns |y - S_N|
-for every N as one table.  The kernel fit takes its own 64 samples in its
-window; the fitted constants enter the table as values added to the
-partial sums, never as symbolic terms.
+step makes no numpy call.  The remainder check samples the trajectory once
+on the grid, and ``remainder_series`` returns |y - S_N| for every N as one
+table.  The kernel fit takes its own 64 samples in its window; the fitted
+constants enter the table as values added to the partial sums, never as
+symbolic terms.  ``cli.verify`` runs these steps into a ``VerifyResult``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import Expansion, ProblemSpec, eval_partial_sum
+from .engine import Expansion, ProblemSpec, _partial_sums, eval_partial_sum
 from .expsum import running_sum, snap_float
 from .ladder import ladder_eval
 from .logpower import LogPowerSum, row_norms
@@ -30,6 +30,7 @@ __all__ = [
     "DecayFit",
     "SmallnessCertificate",
     "SparseFitWindow",
+    "VerifyResult",
     "decay_envelope_constant",
     "decay_fit_window",
     "fit_decay",
@@ -96,14 +97,8 @@ def make_rhs(spec: ProblemSpec):
     return namespace["rhs"]
 
 
-def integrate(
-    spec: ProblemSpec,
-    y0,
-    t_span,
-    rel_tol: float = 1e-10,
-    abs_tol: float = 1e-12,
-) -> Trajectory:
-    """Integrate the problem's ODE over t_span.
+def integrate(spec: ProblemSpec, y0, t_span, rel_tol: float, abs_tol: float) -> Trajectory:
+    """Integrate the problem's ODE over t_span; the config owns the tolerances' defaults.
 
     The right-hand side comes from ``make_rhs``.  Its forcing statements
     do not check their times, so each power/log term's domain gate runs
@@ -302,14 +297,12 @@ def remainder_series(
     so row 0 is |y| itself.  ``kernel`` is an optional ``(k, coeffs)`` pair,
     as ``fit_kernel_constants`` returns coeffs for order k: every partial sum
     from order k on then also holds sum_i coeffs[i] * mode_i(t) over order
-    k's kernel modes.  The trajectory is sampled once for all rows; S_N is
-    S_(N-1) + u_N, the additions of ``eval_partial_sum`` in its order.
+    k's kernel modes.  The trajectory is sampled once for all rows; the
+    partial sums come from the loop ``eval_partial_sum`` runs.
     """
     ts = np.asarray(ts, dtype=float)
     ys = traj.sample(ts)
-    partials = [np.zeros(ts.shape + (expansion.spec.dim,), dtype=complex)]
-    for o in expansion.orders[:upto]:
-        partials.append(partials[-1] if o.term.is_zero() else partials[-1] + o.term.eval(ts))
+    partials = list(_partial_sums(expansion, upto, ts))
     if kernel is not None:
         k, coeffs = kernel
         modes = expansion.orders[k - 1].kernel
@@ -332,6 +325,21 @@ class DecayFit:
     exponent: float
     r_squared: float
     window: tuple
+
+
+@dataclass(frozen=True)
+class VerifyResult:
+    """``cli.verify``'s measurements: per N of orders, a row of remainders (|y - S_N| on
+    grid), the gated mu_N - margin, the DecayFit (None: sparse window) and the verdict."""
+
+    grid: np.ndarray
+    orders: tuple
+    remainders: np.ndarray
+    threshold: tuple
+    fit: tuple
+    passed: tuple
+    kernel: tuple | None  # (k, coeffs): order k's fitted kernel constants, or None
+    meta: dict  # the trajectory's Trajectory.meta: steps, rejects, rhs evals, tolerances
 
 
 class SparseFitWindow(ValueError):

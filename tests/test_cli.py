@@ -23,6 +23,7 @@ import pytest
 from odexpand import cli
 from odexpand.cli import main
 from odexpand.logpower import ladder_view
+from odexpand.numerics import DecayFit, VerifyResult
 from odexpand.realify import asymmetry_witness
 
 from helpers import assert_bitwise_equal, bench_module, ladder_view_oracle
@@ -686,6 +687,121 @@ def test_verify_of_an_order_whose_remainder_sits_at_the_noise_floor_fails(tmp_pa
     assert report == out.splitlines()
     header = (tmp_path / "remainders.csv").read_text().splitlines()[0]
     assert header == "t," + ",".join(f"remainder_N{n}" for n in range(1, 13))
+
+
+def test_negative_order_option_names_the_option(tmp_path, capsys):
+    # the bad value came from the command line, not from expansion.order
+    config = str(CONFIGS / "riccati.json")
+    assert main(["expand", "--config", config, "--order", "-1", "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "validation error: --order: expected an integer >= 0\n"
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg["expansion"]["order"] = -1
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["expand", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "validation error: expansion.order: expected an integer >= 0\n"
+
+
+def _verify_inputs(config: Path, order: int | None = None):
+    """The problem, its expansion and verify's keyword arguments, as
+    cmd_verify builds them from a config and an --order override."""
+    cfg = json.loads(config.read_text())
+    spec = cli.build_problem(cfg, order)
+    return spec, cli.expand(spec), cli._verify_options(cfg, spec, order)
+
+
+# config, --order, per-N verdicts, thresholds, and the kernel order with its
+# constants (within the golden test's 5e-5)
+VERIFY_RESULTS = {
+    "riccati": (None, [True, True], [0.9, 1.9], None),
+    "resonant": (None, [True, True], [0.9, 1.9], (2, [-1.70803])),
+    # from N=4 on the remainder sits below the noise floor: no fit, FAIL
+    "riccati-12": (12, [True] * 3 + [False] * 9, [k - 0.1 for k in range(1, 13)], None),
+}
+
+
+@pytest.mark.parametrize("case", list(VERIFY_RESULTS))
+def test_verify_result_holds_every_verdict(case):
+    order, passed, thresholds, kernel = VERIFY_RESULTS[case]
+    spec, expansion, options = _verify_inputs(CONFIGS / f"{case.split('-')[0]}.json", order)
+    result = cli.verify(spec, expansion, **options)
+    n_values = tuple(range(1, len(passed) + 1))
+    assert result.orders == n_values
+    assert result.passed == tuple(passed)
+    assert result.threshold == pytest.approx(thresholds, abs=1e-12)
+    assert [fit is not None for fit in result.fit] == [n <= 3 for n in n_values]
+    for fit, threshold, ok in zip(result.fit, result.threshold, result.passed):
+        assert fit is None or (fit.exponent >= threshold) == ok
+    assert result.remainders.shape == (len(n_values), len(result.grid))
+    assert result.meta["steps"] > 0
+    if kernel is None:
+        assert result.kernel is None
+    else:
+        k, coeffs = result.kernel
+        assert k == kernel[0]
+        assert np.abs(coeffs - kernel[1]).max() <= 5e-5
+
+
+def test_cmd_verify_only_prints_and_writes_the_result(tmp_path, monkeypatch, capsys):
+    result = VerifyResult(
+        grid=np.array([1.0, 2.0, 3.0]),
+        orders=(1, 2),
+        remainders=np.array([[0.5, 0.25, 0.125], [0.1, 0.01, 0.001]]),
+        threshold=(0.9, 1.9),
+        fit=(DecayFit(exponent=2.0, r_squared=0.999, window=(2.0, 3.0)), None),
+        passed=(True, False),
+        kernel=(1, np.array([0.5 - 0.25j])),
+        meta={},
+    )
+    monkeypatch.setattr(cli, "verify", lambda spec, expansion, **options: result)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("cmd_verify computed")
+
+    for name in ("integrate", "fit_kernel_constants", "remainder_series", "fit_decay"):
+        monkeypatch.setattr(cli, name, refuse)
+    config = str(CONFIGS / "riccati.json")
+    assert main(["verify", "--config", config, "--out", str(tmp_path)]) == 1
+    report = (
+        "N=1: exponent=2.000000 target>=0.900000 R2=0.99900000 window=[2,3] PASS\n"
+        "N=2: no exponent (fewer than 3 usable samples in the fit window) "
+        "target>=1.900000 FAIL\n"
+    )
+    kernel = "fitted 1 kernel constant(s) at order 1: (0.5-0.25i)\n"
+    assert capsys.readouterr().out == kernel + report
+    assert (tmp_path / "verify.txt").read_text() == report
+    assert (tmp_path / "remainders.csv").read_text() == (
+        "t,remainder_N1,remainder_N2\n1,0.5,0.10000000000000001\n2,0.25,0.01\n3,0.125,0.001\n"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="fit_decay regresses log|y - S_N| on t alone, with no t^d prefactor "
+    "(ROADMAP item 1, the fit-model step)",
+)
+def test_verify_of_the_jordan_solution_itself_passes():
+    # u_1 = (r_0 + r_1 t + r_2 t^2) e^-t: the built term has 3 rows.  Over
+    # the fit window [4, 10] the t^2 factor pulls the slope of log|y| to
+    # about 1 - 2/t, and N=0 fits 0.682 against a threshold of 0.90.
+    spec, expansion, options = _verify_inputs(CONFIGS / "jordan_resonant.json", 0)
+    assert len(expansion.orders[0].term.terms[-1 + 0j]) == 3
+    result = cli.verify(spec, expansion, **options)
+    assert result.passed == (True,)
+
+
+@pytest.mark.xfail(strict=True, reason="the decay gate passes a wrong expansion (ROADMAP item 1)")
+def test_verify_rejects_a_second_term_off_by_one_part_in_a_thousand(tmp_path):
+    # riccati on [10, 1000] with u_2 scaled by 1.001: N=2 still fits an
+    # exponent of 3.25 against its threshold of 1.90, because u_3 = 8 t^-3
+    # outweighs 0.001 u_2 on this window
+    spec, expansion, options = _verify_inputs(_riccati_t1000(tmp_path), 2)
+    first, second = expansion.orders
+    second = dataclasses.replace(second, term=second.term.scale(1.001))
+    tampered = dataclasses.replace(expansion, orders=(first, second))
+    result = cli.verify(spec, tampered, **options)
+    assert result.passed == (True, False)
 
 
 # Modules a fresh interpreter must not load, per run: the power/log path

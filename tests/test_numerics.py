@@ -22,7 +22,7 @@ from helpers import (
     sample_oracle,
 )
 from odexpand import ExpPolySum, LogPowerSum, MultiLinearMap, ladder_view, numerics, time_derivative
-from odexpand.cli import _sample_grid, build_problem
+from odexpand.cli import _verify_options, build_problem
 from odexpand.engine import ProblemSpec, eval_partial_sum, expand
 from odexpand.numerics import (
     _kronecker_directions,
@@ -384,7 +384,7 @@ def test_integrate_from_the_forcing_threshold_raises_the_forcings_error():
     cfg = _config("riccati")
     spec = build_problem(cfg)
     with pytest.raises(ValueError, match="t = 1.0 below the depth-0 evaluation threshold"):
-        numerics.integrate(spec, cfg["verification"]["y0"], (1.0, 100.0))
+        numerics.integrate(spec, cfg["verification"]["y0"], (1.0, 100.0), 1e-10, 1e-12)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -402,7 +402,7 @@ def test_an_overflowing_forcing_stops_at_the_initial_point_with_a_value_error():
     ]
     spec = build_problem(cfg)
     with pytest.raises(ValueError, match="right-hand side not finite at the initial point"):
-        numerics.integrate(spec, [0.1], (1e4, 2e4))
+        numerics.integrate(spec, [0.1], (1e4, 2e4), 1e-10, 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +419,7 @@ def _verify_run(case: str):
         ver["t_span"] = [10.0, 1000.0]
     spec = build_problem(cfg)
     traj = numerics.integrate(spec, ver["y0"], ver["t_span"], ver["rel_tol"], ver["abs_tol"])
-    return expand(spec), traj, _sample_grid(spec, ver["t_span"], ver)
+    return expand(spec), traj, _verify_options(cfg, spec, None)["grid"]
 
 
 def test_array_sample_matches_the_scalar_oracle():
