@@ -8,19 +8,23 @@ Configs are JSON; complex numbers are written as [re, im]; unknown fields are
 rejected with their path.  The sections and their keys:
 
     problem       matrix, mode, forcing (required); nonlinearity,
-                  scale_index.  Each forcing record has rate, type
+                  scale_index (0).  Each forcing record has rate, type
                   (exp_poly, log_power or real_trig_ladder), terms, and
                   depth for the last two.
-    expansion     order (default 4).  The exponent ladder is derived
-                  from the problem; see ProblemSpec.
-    verification  y0, t_span (required by verify); rel_tol, abs_tol,
-                  margin, fit_window, grid {kind, count},
-                  fit_resonant {order, window}.
-    certificate   probe_radius (required by certificate), samples.
-    output        dir (overridden by --out).
+    expansion     order (4).  The exponent ladder is derived from the
+                  problem; see ProblemSpec.
+    verification  y0, t_span (required by verify); rel_tol (1e-10),
+                  abs_tol (1e-12), margin (0.1), fit_window (the trailing
+                  40% of t_span), grid {kind (linear in exponential mode,
+                  else geometric), count (200)}, fit_resonant {order,
+                  window (t_span)}.
+    certificate   probe_radius (required by certificate), samples (1024).
+    output        dir (".", overridden by --out).
 
-Flow: load the config, build the problem once, run the subcommand on it;
-verify's verdicts come from one library call, ``verify`` (a ``VerifyResult``).
+Defaults are in parentheses; this parser is their one owner, as the library
+takes every setting of a run explicitly.  Flow: load the config, build the
+problem once, run the subcommand on it; verify's verdicts come from one
+library call, ``verify`` (a ``VerifyResult``).
 Exit codes: 0 pass, 1 verification fail, 2 validation error, 3 runtime error.
 """
 
@@ -40,7 +44,7 @@ from .engine import (
     ValidationError,
     expand,
 )
-from .expsum import ExpPolySum, snap_float
+from .expsum import EXPONENT_GRID, ExpPolySum, snap_float
 from .logpower import LogPowerSum, ladder_view, row_norms
 from .multilinear import MultiLinearMap
 from .numerics import (
@@ -117,6 +121,15 @@ def _int(value, path: str, lo: int, hi: int | None = None) -> int:
     raise ConfigError(f"{path}: expected an integer {bound}")
 
 
+def _exponent(value, path: str):
+    """value, a parsed exponent (real or complex), when each of its parts
+    divided by EXPONENT_GRID is finite, so that it can be snapped."""
+    z = complex(value)
+    if math.isfinite(z.real / EXPONENT_GRID) and math.isfinite(z.imag / EXPONENT_GRID):
+        return value
+    raise ConfigError(f"{path}: too large to snap onto the exponent grid of step {EXPONENT_GRID:g}")
+
+
 def _span(value, path: str) -> tuple[float, float]:
     if isinstance(value, list) and len(value) == 2:
         lo, hi = (_real(v, f"{path}[{i}]") for i, v in enumerate(value))
@@ -189,7 +202,7 @@ def _forcing_record(rec, dim: int, path: str):
         for i, term in enumerate(terms):
             p = f"{path}.terms[{i}]"
             _check_keys(term, {"exponent", "rows"}, p)
-            nu = _complex(term.get("exponent"), f"{p}.exponent")
+            nu = _exponent(_complex(term.get("exponent"), f"{p}.exponent"), f"{p}.exponent")
             raw.append((nu, _rows(term.get("rows"), f"{p}.rows", dim)))
         return rate, ExpPolySum.build(dim, raw)
     if kind not in ("log_power", "real_trig_ladder"):
@@ -203,16 +216,20 @@ def _forcing_record(rec, dim: int, path: str):
         values = _list(term.get(name), f"{p}.{name}", length)
         return [number(x, f"{p}.{name}[{j}]") for j, x in enumerate(values)]
 
+    def exponents(term, p: str) -> list:
+        alpha = numbers(term, "alpha", p, depth + 2)
+        return [_exponent(a, f"{p}.alpha[{j}]") for j, a in enumerate(alpha)]
+
     raw = []
     for i, term in enumerate(terms):
         p = f"{path}.terms[{i}]"
         if kind == "log_power":
             _check_keys(term, {"alpha", "vector"}, p)
-            alpha = numbers(term, "alpha", p, depth + 2)
+            alpha = exponents(term, p)
             raw.append((alpha, np.array(numbers(term, "vector", p, dim), dtype=complex)))
             continue
         _check_keys(term, {"alpha", "factors", "vector"}, p)
-        alpha = tuple(numbers(term, "alpha", p, depth + 2))
+        alpha = tuple(exponents(term, p))
         factors = []
         # ladder components that already carry a factor; from_trig_ladder
         # drops factors whose frequency snaps to 0 before it checks the same
@@ -223,7 +240,7 @@ def _forcing_record(rec, dim: int, path: str):
             if fac.get("phase") not in ("cos", "sin"):
                 raise ConfigError(f"{fp}.phase: expected 'cos' or 'sin'")
             index = _int(fac.get("index"), f"{fp}.index", 0, depth)
-            omega = _real(fac.get("omega"), f"{fp}.omega")
+            omega = _exponent(_real(fac.get("omega"), f"{fp}.omega"), f"{fp}.omega")
             if snap_float(omega) != 0.0:
                 if index in taken:
                     raise ConfigError(
@@ -516,13 +533,14 @@ def verify(spec: ProblemSpec, expansion: Expansion, y0, t_span, grid, *, rel_tol
     """Integrate, then gate the decay of |y - S_N| on grid for each N of orders: N
     passes when its exponent, fitted on window (None: fit_decay's), reaches mu_N - margin
     (N = 0: the solution against mu_1).  fit_resonant (k, window) adds order k's fitted
-    kernel constants to S_N for N >= k.  It lives in cli, where the bench wraps its steps."""
+    kernel constants to S_N for N >= k, fitted only when some N of orders is >= k.
+    It lives in cli, where the bench wraps its steps."""
     if fit_resonant is not None and not expansion.orders[fit_resonant[0] - 1].kernel:
         k = fit_resonant[0]
         raise ValidationError(f"verification.fit_resonant.order: order {k} has no kernel modes")
     traj = integrate(spec, y0, t_span, rel_tol=rel_tol, abs_tol=abs_tol)
     kernel = None
-    if fit_resonant is not None:
+    if fit_resonant is not None and orders[-1] >= fit_resonant[0]:  # else no checked S_N has it
         kernel = (fit_resonant[0], fit_kernel_constants(traj, expansion, *fit_resonant))
     table = remainder_series(traj, expansion, orders[-1], grid, kernel)
     thresholds = tuple(expansion.rates[max(n - 1, 0)] - margin for n in orders)
@@ -582,7 +600,7 @@ def cmd_realify(cfg: dict, spec: ProblemSpec, args) -> int:
     if not np.all(np.isreal(spec.matrix)):
         raise ValidationError("realify needs a real matrix")
     for g in spec.maps:
-        if not g.is_real(0.0):
+        if not g.is_real():
             raise ValidationError("realify needs real nonlinearity coefficients")
     for mu, term in spec.forcing:
         witness = asymmetry_witness(term)
@@ -624,7 +642,7 @@ def cmd_certificate(cfg: dict, spec: ProblemSpec, args) -> int:
     if not radius > 0:
         raise ConfigError("certificate.probe_radius: expected a positive number")
     samples = _int(cert_cfg.get("samples", 1024), "certificate.samples", 1)
-    cert = smallness_certificate(spec, radius, samples=samples)
+    cert = smallness_certificate(spec, radius, samples)
     rows = [
         ("slowest_decay_rate", cert.lambda1),
         ("envelope_constant", cert.envelope_constant),

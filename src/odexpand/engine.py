@@ -46,6 +46,7 @@ from .logpower import (
     LogPowerSum,
     ShiftedInverseCache,
     descent_op,
+    ladder_view,
     mul_apply_logpower,
     shifted_inverse,
     trim_small_logpower,
@@ -89,11 +90,11 @@ class ExponentLadder:
     """Closure of positive base rates under addition.
 
     The closure contains all finite sums of base elements; ``unit_increment``
-    additionally closes under +1.  Values are produced in increasing order
-    and deduplicated under a relative tolerance.
+    (power mode) additionally closes under +1.  Values are produced in
+    increasing order and deduplicated under a relative tolerance.
     """
 
-    def __init__(self, base, unit_increment: bool = False):
+    def __init__(self, base, unit_increment: bool):
         vals = sorted(float(b) for b in base)
         if not vals:
             raise ValidationError("ladder base must be nonempty")
@@ -155,8 +156,8 @@ class ProblemSpec:
     maps: tuple[MultiLinearMap, ...]
     forcing: tuple[tuple[float, object], ...]
     mode: str
+    order: int
     scale_index: int = 0
-    order: int = 4
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", np.asarray(self.matrix, dtype=complex))
@@ -300,10 +301,6 @@ class Expansion:
     def order_count(self) -> int:
         return len(self.orders)
 
-    def term(self, k: int):
-        """1-based access to the k-th term."""
-        return self.orders[k - 1].term
-
 
 def _forcing_at(spec: ProblemSpec, mu: float):
     for fmu, term in spec.forcing:
@@ -313,14 +310,11 @@ def _forcing_at(spec: ProblemSpec, mu: float):
 
 
 def _in_rate_class(spec: ProblemSpec, term, mu: float) -> bool:
-    """Whether every exponent of term decays at exactly rate mu.
-
-    Exponential mode: Re nu = -mu; power/log modes: the (scale_index, -mu)
-    class.  The zero term is in every class.
-    """
-    if spec.mode == "exponential":
-        return term.in_class(-mu)
-    return term.in_class(spec.scale_index, -mu)
+    """Whether every exponent of term decays at exactly rate mu: its ladder
+    view is in the (m, -mu) class, m = -1 in exponential mode (Re nu = -mu)
+    and scale_index otherwise.  The zero term is in every class."""
+    m = -1 if spec.mode == "exponential" else spec.scale_index
+    return ladder_view(term).in_class(m, -mu)
 
 
 def _ordered_tuples(parts: tuple[int, ...]):
@@ -467,7 +461,7 @@ def _solve_rate(spec: ProblemSpec, mu: float, rhs, cache):
     the shifted inverse of A + weight_op(-1) and have no kernel.
     """
     if spec.mode != "exponential":
-        return (rhs if rhs.is_zero() else shifted_inverse(spec.matrix, rhs, cache)), ()
+        return (rhs if rhs.is_zero() else shifted_inverse(rhs, cache)), ()
     term = rhs if rhs.is_zero() else resolvent_solve_exp(spec.matrix, rhs)[0]
     on_rate = [nu for nu, _ in spec.clusters if abs(nu.real + mu) < _match_tol(mu)]
     return term, tuple(m for nu in on_rate for m in homogeneous_modes(spec.matrix, nu))
@@ -509,7 +503,7 @@ def symbolic_defect(expansion: Expansion, k: int) -> LogPowerSum:
     if spec.mode == "exponential":
         return resolvent_defect(spec.matrix, rhs, q)
     raw = q.apply_matrix(spec.matrix) + weight_op(-1, q) - rhs
-    return trim_small_logpower(raw, max(q.sup_norm(), rhs.sup_norm()), RESIDUAL_REL)
+    return trim_small_logpower(raw, RESIDUAL_REL * max(q.sup_norm(), rhs.sup_norm()))
 
 
 def _partial_sums(expansion: Expansion, upto: int, t):

@@ -185,10 +185,6 @@ class ExpPolySum:
         """Largest coefficient row norm over all terms."""
         return float(np.sqrt((abs(self.rows) ** 2).sum(axis=2)).max(initial=0.0))
 
-    def in_class(self, mu: float, tol: float = 1e-9) -> bool:
-        """All exponents have real part mu (the fixed-decay-rate class)."""
-        return bool((abs(self.nus.real - mu) <= tol * max(1.0, abs(mu))).all())
-
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "ExpPolySum") -> "ExpPolySum":
@@ -220,16 +216,17 @@ class ExpPolySum:
             out += p[:, k]
         return out if ts.ndim else out[0]
 
-    def emit(self, t: str, p: str, namespace: dict) -> list[str]:
+    def emit(self, p: str, namespace: dict) -> list[str]:
         """Python statements that set {p}0 ... {p}{dim-1} to the value at t.
 
-        ``t`` names a Python float; every name the statements set starts
-        with ``p``, and every value they read is bound in ``namespace``
-        under such a name.  {p}e{k} = cmath.exp(nu_k * t) for every term k.
-        For component i, Horner's rule runs over the term's rows from the
-        last, h = r_last and then h = h * t + r_j, and the output is the
-        running sum from 0j of h * e_k in canonical term order, leaving out
-        the terms whose rows are all zero in component i (``running_sum``).
+        They read the time from the name ``t``, a Python float; every name
+        they set starts with ``p``, and every value they read is bound in
+        ``namespace`` under such a name.  {p}e{k} = cmath.exp(nu_k * t) for
+        every term k.  For component i, Horner's rule runs over the term's
+        rows from the last, h = r_last and then h = h * t + r_j, and the
+        output is the running sum from 0j of h * e_k in canonical term
+        order, leaving out the terms whose rows are all zero in component i
+        (``running_sum``).
 
         That is eval's arithmetic up to the signs of zeros.  eval starts
         Horner from 0j over zero-padded rows, adds every term and promotes
@@ -253,7 +250,7 @@ class ExpPolySum:
         exps = []
         for k, nu in enumerate(self.nus.tolist()):
             namespace[f"{p}nu{k}"] = nu
-            exps.append(f"{p}e{k} = cexp({p}nu{k} * {t})")
+            exps.append(f"{p}e{k} = cexp({p}nu{k} * t)")
         sums = []
         terms = [rows.tolist() for _, rows in self.items()]
         for i in range(self.dim):
@@ -267,13 +264,13 @@ class ExpPolySum:
                     namespace[names[-1]] = row[i]
                 h = names.pop()
                 for r in reversed(names):
-                    sums.append(f"{p}h{k} = {h} * {t} + {r}")
+                    sums.append(f"{p}h{k} = {h} * t + {r}")
                     h = f"{p}h{k}"
                 products.append(f"{h} * {p}e{k}")
             sums += running_sum(f"{p}{i}", "0j", products)
         outs = "".join(f"{p}{i}, " for i in range(self.dim))
         lines = ["try:"] + [f"    {x}" for x in exps or ["pass"]]
-        lines += ["except (OverflowError, ValueError):", f"    {outs}= {p}eval({t})", "else:"]
+        lines += ["except (OverflowError, ValueError):", f"    {outs}= {p}eval(t)", "else:"]
         return lines + [f"    {x}" for x in sums]
 
     # -- serialization ---------------------------------------------------

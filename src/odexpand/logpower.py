@@ -41,8 +41,8 @@ Three linear operators drive the power/log recursions:
     weight_op(j, p)     multiply each term by its exponent a(j)
     descent_op(p)       sum_j z_0^-1 ... z_j^-1 * weight_op(j, p); together
                         with weight_op(-1) it represents d/dt on composites
-    shifted_inverse(A, p)  apply (A + a(-1) I)^-1 to each coefficient, in
-                        one stacked solve
+    shifted_inverse(p, cache)  apply (A + a(-1) I)^-1 to each coefficient, in
+                        one stacked solve; the cache holds A
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ from .multilinear import MultiLinearMap
 __all__ = [
     "LogPowerSum",
     "ladder_view",
-    "exponent_in_class",
     "weight_op",
     "descent_op",
     "time_derivative",
@@ -80,6 +79,10 @@ __all__ = [
 # expansion from 1.0 to 1.9 MB; blocks of 256 rows took it to 0.8 MB, but
 # made twice the G.batch calls at order 16.
 _ROWS = 512
+
+# The (m, mu) class test's tolerance on the real parts of exponents: within
+# CLASS_TOL of 0 below component m, and of mu, relative to max(1, |mu|), at m.
+CLASS_TOL = 1e-9
 
 
 def _stack_rows(
@@ -112,18 +115,6 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     for x in parts:
         sq += (x[:, None, :] @ x[:, :, None])[:, 0, 0]
     return np.sqrt(sq)
-
-
-def exponent_in_class(alpha: Sequence[complex], m: int, mu: float, tol: float = 1e-9) -> bool:
-    """Exponent-vector class test: a(j) imaginary for j < m, Re a(m) = mu."""
-    alpha = tuple(alpha)
-    k = len(alpha) - 2
-    if not -1 <= m <= k:
-        raise ValueError(f"class index m={m} incompatible with depth {k}")
-    for j in range(-1, m):
-        if abs(alpha[j + 1].real) > tol:
-            return False
-    return abs(alpha[m + 1].real - mu) <= tol * max(1.0, abs(mu))
 
 
 @dataclass(frozen=True)
@@ -242,9 +233,16 @@ class LogPowerSum:
         """Largest coefficient row norm over all terms."""
         return float(row_norms(self.xis).max(initial=0.0))
 
-    def in_class(self, m: int, mu: float, tol: float = 1e-9) -> bool:
-        """Every exponent vector sits in the (m, mu) class."""
-        return all(exponent_in_class(a, m, mu, tol) for a in self.alphas.tolist())
+    def in_class(self, m: int, mu: float) -> bool:
+        """Every exponent vector sits in the (m, mu) class: a(j) imaginary for
+        j < m and Re a(m) = mu, within CLASS_TOL.  The zero sum is in every
+        class.  An exponential sum's ladder view is in class (-1, Re nu)."""
+        if not -1 <= m <= self.depth:
+            raise ValueError(f"class index m={m} incompatible with depth {self.depth}")
+        re = self.alphas.real
+        return not (abs(re[:, : m + 1]) > CLASS_TOL).any() and bool(
+            (abs(re[:, m + 1] - mu) <= CLASS_TOL * max(1.0, abs(mu))).all()
+        )
 
     # -- algebra ---------------------------------------------------------
 
@@ -268,9 +266,6 @@ class LogPowerSum:
         # bit; a single xis @ A.T does not.
         A = np.asarray(A, dtype=complex)
         return self._canon(self.alphas, (A @ self.xis[:, :, None])[:, :, 0])
-
-    def conjugate(self) -> "LogPowerSum":
-        return self._canon(self.alphas.conj(), self.xis.conj())
 
     def embed(self, depth: int) -> "LogPowerSum":
         """Zero-pad exponent vectors up to a larger depth."""
@@ -311,14 +306,14 @@ class LogPowerSum:
         out = np.matmul(self.xis.T, e)[:, :, 0]
         return out if ts.ndim else out[0]
 
-    def emit(self, t: str, p: str, namespace: dict) -> list[str]:
+    def emit(self, p: str, namespace: dict) -> list[str]:
         """Python statements that set {p}0 ... {p}{dim-1} to the value at t.
 
-        ``t`` names a Python float above ``domain_start``, which the
-        statements do not check; every name they set starts with ``p``,
-        and every value they read is bound in ``namespace`` under such a
-        name.  The ladder is ladder_eval's chain, l0 = t and
-        l{j+1} = log(l{j}).  For term k, {p}zr and {p}zi sum
+        They read the time from the name ``t``, a Python float above
+        ``domain_start``, which they do not check; every name they set
+        starts with ``p``, and every value they read is bound in
+        ``namespace`` under such a name.  The ladder is ladder_eval's
+        chain, l0 = t and l{j+1} = log(l{j}).  For term k, {p}zr and {p}zi sum
         Re a(j) * l{j} and Im a(j) * l{j} over the nonzero parts, left to
         right, and {p}e{k} is math.exp(zr) when every exponent of the term
         is real, else cmath.exp(complex(zr, zi)).  Each output component is
@@ -336,7 +331,7 @@ class LogPowerSum:
         namespace.update(log=math.log, exp=math.exp, cexp=cmath.exp)
         namespace[f"{p}eval"] = lambda x: self.eval(x).tolist()
 
-        ladder = [t] + [f"{p}l{j}" for j in range(1, self.depth + 2)]
+        ladder = ["t"] + [f"{p}l{j}" for j in range(1, self.depth + 2)]
         exps, real = [], []
         for k, alpha in enumerate(self.alphas.tolist()):
             real.append(not any(a.imag for a in alpha))
@@ -372,7 +367,7 @@ class LogPowerSum:
         outs = "".join(f"{p}{i}, " for i in range(self.dim))
         lines = [f"{b} = log({a})" for a, b in zip(ladder, ladder[1:])]
         lines += ["try:"] + [f"    {x}" for x in exps or ["pass"]]
-        lines += ["except (OverflowError, ValueError):", f"    {outs}= {p}eval({t})", "else:"]
+        lines += ["except (OverflowError, ValueError):", f"    {outs}= {p}eval(t)", "else:"]
         return lines + [f"    {x}" for x in sums]
 
     # -- serialization ---------------------------------------------------
@@ -476,12 +471,8 @@ class ShiftedInverseCache:
         return np.linalg.solve(stack, xis[:, :, None])[:, :, 0]
 
 
-def shifted_inverse(
-    A: np.ndarray, p: LogPowerSum, cache: ShiftedInverseCache | None = None
-) -> LogPowerSum:
-    """Apply (A + a(-1) I)^-1 termwise; inverts A + weight_op(-1)."""
-    if cache is None:
-        cache = ShiftedInverseCache(A)
+def shifted_inverse(p: LogPowerSum, cache: ShiftedInverseCache) -> LogPowerSum:
+    """Apply (A + a(-1) I)^-1 termwise, A being cache.A; inverts A + weight_op(-1)."""
     if cache.A.shape[0] != p.dim:
         raise ValueError("matrix/operand dimension mismatch")
     return p._canon(p.alphas, cache.solve(p.alphas[:, 0], p.xis))
@@ -496,7 +487,7 @@ def mul_apply_logpower(
     G: MultiLinearMap,
     terms: Sequence[LogPowerSum],
     multisets: Sequence[Sequence[int]],
-    weights: Sequence[float] | None = None,
+    weights: Sequence[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Raw terms of sum_g weights[g] * G(terms[i] for i in multisets[g]).
 
@@ -519,7 +510,6 @@ def mul_apply_logpower(
     """
     m = G.arity
     multisets = [tuple(parts) for parts in multisets]
-    weights = [1.0] * len(multisets) if weights is None else list(weights)
     if len(weights) != len(multisets):
         raise ValueError(f"{len(weights)} weights for {len(multisets)} multisets")
     for parts in multisets:
@@ -566,13 +556,13 @@ def mul_apply_logpower(
     return alphas, xis
 
 
-def trim_small_logpower(p: LogPowerSum, scale: float, rel: float = TRIM_REL) -> LogPowerSum:
-    """Copy of p without terms whose coefficient norm is below rel*scale.
+def trim_small_logpower(p: LogPowerSum, floor: float) -> LogPowerSum:
+    """Copy of p without terms whose coefficient norm is below floor.
 
     Canonicalization trims against the sum's own largest term, which says
-    nothing when the whole sum is rounding dust; residual checks supply
-    the scale of the data that produced the residual.
+    nothing when the whole sum is rounding dust; residual checks supply a
+    floor from the scale of the data that produced the residual.
     """
-    keep = row_norms(p.xis) >= rel * scale
+    keep = row_norms(p.xis) >= floor
     return p._canon(p.alphas[keep], p.xis[keep])
 

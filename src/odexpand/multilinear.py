@@ -227,6 +227,6 @@ class MultiLinearMap:
         )
         return MultiLinearMap(self.arity, self.dim, entries)
 
-    def is_real(self, tol: float = 0.0) -> bool:
-        """True when every entry value has |imag| <= tol."""
-        return all(abs(v.imag) <= tol for _, _, v in self.entries)
+    def is_real(self) -> bool:
+        """True when every entry value has a zero imaginary part."""
+        return all(v.imag == 0 for _, _, v in self.entries)

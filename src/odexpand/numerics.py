@@ -83,7 +83,7 @@ def make_rhs(spec: ProblemSpec):
         namespace[f"m{k}"] = g
         lines.append(f"    g{k} = m{k}({', '.join(['y'] * g.arity)})")
     for r, (_, term) in enumerate(spec.forcing):
-        lines += [f"    {x}" for x in term.emit("t", f"f{r}_", namespace)]
+        lines += [f"    {x}" for x in term.emit(f"f{r}_", namespace)]
     outs = ", ".join(
         "".join(
             [f"a{i}"]
@@ -168,24 +168,24 @@ def matrix_exp_norm(A: np.ndarray, t_grid) -> np.ndarray:
     return np.linalg.norm(_expm_stack(-t[:, None, None] * A), 2, axis=(1, 2))
 
 
-def decay_envelope_constant(A: np.ndarray, t_grid=None, lam1: float | None = None) -> float:
+# The envelope's grid: _ENVELOPE_POINTS times on [0, _ENVELOPE_SPAN / lambda_1].
+# |exp(-tA)| exp(lambda_1 t/2) <= poly(t) exp(-lambda_1 t/2): dead past ~80/lambda_1.
+_ENVELOPE_SPAN = 80.0
+_ENVELOPE_POINTS = 641
+
+
+def decay_envelope_constant(A: np.ndarray, lam1: float) -> float:
     """Smallest observed C with |exp(-t A)| <= C exp(-lambda_1 t / 2).
 
-    The envelope with half the slowest rate always decays, so the sup is
-    attained on a bounded window; the default grid covers it generously.
-    ``lam1`` is lambda_1 when the caller already has it; otherwise it is
-    taken from A's eigenvalues.
+    lam1 is lambda_1, the smallest real part of A's eigenvalues.  The
+    envelope with half the slowest rate always decays, so the sup is
+    attained on a bounded window, which the fixed grid covers generously.
     """
-    A = np.asarray(A, dtype=complex)
-    if lam1 is None:
-        lam1 = min(np.linalg.eigvals(A).real)
     if lam1 <= 0:
         raise ValueError("matrix must have spectrum in the open right half plane")
-    if t_grid is None:
-        # |exp(-tA)| exp(lam1 t/2) <= poly(t) exp(-lam1 t/2): dead past ~80/lam1.
-        t_grid = np.linspace(0.0, 80.0 / lam1, 641)
+    t_grid = np.linspace(0.0, _ENVELOPE_SPAN / lam1, _ENVELOPE_POINTS)
     norms = matrix_exp_norm(A, t_grid)
-    return float(np.max(norms * np.exp(0.5 * lam1 * np.asarray(t_grid))))
+    return float(np.max(norms * np.exp(0.5 * lam1 * t_grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -236,19 +236,19 @@ def _kronecker_directions(dim2: int, count: int) -> np.ndarray:
 
 
 def smallness_certificate(
-    spec: ProblemSpec, probe_radius: float, samples: int = 1024
+    spec: ProblemSpec, probe_radius: float, samples: int
 ) -> SmallnessCertificate:
     """Certify constants for the small-data decay threshold.
 
     The quadratic constant is estimated by probing the full nonlinearity
-    along deterministic sphere directions at geometrically spaced radii
-    up to probe_radius and maximising |G(x)| / |x|^2.  Each radius probes
-    every direction in one batched evaluation per map.
+    along ``samples`` deterministic sphere directions at geometrically
+    spaced radii up to probe_radius and maximising |G(x)| / |x|^2.  Each
+    radius probes every direction in one batched evaluation per map.
     """
     if probe_radius <= 0:
         raise ValueError("probe_radius must be positive")
     lam1 = spec.slowest_rate()
-    c0 = decay_envelope_constant(spec.matrix, lam1=lam1)
+    c0 = decay_envelope_constant(spec.matrix, lam1)
     n = spec.dim
     dirs = _kronecker_directions(2 * n, samples)
     dirs_c = dirs[:, :n] + 1j * dirs[:, n:]
@@ -289,12 +289,12 @@ def smallness_certificate(
 
 
 def remainder_series(
-    traj: Trajectory, expansion: Expansion, upto: int, ts, kernel: tuple | None = None
+    traj: Trajectory, expansion: Expansion, upto: int, ts, kernel: tuple | None
 ) -> np.ndarray:
     """Table of |y(t) - S_N(t)| for N = 0..upto on a time grid inside the trajectory.
 
     Row N holds the norms against the partial sum of the first N orders,
-    so row 0 is |y| itself.  ``kernel`` is an optional ``(k, coeffs)`` pair,
+    so row 0 is |y| itself.  ``kernel`` is None or a ``(k, coeffs)`` pair,
     as ``fit_kernel_constants`` returns coeffs for order k: every partial sum
     from order k on then also holds sum_i coeffs[i] * mode_i(t) over order
     k's kernel modes.  The trajectory is sampled once for all rows; the
@@ -346,24 +346,18 @@ class SparseFitWindow(ValueError):
     """The fit window holds fewer than 3 samples above the noise floor."""
 
 
-def decay_fit_window(ts: np.ndarray, window: tuple | None = None) -> tuple:
+def decay_fit_window(ts: np.ndarray, window: tuple | None) -> tuple:
     """fit_decay's (first, last) time: window, else the trailing 40% of ts's span."""
     return window if window is not None else (ts[0] + 0.6 * (ts[-1] - ts[0]), ts[-1])
 
 
-def fit_decay(
-    ts,
-    values,
-    mode: str,
-    scale_index: int = 0,
-    window: tuple | None = None,
-) -> DecayFit:
+def fit_decay(ts, values, mode: str, scale_index: int, window: tuple | None) -> DecayFit:
     """Fit log(values) against the regressor appropriate for the mode.
 
     Exponential mode regresses on t itself; power and log modes regress
     on the log of the iterated logarithm at scale_index, so the fitted
-    exponent is directly comparable with an expansion order's rate.  The
-    default window is ``decay_fit_window``'s.  Either window keeps
+    exponent is directly comparable with an expansion order's rate.  A
+    window of None is ``decay_fit_window``'s default.  Either window keeps
     only samples above the noise floor: 100 machine epsilons relative to
     the first sample, which stands in for the size of the quantity whose
     cancellation produced the remainder.  Fewer than 3 such samples raise

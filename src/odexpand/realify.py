@@ -43,8 +43,12 @@ __all__ = [
 
 COS, SIN = "cos", "sin"
 
+# A term's partner must match its conjugate within SYMMETRY_TOL times
+# max(1, the sum's largest coefficient norm).
+SYMMETRY_TOL = 1e-12
 
-def asymmetry_witness(p, tol: float = 1e-12):
+
+def asymmetry_witness(p):
     """First term breaking conjugation symmetry, or None if symmetric.
 
     The partner of a term is the one at the componentwise conjugate
@@ -59,7 +63,7 @@ def asymmetry_witness(p, tol: float = 1e-12):
         partner = p.terms.get(key)
         if partner is None:
             return alpha
-        if float(abs(partner - xi.conjugate()).max()) > tol * scale:
+        if float(abs(partner - xi.conjugate()).max()) > SYMMETRY_TOL * scale:
             return alpha
     return None
 
@@ -115,7 +119,7 @@ def _real_rows(dim: int, depth: int, raw) -> list:
     return [(k, acc[k]) for k in sorted(acc) if norms[k] > 0.0 and norms[k] >= TRIM_REL * top]
 
 
-def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> list:
+def to_trig_ladder(p: LogPowerSum) -> list:
     """Real form of a conjugation-symmetric ladder-power sum, as rows.
 
     Output depth (len(alpha) - 2 of every row) is p.depth + 1 when some
@@ -130,7 +134,7 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> list:
     cos(b L) + i sin(b L), a pair is 2 Re(xi * prod (cos + i sin)), so the
     term with s sine factors has coefficient 2 Re(xi i^s).
     """
-    witness = asymmetry_witness(p, tol)
+    witness = asymmetry_witness(p)
     if witness is not None:
         raise ValueError(
             f"sum is not conjugation-symmetric at term {witness}; no real form exists"
@@ -153,13 +157,13 @@ def to_trig_ladder(p: LogPowerSum, tol: float = 1e-12) -> list:
     return _real_rows(p.dim, out_depth, raw)
 
 
-def to_trig_poly(s: ExpPolySum, tol: float = 1e-12) -> list:
+def to_trig_poly(s: ExpPolySum) -> list:
     """Real form of a conjugation-symmetric exponential sum, at depth 0.
 
     Each row reads e^(Re nu t) t^j cos/sin(Im nu t); decaying exponents
     are taken as they are.
     """
-    return to_trig_ladder(ladder_view(s), tol)
+    return to_trig_ladder(ladder_view(s))
 
 
 def from_trig_ladder(dim: int, depth: int, raw) -> LogPowerSum:

@@ -226,4 +226,4 @@ def resolvent_defect(A: np.ndarray, f: ExpPolySum, z: ExpPolySum) -> LogPowerSum
     rounding dust below RESIDUAL_REL of the data's scale is trimmed."""
     v = ladder_view(z)
     raw = time_derivative(v) + v.apply_matrix(A) - ladder_view(f)
-    return trim_small_logpower(raw, max(f.sup_norm(), z.sup_norm()), RESIDUAL_REL)
+    return trim_small_logpower(raw, RESIDUAL_REL * max(f.sup_norm(), z.sup_norm()))

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import sys
 from cmath import isfinite
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -85,7 +85,7 @@ class Trajectory:
     ts: np.ndarray
     states: np.ndarray  # shape (len(ts), n), complex
     derivs: np.ndarray  # shape (len(ts), n), complex
-    meta: dict = field(default_factory=dict)
+    meta: dict  # steps, rejected, rhs_evals, rel_tol, abs_tol
 
     @property
     def t0(self) -> float:
@@ -215,7 +215,7 @@ def _initial_step(rhs, t0, y0, f0, rel_tol, abs_tol, t_max):
     return min(100 * h0, h1, t_max - t0)
 
 
-def integrate_rhs(rhs, y0, t_span, rel_tol: float = 1e-10, abs_tol: float = 1e-12) -> Trajectory:
+def integrate_rhs(rhs, y0, t_span, rel_tol: float, abs_tol: float) -> Trajectory:
     """Integrate y' = rhs(t, y) over t_span with adaptive steps.
 
     ``rhs(t, y)`` receives a Python float t and the state as a list of n

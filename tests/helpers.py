@@ -30,7 +30,7 @@ from odexpand.expsum import TRIM_REL as EXP_TRIM_REL
 from odexpand.expsum import mul_apply_exp, snap_scalar
 from odexpand.logpower import TRIM_REL as LOGPOWER_TRIM_REL
 from odexpand.logpower import descent_op, mul_apply_logpower
-from odexpand.realify import COS, SIN, _real_rows, asymmetry_witness
+from odexpand.realify import COS, SIN, SYMMETRY_TOL, _real_rows, asymmetry_witness
 
 
 def bench_module(name: str):
@@ -255,7 +255,7 @@ def eval_exp_horner_oracle(s: ExpPolySum, t: float) -> np.ndarray:
 def sym_logpower(rng, dim: int, depth: int, n_terms: int = 2) -> LogPowerSum:
     """Conjugation-symmetric sum: q + conj(q) for a random q."""
     q = random_logpower(rng, dim, depth, n_terms)
-    return q + q.conjugate()
+    return q + conjugate_oracle(q)
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +471,11 @@ def ladder_view_oracle(s: ExpPolySum) -> LogPowerSum:
     return LogPowerSum(s.dim, 0, alphas, xis)
 
 
-def to_trig_ladder_oracle(p: LogPowerSum, tol: float = 1e-12) -> list:
+def to_trig_ladder_oracle(p: LogPowerSum) -> list:
     """The real-form loop before the pair rule and the rotation: sort-key
     tuples pick each pair's member, and a four-way branch on the number of
     sines picks the coefficient."""
-    witness = asymmetry_witness(p, tol)
+    witness = asymmetry_witness(p)
     if witness is not None:
         raise ValueError(
             f"sum is not conjugation-symmetric at term {witness}; no real form exists"
@@ -496,7 +496,7 @@ def to_trig_ladder_oracle(p: LogPowerSum, tol: float = 1e-12) -> list:
         a_real = [a.real for a in alpha] + [0.0] * (out_depth - p.depth)
         osc = [(i, alpha[i].imag) for i in range(len(alpha)) if alpha[i].imag != 0.0]
         if self_conjugate:
-            if float(abs(xi.imag).max()) > tol * scale:
+            if float(abs(xi.imag).max()) > SYMMETRY_TOL * scale:
                 raise ValueError("self-conjugate term has an imaginary coefficient")
             raw.append((a_real, (), xi.real.copy()))
             continue
@@ -567,7 +567,7 @@ def interaction_sum_oracle(spec, mus, terms, k: int):
             if spec.mode == "exponential":
                 contributions += [mul_apply_exp(G, [terms[i] for i in ordered]) for G in maps_m]
             else:
-                contributions += [mul_apply_logpower(G, terms, [ordered]) for G in maps_m]
+                contributions += [mul_apply_logpower(G, terms, [ordered], [1.0]) for G in maps_m]
     return contributions
 
 
@@ -740,7 +740,7 @@ def emitted(term, prefix: str = "v_", namespace: dict | None = None):
     """t -> [value of each component at t], from the term's ``emit``
     statements alone, compiled into one function of a float."""
     namespace = {} if namespace is None else namespace
-    lines = ["def value(t):"] + [f"    {x}" for x in term.emit("t", prefix, namespace)]
+    lines = ["def value(t):"] + [f"    {x}" for x in term.emit(prefix, namespace)]
     lines.append(f"    return [{''.join(f'{prefix}{i}, ' for i in range(term.dim))}]")
     exec(compile("\n".join(lines), "<emitted>", "exec"), namespace)
     return namespace["value"]

@@ -22,6 +22,7 @@ import pytest
 
 from odexpand import cli
 from odexpand.cli import main
+from odexpand.expsum import snap_float
 from odexpand.logpower import ladder_view
 from odexpand.numerics import DecayFit, VerifyResult
 from odexpand.realify import asymmetry_witness
@@ -443,10 +444,12 @@ def test_verify_of_an_overflowing_exponential_forcing_exits_three(tmp_path, caps
     )
 
 
+@pytest.mark.parametrize("order", [[], ["--order", "0"]], ids=["config-order", "N=0-alone"])
 def test_kernel_fit_at_an_order_without_kernel_modes_exits_two_before_integrating(
-    tmp_path, monkeypatch, capsys
+    order, tmp_path, monkeypatch, capsys
 ):
-    # riccati is in power mode: no order has kernel modes
+    # riccati is in power mode: no order has kernel modes.  The check runs
+    # even when no checked N would hold the constants.
     cfg = json.loads((CONFIGS / "riccati.json").read_text())
     cfg["verification"]["fit_resonant"] = {"order": 1, "window": [500.0, 1000.0]}
     path = tmp_path / "config.json"
@@ -456,7 +459,7 @@ def test_kernel_fit_at_an_order_without_kernel_modes_exits_two_before_integratin
         raise AssertionError("integrate ran")
 
     monkeypatch.setattr(cli, "integrate", refuse)
-    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert main(["verify", "--config", str(path), "--out", str(tmp_path / "out")] + order) == 2
     assert capsys.readouterr().err == (
         "validation error: verification.fit_resonant.order: order 1 has no kernel modes\n"
     )
@@ -508,6 +511,39 @@ def test_ladder_that_merges_rates_exits_two(mode, tmp_path, capsys):
         "rate match tolerance; the two rates cannot be told apart\n"
     )
     assert not any(tmp_path.glob("expansion.json"))
+
+
+# Exponents whose parts leave the snapping range, x / EXPONENT_GRID not
+# finite: (config, field set, value).  Each exited 3 before the parser
+# checked the range, with OverflowError from snapping (LinAlgError for the
+# exponential one).
+OFF_GRID_EXPONENTS = [
+    ("riccati", "problem.forcing[0].terms[0].alpha[0]", [0.0, 1e308]),
+    ("resonant", "problem.forcing[0].terms[0].exponent", [-1.0, 1e308]),
+    ("oscillatory_log", "problem.forcing[0].terms[0].factors[0].omega", 1e308),
+    ("oscillatory_log", "problem.forcing[0].terms[0].alpha[1]", 1e300),
+]
+
+
+@pytest.mark.parametrize("name,field,value", OFF_GRID_EXPONENTS)
+def test_exponent_beyond_the_snapping_range_exits_two(name, field, value, tmp_path, capsys):
+    cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+    _set(field, value)(cfg)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["expand", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"validation error: {field}: too large to snap onto the exponent grid of step 1e-12\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_snapping_range_ends_where_the_grid_index_overflows():
+    assert cli._exponent(1e296, "x") == 1e296 == snap_float(1e296)
+    assert cli._exponent(complex(-1.0, -1e296), "x") == complex(-1.0, -1e296)
+    for value in (1.8e296, complex(0.0, -1e300)):
+        with pytest.raises(cli.ConfigError, match="^x: too large to snap"):
+            cli._exponent(value, "x")
 
 
 def _oscillatory_log_with_factor(factor: dict, tmp_path) -> Path:
@@ -791,6 +827,21 @@ def test_verify_of_the_jordan_solution_itself_passes():
     assert result.passed == (True,)
 
 
+def test_verify_of_n_zero_alone_fits_no_kernel_constants(monkeypatch):
+    # fit_resonant's order-1 constants enter S_N for N >= 1 only, and
+    # --order 0 checks N = 0 alone, so nothing fits or prints them
+    spec, expansion, options = _verify_inputs(CONFIGS / "jordan_resonant.json", 0)
+    assert options["fit_resonant"][0] == 1 and options["orders"] == [0]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("fit_kernel_constants ran")
+
+    monkeypatch.setattr(cli, "fit_kernel_constants", refuse)
+    result = cli.verify(spec, expansion, **options)
+    assert result.kernel is None
+    assert result.orders == (0,)
+
+
 @pytest.mark.xfail(strict=True, reason="the decay gate passes a wrong expansion (ROADMAP item 1)")
 def test_verify_rejects_a_second_term_off_by_one_part_in_a_thousand(tmp_path):
     # riccati on [10, 1000] with u_2 scaled by 1.001: N=2 still fits an
@@ -802,6 +853,46 @@ def test_verify_rejects_a_second_term_off_by_one_part_in_a_thousand(tmp_path):
     tampered = dataclasses.replace(expansion, orders=(first, second))
     result = cli.verify(spec, tampered, **options)
     assert result.passed == (True, False)
+
+
+# The parser's defaults as the module docstring states them: a config without
+# these keys runs byte for byte as the same config with them written out.
+WRITTEN_DEFAULTS = {
+    "riccati": {
+        "expansion.order": 4,
+        "verification.rel_tol": 1e-10,
+        "verification.abs_tol": 1e-12,
+        "verification.margin": 0.1,
+        "verification.grid": {"kind": "geometric", "count": 200},
+    },
+    "certificate": {"certificate.samples": 1024},
+}
+
+
+@pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
+@pytest.mark.parametrize(
+    "name,command",
+    [("riccati", c) for c in ("expand", "verify", "realify")] + [("certificate", "certificate")],
+)
+def test_a_config_without_the_defaulted_keys_runs_as_one_with_them(name, command, tmp_path, capsys):
+    runs = []
+    for label in ("omitted", "written"):
+        cfg = json.loads((CONFIGS / f"{name}.json").read_text())
+        for field, value in WRITTEN_DEFAULTS[name].items():
+            section, key = field.split(".")
+            cfg[section].pop(key, None)
+            if label == "written":
+                _set(field, value)(cfg)
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / label
+        code = main([command, "--config", str(path), "--out", str(out)])
+        captured = capsys.readouterr()
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((code, captured.out.replace(str(out), "OUT"), captured.err, files))
+    omitted, written = runs
+    assert omitted[3], omitted
+    assert omitted == written
 
 
 # Modules a fresh interpreter must not load, per run: the power/log path

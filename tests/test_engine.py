@@ -19,6 +19,7 @@ from odexpand import (
     ValidationError,
     eval_partial_sum,
     expand,
+    ladder_view,
     resolvent_defect,
     symbolic_defect,
 )
@@ -69,12 +70,12 @@ def riccati_spec(order: int = 2) -> ProblemSpec:
 
 
 def test_unit_base_realizes_integers():
-    lad = ExponentLadder((1.0,))
+    lad = ExponentLadder((1.0,), unit_increment=False)
     assert lad.take(6) == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
 
 
 def test_base_order_does_not_matter():
-    lad = ExponentLadder((2.0, 1.0))
+    lad = ExponentLadder((2.0, 1.0), unit_increment=False)
     assert lad.take(1) == (1.0,)
     assert lad.take(4) == (1.0, 2.0, 3.0, 4.0)
 
@@ -99,7 +100,7 @@ def brute_force_closure(base, cutoff, unit=False):
 
 def test_two_generator_ladder_matches_bruteforce():
     base = (1.0, math.sqrt(2.0))
-    got = rates_upto(ExponentLadder(base), 4.0)
+    got = rates_upto(ExponentLadder(base, unit_increment=False), 4.0)
     expected = brute_force_closure(base, 4.0)
     assert len(got) == len(expected)
     np.testing.assert_allclose(got, expected, rtol=1e-12)
@@ -113,16 +114,16 @@ def test_unit_increment_closure():
 
 
 def test_realized_rates_strictly_increase():
-    lad = ExponentLadder((0.7, 1.3))
+    lad = ExponentLadder((0.7, 1.3), unit_increment=False)
     vals = lad.take(25)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_ladder_base_validation():
     with pytest.raises(ValidationError, match="ladder base must be nonempty"):
-        ExponentLadder(())
+        ExponentLadder((), unit_increment=False)
     with pytest.raises(ValidationError, match="ladder base rates must be positive"):
-        ExponentLadder((1.0, -0.5))
+        ExponentLadder((1.0, -0.5), unit_increment=False)
 
 
 def test_ladder_rejects_a_step_it_cannot_tell_from_the_rate():
@@ -133,7 +134,7 @@ def test_ladder_rejects_a_step_it_cannot_tell_from_the_rate():
             ExponentLadder((1e-12,), unit_increment=unit).take(4)
     # the steps from the last rate taken are checked too
     with pytest.raises(ValidationError, match="ladder step 1e-12 from rate 1e-12"):
-        ExponentLadder((1e-12,)).take(1)
+        ExponentLadder((1e-12,), unit_increment=False).take(1)
 
 
 def _tiny_rate_spec(mode: str) -> ProblemSpec:
@@ -156,7 +157,7 @@ def test_expand_rejects_a_ladder_that_merges_rates(mode):
 
 
 def test_index_of_realized_rates():
-    lad = ExponentLadder((1.0,))
+    lad = ExponentLadder((1.0,), unit_increment=False)
     assert lad.take(5).index(3.0) == 2
     assert 2.5 not in rates_upto(lad, 5.0)
 
@@ -171,7 +172,7 @@ def decompose(lad, mu, max_arity):
 
 
 def test_decompose_worked_cases():
-    lad = ExponentLadder((1.0,))
+    lad = ExponentLadder((1.0,), unit_increment=False)
     assert decompose(lad, 2.0, 4) == ((1.0, 1.0),)
     assert decompose(lad, 4.0, 4) == (
         (1.0, 1.0, 1.0, 1.0),
@@ -184,7 +185,7 @@ def test_decompose_worked_cases():
 
 
 def test_decompose_matches_bruteforce_enumeration():
-    lad = ExponentLadder((0.5, 0.8))
+    lad = ExponentLadder((0.5, 0.8), unit_increment=False)
     mu = 2.1
     got = set(decompose(lad, mu, 3))
     smaller = [v for v in rates_upto(lad, mu) if v < mu - 1e-9]
@@ -202,7 +203,7 @@ def test_decompose_matches_bruteforce_enumeration():
 
 def test_validation_messages():
     f_ok = exp_forcing(1.0, [[1.0]])
-    base = dict(matrix=np.array([[2.0]]), maps=(), forcing=(f_ok,), mode="exponential")
+    base = dict(matrix=np.array([[2.0]]), maps=(), forcing=(f_ok,), mode="exponential", order=1)
 
     with pytest.raises(ValidationError, match="matrix must be square"):
         ProblemSpec(**{**base, "matrix": np.array([[1.0, 0.0]])}).validate()
@@ -217,7 +218,7 @@ def test_validation_messages():
     with pytest.raises(ValidationError, match="nonlinearity dimension mismatch"):
         ProblemSpec(**{**base, "maps": (MultiLinearMap(2, 2, ((0, (0, 0), 1.0),)),)}).validate()
     with pytest.raises(ValidationError, match="truncation order must be >= 1"):
-        ProblemSpec(**base, order=0).validate()
+        ProblemSpec(**{**base, "order": 0}).validate()
     with pytest.raises(ValidationError, match="at least one forcing term"):
         ProblemSpec(**{**base, "forcing": ()}).validate()
     with pytest.raises(ValidationError, match="forcing decay rates must be positive"):
@@ -229,33 +230,33 @@ def test_validation_messages():
 def test_validation_forcing_shape_and_class():
     lp = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
     with pytest.raises(ValidationError, match="exponential mode takes ExpPolySum forcing"):
-        ProblemSpec(np.array([[2.0]]), (), ((1.0, lp),), "exponential").validate()
+        ProblemSpec(np.array([[2.0]]), (), ((1.0, lp),), "exponential", order=1).validate()
     with pytest.raises(ValidationError, match="power/log modes take LogPowerSum forcing"):
-        ProblemSpec(np.array([[2.0]]), (), (exp_forcing(1.0, [[1.0]]),), "power").validate()
+        ProblemSpec(np.array([[2.0]]), (), (exp_forcing(1.0, [[1.0]]),), "power", order=1).validate()
     with pytest.raises(ValidationError, match="off the -2.0 line"):
         bad = (2.0, ExpPolySum.build(1, [(-1.0, [[1.0]])]))
-        ProblemSpec(np.array([[3.0]]), (), (bad,), "exponential").validate()
+        ProblemSpec(np.array([[3.0]]), (), (bad,), "exponential", order=1).validate()
     with pytest.raises(ValidationError, match=r"outside the \(0, -1\.0\) class"):
         bad = (1.0, LogPowerSum.build(1, 0, [((0.5, -1.0), [1.0])]))
-        ProblemSpec(np.array([[2.0]]), (), (bad,), "power").validate()
+        ProblemSpec(np.array([[2.0]]), (), (bad,), "power", order=1).validate()
     with pytest.raises(ValidationError, match="forcing dimension mismatch"):
         bad = (1.0, ExpPolySum.build(2, [(-1.0, [[1.0, 0.0]])]))
-        ProblemSpec(np.array([[2.0]]), (), (bad,), "exponential").validate()
+        ProblemSpec(np.array([[2.0]]), (), (bad,), "exponential", order=1).validate()
 
 
 def test_validation_scale_index_modes():
     lp1 = LogPowerSum.build(1, 1, [((0.0, 0.0, -1.0), [1.0])])
     with pytest.raises(ValidationError, match="power mode fixes scale_index = 0"):
-        ProblemSpec(np.array([[1.0]]), (), ((1.0, lp1),), "power", scale_index=1).validate()
+        ProblemSpec(np.array([[1.0]]), (), ((1.0, lp1),), "power", order=1, scale_index=1).validate()
     with pytest.raises(ValidationError, match="log mode needs scale_index >= 1"):
-        ProblemSpec(np.array([[1.0]]), (), ((1.0, lp1),), "log", scale_index=0).validate()
+        ProblemSpec(np.array([[1.0]]), (), ((1.0, lp1),), "log", order=1, scale_index=0).validate()
 
 
 def test_validation_deeper_class_violation():
     # declared scale ln ln t but a raw ln t power sneaks in
     lp = LogPowerSum.build(1, 2, [((0.0, 0.0, -0.3, -1.0), [1.0])])
     with pytest.raises(ValidationError, match=r"outside the \(2, -1\.0\) class"):
-        ProblemSpec(np.array([[1.0]]), (), ((1.0, lp),), "log", scale_index=2).validate()
+        ProblemSpec(np.array([[1.0]]), (), ((1.0, lp),), "log", order=1, scale_index=2).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -270,17 +271,17 @@ def test_quadratic_resonant_cascade():
     assert exp_.rates == (1.0, 2.0, 3.0)
 
     y1 = ExpPolySum.build(1, [(-1.0, [[1.0]])])
-    assert coeff_distance_exp(exp_.term(1), y1) < 1e-14
+    assert coeff_distance_exp(exp_.orders[0].term, y1) < 1e-14
 
     y2 = ExpPolySum.build(1, [(-2.0, [[0.0], [1.0]])])
-    assert coeff_distance_exp(exp_.term(2), y2) < 1e-14
+    assert coeff_distance_exp(exp_.orders[1].term, y2) < 1e-14
     kernel = exp_.orders[1].kernel
     assert len(kernel) == 1
     assert coeff_distance_exp(kernel[0], ExpPolySum.build(1, [(-2.0, [[1.0]])])) < 1e-14
 
     for k in (1, 2, 3):
         assert symbolic_defect(exp_, k).is_zero()
-        assert exp_.term(k).in_class(-exp_.rates[k - 1])
+        assert ladder_view(exp_.orders[k - 1].term).in_class(-1, -exp_.rates[k - 1])
 
 
 def test_zero_forcing_gives_zero_terms():
@@ -288,7 +289,7 @@ def test_zero_forcing_gives_zero_terms():
     spec = ProblemSpec(np.array([[2.0]]), (SQ,), (zero,), "exponential", order=3)
     with pytest.warns(RuntimeWarning):
         exp_ = expand(spec)
-    assert all(exp_.term(k).is_zero() for k in range(1, exp_.order_count() + 1))
+    assert all(o.term.is_zero() for o in exp_.orders)
 
 
 def test_forcing_below_leading_eigenrate():
@@ -296,9 +297,9 @@ def test_forcing_below_leading_eigenrate():
                        "exponential", order=2)
     exp_ = expand(spec)
     assert exp_.rates[:2] == (1.0, 2.0)
-    assert exp_.term(1).is_zero()
+    assert exp_.orders[0].term.is_zero()
     expected = ExpPolySum.build(1, [(-2.0, [[-1.0]])])
-    assert coeff_distance_exp(exp_.term(2), expected) < 1e-14
+    assert coeff_distance_exp(exp_.orders[1].term, expected) < 1e-14
     # the hidden eigenmode still owns free constants at its own rate
     assert len(exp_.orders[0].kernel) == 1
 
@@ -632,11 +633,11 @@ def test_riccati_leading_coefficients():
     exp_ = expand(riccati_spec(order=2))
     q1 = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
     q2 = LogPowerSum.build(1, 0, [((0.0, -2.0), [2.0])])
-    assert coeff_distance_logpower(exp_.term(1), q1) < 1e-13
-    assert coeff_distance_logpower(exp_.term(2), q2) < 1e-13
+    assert coeff_distance_logpower(exp_.orders[0].term, q1) < 1e-13
+    assert coeff_distance_logpower(exp_.orders[1].term, q2) < 1e-13
     for k in (1, 2):
         assert symbolic_defect(exp_, k).is_zero()
-        assert exp_.term(k).in_class(0, -exp_.rates[k - 1])
+        assert exp_.orders[k - 1].term.in_class(0, -exp_.rates[k - 1])
 
 
 def test_power_mode_without_nonlinearity_descends_inverse_powers():
@@ -644,9 +645,9 @@ def test_power_mode_without_nonlinearity_descends_inverse_powers():
     xi = np.array([1.0, 1.0])
     f = LogPowerSum.build(2, 0, [((0.0, -1.0), xi)])
     exp_ = expand(ProblemSpec(A, (), ((1.0, f),), "power", order=2))
-    np.testing.assert_allclose(exp_.term(1).items()[0][1], np.linalg.solve(A, xi), rtol=1e-13)
+    np.testing.assert_allclose(exp_.orders[0].term.items()[0][1], np.linalg.solve(A, xi), rtol=1e-13)
     np.testing.assert_allclose(
-        exp_.term(2).items()[0][1], np.linalg.solve(A @ A, xi), rtol=1e-13
+        exp_.orders[1].term.items()[0][1], np.linalg.solve(A @ A, xi), rtol=1e-13
     )
 
 
@@ -656,7 +657,7 @@ def test_power_mode_oscillatory_forcing_shifts_the_inverse():
     f = LogPowerSum.build(2, 0, [((2.0j, -1.0), xi)])
     exp_ = expand(ProblemSpec(A, (), ((1.0, f),), "power", order=1))
     expected = np.linalg.solve(A + 2j * np.eye(2), xi.astype(complex))
-    np.testing.assert_allclose(exp_.term(1).items()[0][1], expected, rtol=1e-13)
+    np.testing.assert_allclose(exp_.orders[0].term.items()[0][1], expected, rtol=1e-13)
 
 
 def test_power_ladder_gets_unit_increments():
@@ -691,9 +692,9 @@ def test_log_mode_linear_problem():
     spec = ProblemSpec(np.array([[3.0]]), (), ((1.0, f),), "log", scale_index=1, order=3)
     exp_ = expand(spec)
     q1 = LogPowerSum.build(1, 1, [((0.0, 0.0, -1.0), [1.0 / 3.0])])
-    assert coeff_distance_logpower(exp_.term(1), q1) < 1e-14
-    assert exp_.term(2).is_zero()
-    assert exp_.term(3).is_zero()
+    assert coeff_distance_logpower(exp_.orders[0].term, q1) < 1e-14
+    assert exp_.orders[1].term.is_zero()
+    assert exp_.orders[2].term.is_zero()
 
 
 def test_log_mode_quadratic_cascade():
@@ -703,8 +704,8 @@ def test_log_mode_quadratic_cascade():
         exp_ = expand(spec)
     q1 = LogPowerSum.build(1, 1, [((0.0, 0.0, -1.0), [1.0])])
     q2 = LogPowerSum.build(1, 1, [((0.0, 0.0, -2.0), [1.0])])
-    assert coeff_distance_logpower(exp_.term(1), q1) < 1e-14
-    assert coeff_distance_logpower(exp_.term(2), q2) < 1e-14
+    assert coeff_distance_logpower(exp_.orders[0].term, q1) < 1e-14
+    assert coeff_distance_logpower(exp_.orders[1].term, q2) < 1e-14
     for k in (1, 2):
         assert symbolic_defect(exp_, k).is_zero()
 
@@ -713,7 +714,7 @@ def test_partial_sums_accumulate_terms():
     exp_ = expand(riccati_spec(order=2))
     t = 50.0
     np.testing.assert_allclose(eval_partial_sum(exp_, 0, t), [0.0])
-    np.testing.assert_allclose(eval_partial_sum(exp_, 1, t), exp_.term(1).eval(t))
+    np.testing.assert_allclose(eval_partial_sum(exp_, 1, t), exp_.orders[0].term.eval(t))
     np.testing.assert_allclose(
-        eval_partial_sum(exp_, 2, t), exp_.term(1).eval(t) + exp_.term(2).eval(t)
+        eval_partial_sum(exp_, 2, t), exp_.orders[0].term.eval(t) + exp_.orders[1].term.eval(t)
     )

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from odexpand import ExpPolySum, MultiLinearMap
+from odexpand import ExpPolySum, MultiLinearMap, ladder_view
 from odexpand.cli import build_problem
 from odexpand.expsum import (
     mul_apply_exp,
@@ -197,14 +197,15 @@ def test_mul_apply_matches_pointwise_products():
         )
 
 
-def test_in_class_checks_real_part_line():
-    # the argument is the signed line: decay at rate mu means in_class(-mu)
-    s = ExpPolySum.build(1, [(-2.0 + 3j, [[1.0]]), (-2.0 - 1j, [[1.0]])])
-    assert s.in_class(-2.0)
-    assert not s.in_class(-1.0)
+def test_ladder_view_in_class_checks_real_part_line():
+    # an exponential sum's rate class is its ladder view's (-1, Re nu) class,
+    # whatever its polynomial degrees: decay at rate mu is in_class(-1, -mu)
+    s = ExpPolySum.build(1, [(-2.0 + 3j, [[1.0], [0.0], [2.0]]), (-2.0 - 1j, [[1.0]])])
+    assert ladder_view(s).in_class(-1, -2.0)
+    assert not ladder_view(s).in_class(-1, -1.0)
     mixed = ExpPolySum.build(1, [(-2.0, [[1.0]]), (-1.0, [[1.0]])])
-    assert not mixed.in_class(-2.0)
-    assert ExpPolySum.zero(1).in_class(-5.0)
+    assert not ladder_view(mixed).in_class(-1, -2.0)
+    assert ladder_view(ExpPolySum.zero(1)).in_class(-1, -5.0)
 
 
 def test_degree_and_term_count():

@@ -206,7 +206,8 @@ def test_is_real_detects_imaginary_entries():
     assert G.is_real()
     H = MultiLinearMap(2, 1, ((0, (0, 0), 1.0 + 1e-6j),))
     assert not H.is_real()
-    assert H.is_real(tol=1e-3)
+    # the test is exact: any nonzero imaginary part counts, a -0.0 does not
+    assert MultiLinearMap(2, 1, ((0, (0, 0), complex(1.0, -0.0)),)).is_real()
 
 
 def test_real_map_commutes_with_conjugation():

@@ -65,7 +65,7 @@ def test_decay_envelope_constant_matches_scipy(name):
     lam1 = min(np.linalg.eigvals(A).real)
     ts = np.linspace(0.0, 80.0 / lam1, 641)
     expected = np.max(scipy_norms(A, ts) * np.exp(0.5 * lam1 * ts))
-    assert decay_envelope_constant(A) == pytest.approx(expected, rel=1e-13)
+    assert decay_envelope_constant(A, lam1) == pytest.approx(expected, rel=1e-13)
 
 
 def test_matrix_exp_norm_empty_grid_and_zero_matrix():
@@ -272,15 +272,16 @@ def test_generated_rhs_matches_the_field_plus_the_record_oracles_bitwise(case):
 
 _QUADRATIC = MultiLinearMap(2, 2, ((0, (0, 1), 0.5), (1, (1, 1), -1.25j), (1, (0, 0), 0.75)))
 EDGE_FIELDS = {
-    "no-maps": ProblemSpec(np.array([[2.0, -1.0], [0.5, 3.0]]), (), (), "power"),
-    "zero-row": ProblemSpec(np.array([[1.5, 0.3], [0.0, 0.0]]), (_QUADRATIC,), (), "power"),
+    "no-maps": ProblemSpec(np.array([[2.0, -1.0], [0.5, 3.0]]), (), (), "power", 1),
+    "zero-row": ProblemSpec(np.array([[1.5, 0.3], [0.0, 0.0]]), (_QUADRATIC,), (), "power", 1),
     # entries with a zero real or imaginary part, so -A has -0.0 parts
-    "complex": ProblemSpec(MATRICES["complex"], (_QUADRATIC,), (), "exponential"),
+    "complex": ProblemSpec(MATRICES["complex"], (_QUADRATIC,), (), "exponential", 1),
     "arity-1-map": ProblemSpec(
         np.array([[1.0, 0.0], [0.2, 2.0]]),
         (MultiLinearMap(1, 2, ((0, (1,), 0.5j), (1, (0,), -1.0))), _QUADRATIC),
         (),
         "power",
+        1,
     ),
     # a record with complex exponents, a zero record and a record that is
     # zero in one component; then the exponential counterparts
@@ -298,6 +299,7 @@ EDGE_FIELDS = {
             (2.0, LogPowerSum.build(2, 0, [((0.0, -2.0), [0.0, 1.5])])),
         ),
         "power",
+        1,
     ),
     "zero-exp-records": ProblemSpec(
         MATRICES["complex"],
@@ -307,6 +309,7 @@ EDGE_FIELDS = {
             (2.0, ExpPolySum.build(2, [])),
         ),
         "exponential",
+        1,
     ),
 }
 
@@ -455,7 +458,7 @@ def test_array_sample_matches_the_scalar_oracle():
 def test_sample_at_t1_keeps_the_sign_of_a_zero():
     # the Hermite formula at s = 1 would turn this -0.0 into +0.0
     states = np.array([[1.0 + 1.0j], [complex(-0.0, -1.0)]])
-    traj = Trajectory(ts=np.array([0.0, 1.0]), states=states, derivs=np.zeros_like(states))
+    traj = Trajectory(ts=np.array([0.0, 1.0]), states=states, derivs=np.zeros_like(states), meta={})
     assert_arrays_bitwise_equal(traj.sample(1.0), states[-1])
     assert_arrays_bitwise_equal(traj.sample(np.array([0.5, 1.0]))[1], states[-1])
 
@@ -465,7 +468,7 @@ def test_sample_at_t1_keeps_the_sign_of_a_zero():
 def test_remainder_table_matches_the_per_point_loop(case):
     expansion, traj, grid = _verify_run(case)
     upto = expansion.order_count()
-    table = remainder_series(traj, expansion, upto, grid)
+    table = remainder_series(traj, expansion, upto, grid, None)
     assert table.shape == (upto + 1, len(grid))
     # row 0 is the solution's own norm
     assert_arrays_bitwise_equal(
@@ -485,8 +488,8 @@ def test_remainder_table_rows_are_partial_sum_orders():
     expansion = expand(build_problem(_config("resonant")))
     ts = np.linspace(1.0, 6.0, 41)
     states = eval_partial_sum(expansion, 2, ts)
-    traj = Trajectory(ts=ts, states=states, derivs=np.zeros_like(states))
-    table = remainder_series(traj, expansion, 2, ts)
+    traj = Trajectory(ts=ts, states=states, derivs=np.zeros_like(states), meta={})
+    table = remainder_series(traj, expansion, 2, ts, None)
     np.testing.assert_array_equal(table[2], 0.0)
     second = np.abs(expansion.orders[1].term.eval(ts)[:, 0])
     np.testing.assert_allclose(table[1], second, rtol=1e-14)
@@ -506,7 +509,7 @@ def test_fitted_kernel_is_added_to_partial_sums_from_its_order_on():
     coeffs = fit_kernel_constants(traj, expansion, 2, (10.0, 14.0))
     assert coeffs.shape == (1,)
     ts = traj.ts[::3]
-    plain = remainder_series(traj, expansion, 3, ts)
+    plain = remainder_series(traj, expansion, 3, ts, None)
     table = remainder_series(traj, expansion, 3, ts, kernel=(2, coeffs))
     for n in (0, 1):
         assert_arrays_bitwise_equal(table[n], plain[n])
@@ -534,7 +537,7 @@ PLANTED = {
 def test_fit_decay_recovers_a_planted_exponent(name):
     mode, scale_index, x, ts = PLANTED[name]
     values = 3.0 * np.exp(-1.75 * x(ts))
-    fit = fit_decay(ts, values, mode, scale_index)
+    fit = fit_decay(ts, values, mode, scale_index, None)
     assert fit.exponent == pytest.approx(1.75, rel=1e-10)
     assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
     # the default window is the trailing 40% of the span
@@ -557,7 +560,7 @@ def test_fit_decay_drops_samples_below_the_noise_floor(window):
     ts = np.linspace(0.0, 50.0, 501)
     noise = 1e-17 * (1.0 + 0.5 * np.sin(7.0 * ts))
     values = np.where(ts <= 32.0, np.exp(-ts), noise)
-    fit = fit_decay(ts, values, "exponential", window=window)
+    fit = fit_decay(ts, values, "exponential", 0, window)
     assert fit.exponent == pytest.approx(1.0, rel=1e-10)
     assert fit.window[1] == pytest.approx(31.4, abs=0.1)
 
@@ -566,17 +569,17 @@ def test_fit_decay_needs_three_usable_samples():
     ts = np.linspace(0.0, 10.0, 11)
     values = np.exp(-ts)
     with pytest.raises(ValueError, match="fewer than 3 usable samples"):
-        fit_decay(ts, values, "exponential", window=(8.5, 10.0))
+        fit_decay(ts, values, "exponential", 0, (8.5, 10.0))
     # zeros and samples below the floor do not count
     with pytest.raises(ValueError, match="fewer than 3 usable samples"):
-        fit_decay(ts, np.where(ts < 9.0, 0.0, values), "exponential", window=(0.0, 10.0))
+        fit_decay(ts, np.where(ts < 9.0, 0.0, values), "exponential", 0, (0.0, 10.0))
     with pytest.raises(ValueError, match="fewer than 3 usable samples"):
-        fit_decay(ts, np.where(ts < 2.0, values, 1e-20), "exponential", window=(0.0, 10.0))
-    assert fit_decay(ts, values, "exponential", window=(7.5, 10.0)).window == (8.0, 10.0)
+        fit_decay(ts, np.where(ts < 2.0, values, 1e-20), "exponential", 0, (0.0, 10.0))
+    assert fit_decay(ts, values, "exponential", 0, (7.5, 10.0)).window == (8.0, 10.0)
     with pytest.raises(ValueError, match="matching nonempty 1-d arrays"):
-        fit_decay([], [], "exponential")
+        fit_decay([], [], "exponential", 0, None)
     with pytest.raises(ValueError, match="unknown mode"):
-        fit_decay(ts, values, "linear")
+        fit_decay(ts, values, "linear", 0, None)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -587,12 +590,12 @@ def test_fit_decay_rejects_a_sample_that_is_not_finite(bad):
     values = np.exp(-2.0 * ts)
     values[[70, 75, 80, 85, 90]] = bad
     with pytest.raises(ValueError, match="not finite"):
-        fit_decay(ts, values, "exponential")
+        fit_decay(ts, values, "exponential", 0, None)
     # outside the window too
     values = np.exp(-2.0 * ts)
     values[3] = bad
     with pytest.raises(ValueError, match="not finite"):
-        fit_decay(ts, values, "exponential", window=(5.0, 10.0))
+        fit_decay(ts, values, "exponential", 0, (5.0, 10.0))
 
 
 @pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
@@ -612,7 +615,7 @@ def test_fit_kernel_constants_recovers_planted_constants(nodes, rtol):
         derivs = sum(time_derivative(ladder_view(o.term)).eval(ts) for o in expansion.orders[:2])
         derivs = derivs + planted[0] * time_derivative(ladder_view(mode)).eval(ts)
     states = eval_partial_sum(expansion, 2, ts) + planted[0] * mode.eval(ts)
-    traj = Trajectory(ts=ts, states=states, derivs=derivs)
+    traj = Trajectory(ts=ts, states=states, derivs=derivs, meta={})
     coeffs = fit_kernel_constants(traj, expansion, 2, (10.0, 14.0))
     # S_2 is e^{-t} in size and the mode e^{-2t}, so the subtraction loses
     # about 14 bits at t = 10; dense nodes add the Hermite interpolation error

@@ -50,13 +50,13 @@ def logistic_exact(t, y0=0.5):
 
 
 def test_linear_decay_accuracy():
-    traj = integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (0.0, 5.0))
+    traj = integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (0.0, 5.0), 1e-10, 1e-12)
     err = abs(traj.sample(5.0)[0] - math.exp(-5.0))
     assert err < 1e-8
 
 
 def test_logistic_against_closed_form():
-    traj = integrate_rhs(on_lists(logistic_field), np.array([0.5]), (0.0, 6.0))
+    traj = integrate_rhs(on_lists(logistic_field), np.array([0.5]), (0.0, 6.0), 1e-10, 1e-12)
     for t in np.linspace(0.0, 6.0, 25):
         assert abs(traj.sample(t)[0] - logistic_exact(t)) < 1e-7
 
@@ -64,7 +64,7 @@ def test_logistic_against_closed_form():
 def test_finite_time_blowup_raises():
     # y0 = 10 blows up at t = ln(10/9), far inside the requested span
     with pytest.raises(StepUnderflow, match="step size underflow at t ="):
-        integrate_rhs(on_lists(logistic_field), np.array([10.0]), (0.0, 5.0))
+        integrate_rhs(on_lists(logistic_field), np.array([10.0]), (0.0, 5.0), 1e-10, 1e-12)
 
 
 def test_error_decreases_with_tolerance():
@@ -86,13 +86,13 @@ def test_error_decreases_with_tolerance():
 
 
 def test_sample_outside_span_and_bad_span():
-    traj = integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (0.0, 1.0))
+    traj = integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (0.0, 1.0), 1e-10, 1e-12)
     with pytest.raises(ValueError, match="outside the integrated span"):
         traj.sample(1.5)
     with pytest.raises(ValueError, match="outside the integrated span"):
         traj.sample(-0.1)
     with pytest.raises(ValueError, match="t_span must be increasing"):
-        integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (1.0, 0.0))
+        integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (1.0, 0.0), 1e-10, 1e-12)
 
 
 @pytest.mark.parametrize("t_span", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
@@ -100,21 +100,22 @@ def test_a_span_with_an_infinite_or_nan_end_raises_at_once(t_span):
     # (0, inf) passes t1 > t0 and would spend the whole step budget
     calls = []
     with pytest.raises(ValueError, match="t_span must be finite"):
-        integrate_rhs(lambda t, y: calls.append(1) or [-v for v in y], [1.0], t_span)
+        integrate_rhs(lambda t, y: calls.append(1) or [-v for v in y], [1.0], t_span, 1e-10, 1e-12)
     assert calls == []
 
 
 def test_nonfinite_initial_rhs():
     with pytest.raises(ValueError, match="right-hand side not finite at the initial point"):
-        integrate_rhs(lambda t, y: [math.inf], np.array([1.0]), (0.0, 1.0))
+        integrate_rhs(lambda t, y: [math.inf], np.array([1.0]), (0.0, 1.0), 1e-10, 1e-12)
     with pytest.raises(ValueError, match="right-hand side not finite at the initial point"):
         integrate_rhs(
-            forced(on_lists(lambda y: -y), lambda t: [math.nan]), np.array([1.0]), (0.0, 1.0)
+            forced(on_lists(lambda y: -y), lambda t: [math.nan]), np.array([1.0]), (0.0, 1.0),
+            1e-10, 1e-12,
         )
 
 
 def test_meta_counters():
-    traj = integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (0.0, 3.0))
+    traj = integrate_rhs(on_lists(lambda y: -y), np.array([1.0]), (0.0, 3.0), 1e-10, 1e-12)
     for key in ("steps", "rejected", "rhs_evals", "rel_tol", "abs_tol"):
         assert key in traj.meta
     assert traj.meta["steps"] == len(traj.ts) - 1
@@ -122,7 +123,7 @@ def test_meta_counters():
 
 
 def test_sample_hits_nodes_exactly():
-    traj = integrate_rhs(on_lists(logistic_field), np.array([0.5]), (0.0, 4.0))
+    traj = integrate_rhs(on_lists(logistic_field), np.array([0.5]), (0.0, 4.0), 1e-10, 1e-12)
     k = len(traj.ts) // 2
     np.testing.assert_array_equal(traj.sample(traj.ts[k]), traj.states[k])
     np.testing.assert_array_equal(traj.sample(traj.t1), traj.states[-1])
@@ -130,7 +131,7 @@ def test_sample_hits_nodes_exactly():
 
 def test_complex_state_integration():
     lam = -1.0 + 1.0j
-    traj = integrate_rhs(on_lists(lambda y: lam * y), np.array([1.0 + 0.0j]), (0.0, 6.0))
+    traj = integrate_rhs(on_lists(lambda y: lam * y), np.array([1.0 + 0.0j]), (0.0, 6.0), 1e-10, 1e-12)
     assert np.iscomplexobj(traj.states)
     for t in (1.0, 3.0, 6.0):
         assert abs(traj.sample(t)[0] - np.exp(lam * t)) < 1e-8
@@ -188,13 +189,13 @@ def test_rhs_evals_counts_every_call():
 
 def test_stored_derivatives_are_the_rhs_at_the_stored_states():
     traj = integrate_rhs(
-        on_lists(logistic_field), np.array([0.5 + 0.1j, 0.2 - 0.3j]), (0.0, 6.0)
+        on_lists(logistic_field), np.array([0.5 + 0.1j, 0.2 - 0.3j]), (0.0, 6.0), 1e-10, 1e-12
     )
     for y, f in zip(traj.states, traj.derivs):
         np.testing.assert_allclose(f, logistic_field(y), rtol=1e-14, atol=0.0)
     records = decaying_records()
     traj = integrate_rhs(
-        forced(on_lists(logistic_field), *records), np.array([0.5 + 0.1j]), (0.0, 6.0)
+        forced(on_lists(logistic_field), *records), np.array([0.5 + 0.1j]), (0.0, 6.0), 1e-10, 1e-12
     )
     for t, y, f in zip(traj.ts.tolist(), traj.states, traj.derivs):
         want = logistic_field(y) + records[0](t) + records[1](t)
@@ -292,7 +293,7 @@ def test_nonfinite_trial_derivative_starts_with_a_quarter_of_the_trial_step():
     # the starting guess evaluates rhs once at t0 + h0; a NaN there
     # must not leave the guess to d1 alone, and the run starts as a
     # non-finite stage would retry it: with h0 / 4
-    traj = integrate_rhs(nan_on_second_call(), [1.0], (0.0, 1.0))
+    traj = integrate_rhs(nan_on_second_call(), [1.0], (0.0, 1.0), 1e-10, 1e-12)
     # d0 = d1 = 1 / (1e-12 + 1e-10), so the trial step h0 is 0.01
     assert traj.ts[1] - traj.ts[0] == 0.25 * 0.01
     np.testing.assert_allclose(traj.states[:, 0], np.exp(-traj.ts), rtol=1e-9)
@@ -309,7 +310,7 @@ def test_last_step_lands_exactly_on_the_end_of_the_span():
     rng = np.random.default_rng(20260)
     spans = np.column_stack([rng.uniform(0.0, 1.0, 2000), rng.uniform(1.0, 1000.0, 2000)])
     for t0, t1 in spans.tolist():
-        traj = integrate_rhs(on_lists(np.zeros_like), np.array([0.3]), (t0, t1))
+        traj = integrate_rhs(on_lists(np.zeros_like), np.array([0.3]), (t0, t1), 1e-10, 1e-12)
         assert traj.ts[-1] == t1
         assert np.all(np.diff(traj.ts) > 0)
     # the sweep does reach such spans: the loop that adds h to the last step fails on one
@@ -342,11 +343,11 @@ HANGING_CALL = (
     "setup, tols, raised",
     [
         ("", "rel_tol=1e-11, abs_tol=0.0", "ValueError"),
-        ("", 'rel_tol=float("nan")', "ValueError"),
-        ("", 'abs_tol=float("inf")', "ValueError"),
-        ("", "rel_tol=-1e-10", "ValueError"),
+        ("", 'rel_tol=float("nan"), abs_tol=1e-12', "ValueError"),
+        ("", 'rel_tol=1e-10, abs_tol=float("inf")', "ValueError"),
+        ("", "rel_tol=-1e-10, abs_tol=1e-12", "ValueError"),
         # a NaN step from any source stops the loop
-        ("rk45._initial_step = lambda *args: float('nan')\n", "rel_tol=1e-10", "StepUnderflow"),
+        ("rk45._initial_step = lambda *args: float('nan')\n", "rel_tol=1e-10, abs_tol=1e-12", "StepUnderflow"),
     ],
 )
 def test_bad_tolerances_and_nan_steps_raise_instead_of_looping(setup, tols, raised):
