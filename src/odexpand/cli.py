@@ -26,6 +26,11 @@ takes every setting of a run explicitly.  Flow: load the config, build the
 problem once, run the subcommand on it; verify's verdicts come from one
 library call, ``verify`` (a ``VerifyResult``).
 Exit codes: 0 pass, 1 verification fail, 2 validation error, 3 runtime error.
+The parser bounds the values a config holds, not what the engine forms
+from them: a coefficient whose norm overflows during expand (a huge
+exponent times a coefficient, say) is a runtime error, exit 3.  It exits
+so under any warning filter, since the canonicalizers take their norms
+with numpy's overflow warning off.
 """
 
 from __future__ import annotations
@@ -38,12 +43,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (
-    Expansion,
-    ProblemSpec,
-    ValidationError,
-    expand,
-)
+from .engine import Expansion, ProblemSpec, ValidationError, expand
 from .expsum import EXPONENT_GRID, ExpPolySum, snap_float
 from .logpower import LogPowerSum, ladder_view, row_norms
 from .multilinear import MultiLinearMap

@@ -178,19 +178,18 @@ class ProblemSpec:
         return eigs
 
     @cached_property
-    def clusters(self) -> tuple[tuple[complex, int], ...]:
-        """The spectrum as (nu, algebraic multiplicity) pairs, nu = -eigenvalue.
+    def clusters(self) -> tuple[tuple[complex, tuple[ExpPolySum, ...]], ...]:
+        """The spectrum as (nu, kernel modes) pairs, nu = -eigenvalue.
 
         The one rule for every spectral decision of exponential mode: the
-        ladder's eigen-rates are -Re nu and an order's kernel modes are
-        ``homogeneous_modes(A, nu)`` of the clusters on its rate.  The
-        eigenvalues within sqrt(SINGULAR_REL) * max(norm(A), 1) of the
-        smallest remaining one, in (Re, Im) order, merge at their mean: the
-        computed copies of a defective eigenvalue of index k scatter by about
-        eps^(1/k).  nu is the snapped minus mean, and the merge stands only
-        when A + nu I has a generalized nullspace of exactly that dimension;
-        otherwise the smallest eigenvalue stays alone.  Canonical
-        (Re nu, Im nu) order.
+        ladder's eigen-rates are -Re nu and an order's kernel modes are those
+        of the clusters on its rate, ``homogeneous_modes(A, nu)`` computed
+        once.  Eigenvalues within sqrt(SINGULAR_REL) * max(norm(A), 1) of
+        the smallest remaining one, in (Re, Im) order, merge at their mean:
+        the computed copies of a defective eigenvalue of index k scatter by
+        about eps^(1/k).  nu is the snapped minus mean, and the merge stands
+        only when nu has one mode per merged eigenvalue; otherwise the
+        smallest eigenvalue stays alone.  Canonical (Re nu, Im nu) order.
         """
         radius = math.sqrt(SINGULAR_REL) * max(float(np.linalg.norm(self.matrix, 2)), 1.0)
         rest = sorted(map(complex, self.eigenvalues), key=lambda z: (z.real, z.imag))
@@ -198,9 +197,11 @@ class ProblemSpec:
         while rest:
             near = [i for i, lam in enumerate(rest) if abs(lam - rest[0]) <= radius]
             nu = snap_scalar(-sum(rest[i] for i in near) / len(near))
-            if len(near) > 1 and len(homogeneous_modes(self.matrix, nu)) != len(near):
+            modes = homogeneous_modes(self.matrix, nu)
+            if len(near) > 1 and len(modes) != len(near):
                 near, nu = [0], snap_scalar(-rest[0])
-            out.append((nu, len(near)))
+                modes = homogeneous_modes(self.matrix, nu)
+            out.append((nu, tuple(modes)))
             rest = [lam for i, lam in enumerate(rest) if i not in near]
         return tuple(sorted(out, key=lambda c: (c[0].real, c[0].imag)))
 
@@ -463,8 +464,8 @@ def _solve_rate(spec: ProblemSpec, mu: float, rhs, cache):
     if spec.mode != "exponential":
         return (rhs if rhs.is_zero() else shifted_inverse(rhs, cache)), ()
     term = rhs if rhs.is_zero() else resolvent_solve_exp(spec.matrix, rhs)[0]
-    on_rate = [nu for nu, _ in spec.clusters if abs(nu.real + mu) < _match_tol(mu)]
-    return term, tuple(m for nu in on_rate for m in homogeneous_modes(spec.matrix, nu))
+    on_rate = [modes for nu, modes in spec.clusters if abs(nu.real + mu) < _match_tol(mu)]
+    return term, tuple(m for modes in on_rate for m in modes)
 
 
 def expand(spec: ProblemSpec) -> Expansion:

@@ -4,12 +4,13 @@ An ``ExpPolySum`` stores g(t) = sum_nu p_nu(t) * exp(nu*t) with complex
 exponents nu and vector polynomial coefficients p_nu.  The sum is two
 arrays in canonical term order: the exponents ``nus`` (K,) and the
 coefficient rows ``rows`` (K, D, dim), row j of a term being the
-coefficient of t^j, zero-padded to the longest term.  ``from_arrays``
-snaps the exponents to a fixed grid and merges them, zeroes negligible rows
-and drops all-zero terms, so two sums agree as functions iff their arrays
-agree.  Sums and products (``mul_apply_exp``) are built here; other algebra
-(d/dt, a matrix on each coefficient, the defect check) runs on the depth-0
-ladder view, ``logpower.ladder_view``.
+coefficient of t^j, zero-padded to the longest term.  ``from_pieces`` is
+the one canonicalizer: it pads and stacks raw pieces, snaps the exponents
+to a fixed grid and merges them, zeroes negligible rows and drops all-zero
+terms, so two sums agree as functions iff their arrays agree.  Sums and
+products (``mul_apply_exp``) are built here; other algebra (d/dt, a matrix
+on each coefficient, the defect check) runs on the depth-0 ladder view,
+``logpower.ladder_view``.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ class ExpPolySum:
     ``nus`` (K,) holds the exponents and ``rows`` (K, D, dim) the
     coefficient rows, both complex and in canonical (Re, Im) order, with D
     the length of the longest term (at least 1) and every row past a term's
-    end zero; every instance comes out of from_arrays.
+    end zero; every instance comes out of from_pieces.
     """
 
     dim: int
@@ -101,31 +102,44 @@ class ExpPolySum:
 
     @classmethod
     def build(cls, dim: int, raw: Iterable[tuple[complex, np.ndarray]]) -> "ExpPolySum":
-        """Canonicalize an iterable of (exponent, coeff-rows) pairs; see from_arrays."""
-        nus, polys = [], []
+        """Canonicalize an iterable of (exponent, coeff-rows) pairs; see from_pieces."""
+        pieces = []
         for nu, coeffs in raw:
             arr = np.atleast_2d(np.asarray(coeffs, dtype=complex))
             if arr.shape[1] != dim:
                 raise ValueError(f"coefficient width {arr.shape[1]} != dim {dim}")
-            nus.append(complex(nu))
-            polys.append(arr)
-        rows = np.zeros((len(polys), max([1] + [p.shape[0] for p in polys]), dim), dtype=complex)
-        for i, p in enumerate(polys):
-            rows[i, : p.shape[0]] = p
-        return cls.from_arrays(dim, np.array(nus, dtype=complex), rows)
+            pieces.append((np.array([complex(nu)]), arr[None]))
+        return cls.from_pieces(dim, pieces)
 
     @classmethod
-    def from_arrays(cls, dim: int, nus: np.ndarray, rows: np.ndarray) -> "ExpPolySum":
-        """Canonicalize raw terms: nus (R,) and zero-padded rows (R, D, dim), complex.
+    def from_pieces(
+        cls, dim: int, pieces: Iterable[tuple[np.ndarray, np.ndarray]]
+    ) -> "ExpPolySum":
+        """Canonical sum of raw pieces, each a (nus, rows) pair of complex
+        arrays: nus (R,) and rows (R, D, dim).
 
-        Exponents are snapped onto the grid.  A term whose snapped exponent
-        occurs once keeps its rows; rows of a repeated exponent are summed
-        onto zeros in raw order.  Terms are sorted by (Re, Im).  Within each
-        term, rows that are zero or whose norm is below TRIM_REL times the
-        term's largest are zeroed, and a term with no row left is dropped;
-        the rows are then cut to the longest term.  A non-finite coefficient
-        raises ValueError.
+        The pieces are stacked in the order given, their rows zero-padded to
+        the longest piece (at least one row); a lone piece of that length is
+        used as it is.  Exponents are snapped onto the grid.  A term whose
+        snapped exponent occurs once keeps its rows; rows of a repeated
+        exponent are summed onto zeros in stacked order.  Terms are sorted
+        by (Re, Im).  Within each term, rows that are zero or whose norm is
+        below TRIM_REL times the term's largest are zeroed, and a term with
+        no row left is dropped; the rows are then cut to the longest term.
+        A coefficient that is not finite, or whose norm overflows, raises
+        ValueError.
         """
+        pieces = list(pieces)
+        width = max([1] + [r.shape[1] for _, r in pieces])
+        if len(pieces) == 1 and pieces[0][1].shape[1] == width:
+            nus, rows = pieces[0]
+        else:
+            nus = np.concatenate([np.zeros(0, complex)] + [n for n, _ in pieces])
+            rows = np.zeros((nus.shape[0], width, dim), dtype=complex)
+            lo = 0
+            for _, r in pieces:
+                rows[lo : lo + r.shape[0], : r.shape[1]] = r
+                lo += r.shape[0]
         nus = np.asarray(nus, dtype=complex).reshape(-1, 1)
         rows = np.asarray(rows, dtype=complex)
         if nus.shape[0] == 0:
@@ -140,7 +154,8 @@ class ExpPolySum:
         # Adding onto zeros turns -0.0 into 0.0; a lone term keeps its rows as given.
         lone = np.bincount(group) == 1
         acc[lone] = rows[first[lone]]
-        norms = np.sqrt((abs(acc) ** 2).sum(axis=2))
+        with np.errstate(over="ignore"):
+            norms = np.sqrt((abs(acc) ** 2).sum(axis=2))
         top = norms.max(axis=1)
         if not math.isfinite(top.max()):
             raise ValueError(f"non-finite coefficient in an ExpPolySum (largest norm {top.max()})")
@@ -190,11 +205,7 @@ class ExpPolySum:
     def __add__(self, other: "ExpPolySum") -> "ExpPolySum":
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        k, width = self.term_count(), max(self.rows.shape[1], other.rows.shape[1])
-        rows = np.zeros((k + other.term_count(), width, self.dim), dtype=complex)
-        rows[:k, : self.rows.shape[1]] = self.rows
-        rows[k:, : other.rows.shape[1]] = other.rows
-        return ExpPolySum.from_arrays(self.dim, np.concatenate([self.nus, other.nus]), rows)
+        return ExpPolySum.from_pieces(self.dim, [(self.nus, self.rows), (other.nus, other.rows)])
 
     def eval(self, t) -> np.ndarray:
         """Value in C^dim at time t, or at each time of a 1-D array (one row per time).
@@ -323,4 +334,4 @@ def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:
     # operands than on rows of dim values
     for i in range(G.dim):
         np.add.at(flat[:, i], slot, g[:, i])
-    return ExpPolySum.from_arrays(G.dim, nu.reshape(-1), out)
+    return ExpPolySum.from_pieces(G.dim, [(nu.reshape(-1), out)])

@@ -6,9 +6,10 @@ A ``LogPowerSum`` of depth k stores
 
 with complex exponent vectors alpha = (a(-1), ..., a(k)) and coefficient
 vectors xi in C^n.  The sum is two arrays in canonical term order: the
-exponents ``alphas`` (K, k+2) and the coefficients ``xis`` (K, n).  Every
-operator below maps them to new raw arrays and canonicalizes once through
-``from_arrays``.  The product ``mul_apply_logpower`` returns its raw arrays
+exponents ``alphas`` (K, k+2) and the coefficients ``xis`` (K, n).
+``from_pieces`` is the one canonicalizer: every operator below maps the
+arrays to new raw ones and passes them to it once (``+`` passes both sums
+as pieces).  The product ``mul_apply_logpower`` returns its raw arrays
 instead, so that the engine can sum the products, the forcing and the
 descent term of one order with a single ``from_pieces``.
 
@@ -89,7 +90,7 @@ def _stack_rows(
     pieces: Sequence[tuple[np.ndarray, np.ndarray]], dim: int, depth: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (alphas, xis) pieces stacked in order, exponent vectors zero-padded
-    to depth+2 entries as ``embed`` pads them."""
+    to depth+2 entries."""
     count = sum(a.shape[0] for a, _ in pieces)
     alphas = np.zeros((count, depth + 2), dtype=complex)
     xis = np.empty((count, dim), dtype=complex)
@@ -123,7 +124,7 @@ class LogPowerSum:
 
     ``alphas`` (K, depth+2) holds the exponent vectors and ``xis`` (K, dim)
     the coefficients, both complex and in canonical order; every instance
-    comes out of from_arrays, except ``ladder_view`` of an exponential sum,
+    comes out of from_pieces, except ``ladder_view`` of an exponential sum,
     which wraps its stored rows (already canonical) as they are.
     """
 
@@ -136,7 +137,7 @@ class LogPowerSum:
     def build(
         cls, dim: int, depth: int, raw: Iterable[tuple[Sequence[complex], np.ndarray]]
     ) -> "LogPowerSum":
-        """Canonical sum of (exponent vector, coefficient) pairs; see from_arrays."""
+        """Canonical sum of (exponent vector, coefficient) pairs; see from_pieces."""
         if depth < -1:
             raise ValueError("depth must be >= -1")
         alphas, xis = [], []
@@ -151,39 +152,41 @@ class LogPowerSum:
                 raise ValueError(f"coefficient length {vec.shape[0]} != dim {dim}")
             alphas.append(alpha)
             xis.append(vec)
-        return cls.from_arrays(
-            dim,
-            depth,
+        piece = (
             np.array(alphas, dtype=complex).reshape(len(alphas), depth + 2),
             np.array(xis, dtype=complex).reshape(len(xis), dim),
         )
+        return cls.from_pieces(dim, depth, [piece])
 
     @classmethod
-    def from_arrays(
-        cls, dim: int, depth: int, alphas: np.ndarray, xis: np.ndarray
+    def from_pieces(
+        cls, dim: int, depth: int, pieces: Iterable[tuple[np.ndarray, np.ndarray]]
     ) -> "LogPowerSum":
-        """Canonicalize raw terms: alphas (R, depth+2) and xis (R, dim), complex.
+        """Canonical sum of raw pieces, each an (alphas, xis) pair of complex
+        arrays: alphas (R, d+2) with d <= depth, and xis (R, dim).
 
-        Exponents are snapped onto the grid; rows whose snapped exponents
-        agree are summed in raw order (the first row, then each later row
-        added to it); terms are sorted by (Re a(-1), Im a(-1), Re a(0), ...);
-        terms with zero norm or a norm below TRIM_REL times the largest are
-        dropped; a non-finite coefficient raises ValueError.  The norms are
-        taken row-wise and may differ from a per-vector ``np.linalg.norm`` in
-        the last bit, which only matters for a term within an ulp of the trim
-        line.
+        The pieces are stacked in the order given, exponent vectors
+        zero-padded to depth+2 entries.  Exponents are snapped onto the
+        grid; rows whose snapped exponents agree are summed in stacked order
+        (the first row, then each later row added to it); terms are sorted
+        by (Re a(-1), Im a(-1), Re a(0), ...); terms with zero norm or a
+        norm below TRIM_REL times the largest are dropped; a coefficient
+        that is not finite, or whose norm overflows, raises ValueError.  The
+        norms are taken row-wise and may differ from a per-vector
+        ``np.linalg.norm`` in the last bit, which only matters for a term
+        within an ulp of the trim line.
         """
-        alphas = np.asarray(alphas, dtype=complex)
-        xis = np.asarray(xis, dtype=complex)
+        alphas, xis = _stack_rows(list(pieces), dim, depth)
         count = alphas.shape[0]
         if count == 0:
-            return cls(dim, depth, np.zeros((0, depth + 2), complex), np.zeros((0, dim), complex))
+            return cls(dim, depth, alphas, xis)
         uniq, first, group = group_keys(alphas)
         later = np.ones(count, dtype=bool)
         later[first] = False
         acc = xis[first]
         np.add.at(acc, group[later], xis[later])
-        norms = np.linalg.norm(acc, axis=1)
+        with np.errstate(over="ignore"):
+            norms = np.linalg.norm(acc, axis=1)
         top = norms.max()
         if not math.isfinite(top):
             raise ValueError(f"non-finite coefficient in a LogPowerSum (largest norm {top})")
@@ -191,26 +194,8 @@ class LogPowerSum:
         return cls(dim, depth, uniq[keep], acc[keep])
 
     @classmethod
-    def from_pieces(
-        cls, dim: int, depth: int, pieces: Iterable[tuple[np.ndarray, np.ndarray]]
-    ) -> "LogPowerSum":
-        """Canonical sum of raw pieces, each an (alphas, xis) pair of arrays.
-
-        A piece's exponent vectors may be shorter than depth+2; they are
-        zero-padded, as ``embed`` pads.  The pieces are stacked in the
-        order given and canonicalized by one ``from_arrays`` call, so rows
-        with equal exponents are summed in that order.
-        """
-        alphas, xis = _stack_rows(list(pieces), dim, depth)
-        return cls.from_arrays(dim, depth, alphas, xis)
-
-    @classmethod
     def zero(cls, dim: int, depth: int) -> "LogPowerSum":
         return cls.build(dim, depth, [])
-
-    def _canon(self, alphas: np.ndarray, xis: np.ndarray) -> "LogPowerSum":
-        """Canonical sum of raw terms at this sum's dim and depth."""
-        return LogPowerSum.from_arrays(self.dim, self.depth, alphas, xis)
 
     # -- queries ---------------------------------------------------------
 
@@ -247,34 +232,24 @@ class LogPowerSum:
     # -- algebra ---------------------------------------------------------
 
     def __add__(self, other: "LogPowerSum") -> "LogPowerSum":
-        """Sum at the larger depth of the two; the shallower one is embedded."""
+        """Sum at the larger depth of the two; the shallower one is zero-padded."""
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
-        depth = max(self.depth, other.depth)
-        a, b = self.embed(depth), other.embed(depth)
-        alphas = np.concatenate([a.alphas, b.alphas])
-        return LogPowerSum.from_arrays(self.dim, depth, alphas, np.concatenate([a.xis, b.xis]))
+        pieces = [(self.alphas, self.xis), (other.alphas, other.xis)]
+        return LogPowerSum.from_pieces(self.dim, max(self.depth, other.depth), pieces)
 
     def __sub__(self, other: "LogPowerSum") -> "LogPowerSum":
         return self + other.scale(-1.0)
 
     def scale(self, a: complex) -> "LogPowerSum":
-        return self._canon(self.alphas, a * self.xis)
+        return LogPowerSum.from_pieces(self.dim, self.depth, [(self.alphas, a * self.xis)])
 
     def apply_matrix(self, A: np.ndarray) -> "LogPowerSum":
         # One matrix-vector product per row, which matches A @ xi bit for
         # bit; a single xis @ A.T does not.
         A = np.asarray(A, dtype=complex)
-        return self._canon(self.alphas, (A @ self.xis[:, :, None])[:, :, 0])
-
-    def embed(self, depth: int) -> "LogPowerSum":
-        """Zero-pad exponent vectors up to a larger depth."""
-        if depth < self.depth:
-            raise ValueError("cannot reduce depth by embedding")
-        if depth == self.depth:
-            return self
-        alphas = np.pad(self.alphas, ((0, 0), (0, depth - self.depth)))
-        return LogPowerSum.from_arrays(self.dim, depth, alphas, self.xis)
+        xis = (A @ self.xis[:, :, None])[:, :, 0]
+        return LogPowerSum.from_pieces(self.dim, self.depth, [(self.alphas, xis)])
 
     @property
     def domain_start(self) -> float:
@@ -398,7 +373,7 @@ def weight_op(j: int, p: LogPowerSum) -> LogPowerSum:
     """Multiply each term by its exponent a(j); kills terms with a(j) = 0."""
     if not -1 <= j <= p.depth:
         raise ValueError(f"component index {j} outside depth {p.depth}")
-    return p._canon(p.alphas, p.alphas[:, j + 1, None] * p.xis)
+    return LogPowerSum.from_pieces(p.dim, p.depth, [(p.alphas, p.alphas[:, j + 1, None] * p.xis)])
 
 
 def descent_op(p: LogPowerSum) -> LogPowerSum:
@@ -417,11 +392,11 @@ def descent_op(p: LogPowerSum) -> LogPowerSum:
     live = weights != 0
     alphas = p.alphas[:, None, :] - lower
     xis = weights[:, :, None] * p.xis[:, None, :]
-    return p._canon(alphas[live], xis[live])
+    return LogPowerSum.from_pieces(p.dim, p.depth, [(alphas[live], xis[live])])
 
 
 class ShiftedInverseCache:
-    """Checked shifted matrices A + i*omega*I, memoized per imaginary shift.
+    """Checked shifted matrices A + a*I, memoized per snapped shift a.
 
     A single cache is shared across one expansion run.  It caches one
     singularity check per distinct shift, not a factorization: ``solve``
@@ -456,15 +431,13 @@ class ShiftedInverseCache:
     def solve(self, shifts: np.ndarray, xis: np.ndarray) -> np.ndarray:
         """Solve (A + a I) x = xi for each row: shifts a (K,), xis (K, n).
 
-        The rows are checked in order: a shift with a real part raises
-        ValueError, and so does a numerically singular shifted matrix.
+        The rows are checked in order: a numerically singular shifted
+        matrix raises ValueError.  Whether a shift may have a real part is
+        ``LogPowerSum.in_class``'s decision, not this one's.
         """
         xis = np.asarray(xis, dtype=complex).reshape(-1, self._n)
-        mats = []
-        for a in np.asarray(shifts, dtype=complex).reshape(-1).tolist():
-            if abs(a.real) > 1e-12:
-                raise ValueError(f"exponent a(-1) = {a} is not purely imaginary")
-            mats.append(self._shifted(snap_scalar(a)))
+        shifts = np.asarray(shifts, dtype=complex).reshape(-1).tolist()
+        mats = [self._shifted(snap_scalar(a)) for a in shifts]
         if len(mats) != xis.shape[0]:
             raise ValueError(f"{len(mats)} shifts for {xis.shape[0]} coefficient rows")
         stack = np.array(mats).reshape(-1, self._n, self._n)
@@ -475,7 +448,7 @@ def shifted_inverse(p: LogPowerSum, cache: ShiftedInverseCache) -> LogPowerSum:
     """Apply (A + a(-1) I)^-1 termwise, A being cache.A; inverts A + weight_op(-1)."""
     if cache.A.shape[0] != p.dim:
         raise ValueError("matrix/operand dimension mismatch")
-    return p._canon(p.alphas, cache.solve(p.alphas[:, 0], p.xis))
+    return LogPowerSum.from_pieces(p.dim, p.depth, [(p.alphas, cache.solve(p.alphas[:, 0], p.xis))])
 
 
 def time_derivative(p: LogPowerSum) -> LogPowerSum:
@@ -496,7 +469,7 @@ def mul_apply_logpower(
     vector is the sum of the picked ones, added from left to right.  The
     rows come out multiset after multiset, each in ``itertools.product``
     order over its picks, at the largest depth of the picked sums; shallower
-    exponent vectors are zero-padded, as ``embed`` pads.  A weight other
+    exponent vectors are zero-padded, as ``from_pieces`` pads.  A weight other
     than 1 multiplies its multiset's raw coefficients.  The result is the
     pair (alphas, xis) of raw arrays, for one canonicalization of the sum it
     belongs to (``LogPowerSum.from_pieces``).
@@ -564,5 +537,5 @@ def trim_small_logpower(p: LogPowerSum, floor: float) -> LogPowerSum:
     floor from the scale of the data that produced the residual.
     """
     keep = row_norms(p.xis) >= floor
-    return p._canon(p.alphas[keep], p.xis[keep])
+    return LogPowerSum.from_pieces(p.dim, p.depth, [(p.alphas[keep], p.xis[keep])])
 

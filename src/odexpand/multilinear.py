@@ -21,9 +21,10 @@ from the entry table: one statement ``o{i} += v{e}*x0[j0]*x1[j1]...`` per
 entry, in table order, on lists of Python complex numbers.  Python's
 complex arithmetic on list items costs a fraction of numpy's scalar
 operations, and fixed statements need no loop over the table or index
-lookups at run time.  Given lists, ``__call__`` returns the kernel's list
-with no conversion, which is how the right-hand side calls it; given arrays, it
-converts them to lists and the result back to an array.  Its source is
+lookups at run time.  ``__call__`` takes lists only, the right-hand side's
+format, and returns the kernel's list; arrays go through ``batch``.  On an
+array the kernel would multiply numpy complex scalars, which need not round
+like Python's complex numbers on every host.  Its source is
 compiled on the first call, at roughly 25 microseconds per entry, so only
 maps that are applied to single vectors pay for it.  The statements are
 separate, not one sum expression per row, because CPython's compiler
@@ -115,32 +116,25 @@ class MultiLinearMap:
         )
         object.__setattr__(self, "entries", canon)
 
-    def __call__(self, *args):
-        """Apply to ``arity`` vectors of length dim.
-
-        When every argument is a list, the lists are passed to ``kernel`` as
-        they are and its list of dim Python complex numbers comes back; the
-        ODE's right-hand side works this way.  Otherwise each non-list argument is
-        converted with ``np.asarray(a, complex).tolist()`` and the result is
-        a complex ndarray.  List arguments hold Python numbers, as ``tolist``
-        of an array gives.
+    def __call__(self, *args: list) -> list:
+        """Apply to ``arity`` lists of dim Python numbers, as ``tolist`` of an
+        array gives; returns ``kernel``'s list of dim Python complex numbers.
+        Any other argument raises TypeError: stacks of arrays go through
+        ``batch``, which gives the same bits.
         """
         if len(args) != self.arity:
             raise ValueError(f"expected {self.arity} arguments, got {len(args)}")
         for a in args:
             if not isinstance(a, list):
-                break
-        else:
-            return self.kernel(*args)
-        xs = [a if isinstance(a, list) else np.asarray(a, dtype=complex).tolist() for a in args]
-        return np.array(self.kernel(*xs), dtype=complex)
+                raise TypeError(f"arguments must be lists, got {type(a).__name__}; use batch")
+        return self.kernel(*args)
 
     def batch(self, *args: np.ndarray) -> np.ndarray:
         """Apply to ``arity`` stacks of vectors, broadcasting leading axes.
 
         Each argument has shape ``(..., dim)``; the result has the broadcast
         leading shape followed by ``dim``, and every row equals ``__call__``
-        on the matching argument rows bit for bit.
+        on the matching argument rows (as lists) bit for bit.
 
         The entry table is walked in chunks of about ``_BLOCK`` row x entry
         products, or one entry where its rows alone hold more.  In a chunk,

@@ -15,8 +15,8 @@ orthogonal to the coefficient vectors of the homogeneous polynomial
 solutions, so the returned particular solution carries no component along
 the kernel modes at that exponent.  The solve only reports which exponents
 it treated as resonant.  The kernel modes come from ``homogeneous_modes``,
-which the engine calls once per cluster of A's spectrum, whatever the
-forcing, so callers can fit their free constants against data.
+which ``ProblemSpec.clusters`` calls once per cluster of A's spectrum,
+whatever the forcing, so callers can fit their free constants against data.
 
 Which terms are resonant is decided for all of f at once: one stacked
 ``np.linalg.svd`` call over every term's B, each slice equal bit for bit
@@ -153,29 +153,6 @@ def _generalized_nullspace(B: np.ndarray, cut: float) -> list[tuple[np.ndarray, 
     return basis
 
 
-def _kernel_modes(B: np.ndarray, nu: complex, dim: int) -> list[ExpPolySum]:
-    """Polynomial-times-exp(nu t) solutions of z' + A z = 0 at this exponent.
-
-    One mode per generalized-nullspace direction xi: exp(-tB) xi, whose
-    series stops at the vector's nilpotency stage.  The basis dimension is
-    the algebraic multiplicity of the eigenvalue -nu, matching the count
-    of free constants a resonant solve leaves undetermined.
-    """
-    norm = max(float(np.linalg.norm(B, 2)), 1.0)
-    cut = SINGULAR_REL * norm
-    modes = []
-    for xi, stage in _generalized_nullspace(B.astype(complex), cut):
-        rows = np.zeros((stage, dim), dtype=complex)
-        v = xi.astype(complex)
-        fact = 1.0
-        for j in range(stage):
-            rows[j] = ((-1) ** j / fact) * v
-            v = B @ v
-            fact *= j + 1
-        modes.append(ExpPolySum.build(dim, [(nu, rows)]))
-    return modes
-
-
 def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[complex]]:
     """Particular solution of z' + A z = f, and the exponents solved as resonant.
 
@@ -209,7 +186,11 @@ def resolvent_solve_exp(A: np.ndarray, f: ExpPolySum) -> tuple[ExpPolySum, list[
 def homogeneous_modes(A: np.ndarray, nu: complex) -> list[ExpPolySum]:
     """Decaying homogeneous solutions p(t)*exp(nu t) of z' + A z = 0.
 
-    Nonempty exactly when -nu is an eigenvalue of A (to working precision).
+    Nonempty exactly when -nu is an eigenvalue of A (to working precision):
+    one mode exp(-tB) xi per generalized-nullspace direction xi of
+    B = A + nu I, its series cut at the vector's nilpotency stage.  So there
+    are as many modes as the algebraic multiplicity of -nu, the count of
+    free constants a resonant solve leaves undetermined.
     """
     A = np.asarray(A, dtype=complex)
     n = A.shape[0]
@@ -217,7 +198,17 @@ def homogeneous_modes(A: np.ndarray, nu: complex) -> list[ExpPolySum]:
     sv = np.linalg.svd(B, compute_uv=False)
     if sv[-1] > SINGULAR_REL * max(sv[0], 1.0):
         return []
-    return _kernel_modes(B, nu, n)
+    modes = []
+    for xi, stage in _generalized_nullspace(B, SINGULAR_REL * max(float(sv[0]), 1.0)):
+        rows = np.zeros((stage, n), dtype=complex)
+        v = xi.astype(complex)
+        fact = 1.0
+        for j in range(stage):
+            rows[j] = ((-1) ** j / fact) * v
+            v = B @ v
+            fact *= j + 1
+        modes.append(ExpPolySum.build(n, [(nu, rows)]))
+    return modes
 
 
 def resolvent_defect(A: np.ndarray, f: ExpPolySum, z: ExpPolySum) -> LogPowerSum:

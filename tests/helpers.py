@@ -151,6 +151,13 @@ def scalar_power(arity: int) -> MultiLinearMap:
     return MultiLinearMap(arity=arity, dim=1, entries=((0, (0,) * arity, 1.0),))
 
 
+def call_on_vectors(G: MultiLinearMap, *vecs) -> np.ndarray:
+    """G on single vectors through ``__call__``, each passed as the list of
+    Python numbers it takes: the kernel's arithmetic, not ``batch``'s, for
+    the term-by-term oracles of the batched products."""
+    return np.array(G(*(np.asarray(v, dtype=complex).tolist() for v in vecs)), dtype=complex)
+
+
 def dense_apply(G: MultiLinearMap, args) -> np.ndarray:
     """Apply a multilinear map by brute force over its entry list.
 
@@ -295,7 +302,7 @@ def mul_apply_logpower_oracle(G: MultiLinearMap, args, weight: float = 1.0) -> L
     raw = []
     for combo in itertools.product(*(a.items() for a in args)):
         alpha = tuple(sum(parts) for parts in zip(*(c[0] for c in combo)))
-        xi = G(*(c[1] for c in combo))
+        xi = call_on_vectors(G, *(c[1] for c in combo))
         raw.append((alpha, xi if weight == 1.0 else xi * weight))
     return build_logpower_oracle(G.dim, depth, raw)
 
@@ -403,7 +410,7 @@ def mul_apply_exp_oracle(G: MultiLinearMap, args) -> ExpPolySum:
         degs = [c.shape[0] - 1 for c in polys]
         out = np.zeros((sum(degs) + 1, G.dim), dtype=complex)
         for idx in itertools.product(*(range(d + 1) for d in degs)):
-            out[sum(idx)] += G(*(polys[slot][j] for slot, j in enumerate(idx)))
+            out[sum(idx)] += call_on_vectors(G, *(polys[slot][j] for slot, j in enumerate(idx)))
         raw.append((nu, out))
     return build_exp_oracle(G.dim, raw)
 
@@ -435,7 +442,7 @@ def mul_apply_exp_padded_oracle(G: MultiLinearMap, args) -> ExpPolySum:
     out = np.zeros(combos + (sum(sizes) - m + 1, G.dim), dtype=complex)
     for idx in itertools.product(*(range(d) for d in sizes)):
         out[..., sum(idx), :] += g[(Ellipsis,) + idx + (slice(None),)]
-    return ExpPolySum.from_arrays(G.dim, nu.reshape(-1), out.reshape((-1,) + out.shape[m:]))
+    return ExpPolySum.from_pieces(G.dim, [(nu.reshape(-1), out.reshape((-1,) + out.shape[m:]))])
 
 
 # Term-by-term oracles of ExpPolySum's addition and of d/dt: the loops over
@@ -656,7 +663,7 @@ def coeff_distance_logpower(a: LogPowerSum, b: LogPowerSum) -> float:
     """Max coefficient deviation between two canonical sums, at the larger depth."""
     assert a.dim == b.dim
     depth = max(a.depth, b.depth)
-    a, b = a.embed(depth), b.embed(depth)
+    a, b = (LogPowerSum.from_pieces(p.dim, depth, [(p.alphas, p.xis)]) for p in (a, b))
     zero = np.zeros(a.dim, dtype=complex)
     worst = 0.0
     for key in set(a.terms) | set(b.terms):

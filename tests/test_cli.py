@@ -546,6 +546,51 @@ def test_the_snapping_range_ends_where_the_grid_index_overflows():
             cli._exponent(value, "x")
 
 
+def _riccati_with_exponent(component: int, value, tmp_path) -> Path:
+    """riccati.json with alpha[component] of its forcing term set to value."""
+    cfg = json.loads((CONFIGS / "riccati.json").read_text())
+    cfg["problem"]["forcing"][0]["terms"][0]["alpha"][component] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_a_coefficient_whose_norm_overflows_in_expand_exits_three(tmp_path, capsys):
+    # t^(-1 + 1e296 i) snaps onto the grid, but the descent of order 1
+    # multiplies its coefficient by a(0), and that row's norm overflows.  The
+    # parser cannot bound what the engine forms, so this is a runtime error.
+    # Tier-1 turns RuntimeWarnings into errors: a numpy overflow warning in
+    # the norm would end the run in the ValueError's place.
+    config = _riccati_with_exponent(1, [-1.0, 1e296], tmp_path)
+    assert main(["expand", "--config", str(config), "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.endswith(
+        "runtime error: ValueError: non-finite coefficient in a LogPowerSum (largest norm inf)\n"
+    )
+    assert "overflow encountered" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["expand", "verify", "realify"])
+@pytest.mark.parametrize("re", [1e-10, 5e-10])
+def test_a_real_part_within_the_class_tolerance_runs(re, command, tmp_path):
+    # |Re a(-1)| <= CLASS_TOL = 1e-9 is in the (0, -1) class, and in_class
+    # alone decides that: the shifted solve used to reject any real part
+    # above 1e-12 and exit 3
+    config = _riccati_with_exponent(0, [re, 0.0], tmp_path)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("command", ["expand", "verify", "realify"])
+def test_a_real_part_beyond_the_class_tolerance_exits_two(command, tmp_path, capsys):
+    config = _riccati_with_exponent(0, [2e-9, 0.0], tmp_path)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "validation error: forcing at rate 1.0 is outside the (0, -1.0) class\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def _oscillatory_log_with_factor(factor: dict, tmp_path) -> Path:
     cfg = json.loads((CONFIGS / "oscillatory_log.json").read_text())
     cfg["problem"]["forcing"][0]["terms"][0]["factors"].append(factor)

@@ -193,7 +193,7 @@ def test_mul_apply_matches_pointwise_products():
     out = mul_apply_exp(G, [a, b])
     for t in np.linspace(0.0, 3.0, 20):
         np.testing.assert_allclose(
-            out.eval(t), G(a.eval(t), b.eval(t)), rtol=1e-10, atol=1e-10
+            out.eval(t), G.batch(a.eval(t), b.eval(t)), rtol=1e-10, atol=1e-10
         )
 
 
@@ -219,7 +219,7 @@ def test_degree_and_term_count():
 def test_sup_norm_scales_linearly():
     rng = np.random.default_rng(37)
     s = random_expsum(rng, 2, n_terms=3)
-    doubled = ExpPolySum.from_arrays(s.dim, s.nus, 2.0 * s.rows)
+    doubled = ExpPolySum.from_pieces(s.dim, [(s.nus, 2.0 * s.rows)])
     assert doubled.sup_norm() == pytest.approx(2.0 * s.sup_norm())
     assert ExpPolySum.zero(2).sup_norm() == 0.0
 
@@ -616,7 +616,7 @@ def test_derivative_of_the_ladder_view_matches_the_term_loop():
             raw = ladder_view_raw_oracle(derivative_exp_oracle(s))
             alphas = np.array([a for a, _ in raw], dtype=complex).reshape(-1, 2)
             xis = np.array([v for _, v in raw], dtype=complex).reshape(-1, s.dim)
-            want = LogPowerSum.from_arrays(s.dim, 0, alphas, xis)
+            want = LogPowerSum.from_pieces(s.dim, 0, [(alphas, xis)])
             got = _derivative(s)
             assert_arrays_bitwise_equal(got.alphas, want.alphas)
             assert got.xis.shape == want.xis.shape
@@ -649,23 +649,25 @@ def test_add_and_ladder_view_pass_raw_terms_in_loop_order(monkeypatch):
     # wraps its rows without canonicalizing them, so its arrays are read
     # directly: term by term with j ascending.
     seen = []
-    exp_from_arrays = ExpPolySum.from_arrays.__func__
+    exp_from_pieces = ExpPolySum.from_pieces.__func__
 
-    def record_exp(cls, dim, nus, rows):
-        seen.append((nus, rows))
-        return exp_from_arrays(cls, dim, nus, rows)
+    def record_exp(cls, dim, pieces):
+        pieces = list(pieces)
+        seen.append(pieces)
+        return exp_from_pieces(cls, dim, pieces)
 
-    monkeypatch.setattr(ExpPolySum, "from_arrays", classmethod(record_exp))
+    monkeypatch.setattr(ExpPolySum, "from_pieces", classmethod(record_exp))
     rng = np.random.default_rng(93)
     for s, other in _exp_cases(rng, 60):
         seen.clear()
         s + other
-        nus, rows = seen[-1]
+        nus = np.concatenate([n for n, _ in seen[-1]])
+        rows = [term for _, r in seen[-1] for term in r]
         raw = s.items() + other.items()
         assert_arrays_bitwise_equal(nus, np.array([nu for nu, _ in raw], dtype=complex))
         for k, (_, c) in enumerate(raw):
-            assert_arrays_bitwise_equal(rows[k, : c.shape[0]], c)
-            assert not rows[k, c.shape[0]:].any()
+            assert_arrays_bitwise_equal(rows[k][: c.shape[0]], c)
+            assert not rows[k][c.shape[0]:].any()
         view = ladder_view(s)
         raw = ladder_view_raw_oracle(s)
         assert_arrays_bitwise_equal(view.alphas, np.array([a for a, _ in raw], dtype=complex).reshape(-1, 2))

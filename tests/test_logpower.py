@@ -26,6 +26,7 @@ from odexpand.ladder import ladder_eval
 from odexpand.logpower import CLASS_TOL, mul_apply_logpower, trim_small_logpower
 
 from helpers import (
+    call_on_vectors,
     emitted,
     emitted_rows,
     apply_matrix_oracle,
@@ -356,10 +357,13 @@ def _solve_one(cache: ShiftedInverseCache, shift: complex, xi: np.ndarray) -> np
     return cache.solve(np.array([shift]), np.asarray(xi, dtype=complex)[None])[0]
 
 
-def test_shift_cache_rejects_real_exponential_part():
-    cache = ShiftedInverseCache(np.array([[1.0]]))
-    with pytest.raises(ValueError, match="is not purely imaginary"):
-        _solve_one(cache, 0.5 + 1j, np.array([1.0 + 0j]))
+def test_shift_cache_solves_a_shift_with_a_real_part():
+    # which shifts may occur is in_class's decision, not the solve's
+    A = np.array([[1.0, 0.5], [0.0, 2.0]])
+    xi = np.array([1.0 + 0j, -2.0])
+    got = _solve_one(ShiftedInverseCache(A), 1e-10 + 1j, xi)
+    want = np.linalg.solve(A + snap_scalar(1e-10 + 1j) * np.eye(2), xi)
+    assert_arrays_bitwise_equal(got, want)
 
 
 def test_shift_cache_singular_matrix():
@@ -402,31 +406,36 @@ def test_shift_cache_solve_matches_lapack_lu():
         np.testing.assert_array_equal(_solve_one(cache, near, xi), _solve_one(cache, 1j * omega, xi))
 
 
-def test_embed_pads_with_zero_exponents():
+def _at_depth(p: LogPowerSum, depth: int) -> LogPowerSum:
+    """p as a sum of depth ``depth``: its rows as one piece, zero-padded."""
+    return LogPowerSum.from_pieces(p.dim, depth, [(p.alphas, p.xis)])
+
+
+def test_from_pieces_pads_with_zero_exponents():
     p = LogPowerSum.build(1, 0, [((0.0, -1.0), [1.0])])
-    up = p.embed(2)
+    up = _at_depth(p, 2)
     assert up.depth == 2
     assert up.items()[0][0] == (0.0, -1.0, 0.0, 0.0)
 
 
-def test_embed_same_depth_is_identity():
+def test_from_pieces_of_a_sum_at_its_own_depth_is_the_sum():
     rng = np.random.default_rng(31)
     p = random_logpower(rng, 2, 1, n_terms=3)
-    assert coeff_distance_logpower(p.embed(1), p) == 0.0
+    assert_bitwise_equal(_at_depth(p, 1), p)
 
 
-def test_embed_cannot_reduce():
+def test_from_pieces_cannot_reduce_depth():
     p = LogPowerSum.build(1, 1, [((0.0, -1.0, 0.0), [1.0])])
-    with pytest.raises(ValueError, match="cannot reduce depth by embedding"):
-        p.embed(0)
+    with pytest.raises(ValueError, match="piece of depth 1 above depth 0"):
+        _at_depth(p, 0)
 
 
-def test_embed_preserves_evaluation():
+def test_padding_preserves_evaluation():
     rng = np.random.default_rng(37)
     for _ in range(20):
         depth = int(rng.integers(0, 2))
         p = random_logpower(rng, 2, depth, n_terms=2, m=0, mu=-0.5)
-        up = p.embed(depth + int(rng.integers(1, 3)))
+        up = _at_depth(p, depth + int(rng.integers(1, 3)))
         t = 2.5 * exp_zero(up.depth + 1)
         np.testing.assert_allclose(up.eval(t), p.eval(t), rtol=1e-12)
 
@@ -439,17 +448,17 @@ def test_add_across_depths_is_embed_then_add_bitwise():
         a = random_logpower(rng, dim, da, n_terms=int(rng.integers(0, 4)))
         b = random_logpower(rng, dim, db, n_terms=int(rng.integers(0, 4)))
         if da <= db and rng.uniform() < 0.5:  # shared keys merge across the depths
-            b = b + a.embed(db).scale(-0.5)
+            b = b + embed_oracle(a, db).scale(-0.5)
         depth = max(da, db)
-        want = LogPowerSum.build(
-            dim, depth, list(a.embed(depth).terms.items()) + list(b.embed(depth).terms.items())
-        )
-        for got in (a + b, a.embed(depth) + b, a + b.embed(depth)):
+        up_a, up_b = embed_oracle(a, depth), embed_oracle(b, depth)
+        want = build_logpower_oracle(dim, depth, up_a.items() + up_b.items())
+        for got in (a + b, up_a + b, a + up_b):
             assert got.depth == depth
             assert_bitwise_equal(got, want)
         diff = a - b
         assert diff.depth == depth
-        assert_bitwise_equal(diff, a.embed(depth) - b.embed(depth))
+        negated = [(k, -1.0 * v) for k, v in up_b.items()]
+        assert_bitwise_equal(diff, build_logpower_oracle(dim, depth, up_a.items() + negated))
 
 
 def _product(G: MultiLinearMap, args, weight: float = 1.0) -> LogPowerSum:
@@ -498,7 +507,7 @@ def test_mul_apply_matches_pointwise():
     out = _product(G, [a, b])
     for t in np.geomspace(20.0, 200.0, 8):
         np.testing.assert_allclose(
-            out.eval(t), G(a.eval(t), b.eval(t)), rtol=1e-10, atol=1e-12
+            out.eval(t), G.batch(a.eval(t), b.eval(t)), rtol=1e-10, atol=1e-12
         )
 
 
@@ -630,9 +639,10 @@ def test_build_matches_dict_oracle_bitwise():
         assert_bitwise_equal(got, build_logpower_oracle(dim, depth, raw))
 
 
-def test_from_arrays_of_nothing_is_zero():
-    p = LogPowerSum.from_arrays(2, 1, np.zeros((0, 3), dtype=complex), np.zeros((0, 2)))
-    assert p.is_zero() and p.depth == 1 and p.dim == 2
+def test_from_pieces_of_nothing_is_zero():
+    for pieces in ([], [(np.zeros((0, 3), dtype=complex), np.zeros((0, 2)))]):
+        p = LogPowerSum.from_pieces(2, 1, pieces)
+        assert p.is_zero() and p.depth == 1 and p.dim == 2
 
 
 def _descent_chain(rng, dim: int, depth: int) -> LogPowerSum:
@@ -672,7 +682,7 @@ def test_array_operators_match_their_term_loops_bitwise():
         A = cvec(rng, p.dim * p.dim).reshape(p.dim, p.dim)
         assert_bitwise_equal(p.apply_matrix(A), apply_matrix_oracle(p, A))
         up = p.depth + int(rng.integers(1, 3))
-        assert_bitwise_equal(p.embed(up), embed_oracle(p, up))
+        assert_bitwise_equal(_at_depth(p, up), embed_oracle(p, up))
         for j in range(-1, p.depth + 1):
             assert_bitwise_equal(weight_op(j, p), weight_op_oracle(j, p))
         assert_bitwise_equal(descent_op(p), descent_op_oracle(p))
@@ -685,7 +695,7 @@ def test_shifted_inverse_matches_its_term_loop_bitwise():
         depth = int(rng.integers(0, 3))
         # a(-1) purely imaginary, and repeated so shifts share factorizations
         p = random_logpower(rng, dim, depth, n_terms=int(rng.integers(0, 6)), m=0, mu=-1.0)
-        p = p + conjugate_oracle(p.scale(0.5).embed(depth + 1))
+        p = p + conjugate_oracle(embed_oracle(p.scale(0.5), depth + 1))
         A = random_matrix(rng, dim)
         assert_bitwise_equal(shifted_inverse(p, ShiftedInverseCache(A)), shifted_inverse_oracle(A, p))
 
@@ -706,7 +716,7 @@ def _raw_product_oracle(G, terms, multisets, weights, depth):
             alpha = padded[parts[0]][combo[0]].copy()
             for i, r in zip(parts[1:], combo[1:]):
                 alpha = alpha + padded[i][r]
-            xi = G(*(terms[i].xis[r] for i, r in zip(parts, combo)))
+            xi = call_on_vectors(G, *(terms[i].xis[r] for i, r in zip(parts, combo)))
             alphas.append(alpha)
             xis.append(xi if w == 1.0 else xi * w)
     return (
@@ -799,23 +809,14 @@ def test_stacked_shifted_solve_raises_as_its_row_loop_did():
     # the rows are checked in order, so the first bad row names the error
     A = np.diag([1.0, 2j])
     singular = "A + (-2j)I is numerically singular; the dissipativity assumption excludes this"
-    real_part = "exponent a(-1) = (0.5+1j) is not purely imaginary"
     xi = np.array([1.0, 1.0])
-    for shifts, message in (
-        ([0j, 1j, -2j], singular),
-        ([0j, 0.5 + 1j, -2j], real_part),
-        ([-2j, 0.5 + 1j], singular),
-    ):
+    for shifts in ([0j, 1j, -2j], [-2j, 0.5 + 1j]):
         with pytest.raises(ValueError) as err:
             ShiftedInverseCache(A).solve(np.array(shifts), np.tile(xi, (len(shifts), 1)))
-        assert str(err.value) == message
+        assert str(err.value) == singular
     with pytest.raises(ValueError, match="2 shifts for 1 coefficient rows"):
         ShiftedInverseCache(A).solve(np.array([1j, 2j]), xi[None])
     p = LogPowerSum.build(2, 0, [((1j, -1.0), xi), ((-2j, -1.0), xi)])
     with pytest.raises(ValueError) as err:
         shifted_inverse(p, ShiftedInverseCache(A))
     assert str(err.value) == singular
-    p = LogPowerSum.build(2, 0, [((0.5 + 1j, -1.0), xi), ((1j, -1.0), xi)])
-    with pytest.raises(ValueError) as err:
-        shifted_inverse(p, ShiftedInverseCache(A))
-    assert str(err.value) == real_part

@@ -35,15 +35,19 @@ def test_entries_sorted_canonically():
 
 
 def _as_inputs(x: np.ndarray, kind: str):
-    """x as ``__call__`` may receive it: an array, or a list of Python numbers."""
+    """x as the map's evaluators receive it: an array (``batch``), or a list
+    of Python numbers (``__call__``)."""
     return x if kind == "array" else x.tolist()
 
 
 def _apply(G: MultiLinearMap, xs, kind: str) -> np.ndarray:
-    """G on xs passed as ``kind``, as a complex array.  Lists in give the
-    kernel's list of Python complex numbers back, arrays a complex array."""
-    got = G(*(_as_inputs(x, kind) for x in xs))
-    if kind == "list":
+    """G on xs passed as ``kind``, as a complex array: arrays through
+    ``batch``, lists through ``__call__``, which gives the kernel's list of
+    Python complex numbers back."""
+    if kind == "array":
+        got = G.batch(*xs)
+    else:
+        got = G(*(x.tolist() for x in xs))
         assert type(got) is list and all(type(v) is complex for v in got)
         got = np.array(got, dtype=complex)
     assert got.dtype == complex and got.shape == (G.dim,)
@@ -103,23 +107,27 @@ def test_call_keeps_signed_zeros_inf_nan_and_overflow_bitwise(kind):
             ),
         )
         xs = [_special_cvecs(rng, dim) for _ in range(arity)]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # overflow raises no RuntimeWarning
-            got = _apply(G, xs, kind)
+        if kind == "list":
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # overflow raises no RuntimeWarning
+                got = _apply(G, xs, kind)
+        else:
+            with np.errstate(all="ignore"):  # batch's numpy arithmetic warns
+                got = _apply(G, xs, kind)
         with np.errstate(all="ignore"):
             want = dense_apply(G, [_as_inputs(x, kind) for x in xs])
         _assert_bitwise_up_to_nan_sign(got, want)
 
 
-def test_call_returns_an_array_unless_every_argument_is_a_list():
+def test_call_takes_lists_only():
+    # arrays go through batch; the kernel would compute on numpy scalars
     rng = np.random.default_rng(16)
     G = random_multilinear(rng, 2, 3, n_entries=6)
     x, y = cvec(rng, 3), cvec(rng, 3)
-    want = _apply(G, [x, y], "list")
-    for args in ((x, y.tolist()), (x.tolist(), y), (x, y)):
-        got = G(*args)
-        assert type(got) is np.ndarray
-        _assert_bitwise(got, want)
+    for args in ((x, y.tolist()), (x.tolist(), y), (x, y), (tuple(x.tolist()), y.tolist())):
+        with pytest.raises(TypeError, match="arguments must be lists"):
+            G(*args)
+    _assert_bitwise(np.array(G(x.tolist(), y.tolist())), G.batch(x, y))
 
 
 def test_call_starts_every_row_from_positive_zero():
@@ -138,7 +146,7 @@ def test_call_starts_every_row_from_positive_zero():
 def test_kernel_compiles_on_first_call_once_per_map():
     G = random_multilinear(np.random.default_rng(13), 2, 3, n_entries=5)
     assert "kernel" not in vars(G)
-    x = cvec(np.random.default_rng(14), 3)
+    x = cvec(np.random.default_rng(14), 3).tolist()
     G(x, x)
     assert G.kernel is G.kernel
     assert "kernel" in vars(G)
@@ -155,7 +163,7 @@ def test_call_on_one_long_output_row_matches_bruteforce_bitwise():
     )
     assert len(G.entries) == 6400 and {i for i, _, _ in G.entries} == {0}
     x, y = _spread_cvecs(rng, dim), _spread_cvecs(rng, dim)
-    _assert_bitwise(G(x, y), dense_apply(G, [x, y]))
+    _assert_bitwise(_apply(G, [x, y], "array"), dense_apply(G, [x, y]))
     _assert_bitwise(_apply(G, [x, y], "list"), dense_apply(G, [x, y]))
 
 
@@ -166,11 +174,11 @@ def test_burgers_galerkin_map_matches_bruteforce_bitwise(n, size):
     rng = np.random.default_rng(n)
     for _ in range(5):
         x = _spread_cvecs(rng, n)
-        _assert_bitwise(G(x, x), dense_apply(G, [x, x]))
-        _assert_bitwise(G.symmetrized(x, x), dense_apply(G.symmetrized, [x, x]))
+        _assert_bitwise(_apply(G, [x, x], "list"), dense_apply(G, [x, x]))
+        _assert_bitwise(_apply(G.symmetrized, [x, x], "list"), dense_apply(G.symmetrized, [x, x]))
     # u u_x carries no energy: a . G(a, a) = 0 for real modes a
     a = rng.standard_normal(n)
-    assert abs(a @ G(a, a)) <= 1e-14 * float(np.abs(a) @ np.abs(G(a, a)))
+    assert abs(a @ G.batch(a, a)) <= 1e-14 * float(np.abs(a) @ np.abs(G.batch(a, a)))
 
 
 def test_call_is_multilinear_in_each_slot():
@@ -178,8 +186,8 @@ def test_call_is_multilinear_in_each_slot():
     G = random_multilinear(rng, 3, 3, n_entries=8)
     x, y, z, w = (cvec(rng, 3) for _ in range(4))
     a = 0.7 - 1.3j
-    lhs = G(x, a * y + w, z)
-    rhs = a * G(x, y, z) + G(x, w, z)
+    lhs = G.batch(x, a * y + w, z)
+    rhs = a * G.batch(x, y, z) + G.batch(x, w, z)
     np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
 
 
@@ -187,7 +195,7 @@ def test_scalar_power_is_plain_power():
     cube = scalar_power(3)
     assert cube.arity == 3 and cube.dim == 1
     v = np.array([1.5 + 0.5j])
-    np.testing.assert_allclose(cube(v, v, v), v**3)
+    np.testing.assert_allclose(cube.batch(v, v, v), v**3)
 
 
 def test_index_validation():
@@ -217,12 +225,12 @@ def test_real_map_commutes_with_conjugation():
         G = random_multilinear(rng, 2, dim, real=True)
         assert G.is_real()
         xs = [cvec(rng, dim), cvec(rng, dim)]
-        np.testing.assert_allclose(G(*xs), dense_apply(G, xs), rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(G.batch(*xs), dense_apply(G, xs), rtol=1e-13, atol=1e-13)
         np.testing.assert_allclose(
-            G(*[x.conj() for x in xs]), G(*xs).conj(), rtol=1e-13, atol=1e-13
+            G.batch(*[x.conj() for x in xs]), G.batch(*xs).conj(), rtol=1e-13, atol=1e-13
         )
         reals = [rng.standard_normal(dim).astype(complex) for _ in range(2)]
-        assert np.max(np.abs(G(*reals).imag)) < 1e-14
+        assert np.max(np.abs(G.batch(*reals).imag)) < 1e-14
 
 
 def test_call_arity_mismatch():
@@ -262,7 +270,7 @@ def test_batch_outer_product_equals_stacked_calls_bitwise():
         got = G.batch(*shaped)
         assert got.shape == tuple(counts) + (dim,)
         want = np.array(
-            [G(*(stacks[s][i] for s, i in enumerate(idx))) for idx in np.ndindex(*counts)]
+            [_apply(G, [stacks[s][i] for s, i in enumerate(idx)], "list") for idx in np.ndindex(*counts)]
         ).reshape(got.shape)
         _assert_bitwise(got, want)
 
@@ -276,7 +284,7 @@ def test_batch_rowwise_equals_stacked_calls_bitwise():
         rows = int(rng.integers(1, 7))
         stacks = [_spread_cvecs(rng, (rows, dim)) for _ in range(arity)]
         got = G.batch(*stacks)
-        want = np.array([G(*(x[i] for x in stacks)) for i in range(rows)])
+        want = np.array([_apply(G, [x[i] for x in stacks], "list") for i in range(rows)])
         _assert_bitwise(got, want)
 
 
@@ -285,7 +293,7 @@ def test_batch_with_empty_entry_table():
     x = np.ones((4, 3), dtype=complex)
     got = G.batch(x, x)
     _assert_bitwise(got, np.zeros((4, 3), dtype=complex))
-    _assert_bitwise(got[0], G(x[0], x[0]))
+    _assert_bitwise(got[0], _apply(G, [x[0], x[0]], "list"))
 
 
 def test_batch_with_zero_rows():
@@ -301,7 +309,7 @@ def test_batch_single_vectors_match_call():
     rng = np.random.default_rng(34)
     G = random_multilinear(rng, 2, 3, n_entries=7)
     x, y = cvec(rng, 3), cvec(rng, 3)
-    _assert_bitwise(G.batch(x, y), G(x, y))
+    _assert_bitwise(G.batch(x, y), _apply(G, [x, y], "list"))
 
 
 def test_batch_validates_arguments():
@@ -430,7 +438,7 @@ def _abs_apply(G: MultiLinearMap, args) -> float:
     """Largest component of |G|(|x1|, ..., |xm|): the scale rounding errors of
     G(x1, ..., xm) are relative to."""
     absolute = MultiLinearMap(G.arity, G.dim, tuple((o, ins, abs(v)) for o, ins, v in G.entries))
-    return float(absolute(*(abs(x) for x in args)).real.max())
+    return float(absolute.batch(*(abs(x) for x in args)).real.max())
 
 
 @given(_map_and_vectors())
@@ -438,11 +446,11 @@ def _abs_apply(G: MultiLinearMap, args) -> float:
 def test_symmetrized_map_ignores_argument_order(case):
     G, xs = case
     Gs = G.symmetrized
-    want = Gs(*xs)
+    want = Gs.batch(*xs)
     perms = list(itertools.permutations(range(G.arity)))
     scale = sum(_abs_apply(G, [xs[p] for p in perm]) for perm in perms)
     for perm in perms:
-        assert abs(Gs(*(xs[p] for p in perm)) - want).max() <= 1e-14 * scale
+        assert abs(Gs.batch(*(xs[p] for p in perm)) - want).max() <= 1e-14 * scale
 
 
 @given(_map_and_vectors(), st.data())
@@ -453,8 +461,8 @@ def test_ordering_sum_is_the_weighted_symmetrized_map(case, data):
     m = G.arity
     picks = tuple(sorted(data.draw(st.lists(st.integers(0, m - 1), min_size=m, max_size=m))))
     orderings = set(itertools.permutations(picks))
-    per_ordering = sum(G(*(xs[i] for i in ordered)) for ordered in orderings)
-    weighted = len(orderings) / math.factorial(m) * G.symmetrized(*(xs[i] for i in picks))
+    per_ordering = sum(G.batch(*(xs[i] for i in ordered)) for ordered in orderings)
+    weighted = len(orderings) / math.factorial(m) * G.symmetrized.batch(*(xs[i] for i in picks))
     scale = sum(_abs_apply(G, [xs[i] for i in ordered]) for ordered in orderings)
     assert abs(per_ordering - weighted).max() <= 1e-15 * scale
 

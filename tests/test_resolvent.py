@@ -184,7 +184,7 @@ def test_defect_sees_a_perturbed_t1_row():
     z, _ = resolvent_solve_exp(A, f)
     assert resolvent_defect(A, f, z).is_zero()
     delta = np.array([1e-3, 0.0])
-    bad = ExpPolySum.from_arrays(2, z.nus, z.rows + np.stack([0.0 * delta, delta])[None])
+    bad = ExpPolySum.from_pieces(2, [(z.nus, z.rows + np.stack([0.0 * delta, delta])[None])])
     d = resolvent_defect(A, f, bad)
     assert d.depth == 0
     assert sorted(round(a[1].real) for a in d.alphas.tolist()) == [0, 1]
