@@ -39,6 +39,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -336,73 +337,79 @@ PRINT_DUST_REL = 1e-13
 
 
 def _fmt_complex(z: complex) -> str:
-    z = complex(z)
-    if z.imag == 0:
-        return _num(z.real)
-    if z.real == 0:
-        return f"{_num(z.imag)}i"
-    sign = "+" if z.imag > 0 else "-"
-    return f"({_num(z.real)}{sign}{_num(abs(z.imag))}i)"
+    return _fmt_complexes([complex(z).real], [complex(z).imag])[0]
+
+
+def _fmt_complexes(re: list, im: list) -> list[str]:
+    """Short forms of re[k] + im[k] i: re alone, im i alone, or (re+|im|i) / (re-|im|i)."""
+    if not any(im):  # a real form
+        return _nums(re)
+    return [
+        r if y == 0 else f"{m}i" if x == 0 else f"({r}{'+' if y > 0 else '-'}{m.lstrip('-')}i)"
+        for x, y, r, m in zip(re, im, _nums(re), _nums(im))
+    ]
 
 
 def _num(x: float) -> str:
+    return _nums([x])[0]
+
+
+def _nums(xs: list) -> list[str]:
     # Short human form for tables; CSVs use the full 17 digits.
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return format(x, ".6g")
+    return ["%.6g" % x if x % 1 or abs(x) >= 1e15 else str(int(x)) for x in xs]
 
 
 def _slot_name(j: int) -> str:
-    # Ladder component j: t, ln t, and iterated logs beyond that.
-    if j == 0:
-        return "t"
-    if j == 1:
-        return "ln t"
-    return f"ln_{j} t"
+    # Ladder component j >= 0: t, ln t, and iterated logs beyond that.
+    return ("t", "ln t")[j] if j < 2 else f"ln_{j} t"
 
 
-def _power_factor(j: int, a: complex) -> str | None:
-    if a == 0:
-        return None
+def _power_factor(j: int, a: complex, text: str) -> str:
+    # The power a != 0 of ladder component j; text is a's short form.
     if j < 0:
-        return f"e^({_fmt_complex(a)}t)"
-    name = _slot_name(j)
-    if j >= 1:
-        name = f"({name})"
-    if a == 1:
-        return name
-    return f"{name}^{_fmt_complex(a)}"
+        return f"e^({text}t)"
+    name = _slot_name(j) if j == 0 else f"({_slot_name(j)})"
+    return name if a == 1 else f"{name}^{text}"
 
 
-def _ladder_term_string(keys, vecs) -> str:
-    """Human form of ladder rows, e.g. 2·t^-2: row k is vecs[k] times the
-    ladder power and trig factors of keys[k] = (alpha, factors), the shape
-    of a real form; an exponential row vec·t^d·e^(nu t) has the key
-    ((nu, d), ()).
+def _ladder_term_strings(tables: list) -> list[str]:
+    """Human form of ladder rows, e.g. 2·t^-2, one string per table (keys,
+    vecs): row k of a table is vecs[k] times the ladder power and trig
+    factors of keys[k] = (alpha, factors), the shape of a real form; an
+    exponential row vec·t^d·e^(nu t) has the key ((nu, d), ()).  A table
+    without rows prints as 0.
 
     Real and imaginary parts below PRINT_DUST_REL of their row's norm are
     rounding dust: printed, they would change with every last-bit change of
     a solve.  They are zeroed for all rows at once; the output files keep
-    every digit.
+    every digit.  The rows of all tables are formatted in one pass, and each
+    distinct exponent and trig factor once.
     """
+    keys = [key for table, _ in tables for key in table]
     if not keys:
-        return "0"
-    vecs = np.asarray(vecs, dtype=complex).reshape(len(keys), -1)
+        return ["0"] * len(tables)
+    vecs = np.concatenate([np.asarray(v, dtype=complex) for _, v in tables])
     tol = PRINT_DUST_REL * row_norms(vecs)[:, None]
-    re = np.where(abs(vecs.real) < tol, 0.0, vecs.real).tolist()
-    im = np.where(abs(vecs.imag) < tol, 0.0, vecs.imag).tolist()
-    parts = []
-    for (alpha, factors), row_re, row_im in zip(keys, re, im):
-        vals = [_fmt_complex(complex(r, i)) for r, i in zip(row_re, row_im)]
-        bits = [vals[0] if len(vals) == 1 else "(" + ",".join(vals) + ")"]
-        for i, a in enumerate(alpha):
-            f = _power_factor(i - 1, complex(a))
-            if f is not None:
-                bits.append(f)
-        for j, omega, phase in factors:
-            bits.append(f"{phase}({_num(omega)}·{_slot_name(j)})")
-        parts.append("·".join(bits))
-    return " + ".join(parts)
+    re = np.where(abs(vecs.real) < tol, 0.0, vecs.real).ravel().tolist()
+    im = np.where(abs(vecs.imag) < tol, 0.0, vecs.imag).ravel().tolist()
+    vals, dim = _fmt_complexes(re, im), vecs.shape[1]
+    if dim > 1:
+        vals = ["(" + ",".join(vals[k : k + dim]) + ")" for k in range(0, len(vals), dim)]
+    alphas, factors = zip(*keys)
+    powers = [_power_column(j, c) for j, c in enumerate(zip_longest(*alphas, fillvalue=0), -1)]
+    trig = {f: "·".join(f"{p}({_num(w)}·{_slot_name(j)})" for j, w, p in f) for f in set(factors)}
+    rows = ["·".join(filter(None, r)) for r in zip(vals, *powers, map(trig.__getitem__, factors))]
+    ends = np.cumsum([len(table) for table, _ in tables]).tolist()
+    return [" + ".join(rows[lo:hi]) or "0" for lo, hi in zip([0] + ends, ends)]
+
+
+def _power_column(j: int, exponents: tuple) -> list[str]:
+    """The printed powers of ladder component j, "" for a zero exponent; each
+    distinct exponent is formatted once."""
+    distinct = [complex(a) for a in set(exponents) if a != 0]
+    texts = _fmt_complexes([a.real for a in distinct], [a.imag for a in distinct])
+    printed = {a: _power_factor(j, a, text) for a, text in zip(distinct, texts)}
+    return [printed.get(a, "") for a in exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -410,17 +417,11 @@ def _ladder_term_string(keys, vecs) -> str:
 
 
 def _order_record(k: int, order) -> dict:
-    rec: dict = {"order": k, "rate": float(order.mu)}
-    term = order.term
+    rec, term = {"order": k, "rate": float(order.mu)}, order.term
     if isinstance(term, ExpPolySum):
-        rec["type"] = "exp_poly"
-        rec["terms"] = term.to_records()
-        rec["kernel"] = [m.to_records() for m in order.kernel]
-    else:
-        rec["type"] = "log_power"
-        rec["depth"] = term.depth
-        rec["terms"] = term.to_records()
-    return rec
+        kernel = [m.to_records() for m in order.kernel]
+        return {**rec, "type": "exp_poly", "terms": term.to_records(), "kernel": kernel}
+    return {**rec, "type": "log_power", "depth": term.depth, "terms": term.to_records()}
 
 
 def expansion_records(expansion: Expansion) -> dict:
@@ -444,13 +445,12 @@ def _write(out_dir: Path, name: str, text: str) -> None:
 
 
 def _term_table(expansion: Expansion) -> str:
+    views = [ladder_view(order.term) for order in expansion.orders]
+    strings = _ladder_term_strings([([(a, ()) for a in v.alphas.tolist()], v.xis) for v in views])
     lines = []
-    for k, order in enumerate(expansion.orders, 1):
-        view = ladder_view(order.term)
-        s = _ladder_term_string([(alpha, ()) for alpha in view.alphas.tolist()], view.xis)
-        if order.kernel:
-            s += f"   [{len(order.kernel)} free kernel mode(s)]"
-        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
+    for k, (order, s) in enumerate(zip(expansion.orders, strings), 1):
+        kernel = f"   [{len(order.kernel)} free kernel mode(s)]" if order.kernel else ""
+        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}{kernel}")
     return "\n".join(lines)
 
 
@@ -612,21 +612,21 @@ def cmd_realify(cfg: dict, spec: ProblemSpec, args) -> int:
     expansion = expand(spec)
     grid = _realify_grid(expansion, spec)
     worst = 0.0
-    lines = []
+    tables = []  # the real form of each order, as (keys, vecs)
     for k, order in enumerate(expansion.orders, 1):
-        term = order.term
-        if term.is_zero():
-            lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   0")
-            continue
-        worst = max(worst, imag_residue(term, grid))
-        convert = to_trig_poly if isinstance(term, ExpPolySum) else to_trig_ladder
-        try:
-            rows = convert(term)
-        except ValueError as e:  # the term has no real form
-            raise ValidationError(f"order {k}: {e}") from e
-        s = _ladder_term_string([key for key, _ in rows], [vec for _, vec in rows])
-        lines.append(f"  {k:3d}  rate {_num(order.mu):>8}   {s}")
-    table = "\n".join(lines)
+        term, rows = order.term, []
+        if not term.is_zero():
+            worst = max(worst, imag_residue(term, grid))
+            convert = to_trig_poly if isinstance(term, ExpPolySum) else to_trig_ladder
+            try:
+                rows = convert(term)
+            except ValueError as e:  # the term has no real form
+                raise ValidationError(f"order {k}: {e}") from e
+        tables.append(([key for key, _ in rows], np.reshape([v for _, v in rows], (-1, spec.dim))))
+    table = "\n".join(
+        f"  {k:3d}  rate {_num(o.mu):>8}   {s}"
+        for k, (o, s) in enumerate(zip(expansion.orders, _ladder_term_strings(tables)), 1)
+    )
     print(table)
     print(f"max imaginary residue on the sample grid: {worst:.3e}")
     out = _out_dir(cfg, args)

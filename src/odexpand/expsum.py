@@ -287,10 +287,10 @@ class ExpPolySum:
     # -- serialization ---------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        return [
-            {"exponent": [nu.real, nu.imag], "coeffs": [[[z.real, z.imag] for z in r] for r in c]}
-            for nu, c in self.items()
-        ]
+        nus = np.stack([self.nus.real, self.nus.imag], axis=-1).tolist()
+        rows = np.stack([self.rows.real, self.rows.imag], axis=-1).tolist()
+        ends = self._lengths.tolist()  # each term's rows end there
+        return [{"exponent": e, "coeffs": r[:n]} for e, r, n in zip(nus, rows, ends)]
 
 
 def mul_apply_exp(G: MultiLinearMap, args: Sequence[ExpPolySum]) -> ExpPolySum:

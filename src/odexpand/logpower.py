@@ -348,10 +348,9 @@ class LogPowerSum:
     # -- serialization ---------------------------------------------------
 
     def to_records(self) -> list[dict]:
-        return [
-            {"alpha": [[a.real, a.imag] for a in alpha], "xi": [[z.real, z.imag] for z in xi]}
-            for alpha, xi in self.items()
-        ]
+        alphas = np.stack([self.alphas.real, self.alphas.imag], axis=-1).tolist()
+        xis = np.stack([self.xis.real, self.xis.imag], axis=-1).tolist()
+        return [{"alpha": a, "xi": x} for a, x in zip(alphas, xis)]
 
 
 def ladder_view(s) -> LogPowerSum:

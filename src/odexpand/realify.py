@@ -30,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expsum import TRIM_REL, ExpPolySum, snap_float, snap_scalar
-from .logpower import LogPowerSum, ladder_view
+from .expsum import TRIM_REL, ExpPolySum, group_keys, snap_float
+from .logpower import LogPowerSum, ladder_view, row_norms
 
 __all__ = [
     "asymmetry_witness",
@@ -47,6 +47,9 @@ COS, SIN = "cos", "sin"
 # max(1, the sum's largest coefficient norm).
 SYMMETRY_TOL = 1e-12
 
+# weight * i^e by [weight == 2, e]: Re(xi * c) is +-weight * Re xi or Im xi, exactly
+_ROTATIONS = np.array([[1, 1j, -1, -1j], [2, 2j, -2, -2j]])
+
 
 def asymmetry_witness(p):
     """First term breaking conjugation symmetry, or None if symmetric.
@@ -54,40 +57,59 @@ def asymmetry_witness(p):
     The partner of a term is the one at the componentwise conjugate
     exponent vector; the witness is the offending term's exponent key.
     An ExpPolySum is checked through its depth-0 ladder view, so its
-    witness is a (nu, j) key.
+    witness is a (nu, j) key.  One sort of the keys and their conjugates pairs the terms.
     """
     p = ladder_view(p)
-    scale = max(p.sup_norm(), 1.0)
-    for alpha, xi in p.items():
-        key = tuple(snap_scalar(a.conjugate()) for a in alpha)
-        partner = p.terms.get(key)
-        if partner is None:
-            return alpha
-        if float(abs(partner - xi.conjugate()).max()) > SYMMETRY_TOL * scale:
-            return alpha
-    return None
+    count = p.term_count()
+    if count == 0:
+        return None
+    _, _, group = group_keys(np.concatenate([p.alphas, p.alphas.conj()]))
+    owner = np.full(count * 2, -1)
+    owner[group[:count]] = np.arange(count)
+    partner = owner[group[count:]]
+    gap = abs(p.xis[partner] - p.xis.conj()).max(axis=1)
+    bad = partner < 0
+    if gap.max() > SYMMETRY_TOL:  # else no gap can fail: the scale is at least 1
+        bad |= gap > SYMMETRY_TOL * max(p.sup_norm(), 1.0)
+    return tuple(p.alphas[bad.argmax()].tolist()) if bad.any() else None
 
 
 # ---------------------------------------------------------------------------
 # real forms: sorted rows ((alpha, factors), vec)
 
 
+def _merge_rows(dim: int, keys: np.ndarray, vecs: np.ndarray) -> list:
+    """The sorted real form ((alpha, factors), vec) of raw rows.  A key row of depth d
+    holds the snapped exponents a(-1..d), then w + 1j * (1 for a sine) for each ladder
+    component 0..d, w >= 0 the snapped frequency of its trig factor (0: none).  Equal keys
+    are summed onto zeros in raw order; zero rows and rows below TRIM_REL are dropped."""
+    if vecs.shape[0] == 0:
+        return []
+    uniq, _, group = group_keys(keys)
+    acc = np.zeros((uniq.shape[0], dim))
+    np.add.at(acc, group, vecs)
+    norms = row_norms(acc)
+    keep = (norms > 0.0) & (norms >= TRIM_REL * norms.max())
+    kept, width = uniq[keep], (keys.shape[1] + 1) // 2  # width = d + 2
+    rows = [
+        (tuple(a), tuple((j, x.real, SIN if x.imag else COS) for j, x in enumerate(f) if x))
+        for a, f in zip(kept[:, :width].real.tolist(), kept[:, width:].tolist())
+    ]
+    return sorted(zip(rows, acc[keep]), key=lambda row: row[0])
+
+
 def _real_rows(dim: int, depth: int, raw) -> list:
-    """Canonical real form of raw (alpha, factors, vec) rows: the sorted
-    ((alpha, factors), vec) list.  alpha holds real exponents of components
-    -1..depth and factors are (component j >= 0, frequency w, cos|sin).
-    Values are snapped, negative frequencies flipped (sin soaks up the
-    sign), equal keys merged and rows below TRIM_REL of the largest dropped.
-    """
+    """Canonical real form of raw (alpha, factors, vec) rows: alpha holds real
+    exponents of components -1..depth, factors are (component j >= 0, frequency w,
+    cos|sin).  Each row is validated and snapped, a negative frequency flipped (sin
+    soaks up the sign); _merge_rows merges, trims and sorts them."""
     if depth < -1:
         raise ValueError("depth must be >= -1")
-    acc: dict[tuple, np.ndarray] = {}
+    keys, vecs = [], []
     for alpha, factors, vec in raw:
-        a = tuple(snap_float(x) for x in alpha)
+        a = [snap_float(x) for x in alpha]
         if len(a) != depth + 2:
-            raise ValueError(
-                f"exponent vector length {len(a)} != depth+2 = {depth + 2}"
-            )
+            raise ValueError(f"exponent vector length {len(a)} != depth+2 = {depth + 2}")
         v = np.asarray(vec, dtype=float).reshape(-1)
         if v.shape[0] != dim:
             raise ValueError("coefficient length mismatch")
@@ -98,25 +120,21 @@ def _real_rows(dim: int, depth: int, raw) -> list:
             if j < 0:
                 raise ValueError("trig factor index must be >= 0")
             w = snap_float(omega)
-            if w < 0.0:
-                w = -w
-                if phase == SIN:
-                    v = -v
+            v = -v if w < 0.0 and phase == SIN else v
             if w != 0.0:
-                fac.append((int(j), w, phase))
+                fac.append((int(j), abs(w), phase))
             elif phase == SIN:
                 break  # sin(0) kills the term; cos(0) is 1
         else:
-            fac.sort()
             if len({j for j, _, _ in fac}) != len(fac):
                 raise ValueError("at most one trig factor per ladder component")
             if any(j > depth for j, _, _ in fac):
                 raise ValueError("trig factor index exceeds depth")
-            key = (a, tuple(fac))
-            acc[key] = acc.get(key, np.zeros(dim)) + v
-    norms = {k: float(np.linalg.norm(v)) for k, v in acc.items()}
-    top = max(norms.values(), default=0.0)
-    return [(k, acc[k]) for k in sorted(acc) if norms[k] > 0.0 and norms[k] >= TRIM_REL * top]
+            on = {j: complex(w, phase == SIN) for j, w, phase in fac}
+            keys.append(a + [on.get(j, 0j) for j in range(depth + 1)])
+            vecs.append(v)
+    keys = np.array(keys, dtype=complex).reshape(-1, 2 * depth + 3)
+    return _merge_rows(dim, keys, np.array(vecs, dtype=float).reshape(-1, dim))
 
 
 def to_trig_ladder(p: LogPowerSum) -> list:
@@ -132,29 +150,32 @@ def to_trig_ladder(p: LogPowerSum) -> list:
 
     Rotation: with each oscillating component written as
     cos(b L) + i sin(b L), a pair is 2 Re(xi * prod (cos + i sin)), so the
-    term with s sine factors has coefficient 2 Re(xi i^s).
+    term with s sine factors has coefficient 2 Re(xi i^s); a sine of a
+    negative frequency b turns its sign.  Raw rows run term by term, picks
+    in itertools.product order over (cos, sin).
     """
     witness = asymmetry_witness(p)
     if witness is not None:
-        raise ValueError(
-            f"sum is not conjugation-symmetric at term {witness}; no real form exists"
-        )
-    deepest = p.depth + 1  # tuple index of the deepest component
-    needs_lift = bool((p.alphas[:, deepest].imag != 0.0).any())
-    out_depth = p.depth + 1 if needs_lift else p.depth
-    raw = []
-    for alpha, xi in p.items():
-        # imaginary exponent on tuple index i (component i-1) becomes a
-        # trig factor on component i
-        osc = [(i, a.imag) for i, a in enumerate(alpha) if a.imag != 0.0]
-        if osc and osc[0][1] > 0.0:
-            continue  # its partner emits the pair
-        a_real = [a.real for a in alpha] + [0.0] * (out_depth - p.depth)
-        weight = 2.0 if osc else 1.0  # a real term is its own pair
-        for picks in itertools.product((COS, SIN), repeat=len(osc)):
-            factors = [(i, b, ph) for (i, b), ph in zip(osc, picks)]
-            raw.append((a_real, factors, weight * (xi * 1j ** picks.count(SIN)).real))
-    return _real_rows(p.dim, out_depth, raw)
+        raise ValueError(f"sum is not conjugation-symmetric at term {witness}; no real form exists")
+    im = p.alphas.imag
+    osc = im != 0.0
+    count = osc.sum(axis=1)
+    # a term without oscillation reads its first imaginary exponent as 0
+    emits = np.flatnonzero(im[np.arange(p.term_count()), osc.argmax(axis=1)] <= 0.0)
+    size = 1 << count[emits]
+    t = np.repeat(emits, size)  # the term of each raw row
+    pick = np.arange(t.size) - np.repeat(np.cumsum(size) - size, size)
+    # a term's m-th oscillating component (m = 0 first) reads bit n-1-m of its pick
+    sin = osc[t] & ((pick[:, None] >> (count[:, None] - np.cumsum(osc, axis=1))[t]) & 1 == 1)
+    # Re(xi * c), c = weight * i^e: a sine multiplies c by i, or at b < 0 by -i = i^3
+    e = (sin * np.where(im < 0.0, 3, 1)[t]).sum(axis=1) % 4
+    vec = (p.xis[t] * _ROTATIONS[np.minimum(count[t], 1), e, None]).real
+    # imaginary exponent on tuple index i (component i-1) becomes a trig
+    # factor on component i; only the deepest one lifts the depth
+    cut = p.depth + 1 + int(osc[:, -1].any())  # ladder components 0..cut-1
+    lift = np.zeros((t.size, cut - p.depth - 1))  # a zero exponent on the new one
+    keys = np.concatenate([p.alphas.real[t], lift, abs(im[t, :cut]) + 1j * sin[:, :cut]], axis=1)
+    return _merge_rows(p.dim, keys, vec)
 
 
 def to_trig_poly(s: ExpPolySum) -> list:

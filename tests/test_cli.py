@@ -6,7 +6,8 @@ agree within 1e-13 of the largest coefficient of their order.  ``verify``
 stdout is compared with ``golden/<config>.verify.txt`` (exit code and
 verdicts exactly, fitted numbers within tolerance), ``certificate``
 output with ``golden/certificate.certificate.csv``, and ``realify``
-output with ``golden/<config>.real_terms.txt`` byte for byte.
+output with ``golden/<config>.real_terms.txt`` and ``expand``'s stdout
+with ``golden/<config>.expand.txt`` byte for byte.
 """
 
 import dataclasses
@@ -98,7 +99,7 @@ def test_expand_prints_no_rounding_dust(tmp_path, capsys):
 
 def test_printed_vectors_drop_parts_below_the_dust_line():
     def printed(*vecs):
-        return cli._ladder_term_string([((0j, 0j), ())] * len(vecs), np.array(vecs))
+        return cli._ladder_term_strings([([((0j, 0j), ())] * len(vecs), np.array(vecs))])[0]
 
     assert printed([-0.0834422 + 9.26952e-20j]) == "-0.0834422"
     assert printed([1.0, 3e-14j, 2e-13j]) == "(1,0,2e-13i)"
@@ -106,7 +107,7 @@ def test_printed_vectors_drop_parts_below_the_dust_line():
     assert printed(np.zeros(2, dtype=complex)) == "(0,0)"
     # each row against its own norm
     assert printed([1.0, 3e-14j], [1e-14, 2e-27j]) == "(1,0) + (1e-14,2e-27i)"
-    assert cli._ladder_term_string([], np.zeros((0, 2))) == "0"
+    assert cli._ladder_term_strings([([], np.zeros((0, 2)))] * 2) == ["0", "0"]
     # exponents and fitted constants are printed in full
     assert cli._fmt_complex(1.0 + 1e-20j) == "(1+1e-20i)"
 
@@ -132,6 +133,45 @@ def test_realify_matches_golden(name, tmp_path):
     assert got == (GOLDEN / f"{name}.real_terms.txt").read_bytes()
     residue = got.decode().splitlines()[-1]
     assert float(residue.split(",")[1]) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "name", ["riccati", "oscillatory_log", "resonant", "certificate", "jordan_resonant"]
+)
+def test_expand_stdout_matches_golden(name, tmp_path, capsys):
+    # the printed term table is pinned byte for byte, output path masked
+    config = str(CONFIGS / f"{name}.json")
+    assert main(["expand", "--config", config, "--out", str(tmp_path)]) == 0
+    got = capsys.readouterr().out.replace(str(tmp_path), "<out>")
+    assert got.encode() == (GOLDEN / f"{name}.expand.txt").read_bytes()
+
+
+@pytest.mark.parametrize("workload", ["power-expand", "exp-resonant"])
+def test_pool_tables_match_golden(workload, tmp_path):
+    # Problem 0 of each symbolic benchmark pool: many oscillating terms per
+    # order, printed by expand and converted by realify.  The exponential
+    # expansion's last bits follow OpenBLAS's thread count (its order-1
+    # coefficients differ by 1e-16 between one and two threads, and a
+    # printed t^5 dust entry with them), so it runs in a fresh interpreter
+    # on one BLAS thread.
+    name = f"{workload}-000"
+    config = tmp_path / f"{name}.json"
+    config.write_text(bench_module("workloads").problem(workload, 0).config_text())
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    printed = []
+    for command in ("expand", "realify"):
+        argv = ["-m", "odexpand", command, "--config", str(config), "--out", str(out)]
+        proc = subprocess.run(
+            [sys.executable, "-W", "ignore", *argv], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout.replace(str(out), "<out>"))
+    assert printed[0].encode() == (GOLDEN / f"{name}.expand.txt").read_bytes()
+    real_terms = (out / "real_terms.txt").read_bytes()
+    assert real_terms == (GOLDEN / f"{name}.real_terms.txt").read_bytes()
 
 
 def test_realify_of_a_sum_too_deep_to_sample_exits_two(tmp_path, capsys):
@@ -212,15 +252,17 @@ def test_exponential_realify_keeps_the_decay(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:the remainder analysis:RuntimeWarning")
 def test_exponential_realify_keeps_every_stored_row_at_a_deep_order(tmp_path, monkeypatch, capsys):
     # At order 12 the exp-resonant pool stores rows far below the largest row
-    # of their order (rates 10-12).  expand prints them, so the real form must
+    # of their order (rates 8-12).  expand prints them, so the real form must
     # keep them too: re-canonicalizing the ladder view dropped them at 60
-    # orders of the 32 problems.
+    # orders of the 32 problems.  These three cover the extremes: problem 27
+    # loses rows from order 8 on, 14 the most (54 at order 12), and 11 a
+    # single row at orders 10 and 12.
     workloads = bench_module("workloads")
     built = []
     expand = cli.expand
     monkeypatch.setattr(cli, "expand", lambda spec: built.append(expand(spec)) or built[-1])
     config = tmp_path / "config.json"
-    for index in range(workloads.POOL_SIZE):
+    for index in (11, 14, 27):
         config.write_text(workloads.problem("exp-resonant", index).config_text())
         argv = ["realify", "--config", str(config), "--order", "12", "--out", str(tmp_path)]
         assert main(argv) == 0, index

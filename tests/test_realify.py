@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from odexpand import (
     ExpPolySum,
@@ -28,6 +30,7 @@ from helpers import (
     bench_module,
     conjugate_oracle,
     cvec,
+    embed_oracle,
     random_alpha,
     random_multilinear,
     sym_logpower,
@@ -509,3 +512,87 @@ def test_real_forms_of_random_symmetric_sums_match_the_sort_key_loop_bitwise():
             depth = int(rng.integers(0, 3))
             p = make(rng, int(rng.integers(1, 4)), depth, int(rng.integers(1, 5)))
             assert_trig_bitwise_equal(to_trig_ladder(p), to_trig_ladder_oracle(p))
+
+
+# ---------------------------------------------------------------------------
+# the real form is the same sum: from_trig_ladder inverts the conversion
+
+
+def _assert_same_sum(got: LogPowerSum, want: LogPowerSum) -> None:
+    # the same exponent keys, coefficients within 1e-15 of the largest
+    assert got.depth == want.depth
+    assert_arrays_bitwise_equal(got.alphas, want.alphas)
+    scale = max(want.sup_norm(), 1e-300)
+    assert float(abs(got.xis - want.xis).max(initial=0.0)) <= 1e-15 * scale
+
+
+def _back(dim: int, rows) -> LogPowerSum:
+    return from_trig_ladder(dim, depth_of(rows), [(a, f, v) for (a, f), v in rows])
+
+
+_REAL_PARTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.0, 0.25])
+# the frequencies differ in magnitude, so that a term's real rows and its
+# conjugate pair's merge only where two terms share every |frequency|
+_FREQUENCIES = st.sampled_from([0.0, 0.0, 0.75, -0.75, 1.5, -2.25])
+# eighths: no coefficient part is so small against the others that its row
+# falls below TRIM_REL and is dropped from the real form
+_COEFFS = st.integers(-16, 16).map(lambda k: k / 8)
+
+
+@st.composite
+def symmetric_logpower(draw):
+    """q + conj(q) for a random q of depth 0-2 in which some term oscillates;
+    a term oscillating in the deepest component lifts the real form's depth."""
+    dim, depth = draw(st.integers(1, 3)), draw(st.integers(0, 2))
+    raw = []
+    for _ in range(draw(st.integers(1, 4))):
+        alpha = [complex(draw(_REAL_PARTS), draw(_FREQUENCIES)) for _ in range(depth + 2)]
+        xi = [complex(draw(_COEFFS), draw(_COEFFS)) for _ in range(dim)]
+        raw.append((alpha, np.array(xi)))
+    osc = draw(st.integers(0, depth + 1))  # one component oscillates for sure
+    raw[0][0][osc] += 1.25j
+    raw[0][1][0] = 1.0 + 0.5j
+    q = LogPowerSum.build(dim, depth, raw)
+    return q + conjugate_oracle(q)
+
+
+@settings(max_examples=150, deadline=None)
+@given(symmetric_logpower())
+def test_real_form_round_trips_to_the_same_sum(p):
+    rows = to_trig_ladder(p)
+    lifted = bool((p.alphas[:, -1].imag != 0.0).any())
+    assert depth_of(rows) == p.depth + lifted
+    _assert_same_sum(_back(p.dim, rows), embed_oracle(p, p.depth + lifted))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(_REAL_PARTS, _FREQUENCIES, st.integers(1, 3), st.integers(0, 2**31)),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_exponential_real_form_round_trips_to_the_same_sum(dim, terms):
+    raw = []
+    for re, im, rows, seed in terms:
+        nu = complex(re, im + 1.25)  # every pair oscillates in t
+        coeffs = cvec(np.random.default_rng(seed), dim * rows).reshape(rows, dim)
+        raw += [(nu, coeffs), (nu.conjugate(), coeffs.conj())]
+    s = ExpPolySum.build(dim, raw)
+    rows = to_trig_poly(s)
+    assert depth_of(rows) == 0
+    _assert_same_sum(_back(dim, rows), ladder_view(s))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_logpower(), st.integers(0, 2**31))
+def test_an_asymmetric_sum_has_no_real_form(p, seed):
+    # an oscillating term gains a coefficient its conjugate partner lacks
+    assume((p.alphas.imag != 0.0).any())  # q's terms may cancel their conjugates
+    k = int(np.flatnonzero((p.alphas.imag != 0.0).any(axis=1))[0])
+    extra = cvec(np.random.default_rng(seed), p.dim)
+    q = p + LogPowerSum.build(p.dim, p.depth, [(p.alphas[k], extra / np.linalg.norm(extra))])
+    with pytest.raises(ValueError, match="not conjugation-symmetric"):
+        to_trig_ladder(q)
